@@ -10,7 +10,10 @@ it defines the linear model
 whose implied covariance matrix is (I - C)^-1 Psi (I - C^T)^-1.  The same
 covariances can be obtained by summing path products over unblocked paths
 (the method of path coefficients); both routes are implemented here and
-cross-checked in the test suite.  The module also provides unconditional
+cross-checked in the test suite.  The path search never steps through a
+collider, so it only ever walks unblocked paths, and it memoises them per
+endpoint pair on the immutable diagram, so the instrumental-set search and
+the path sums share one enumeration.  The module also provides unconditional
 d-separation and the graphical instrumental-set check that underpins
 identification of direct effects in multivariable MR with correlated
 instruments.
@@ -19,7 +22,8 @@ instruments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,17 +97,51 @@ class CausalDiagram:
     def n_nodes(self):
         return len(self.nodes)
 
+    # The diagram is immutable, so its lookups are built once on first use.
+    # They live in the instance ``__dict__``, outside the dataclass fields,
+    # and so take no part in ``==``, ``hash`` or ``repr``.
+
+    @cached_property
+    def _position(self):
+        return {node: k for k, node in enumerate(self.nodes)}
+
+    @cached_property
+    def _directed_set(self):
+        return frozenset(self.directed_edges)
+
+    @cached_property
+    def _bidirected_set(self):
+        return frozenset(self.bidirected_edges)
+
+    @cached_property
+    def _adjacency(self):
+        """node -> steps ``(edge, next node, arrowhead at node, arrowhead at
+        next node)``, directed edges first, each in declaration order."""
+        steps = {node: [] for node in self.nodes}
+        for s, t in self.directed_edges:
+            steps[s].append((PathEdge(DIRECTED, s, t, True), t, False, True))
+            steps[t].append((PathEdge(DIRECTED, s, t, False), s, True, False))
+        for u, v in self.bidirected_edges:
+            steps[u].append((PathEdge(BIDIRECTED, u, v, True), v, True, True))
+            steps[v].append((PathEdge(BIDIRECTED, u, v, False), u, True, True))
+        return {node: tuple(out) for node, out in steps.items()}
+
+    @cached_property
+    def _path_memo(self):
+        """(a, b) -> tuple of the unblocked paths from ``a`` to ``b``."""
+        return {}
+
     def index(self, node):
         try:
-            return self.nodes.index(node)
-        except ValueError:
+            return self._position[node]
+        except (KeyError, TypeError):
             raise UnknownNodeError(f"unknown node {node!r}") from None
 
     def has_directed(self, source, target):
-        return (source, target) in set(self.directed_edges)
+        return (source, target) in self._directed_set
 
     def has_bidirected(self, a, b):
-        return _normalize_pair(a, b) in set(self.bidirected_edges)
+        return _normalize_pair(a, b) in self._bidirected_set
 
     def parents(self, node):
         self.index(node)
@@ -111,7 +149,10 @@ class CausalDiagram:
 
     def children(self, node):
         self.index(node)
-        return [t for s, t in self.directed_edges if s == node]
+        return [
+            nxt for edge, nxt, _, _ in self._adjacency[node]
+            if edge.kind == DIRECTED and edge.forward
+        ]
 
     def topological_order(self):
         """Node list with every edge source before its target.
@@ -147,19 +188,6 @@ class CausalDiagram:
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
-        return seen
-
-    def ancestors(self, node, removed_edges=()):
-        removed = set(removed_edges)
-        self.index(node)
-        seen = {node}
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            for s, t in self.directed_edges:
-                if t == current and (s, t) not in removed and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
         return seen
 
 
@@ -328,12 +356,6 @@ class PathEdge:
             return True
         return node == self.target
 
-    def walk_end(self):
-        return self.target if self.forward else self.source
-
-    def walk_start(self):
-        return self.source if self.forward else self.target
-
 
 @dataclass(frozen=True)
 class Path:
@@ -390,11 +412,17 @@ class Path:
         return None
 
 
-def enumerate_paths(diagram, a, b, max_nodes=20, unblocked_only=True):
-    """All (unblocked) paths between ``a`` and ``b`` by exhaustive DFS.
+def enumerate_paths(diagram, a, b, max_nodes=20):
+    """All unblocked paths between ``a`` and ``b``, in depth-first order.
 
-    Each node appears at most once per path.  Guarded by a diagram size
-    cap because the number of mixed-edge paths grows combinatorially.
+    Each node appears at most once per path.  With no conditioning set a
+    path is blocked exactly when some interior node is a collider, so the
+    search never steps out of a node it entered through an arrowhead along
+    an edge that also points at it: every path it finishes is unblocked and
+    nothing blocked is walked past its first collider.  The result is
+    memoised on the immutable diagram; each call gets a fresh list.  Guarded
+    by a diagram size cap because the number of mixed-edge paths grows
+    combinatorially.
     """
     diagram.index(a)
     diagram.index(b)
@@ -407,36 +435,36 @@ def enumerate_paths(diagram, a, b, max_nodes=20, unblocked_only=True):
     if a == b:
         raise GraphStructureError("path enumeration requires distinct endpoints")
 
-    adjacency = {}
-    for s, t in diagram.directed_edges:
-        adjacency.setdefault(s, []).append(PathEdge(DIRECTED, s, t, True))
-        adjacency.setdefault(t, []).append(PathEdge(DIRECTED, s, t, False))
-    for u, v in diagram.bidirected_edges:
-        adjacency.setdefault(u, []).append(PathEdge(BIDIRECTED, u, v, True))
-        adjacency.setdefault(v, []).append(PathEdge(BIDIRECTED, u, v, False))
+    memo = diagram._path_memo
+    paths = memo.get((a, b))
+    if paths is None:
+        paths = memo[(a, b)] = _unblocked_paths(diagram._adjacency, a, b)
+    return list(paths)
 
+
+def _unblocked_paths(adjacency, a, b):
     paths = []
+    visited = {a}
+    node_seq = [a]
+    edge_seq = []
 
-    def extend(node, visited, node_seq, edge_seq):
-        for edge in adjacency.get(node, ()):
-            nxt = edge.walk_end() if edge.walk_start() == node else None
-            if nxt is None or nxt in visited:
+    def extend(node, entered_by_arrow):
+        for edge, nxt, head_here, head_there in adjacency[node]:
+            if nxt in visited or (entered_by_arrow and head_here):
                 continue
             node_seq.append(nxt)
             edge_seq.append(edge)
             if nxt == b:
-                candidate = Path(tuple(node_seq), tuple(edge_seq))
-                if not unblocked_only or not candidate.is_blocked:
-                    paths.append(candidate)
+                paths.append(Path(tuple(node_seq), tuple(edge_seq)))
             else:
                 visited.add(nxt)
-                extend(nxt, visited, node_seq, edge_seq)
+                extend(nxt, head_there)
                 visited.remove(nxt)
             node_seq.pop()
             edge_seq.pop()
 
-    extend(a, {a}, [a], [])
-    return paths
+    extend(a, False)
+    return tuple(paths)
 
 
 def wright_covariance(

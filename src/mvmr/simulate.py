@@ -822,14 +822,16 @@ def pleiotropy_experiment(
                     payload[("full", est)] = _estimate_once(
                         data.statistics, est, data.sd_exposures, data.sd_outcome
                     )
-                except (MvmrError, ValueError, np.linalg.LinAlgError):
+                except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
                     payload[("full", est)] = _nan_payload(K_full)
+                    payload.setdefault("_failures", []).append(("full", index, est, str(exc)))
                 try:
                     payload[("drop", est)] = _estimate_once(
                         dropped, est, data.sd_exposures[keep], data.sd_outcome
                     )
-                except (MvmrError, ValueError, np.linalg.LinAlgError):
+                except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
                     payload[("drop", est)] = _nan_payload(K_keep)
+                    payload.setdefault("_failures", []).append(("drop", index, est, str(exc)))
             return payload
 
         rows = _run_indexed(one, replicates, seed + g, threads)
@@ -838,19 +840,23 @@ def pleiotropy_experiment(
             estimates = {est: np.empty((replicates, k)) for est in estimators}
             ses = {est: np.empty((replicates, k)) for est in estimators}
             ps = {est: np.empty((replicates, k)) for est in estimators}
+            failures = {est: [] for est in estimators}
             for i, payload in enumerate(rows):
                 for est in estimators:
                     eff, se, p, _ = payload[(tag, est)]
                     estimates[est][i] = eff
                     ses[est][i] = se
                     ps[est][i] = p
+                for failed_tag, index, est, message in payload.get("_failures", ()):
+                    if failed_tag == tag:
+                        failures[est].append((index, message))
             return ReplicateSummary(
                 scenario=scenario_out,
                 estimator_names=tuple(estimators),
                 estimates=estimates,
                 standard_errors=ses,
                 p_values=ps,
-                failures={est: [] for est in estimators},
+                failures=failures,
                 conditional_f=None,
                 seed=seed + g,
             )

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mvmr import cli, graph
+from mvmr.errors import UnderdeterminedError
+from mvmr.estimators import ESTIMATORS
 
 SCENARIOS = resources.files("mvmr").joinpath("data", "scenarios")
 FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
@@ -119,6 +121,36 @@ class TestSimulateCommand:
         header = (tmp_path / "fig2" / "replicates.csv").read_text().splitlines()[0]
         for column in ("correlation", "n_samples", "estimate", "exposure"):
             assert column in header.split(",")
+
+
+    def test_pleiotropy_failures_trip_failure_cap(self, tmp_path, monkeypatch, capsys):
+        def underdetermined(stats):
+            raise UnderdeterminedError("forced failure")
+
+        monkeypatch.setitem(ESTIMATORS, "ls", underdetermined)
+        scenario = write_scenario(
+            tmp_path, "fig2_pleiotropy.json", hidden_effect_grid=[0.0], n_samples=500
+        )
+        code = cli.main(
+            [
+                "simulate",
+                "--scenario",
+                scenario,
+                "--seed",
+                "5",
+                "--replicates",
+                "3",
+                "--max-failure-rate",
+                "0.5",
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 4
+        assert "failure rate 1.000 exceeds cap 0.5" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        rates = [cell["estimators"]["ls"]["failure_rate"] for cell in summary["cells"]]
+        assert rates == [1.0, 1.0]
 
 
 class TestEstimateCommand:

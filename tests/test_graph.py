@@ -152,6 +152,81 @@ class TestWrightCovariance:
         )
 
 
+def all_unblocked_paths(diagram, a, b):
+    """Reference search: every simple path by plain DFS, blocked ones dropped."""
+    adjacency = {}
+    for s, t in diagram.directed_edges:
+        adjacency.setdefault(s, []).append((graph.PathEdge(graph.DIRECTED, s, t, True), t))
+        adjacency.setdefault(t, []).append((graph.PathEdge(graph.DIRECTED, s, t, False), s))
+    for u, v in diagram.bidirected_edges:
+        adjacency.setdefault(u, []).append((graph.PathEdge(graph.BIDIRECTED, u, v, True), v))
+        adjacency.setdefault(v, []).append((graph.PathEdge(graph.BIDIRECTED, u, v, False), u))
+    found = []
+
+    def extend(node_seq, edge_seq):
+        for edge, nxt in adjacency.get(node_seq[-1], ()):
+            if nxt in node_seq:
+                continue
+            if nxt == b:
+                found.append(graph.Path(tuple(node_seq) + (nxt,), tuple(edge_seq) + (edge,)))
+            else:
+                extend(node_seq + [nxt], edge_seq + [edge])
+
+    extend([a], [])
+    return [path for path in found if not path.is_blocked]
+
+
+def random_mixed_diagram(rng):
+    """An MVMR-shaped diagram plus a few random extra bidirected edges."""
+    sabotage = rng.choice([None, "pleiotropy", "missing_variant"])
+    diagram = random_mvmr_graph(rng, n_exposures=int(rng.integers(1, 4)), sabotage=sabotage)[0]
+    bidirected = set(diagram.bidirected_edges)
+    for _ in range(int(rng.integers(0, 4))):
+        a, b = rng.choice(diagram.nodes, size=2, replace=False)
+        bidirected.add((min(a, b), max(a, b)))
+    return graph.CausalDiagram(diagram.nodes, diagram.directed_edges, sorted(bidirected))
+
+
+class TestPathEnumeration:
+    def test_matches_exhaustive_search_in_order(self):
+        rng = np.random.default_rng(2002)
+        for _ in range(120):
+            diagram = random_mixed_diagram(rng)
+            for a in diagram.nodes:
+                for b in diagram.nodes:
+                    if a == b:
+                        continue
+                    expected = all_unblocked_paths(diagram, a, b)
+                    assert graph.enumerate_paths(diagram, a, b) == expected
+                    assert graph.enumerate_paths(diagram, a, b) == expected  # memoised
+
+    def test_returned_list_is_a_copy(self):
+        diagram, _ = fig_2a_model()
+        paths = graph.enumerate_paths(diagram, "E1", "Y")
+        paths.clear()
+        assert len(graph.enumerate_paths(diagram, "E1", "Y")) == 4
+
+    def test_guards_run_on_memoised_pairs(self):
+        names = [f"N{i}" for i in range(25)]
+        diagram = graph.CausalDiagram(names, [("N0", "N1")])
+        assert len(graph.enumerate_paths(diagram, "N0", "N1", max_nodes=30)) == 1
+        with pytest.raises(PathEnumerationError):
+            graph.enumerate_paths(diagram, "N0", "N1")
+        with pytest.raises(UnknownNodeError):
+            graph.enumerate_paths(diagram, "N0", "missing")
+        with pytest.raises(GraphStructureError):
+            graph.enumerate_paths(diagram, "N0", "N0", max_nodes=30)
+
+    def test_memo_does_not_change_equality_or_hash(self):
+        warm, _ = fig_2a_model()
+        fresh, _ = fig_2a_model()
+        graph.enumerate_paths(warm, "E1", "Y")
+        graph.check_instrumental_set(warm, ["E1", "E2"], ["X1", "X2"], "Y")
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+
+
 class TestDSeparation:
     def test_exposure_edges_removed(self):
         diagram, _, instruments, exposures, outcome, _ = random_mvmr_graph(

@@ -1,3 +1,4 @@
+import importlib.resources as resources
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 from mvmr import estimators as est
 from mvmr import simulate as sim
-from mvmr.errors import FeasibilityError, ScenarioError
+from mvmr.errors import FeasibilityError, ScenarioError, UnderdeterminedError
 
 
 class TestGenotypeSampling:
@@ -267,6 +268,27 @@ class TestPleiotropyExperiment:
         missp = result.misspecified[0]
         sem = missp.sd("ls") / np.sqrt(missp.n_replicates)
         assert np.all(np.abs(missp.bias("ls")) < 4 * sem + 0.01)
+
+    def test_estimator_failures_are_counted(self, monkeypatch):
+        def underdetermined(stats):
+            raise UnderdeterminedError("forced failure")
+
+        monkeypatch.setitem(est.ESTIMATORS, "ls", underdetermined)
+        scenario = sim.scenario_from_dict(
+            json.loads(
+                resources.files("mvmr")
+                .joinpath("data", "scenarios", "fig2_pleiotropy.json")
+                .read_text(encoding="utf-8")
+            )
+        )
+        result = sim.pleiotropy_experiment(
+            scenario, hidden_effect_grid=(0.0, 0.2), replicates=4, seed=3
+        )
+        for summary in result.correct + result.misspecified:
+            assert summary.failure_rate("ls") == 1.0
+            assert [i for i, _ in summary.failures["ls"]] == [0, 1, 2, 3]
+            assert all(msg == "forced failure" for _, msg in summary.failures["ls"])
+            assert np.all(np.isnan(summary.estimates["ls"]))
 
     def test_requires_hidden_exposures(self):
         scenario = sim.SimulationScenario(
