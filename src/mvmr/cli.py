@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -70,9 +71,21 @@ def _write_rows(path, fieldnames, rows):
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path, payload):
+    """Strict JSON: NaN and infinities are written as null."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -16,10 +16,11 @@ regularised toward the identity with a hard-coded factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import stats as sps
+from scipy.linalg import solve_triangular
 
 from .errors import (
     CollinearExposuresError,
@@ -110,47 +111,59 @@ class SummaryStatistics:
 
 @dataclass
 class IndividualData:
-    """Individual-level data: genotypes (N x L), exposures (N x K), outcome (N)."""
+    """Individual-level data kept as its sufficient statistics.
 
-    genotypes: np.ndarray
-    exposures: np.ndarray
-    outcome: np.ndarray
-    standardized: bool = True
+    Built from genotypes (N x L), exposures (N x K) and outcome (N) on any
+    scale.  One centring pass and one cross product of Z = [E | X | Y]
+    give the column standard deviations ``sds`` (ddof 0) and the
+    correlation matrix ``corr`` of Z, which is all the estimators, the
+    individual-level standard errors and the conditional F-statistic read:
+    the N-row arrays are not kept.
+    """
 
-    def __post_init__(self):
-        self.genotypes = np.atleast_2d(np.asarray(self.genotypes, dtype=float))
-        self.exposures = np.atleast_2d(np.asarray(self.exposures, dtype=float))
-        self.outcome = np.asarray(self.outcome, dtype=float).reshape(-1)
-        n = self.genotypes.shape[0]
-        if self.exposures.shape[0] != n or self.outcome.shape[0] != n:
+    genotypes: InitVar[np.ndarray]
+    exposures: InitVar[np.ndarray]
+    outcome: InitVar[np.ndarray]
+    n_observations: int = field(init=False)
+    n_instruments: int = field(init=False)
+    sds: np.ndarray = field(init=False)
+    corr: np.ndarray = field(init=False)
+
+    def __post_init__(self, genotypes, exposures, outcome):
+        e = np.atleast_2d(np.asarray(genotypes, dtype=float))
+        x = np.atleast_2d(np.asarray(exposures, dtype=float))
+        y = np.asarray(outcome, dtype=float).reshape(-1)
+        n, L = e.shape
+        K = x.shape[1]
+        if x.shape[0] != n or y.shape[0] != n:
             raise ValueError("genotypes, exposures and outcome disagree on N")
-        if n <= self.genotypes.shape[1]:
+        if n <= L:
             raise ValueError("need more observations than instruments")
-        if self.standardized:
-            for name, arr in (
-                ("genotypes", self.genotypes),
-                ("exposures", self.exposures),
-                ("outcome", self.outcome.reshape(-1, 1)),
-            ):
-                means = arr.mean(axis=0)
-                sds = arr.std(axis=0)
-                if np.max(np.abs(means)) > 1e-8:
-                    raise ValueError(f"{name} not mean-centred (max |mean| {np.max(np.abs(means)):.2e})")
-                if np.max(np.abs(sds - 1.0)) > 1e-6:
-                    raise ValueError(f"{name} not unit-scaled (max |sd-1| {np.max(np.abs(sds - 1.0)):.2e})")
-
-    @property
-    def n_observations(self):
-        return self.genotypes.shape[0]
+        z = np.empty((n, L + K + 1))
+        z[:, :L] = e
+        z[:, L:-1] = x
+        z[:, -1] = y
+        # column means by one matrix-vector product: a reduction down the
+        # columns of this row-major buffer takes several times longer
+        z -= np.ones(n) @ z / n
+        cross = z.T @ z
+        if not np.all(np.isfinite(cross)):
+            raise ValueError("individual-level data contain non-finite values")
+        scale = np.sqrt(np.diag(cross))
+        if np.any(scale <= 0):
+            raise ValueError("degenerate (constant) column in individual-level data")
+        self.n_observations = n
+        self.n_instruments = L
+        self.sds = scale / np.sqrt(n)
+        self.corr = cross / np.outer(scale, scale)
 
     def summary_statistics(self, n_outcome=None):
-        """Empirical covariances of the standardized columns."""
-        n = self.n_observations
-        e, x, y = self.genotypes, self.exposures, self.outcome
+        """Correlations of the instruments with the exposures and outcome."""
+        n, L, corr = self.n_observations, self.n_instruments, self.corr
         return SummaryStatistics(
-            sigma_EX=e.T @ x / n,
-            sigma_EY=e.T @ y / n,
-            sigma_EE=_unit_diagonal(e.T @ e / n),
+            sigma_EX=corr[:L, L:-1].copy(),
+            sigma_EY=corr[:L, -1].copy(),
+            sigma_EE=_unit_diagonal(corr[:L, :L]),
             n_exposure=n,
             n_outcome=n if n_outcome is None else n_outcome,
         )
@@ -379,7 +392,9 @@ def standard_errors(result, stats, individual=None):
     size, with the residual variance approximated on the standardized scale
     as ``max(0, 1 - c^T S_EX^T Sigma_EE^-1 S_EY)`` (conservative fallback
     to 1 when non-finite).  Individual mode uses the empirical residual
-    variance of ``y - x c`` instead and divides by the observation count.
+    variance of ``y - x c`` on the standardized scale instead, read from
+    the correlations as ``N (1 - 2 c^T S_XY + c^T S_XX c)``, and divides by
+    the observation count.
     Returns a dict with the computed modes; the summary-mode vector (when
     available) is attached to ``result.standard_errors``.
     """
@@ -401,14 +416,12 @@ def standard_errors(result, stats, individual=None):
             np.clip(np.diag(sandwich) * sigma_u2 / stats.n_outcome, 0.0, None)
         )
     if individual is not None:
-        resid = individual.outcome - individual.exposures @ c
-        dof = max(individual.n_observations - stats.n_exposures, 1)
-        sigma_u2 = float(resid @ resid) / dof
-        out["individual"] = np.sqrt(
-            np.clip(
-                np.diag(sandwich) * sigma_u2 / individual.n_observations, 0.0, None
-            )
-        )
+        L, n = individual.n_instruments, individual.n_observations
+        sigma_XX = individual.corr[L:-1, L:-1]
+        sigma_XY = individual.corr[L:-1, -1]
+        rss = n * max(0.0, 1.0 - 2.0 * float(c @ sigma_XY) + float(c @ sigma_XX @ c))
+        sigma_u2 = rss / max(n - stats.n_exposures, 1)
+        out["individual"] = np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / n, 0.0, None))
         result.individual_standard_errors = out["individual"]
 
     result.standard_errors = out.get("summary", out.get("individual"))
@@ -444,18 +457,22 @@ def conditional_f(individual):
     residual is F-tested with the numerator degrees of freedom rescaled
     from L to L - K + 1.  With a single exposure this is the ordinary
     first-stage F.
+
+    Computed from the correlations alone: with ``Sigma_EE = R^T R``, the
+    instrument-fitted exposures are ``R^-T Sigma_EX`` in coordinates where
+    the instruments are orthonormal, so exposure k's fitted column ``t``
+    gives ``rss1 = N (1 - |t|^2)`` and ``rss0 - rss1`` is N times the
+    squared residual of ``t`` regressed on the other fitted columns.
     """
-    e = individual.genotypes
-    x = individual.exposures
-    n, L = e.shape
-    K = x.shape[1]
+    n, L, corr = individual.n_observations, individual.n_instruments, individual.corr
+    K = corr.shape[0] - L - 1
     if n <= L + K:
         raise ValueError("conditional F requires N > L + K")
-    gram = e.T @ e
-    fitted = e @ np.linalg.solve(gram, e.T @ x)
+    chol = np.linalg.cholesky(corr[:L, :L])
+    fitted = solve_triangular(chol, corr[:L, L:-1], lower=True)
     stats_out = np.empty(K)
     for k in range(K):
-        xk = x[:, k]
+        target = fitted[:, k]
         others = np.delete(fitted, k, axis=1)
         if others.shape[1]:
             svals = np.linalg.svd(others, compute_uv=False)
@@ -464,19 +481,18 @@ def conditional_f(individual):
                     "instrument-fitted exposures are collinear; conditional "
                     "F is undefined"
                 )
-            coef, *_ = np.linalg.lstsq(others, xk, rcond=None)
-            resid = xk - others @ coef
+            coef, *_ = np.linalg.lstsq(others, target, rcond=None)
+            resid = target - others @ coef
         else:
-            resid = xk
-        rss0 = float(resid @ resid)
-        proj, *_ = np.linalg.lstsq(e, resid, rcond=None)
-        rss1 = float(np.sum((resid - e @ proj) ** 2))
+            resid = target
+        explained = n * float(resid @ resid)
+        rss1 = n * (1.0 - float(target @ target))
         df_num = L - K + 1
         df_den = n - L
         if rss1 <= 0:
             stats_out[k] = np.inf
         else:
-            stats_out[k] = ((rss0 - rss1) / df_num) / (rss1 / df_den)
+            stats_out[k] = (explained / df_num) / (rss1 / df_den)
     return stats_out
 
 

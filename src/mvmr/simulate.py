@@ -8,9 +8,11 @@ perturbation experiments) use a Gaussian genotype mode instead, since only
 second moments enter the estimators.
 
 Exposures follow ``X_j = sum_i A[i, j] * E_i + noise`` and the outcome
-``Y = sum_j c_j * X_j + noise`` with noise variance 1 by default.  All
-columns are standardized before summary statistics are computed; estimates
-are mapped back to the generative scale (multiplying by the sample
+``Y = sum_j c_j * X_j + noise`` with noise variance 1 by default.  The
+drawn arrays are reduced at once to their sufficient statistics: one
+centring pass and one cross product give the sample standard deviations
+and the correlations the summary statistics are read from.  Estimates are
+mapped back to the generative scale (multiplying by the sample
 sd(Y)/sd(X_k) ratio) so that replicate bias is measured against the
 scenario's true effect vector.
 
@@ -276,27 +278,35 @@ class EffectSizes:
         while drawn < max_draws:
             A_full = rng.uniform(self.low, self.high, size=(batch, n_instruments, n_exposures))
             if self.signs == "random":
-                A_full *= rng.choice([-1.0, 1.0], size=A_full.shape)
+                # the stream and values of rng.choice([-1.0, 1.0]), drawn
+                # without choice()'s per-call argument handling
+                A_full *= 2.0 * rng.integers(0, 2, size=A_full.shape) - 1.0
             A_full *= mask[None, :, :]
             drawn += batch
             ok = np.ones(batch, dtype=bool)
-            if square and self.det_min is not None:
-                ok &= np.linalg.det(A_full[:, shared_rows, :]) > self.det_min
-            if square and self.det_max is not None:
-                ok &= np.abs(np.linalg.det(A_full[:, shared_rows, :])) < self.det_max
+            if square and (self.det_min is not None or self.det_max is not None):
+                det = np.linalg.det(A_full[:, shared_rows, :])
+                if self.det_min is not None:
+                    ok &= det > self.det_min
+                if self.det_max is not None:
+                    ok &= np.abs(det) < self.det_max
             if needs_screen and ok.any():
-                covEX = np.einsum("ij,bjk->bik", cov_E, A_full)
-                varX = np.einsum("bji,jk,bkl->bil", A_full, cov_E, A_full)
+                # score only the draws the determinant band kept; each
+                # draw's score does not depend on the others in the batch
+                rows = np.flatnonzero(ok)
+                A = A_full[rows]
+                covEX = np.einsum("ij,bjk->bik", cov_E, A)
+                varX = np.einsum("bji,jk,bkl->bil", A, cov_E, A)
                 sdX = np.sqrt(np.einsum("bii->bi", varX) + noise_variance)
                 S = covEX / sds[None, :, None] / sdX[:, None, :]
                 norms = np.linalg.norm(S, axis=1)
                 if self.design_strength_min is not None:
-                    ok &= norms.min(axis=1) >= self.design_strength_min
+                    ok[rows] &= norms.min(axis=1) >= self.design_strength_min
                 with np.errstate(invalid="ignore", divide="ignore"):
                     Sn = S / np.where(norms > 0, norms, 1.0)[:, None, :]
                     grams = np.einsum("bji,bjk->bik", Sn, Sn)
                     if self.design_gram_min is not None:
-                        ok &= np.linalg.det(grams) > self.design_gram_min
+                        ok[rows] &= np.linalg.det(grams) > self.design_gram_min
             hits = np.flatnonzero(ok)
             if hits.size:
                 return A_full[hits[0]]
@@ -419,22 +429,13 @@ def select_by_ld_threshold(ld, max_r2):
 
 @dataclass
 class GeneratedDataset:
-    """One simulated dataset: standardized arrays plus generative scales."""
+    """One simulated dataset: sufficient statistics plus generative scales."""
 
     individual: IndividualData
     statistics: SummaryStatistics
     sd_exposures: np.ndarray
     sd_outcome: float
     effect_matrix: np.ndarray
-
-
-def _standardize(columns):
-    arr = np.asarray(columns, dtype=float)
-    means = arr.mean(axis=0)
-    sds = arr.std(axis=0)
-    if np.any(sds <= 0):
-        raise ScenarioError("degenerate (constant) column in generated data")
-    return (arr - means) / sds, sds
 
 
 def _draw_genotypes(scenario, n, rng, ld_override=None):
@@ -457,10 +458,10 @@ def _assemble(scenario, e_raw, x, y):
     subset = scenario.instrument_subset
     if subset is not None:
         e_raw = e_raw[:, list(subset)]
-    e_std, _ = _standardize(e_raw)
-    x_std, sd_x = _standardize(x)
-    y_std, sd_y = _standardize(y.reshape(-1, 1))
-    individual = IndividualData(e_std, x_std, y_std[:, 0])
+    try:
+        individual = IndividualData(e_raw, x, y)
+    except ValueError as exc:
+        raise ScenarioError(f"generated data rejected: {exc}") from None
     stats = individual.summary_statistics()
     if scenario.use_reference_ld:
         reference = scenario.reference_ld()
@@ -469,7 +470,8 @@ def _assemble(scenario, e_raw, x, y):
         stats = SummaryStatistics(
             stats.sigma_EX, stats.sigma_EY, reference, stats.n_exposure, stats.n_outcome
         )
-    return individual, stats, sd_x, float(sd_y[0])
+    L = individual.n_instruments
+    return individual, stats, individual.sds[L:-1], float(individual.sds[-1])
 
 
 def generate_dataset(scenario, seed):
@@ -543,6 +545,22 @@ def generate_dataset(scenario, seed):
 # Replicate harness
 
 
+def _nan_reduce(reduce, values, axis, ddof=0):
+    """``reduce`` (np.nanmean, np.nanstd or np.nanmedian) along ``axis`` of
+    a 2-D array, giving NaN without numpy's RuntimeWarning where a slice
+    holds no more than ``ddof`` non-NaN values, as when every replicate of
+    a cell failed."""
+    kwargs = {"ddof": ddof} if ddof else {}
+    enough = np.sum(~np.isnan(values), axis=axis) > ddof
+    if enough.all():
+        return reduce(values, axis=axis, **kwargs)
+    out = np.full(enough.shape, np.nan)
+    if enough.any():
+        kept = np.compress(enough, values, axis=1 - axis)
+        out[enough] = reduce(kept, axis=axis, **kwargs)
+    return out
+
+
 @dataclass
 class ReplicateSummary:
     """Per-replicate estimates for each estimator plus derived summaries."""
@@ -562,10 +580,10 @@ class ReplicateSummary:
         return first.shape[0]
 
     def mean(self, estimator):
-        return np.nanmean(self.estimates[estimator], axis=0)
+        return _nan_reduce(np.nanmean, self.estimates[estimator], axis=0)
 
     def sd(self, estimator):
-        return np.nanstd(self.estimates[estimator], axis=0, ddof=1)
+        return _nan_reduce(np.nanstd, self.estimates[estimator], axis=0, ddof=1)
 
     def bias(self, estimator):
         return self.mean(estimator) - np.asarray(self.scenario.true_effects)
@@ -595,7 +613,7 @@ class ReplicateSummary:
             }
         if self.conditional_f is not None:
             out["median_conditional_f"] = [
-                float(v) for v in np.nanmedian(self.conditional_f, axis=1)
+                float(v) for v in _nan_reduce(np.nanmedian, self.conditional_f, axis=1)
             ]
         return out
 
@@ -641,24 +659,17 @@ def _run_indexed(fn, replicates, seed, threads):
     return results
 
 
-def _estimate_once(stats, method, sd_x, sd_y, individual=None):
+def _estimate_once(stats, method, sd_x, sd_y):
     """Run one estimator with inference, mapped back to the generative scale."""
     result = ESTIMATORS[method](stats)
-    standard_errors(result, stats, individual=individual)
+    standard_errors(result, stats)
     p_values(result)
     scale = sd_y / sd_x
-    return (
-        result.effects * scale,
-        result.standard_errors * scale,
-        result.p_values,
-        result.individual_standard_errors * scale
-        if result.individual_standard_errors is not None
-        else None,
-    )
+    return result.effects * scale, result.standard_errors * scale, result.p_values
 
 
 def _nan_payload(K):
-    return (np.full(K, np.nan), np.full(K, np.nan), np.full(K, np.nan), None)
+    return (np.full(K, np.nan), np.full(K, np.nan), np.full(K, np.nan))
 
 
 def run_replicates(
@@ -692,11 +703,7 @@ def run_replicates(
         for est in estimators:
             try:
                 payload[est] = _estimate_once(
-                    data.statistics,
-                    est,
-                    data.sd_exposures,
-                    data.sd_outcome,
-                    individual=data.individual if scenario.n_outcome is None else None,
+                    data.statistics, est, data.sd_exposures, data.sd_outcome
                 )
             except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
                 payload[est] = _nan_payload(K)
@@ -717,7 +724,7 @@ def run_replicates(
     cf = np.empty((K, replicates)) if collect_conditional_f else None
     for i, payload in enumerate(rows):
         for est in estimators:
-            effects, se, p, _ = payload[est]
+            effects, se, p = payload[est]
             estimates[est][i] = effects
             ses[est][i] = se
             pvals[est][i] = p
@@ -843,7 +850,7 @@ def pleiotropy_experiment(
             failures = {est: [] for est in estimators}
             for i, payload in enumerate(rows):
                 for est in estimators:
-                    eff, se, p, _ = payload[(tag, est)]
+                    eff, se, p = payload[(tag, est)]
                     estimates[est][i] = eff
                     ses[est][i] = se
                     ps[est][i] = p

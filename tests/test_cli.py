@@ -1,11 +1,12 @@
 import importlib.resources as resources
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from mvmr import cli, graph
+from mvmr import cli, graph, simulate
 from mvmr.errors import UnderdeterminedError
 from mvmr.estimators import ESTIMATORS
 
@@ -151,6 +152,44 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         rates = [cell["estimators"]["ls"]["failure_rate"] for cell in summary["cells"]]
         assert rates == [1.0, 1.0]
+
+    def test_all_failed_cell_writes_strict_json(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise UnderdeterminedError("forced failure")
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        monkeypatch.setitem(ESTIMATORS, "ls", fail)
+        monkeypatch.setattr(simulate, "conditional_f", fail)
+        scenario = write_scenario(tmp_path, conditional_f=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                [
+                    "simulate",
+                    "--scenario",
+                    scenario,
+                    "--seed",
+                    "5",
+                    "--replicates",
+                    "3",
+                    "--max-failure-rate",
+                    "1",
+                    "--out",
+                    str(tmp_path / "out"),
+                ]
+            )
+        assert code == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        for cell in summary["cells"]:
+            block = cell["estimators"]["ls"]
+            assert block["failure_rate"] == 1.0
+            assert block["mean"] == block["sd"] == block["bias"] == [None, None]
+            assert cell["median_conditional_f"] == [None, None]
+        assert "ls {'correlation': 0.1}: bias [+nan, +nan]" in capsys.readouterr().out
 
 
 class TestEstimateCommand:

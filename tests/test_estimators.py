@@ -6,6 +6,7 @@ from mvmr import simulate as sim
 from mvmr.errors import (
     CollinearExposuresError,
     IllConditionedLdError,
+    ScenarioError,
     UnderdeterminedError,
     WeakInstrumentError,
 )
@@ -294,6 +295,95 @@ class TestConditionalF:
         data = est.IndividualData(e, x, y)
         with pytest.raises(CollinearExposuresError):
             est.conditional_f(data)
+
+
+def standardized(a):
+    return (a - a.mean(axis=0)) / a.std(axis=0)
+
+
+def reference_conditional_f(e, x):
+    """Conditional F from standardized N-row arrays by least squares."""
+    n, L = e.shape
+    K = x.shape[1]
+    fitted = e @ np.linalg.solve(e.T @ e, e.T @ x)
+    out = np.empty(K)
+    for k in range(K):
+        others = np.delete(fitted, k, axis=1)
+        resid = x[:, k]
+        if others.shape[1]:
+            coef, *_ = np.linalg.lstsq(others, resid, rcond=None)
+            resid = resid - others @ coef
+        proj, *_ = np.linalg.lstsq(e, resid, rcond=None)
+        rss0 = float(resid @ resid)
+        rss1 = float(np.sum((resid - e @ proj) ** 2))
+        out[k] = ((rss0 - rss1) / (L - K + 1)) / (rss1 / (n - L))
+    return out
+
+
+class TestIndividualDataSufficientStatistics:
+    """The correlation representation against the array formulas it replaced."""
+
+    @staticmethod
+    def draw(rng, n, L, K):
+        e = rng.normal(size=(n, L)) @ rng.uniform(-0.5, 1.0, size=(L, L))
+        e = 3.0 + 0.5 * e  # off-centre and off-scale
+        x = e @ rng.uniform(0.2, 0.6, size=(L, K)) + rng.normal(size=(n, K))
+        x = x * rng.uniform(0.1, 10.0, size=K) - 2.0
+        y = x @ rng.uniform(-1.0, 1.0, size=K) + rng.normal(size=n) + 7.0
+        return e, x, y
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("prestandardized", [False, True])
+    def test_matches_array_formulas(self, K, prestandardized):
+        rng = np.random.default_rng(100 + K)
+        n, L = 600, K + 2
+        e, x, y = self.draw(rng, n, L, K)
+        if prestandardized:
+            e, x, y = standardized(e), standardized(x), standardized(y)
+        data = est.IndividualData(e, x, y)
+        es, xs, ys = standardized(e), standardized(x), standardized(y)
+
+        stats = data.summary_statistics()
+        close = dict(rtol=1e-10, atol=0)
+        np.testing.assert_allclose(stats.sigma_EX, es.T @ xs / n, **close)
+        np.testing.assert_allclose(stats.sigma_EY, es.T @ ys / n, **close)
+        np.testing.assert_allclose(stats.sigma_EE, es.T @ es / n, **close)
+        np.testing.assert_allclose(data.sds[L:-1], x.std(axis=0), **close)
+        np.testing.assert_allclose(data.sds[-1], y.std(), **close)
+
+        result = est.ls_estimate(stats)
+        se = est.standard_errors(result, stats, individual=data)["individual"]
+        resid = ys - xs @ result.effects
+        sandwich = np.linalg.inv(
+            stats.sigma_EX.T @ np.linalg.inv(stats.sigma_EE) @ stats.sigma_EX
+        )
+        expected = np.sqrt(np.diag(sandwich) * float(resid @ resid) / (n - K) / n)
+        np.testing.assert_allclose(se, expected, **close)
+
+        np.testing.assert_allclose(
+            est.conditional_f(data), reference_conditional_f(es, xs), **close
+        )
+
+    def test_mismatched_n_rejected(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError):
+            est.IndividualData(rng.normal(size=(50, 2)), rng.normal(size=(49, 1)), rng.normal(size=50))
+
+    def test_too_few_observations_rejected(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError):
+            est.IndividualData(rng.normal(size=(3, 3)), rng.normal(size=(3, 1)), rng.normal(size=3))
+
+    def test_constant_generated_column_is_a_scenario_error(self):
+        scenario = sim.SimulationScenario(
+            true_effects=(0.2, 0.6),
+            n_samples=200,
+            genotypes=sim.GenotypeModel((0.3, 0.3), (0.5,)),
+            effects=sim.EffectSizes(matrix=((0.3, 0.0), (0.2, 0.0))),
+            noise_variance=0.0,
+        )
+        with pytest.raises(ScenarioError, match="constant"):
+            sim.generate_dataset(scenario, 3)
 
 
 class TestIdentifiabilityDiagnostics:

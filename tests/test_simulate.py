@@ -131,6 +131,85 @@ class TestScenario:
         assert sizes == {0.25: 3, 0.3: 4, 0.4: 5, 0.5: 6, 0.8: 7, 0.96: 8}
 
 
+def realize_scoring_every_draw(spec, rng, n_instruments, n_exposures, causal_rows,
+                               reference_ld, instrument_sds, noise_variance, batch=256):
+    """Reference rejection loop that runs the determinant band twice and
+    scores the Gram/strength screen on every draw of a batch."""
+    mask, shared_rows = sim._causal_mask(causal_rows, n_instruments, n_exposures)
+    square = shared_rows is not None and len(shared_rows) == n_exposures
+    sds = np.asarray(instrument_sds, dtype=float)
+    cov_E = reference_ld * np.outer(sds, sds)
+    while True:
+        A_full = rng.uniform(spec.low, spec.high, size=(batch, n_instruments, n_exposures))
+        if spec.signs == "random":
+            A_full *= rng.choice([-1.0, 1.0], size=A_full.shape)
+        A_full *= mask[None, :, :]
+        ok = np.ones(batch, dtype=bool)
+        if square and spec.det_min is not None:
+            ok &= np.linalg.det(A_full[:, shared_rows, :]) > spec.det_min
+        if square and spec.det_max is not None:
+            ok &= np.abs(np.linalg.det(A_full[:, shared_rows, :])) < spec.det_max
+        if ok.any():
+            covEX = np.einsum("ij,bjk->bik", cov_E, A_full)
+            varX = np.einsum("bji,jk,bkl->bil", A_full, cov_E, A_full)
+            sdX = np.sqrt(np.einsum("bii->bi", varX) + noise_variance)
+            S = covEX / sds[None, :, None] / sdX[:, None, :]
+            norms = np.linalg.norm(S, axis=1)
+            if spec.design_strength_min is not None:
+                ok &= norms.min(axis=1) >= spec.design_strength_min
+            with np.errstate(invalid="ignore", divide="ignore"):
+                Sn = S / np.where(norms > 0, norms, 1.0)[:, None, :]
+                grams = np.einsum("bji,bjk->bik", Sn, Sn)
+                if spec.design_gram_min is not None:
+                    ok &= np.linalg.det(grams) > spec.design_gram_min
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return A_full[hits[0]]
+
+
+class TestSurvivorScreen:
+    """The design screen scores only the determinant band's survivors and
+    must pick the same draw, leaving the RNG stream where it did."""
+
+    @staticmethod
+    def assert_same_draws(scenario, seeds):
+        args = (
+            scenario.n_instruments_total,
+            scenario.n_exposures,
+            scenario.causal_instruments,
+            scenario.reference_ld(),
+            scenario.instrument_sds(),
+            scenario.noise_variance,
+        )
+        for seed in seeds:
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            A_new = scenario.effects.realize(
+                rng_new, *args[:3], reference_ld=args[3], instrument_sds=args[4],
+                noise_variance=args[5],
+            )
+            A_old = realize_scoring_every_draw(scenario.effects, rng_old, *args)
+            assert np.array_equal(A_new, A_old), seed
+            assert rng_new.random() == rng_old.random(), seed
+
+    def test_determinant_band_gram_and_strength(self):
+        config = json.loads(
+            resources.files("mvmr").joinpath("data", "scenarios", "fig2_corr_desk.json").read_text()
+        )
+        for _, scenario in sim.expand_scenario_config(config):
+            self.assert_same_draws(scenario, range(50))
+
+    def test_gram_only_on_locus_ld(self):
+        fixture = sim.load_fixture("slc22a3_lpa_plg")
+        scenario = sim.SimulationScenario(
+            true_effects=tuple(fixture["true_effects"]),
+            n_samples=1000,
+            genotypes=sim.GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"]),
+            effects=sim.EffectSizes(low=0.1, high=0.3, signs="random", design_gram_min=0.5),
+            causal_instruments=tuple(fixture["causal_instruments"]),
+        )
+        self.assert_same_draws(scenario, range(100, 160))
+
+
 class TestGenerateDataset:
     def test_standardized_columns_and_stats(self):
         scenario = sim.SimulationScenario(
@@ -140,9 +219,15 @@ class TestGenerateDataset:
             effects=sim.EffectSizes(matrix=((0.3, 0.1), (0.2, 0.25))),
         )
         data = sim.generate_dataset(scenario, 5)
-        assert np.allclose(data.individual.exposures.mean(axis=0), 0.0, atol=1e-10)
-        assert np.allclose(data.individual.exposures.std(axis=0), 1.0, atol=1e-8)
+        assert np.allclose(np.diag(data.individual.corr), 1.0, rtol=0, atol=1e-12)
         assert np.allclose(np.diag(data.statistics.sigma_EE), 1.0)
+        # the same draws, standardized explicitly as columns of N rows
+        A = np.asarray(scenario.effects.matrix)
+        e, x, y = sim._generate_arrays(scenario, A, 500, np.random.default_rng(5))
+        e, x, y = ((a - a.mean(axis=0)) / a.std(axis=0) for a in (e, x, y))
+        assert np.allclose(data.statistics.sigma_EX, e.T @ x / 500, rtol=0, atol=1e-12)
+        assert np.allclose(data.statistics.sigma_EY, e.T @ y / 500, rtol=0, atol=1e-12)
+        assert np.allclose(data.statistics.sigma_EE, e.T @ e / 500, rtol=0, atol=1e-12)
 
     def test_noiseless_exact_recovery(self):
         scenario = sim.SimulationScenario(
