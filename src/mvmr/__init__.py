@@ -26,7 +26,6 @@ from .estimators import (
     EstimateResult,
     IndividualData,
     SummaryStatistics,
-    WeightMatrix,
     conditional_f,
     estimate,
     gmm_estimate,

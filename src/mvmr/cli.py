@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -26,9 +27,6 @@ from .estimators import (
     ESTIMATORS,
     SummaryStatistics,
     estimate,
-    identifiability_diagnostics,
-    p_values,
-    standard_errors,
 )
 from .loci import PipelineConfig, run_pipeline
 from .simulate import (
@@ -394,9 +392,8 @@ def cmd_estimate(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = identifiability_diagnostics(stats)
     payload = {
-        "diagnostics": report.as_dict(),
+        "diagnostics": dataclasses.asdict(stats.diagnostics),
         "estimates": {},
         "exposures": list(stats.exposure_names or (f"X{k+1}" for k in range(stats.n_exposures))),
     }
@@ -410,9 +407,7 @@ def cmd_estimate(args):
         for name in estimators:
             result = estimate(stats, name)
             block = {"effects": [float(v) for v in result.effects]}
-            if stats.n_outcome is not None:
-                standard_errors(result, stats)
-                p_values(result)
+            if result.standard_errors is not None:
                 block["standard_errors"] = [float(v) for v in result.standard_errors]
                 block["p_values"] = [float(v) for v in result.p_values]
                 block["bonferroni_significant"] = [

@@ -11,16 +11,23 @@ inverse LD matrix, the minimum-variance weighting that coincides with
 two-stage least squares.  A shrunk variant reproduces the behaviour of a
 published transcriptome-wide MR implementation whose weight matrix is
 regularised toward the identity with a hard-coded factor.
+
+A :class:`SummaryStatistics` is immutable and factorises its design once:
+the identifiability diagnostics, the inverse LD matrix and the optimally
+weighted normal equations are computed on first use and shared by the
+diagnostics, every estimator and the standard errors.  :func:`estimate`
+returns one complete :class:`EstimateResult`, effects plus inference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy import stats as sps
 from scipy.linalg import solve_triangular
+from scipy.special import ndtr
 
 from .errors import (
     CollinearExposuresError,
@@ -38,9 +45,21 @@ DET_PASS = 0.05
 DET_FAIL = 0.001
 
 
-@dataclass
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class SummaryStatistics:
-    """Summary-level inputs: Sigma_EX (L x K), Sigma_EY (L), Sigma_EE (L x L)."""
+    """Summary-level inputs: Sigma_EX (L x K), Sigma_EY (L), Sigma_EE (L x L).
+
+    Frozen, and the three arrays are read-only copies of the inputs, so
+    the factorisation cached on first use (``diagnostics``,
+    ``ld_inverse``, ``weighted_moments``) always describes these
+    statistics.  Derive changed statistics with ``reorder_instruments``,
+    ``drop_exposures`` or a new instance; each starts with an empty cache.
+    """
 
     sigma_EX: np.ndarray
     sigma_EY: np.ndarray
@@ -51,28 +70,31 @@ class SummaryStatistics:
     instrument_names: tuple | None = None
 
     def __post_init__(self):
-        self.sigma_EX = np.atleast_2d(np.asarray(self.sigma_EX, dtype=float))
-        self.sigma_EY = np.asarray(self.sigma_EY, dtype=float).reshape(-1)
-        self.sigma_EE = np.atleast_2d(np.asarray(self.sigma_EE, dtype=float))
-        L, K = self.sigma_EX.shape
+        sigma_EX = np.atleast_2d(np.array(self.sigma_EX, dtype=float))
+        sigma_EY = np.array(self.sigma_EY, dtype=float).reshape(-1)
+        sigma_EE = np.atleast_2d(np.array(self.sigma_EE, dtype=float))
+        L, K = sigma_EX.shape
         if K < 1 or L < K:
             raise ValueError(f"need L >= K >= 1 instruments/exposures, got L={L}, K={K}")
-        if self.sigma_EY.shape != (L,):
+        if sigma_EY.shape != (L,):
             raise ValueError("sigma_EY length must match instrument count")
-        if self.sigma_EE.shape != (L, L):
+        if sigma_EE.shape != (L, L):
             raise ValueError("sigma_EE must be square with one row per instrument")
         if not (
-            np.all(np.isfinite(self.sigma_EX))
-            and np.all(np.isfinite(self.sigma_EY))
-            and np.all(np.isfinite(self.sigma_EE))
+            np.all(np.isfinite(sigma_EX))
+            and np.all(np.isfinite(sigma_EY))
+            and np.all(np.isfinite(sigma_EE))
         ):
             raise ValueError("summary statistics contain non-finite entries")
-        if np.max(np.abs(self.sigma_EE - self.sigma_EE.T)) > 1e-8:
+        if np.max(np.abs(sigma_EE - sigma_EE.T)) > 1e-8:
             raise ValueError("sigma_EE must be symmetric")
-        if np.max(np.abs(np.diag(self.sigma_EE) - 1.0)) > 1e-8:
+        if np.max(np.abs(np.diag(sigma_EE) - 1.0)) > 1e-8:
             raise ValueError("sigma_EE must have unit diagonal (standardized scale)")
-        if np.linalg.eigvalsh(self.sigma_EE).min() < -1e-10:
+        if np.linalg.eigvalsh(sigma_EE).min() < -1e-10:
             raise ValueError("sigma_EE must be positive definite within tolerance")
+        object.__setattr__(self, "sigma_EX", _read_only(sigma_EX))
+        object.__setattr__(self, "sigma_EY", _read_only(sigma_EY))
+        object.__setattr__(self, "sigma_EE", _read_only(sigma_EE))
 
     @property
     def n_instruments(self):
@@ -81,6 +103,34 @@ class SummaryStatistics:
     @property
     def n_exposures(self):
         return self.sigma_EX.shape[1]
+
+    @cached_property
+    def diagnostics(self):
+        """The :func:`identifiability_diagnostics` report, taken once."""
+        return identifiability_diagnostics(self)
+
+    @cached_property
+    def ld_inverse(self):
+        """``Sigma_EE^-1``, refused when the LD matrix is too ill-conditioned."""
+        cond = self.diagnostics.condition_EE
+        if not np.isfinite(cond) or cond > LD_CONDITION_LIMIT:
+            raise IllConditionedLdError(
+                f"LD matrix condition number {cond:.3e} exceeds {LD_CONDITION_LIMIT:.0e}; "
+                "prune near-identical instruments (r^2 >= 0.95) before estimating"
+            )
+        return _read_only(np.linalg.inv(self.sigma_EE))
+
+    @cached_property
+    def weighted_moments(self):
+        """``(M, v, M^-1)`` of the optimally weighted moment equations.
+
+        ``M = S_EX^T Sigma_EE^-1 S_EX`` and ``v = S_EX^T Sigma_EE^-1 S_EY``:
+        optimal GMM solves ``M c = v``, TWMR shrinks ``M^-1`` and every
+        standard error reads ``M^-1`` as its sandwich.
+        """
+        W = self.sigma_EX.T @ self.ld_inverse
+        M = W @ self.sigma_EX
+        return _read_only(M), _read_only(W @ self.sigma_EY), _read_only(np.linalg.inv(M))
 
     def reorder_instruments(self, order):
         order = list(order)
@@ -161,8 +211,8 @@ class IndividualData:
         """Correlations of the instruments with the exposures and outcome."""
         n, L, corr = self.n_observations, self.n_instruments, self.corr
         return SummaryStatistics(
-            sigma_EX=corr[:L, L:-1].copy(),
-            sigma_EY=corr[:L, -1].copy(),
+            sigma_EX=corr[:L, L:-1],
+            sigma_EY=corr[:L, -1],
             sigma_EE=_unit_diagonal(corr[:L, :L]),
             n_exposure=n,
             n_outcome=n if n_outcome is None else n_outcome,
@@ -179,40 +229,20 @@ def _unit_diagonal(matrix):
 
 
 @dataclass
-class WeightMatrix:
-    """Positive definite L x L weighting matrix for the moment quadratic form."""
-
-    delta: np.ndarray
-
-    def __post_init__(self):
-        self.delta = np.atleast_2d(np.asarray(self.delta, dtype=float))
-        if self.delta.shape[0] != self.delta.shape[1]:
-            raise ValueError("weight matrix must be square")
-        if np.max(np.abs(self.delta - self.delta.T)) > 1e-8:
-            raise ValueError("weight matrix must be symmetric")
-        try:
-            np.linalg.cholesky(self.delta)
-        except np.linalg.LinAlgError:
-            raise ValueError("weight matrix must be positive definite") from None
-
-
-@dataclass
 class EstimateResult:
     """Per-exposure causal-effect estimates with inference and diagnostics."""
 
     method: str
     effects: np.ndarray
     standard_errors: np.ndarray | None = None
-    individual_standard_errors: np.ndarray | None = None
     p_values: np.ndarray | None = None
     bonferroni_significant: np.ndarray | None = None
     degenerate: np.ndarray | None = None
-    conditional_f: np.ndarray | None = None
     exposure_names: tuple | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentifiabilityReport:
     det_normalized_gram: float
     det_ld: float
@@ -223,26 +253,16 @@ class IdentifiabilityReport:
     condition_EE: float
     verdict: str  # "pass" | "warn" | "fail"
 
-    def as_dict(self):
-        return {
-            "det_normalized_gram": self.det_normalized_gram,
-            "det_ld": self.det_ld,
-            "rank_EX": self.rank_EX,
-            "n_exposures": self.n_exposures,
-            "n_instruments": self.n_instruments,
-            "condition_EX": self.condition_EX,
-            "condition_EE": self.condition_EE,
-            "verdict": self.verdict,
-        }
 
-
-def identifiability_diagnostics(stats, pass_threshold=DET_PASS, fail_threshold=DET_FAIL):
+def identifiability_diagnostics(stats):
     """Determinant/rank report for the instrument-exposure design.
 
     The determinant is taken of the K x K Gram matrix of column-normalized
     Sigma_EX, so it lies in [0, 1] and vanishes exactly when the exposures'
     instrument signatures are linearly dependent (the non-identifiable
-    pattern where fewer causal variants than exposures exist).
+    pattern where fewer causal variants than exposures exist).  The verdict
+    is "pass" above ``DET_PASS``, "fail" below ``DET_FAIL`` and "warn"
+    between.  ``stats.diagnostics`` holds this report, computed once.
     """
     S = stats.sigma_EX
     norms = np.linalg.norm(S, axis=0)
@@ -254,9 +274,9 @@ def identifiability_diagnostics(stats, pass_threshold=DET_PASS, fail_threshold=D
     rank = int(np.sum(svals > svals[0] * RANK_RTOL)) if svals[0] > 0 else 0
     cond_EX = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     cond_EE = float(np.linalg.cond(stats.sigma_EE))
-    if det_gram > pass_threshold:
+    if det_gram > DET_PASS:
         verdict = "pass"
-    elif det_gram < fail_threshold:
+    elif det_gram < DET_FAIL:
         verdict = "fail"
     else:
         verdict = "warn"
@@ -273,7 +293,7 @@ def identifiability_diagnostics(stats, pass_threshold=DET_PASS, fail_threshold=D
 
 
 def _require_full_rank(stats):
-    report = identifiability_diagnostics(stats)
+    report = stats.diagnostics
     if report.rank_EX < stats.n_exposures:
         raise UnderdeterminedError(
             "instrument-exposure covariance matrix is rank deficient "
@@ -285,24 +305,28 @@ def _require_full_rank(stats):
     return report
 
 
-def gmm_estimate(stats, delta):
-    """Method-of-moments estimator with weighting matrix ``delta``.
-
-    ``c = (S_EX^T Delta S_EX)^-1 S_EX^T Delta S_EY``.  With the identity
-    weight this is exactly the least-squares estimator; for exactly
-    determined systems every positive definite weight gives the same
-    solution.
-    """
-    if not isinstance(delta, WeightMatrix):
-        delta = WeightMatrix(delta)
-    D = delta.delta
-    if D.shape[0] != stats.n_instruments:
-        raise ValueError("weight matrix dimension must equal instrument count")
-    report = _require_full_rank(stats)
-    S = stats.sigma_EX
-    M = S.T @ D @ S
-    v = S.T @ D @ stats.sigma_EY
+def _weight_matrix(delta):
+    """``delta`` as a float array, checked square, symmetric and positive definite."""
+    delta = np.atleast_2d(np.asarray(delta, dtype=float))
+    if delta.shape[0] != delta.shape[1]:
+        raise ValueError("weight matrix must be square")
+    if np.max(np.abs(delta - delta.T)) > 1e-8:
+        raise ValueError("weight matrix must be symmetric")
     try:
+        np.linalg.cholesky(delta)
+    except np.linalg.LinAlgError:
+        raise ValueError("weight matrix must be positive definite") from None
+    return delta
+
+
+def _solve_moments(stats, report, moments):
+    """GMM result solving ``M c = v`` for ``(M, v) = moments()``.
+
+    A singular M, whether ``solve`` or the cached ``inv(M)`` of
+    ``weighted_moments`` finds it, leaves the effects unidentified.
+    """
+    try:
+        M, v = moments()
         effects = np.linalg.solve(M, v)
     except np.linalg.LinAlgError:
         raise UnderdeterminedError(
@@ -312,36 +336,42 @@ def gmm_estimate(stats, delta):
         method="gmm",
         effects=effects,
         exposure_names=stats.exposure_names,
-        diagnostics=report.as_dict(),
+        diagnostics=asdict(report),
     )
+
+
+def gmm_estimate(stats, delta):
+    """Method-of-moments estimator with weighting matrix ``delta``.
+
+    ``c = (S_EX^T Delta S_EX)^-1 S_EX^T Delta S_EY``.  With the identity
+    weight this is exactly the least-squares estimator; for exactly
+    determined systems every positive definite weight gives the same
+    solution.
+    """
+    D = _weight_matrix(delta)
+    if D.shape[0] != stats.n_instruments:
+        raise ValueError("weight matrix dimension must equal instrument count")
+    report = _require_full_rank(stats)
+    S = stats.sigma_EX
+    return _solve_moments(stats, report, lambda: (S.T @ D @ S, S.T @ D @ stats.sigma_EY))
 
 
 def ls_estimate(stats):
     """Least-squares solution of the moment equations (identity weighting)."""
-    result = gmm_estimate(stats, np.eye(stats.n_instruments))
-    result.method = "ls"
-    return result
+    return replace(gmm_estimate(stats, np.eye(stats.n_instruments)), method="ls")
 
-
-def _inverse_ld(stats):
-    cond = np.linalg.cond(stats.sigma_EE)
-    if not np.isfinite(cond) or cond > LD_CONDITION_LIMIT:
-        raise IllConditionedLdError(
-            f"LD matrix condition number {cond:.3e} exceeds {LD_CONDITION_LIMIT:.0e}; "
-            "prune near-identical instruments (r^2 >= 0.95) before estimating"
-        )
-    return np.linalg.inv(stats.sigma_EE)
 
 def gmm_optimal(stats):
     """Minimum-asymptotic-variance weighting: ``Delta = Sigma_EE^-1``.
 
     The homoskedastic error variance enters the optimal weight only as a
     scalar and cancels in the estimator, so it is omitted.  Equivalent to
-    two-stage least squares on standardized data.
+    two-stage least squares on standardized data.  Solves the cached
+    ``stats.weighted_moments``.
     """
-    result = gmm_estimate(stats, _inverse_ld(stats))
-    result.method = "gmm"
-    return result
+    _weight_matrix(stats.ld_inverse)
+    report = _require_full_rank(stats)
+    return _solve_moments(stats, report, lambda: stats.weighted_moments[:2])
 
 
 def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
@@ -355,13 +385,12 @@ def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"shrinkage alpha must lie in [0, 1], got {alpha}")
-    ld_inv = _inverse_ld(stats)
+    stats.ld_inverse  # an ill-conditioned LD matrix fails before the rank check
     report = _require_full_rank(stats)
-    S = stats.sigma_EX
-    H = np.linalg.inv(S.T @ ld_inv @ S)
+    _, v, H = stats.weighted_moments
     H_shrunk = (1.0 - alpha) * H + alpha * np.eye(stats.n_exposures)
-    effects = H_shrunk @ (S.T @ ld_inv @ stats.sigma_EY)
-    diagnostics = report.as_dict()
+    effects = H_shrunk @ v
+    diagnostics = asdict(report)
     diagnostics["shrinkage_alpha"] = alpha
     diagnostics["shrinkage_distance"] = float(
         np.linalg.norm(H - np.eye(stats.n_exposures))
@@ -394,20 +423,19 @@ def standard_errors(result, stats, individual=None):
     to 1 when non-finite).  Individual mode uses the empirical residual
     variance of ``y - x c`` on the standardized scale instead, read from
     the correlations as ``N (1 - 2 c^T S_XY + c^T S_XX c)``, and divides by
-    the observation count.
-    Returns a dict with the computed modes; the summary-mode vector (when
-    available) is attached to ``result.standard_errors``.
+    the observation count.  The sandwich and ``S_EX^T Sigma_EE^-1 S_EY``
+    come from ``stats.weighted_moments``.
+    Returns a dict with the computed modes, keyed "summary" and
+    "individual"; ``result`` is not modified.
     """
-    ld_inv = _inverse_ld(stats)
-    S = stats.sigma_EX
-    sandwich = np.linalg.inv(S.T @ ld_inv @ S)
+    _, v, sandwich = stats.weighted_moments
     c = result.effects
     out = {}
 
     if individual is None and stats.n_outcome is None:
         raise ValueError("summary-mode standard errors require n_outcome")
     if stats.n_outcome is not None:
-        explained = float(c @ (S.T @ ld_inv @ stats.sigma_EY))
+        explained = float(c @ v)
         sigma_u2 = 1.0 - explained
         if not np.isfinite(sigma_u2):
             sigma_u2 = 1.0
@@ -422,30 +450,23 @@ def standard_errors(result, stats, individual=None):
         rss = n * max(0.0, 1.0 - 2.0 * float(c @ sigma_XY) + float(c @ sigma_XX @ c))
         sigma_u2 = rss / max(n - stats.n_exposures, 1)
         out["individual"] = np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / n, 0.0, None))
-        result.individual_standard_errors = out["individual"]
-
-    result.standard_errors = out.get("summary", out.get("individual"))
     return out
 
 
-def p_values(result, bonferroni_threshold=BONFERRONI_DEFAULT):
+def p_values(effects, standard_errors, bonferroni_threshold=BONFERRONI_DEFAULT):
     """Two-sided normal p-values of c / SE plus Bonferroni flags.
 
-    A zero standard error with a nonzero effect yields p = 0 together with
-    a degeneracy flag; a zero effect with zero SE yields p = 1 (flagged).
+    Returns ``(p, significant, degenerate)``.  A zero standard error with
+    a nonzero effect yields p = 0 together with a degeneracy flag; a zero
+    effect with zero SE yields p = 1 (flagged).
     """
-    if result.standard_errors is None:
-        raise ValueError("compute standard_errors before p_values")
-    c = result.effects
-    se = result.standard_errors
+    c = np.asarray(effects)
+    se = np.asarray(standard_errors)
     degenerate = se == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(degenerate, np.where(c != 0, np.inf, 0.0), c / np.where(se == 0, 1.0, se))
-    p = 2.0 * sps.norm.sf(np.abs(z))
-    result.p_values = p
-    result.degenerate = degenerate
-    result.bonferroni_significant = p < bonferroni_threshold
-    return p, result.bonferroni_significant
+    p = 2.0 * ndtr(-np.abs(z))
+    return p, p < bonferroni_threshold, degenerate
 
 
 def conditional_f(individual):
@@ -503,12 +524,29 @@ ESTIMATORS = {
 }
 
 
-def estimate(stats, method="ls", **kwargs):
-    """Dispatch to a named estimator ('ls', 'gmm' or 'twmr')."""
+def estimate(stats, method="ls", bonferroni_threshold=BONFERRONI_DEFAULT):
+    """Estimate with a named estimator ('ls', 'gmm' or 'twmr'), with inference.
+
+    When ``stats.n_outcome`` is set the result carries the summary-mode
+    standard errors, p-values, Bonferroni flags at ``bonferroni_threshold``
+    and the degeneracy mask; otherwise it holds the effects only.  Every
+    step reads the factorisation cached on ``stats``.
+    """
     try:
         fn = ESTIMATORS[method]
     except KeyError:
         raise ValueError(
             f"unknown estimator {method!r}; choose from {sorted(ESTIMATORS)}"
         ) from None
-    return fn(stats, **kwargs)
+    result = fn(stats)
+    if stats.n_outcome is None:
+        return result
+    se = standard_errors(result, stats)["summary"]
+    p, significant, degenerate = p_values(result.effects, se, bonferroni_threshold)
+    return replace(
+        result,
+        standard_errors=se,
+        p_values=p,
+        bonferroni_significant=significant,
+        degenerate=degenerate,
+    )

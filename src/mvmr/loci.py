@@ -25,7 +25,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .estimators import (
     BONFERRONI_DEFAULT,
     SummaryStatistics,
     estimate,
-    identifiability_diagnostics,
-    p_values,
-    standard_errors,
 )
 
 OUTCOME_SCALE_NOTE = "effects are per unit of the outcome association scale (log-odds for case/control GWAS)"
@@ -101,7 +98,6 @@ class LocusDefinition:
     genes_by_tissue: dict
     instruments_by_tissue: dict
     dropped_snps: tuple = ()  # (snp, reason)
-    closure_ok: bool = True
 
     def tissues(self):
         return sorted(self.genes_by_tissue)
@@ -134,8 +130,6 @@ class PipelineConfig:
     prune_r2: float = 0.95
     causal_threshold: float = 0.1
     bonferroni: float = BONFERRONI_DEFAULT
-    det_pass: float = 0.05
-    det_fail: float = 0.001
     estimator: str = "ls"
 
 
@@ -371,7 +365,6 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
                 genes_by_tissue=genes_by_tissue,
                 instruments_by_tissue=instruments_by_tissue,
                 dropped_snps=tuple(dropped),
-                closure_ok=True,
             )
         )
     loci.sort(key=lambda loc: (loc.chrom, loc.lead_pos))
@@ -411,16 +404,12 @@ def _locus_statistics(snps, exposures, beta_lookup, gwas_by_snp, ld):
 
 
 def _run_estimator(stats, locus_id, labels, config):
-    report = identifiability_diagnostics(
-        stats, pass_threshold=config.det_pass, fail_threshold=config.det_fail
-    )
-    diagnostics = report.as_dict()
+    report = stats.diagnostics
+    diagnostics = asdict(report)
     if report.rank_EX < stats.n_exposures or report.verdict == "fail":
         return [], diagnostics, "non_identifiable"
     try:
-        result = estimate(stats, config.estimator)
-        standard_errors(result, stats)
-        p_values(result, bonferroni_threshold=config.bonferroni)
+        result = estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
     except UnderdeterminedError as exc:
         diagnostics["error"] = str(exc)
         return [], diagnostics, "non_identifiable"
@@ -439,7 +428,7 @@ def _run_estimator(stats, locus_id, labels, config):
                 se=float(result.standard_errors[k]),
                 p=float(result.p_values[k]),
                 causal=bool(abs(result.effects[k]) >= config.causal_threshold),
-                bonferroni=bool(result.p_values[k] < config.bonferroni),
+                bonferroni=bool(result.bonferroni_significant[k]),
             )
         )
     return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats as sps
+from scipy.special import ndtr
 
 from .errors import FeasibilityError, MvmrError, ScenarioError
 from .estimators import (
@@ -35,8 +36,7 @@ from .estimators import (
     IndividualData,
     SummaryStatistics,
     conditional_f,
-    p_values,
-    standard_errors,
+    estimate,
     _unit_diagonal,
 )
 
@@ -659,17 +659,52 @@ def _run_indexed(fn, replicates, seed, threads):
     return results
 
 
-def _estimate_once(stats, method, sd_x, sd_y):
-    """Run one estimator with inference, mapped back to the generative scale."""
-    result = ESTIMATORS[method](stats)
-    standard_errors(result, stats)
-    p_values(result)
+def _require_known(estimators):
+    for est in estimators:
+        if est not in ESTIMATORS:
+            raise ScenarioError(f"unknown estimator {est!r}")
+
+
+def _estimate_all(stats, estimators, sd_x, sd_y):
+    """``{estimator: (effects, ses, p)}`` for one replicate, effects and
+    SEs mapped back to the generative scale; an estimator that fails maps
+    to its error message instead."""
     scale = sd_y / sd_x
-    return result.effects * scale, result.standard_errors * scale, result.p_values
+    out = {}
+    for est in estimators:
+        try:
+            result = estimate(stats, est)
+        except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
+            out[est] = str(exc)
+            continue
+        out[est] = (result.effects * scale, result.standard_errors * scale, result.p_values)
+    return out
 
 
-def _nan_payload(K):
-    return (np.full(K, np.nan), np.full(K, np.nan), np.full(K, np.nan))
+def _replicate_summary(scenario, estimators, rows, seed, cf=None):
+    """Stack per-replicate ``_estimate_all`` rows into a ReplicateSummary,
+    NaN where an estimator failed and the failure recorded by replicate."""
+    shape = (len(rows), scenario.n_exposures)
+    estimates = {est: np.full(shape, np.nan) for est in estimators}
+    ses = {est: np.full(shape, np.nan) for est in estimators}
+    pvals = {est: np.full(shape, np.nan) for est in estimators}
+    failures = {est: [] for est in estimators}
+    for i, row in enumerate(rows):
+        for est in estimators:
+            if isinstance(row[est], str):
+                failures[est].append((i, row[est]))
+            else:
+                estimates[est][i], ses[est][i], pvals[est][i] = row[est]
+    return ReplicateSummary(
+        scenario=scenario,
+        estimator_names=tuple(estimators),
+        estimates=estimates,
+        standard_errors=ses,
+        p_values=pvals,
+        failures=failures,
+        conditional_f=cf,
+        seed=seed,
+    )
 
 
 def run_replicates(
@@ -692,57 +727,22 @@ def run_replicates(
         raise ScenarioError("a seed is required (scenario.seed or argument)")
     if replicates < 1:
         raise ScenarioError("need at least one replicate")
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ScenarioError(f"unknown estimator {est!r}")
+    _require_known(estimators)
     K = scenario.n_exposures
 
     def one(index, rng):
         data = generate_dataset(scenario, rng)
-        payload = {}
-        for est in estimators:
-            try:
-                payload[est] = _estimate_once(
-                    data.statistics, est, data.sd_exposures, data.sd_outcome
-                )
-            except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
-                payload[est] = _nan_payload(K)
-                payload.setdefault("_failures", []).append((index, est, str(exc)))
+        row = _estimate_all(data.statistics, estimators, data.sd_exposures, data.sd_outcome)
         if collect_conditional_f:
             try:
-                payload["_cf"] = conditional_f(data.individual)
+                row["_cf"] = conditional_f(data.individual)
             except (MvmrError, ValueError, np.linalg.LinAlgError):
-                payload["_cf"] = np.full(K, np.nan)
-        return payload
+                row["_cf"] = np.full(K, np.nan)
+        return row
 
     rows = _run_indexed(one, replicates, seed, threads)
-
-    estimates = {est: np.empty((replicates, K)) for est in estimators}
-    ses = {est: np.empty((replicates, K)) for est in estimators}
-    pvals = {est: np.empty((replicates, K)) for est in estimators}
-    failures = {est: [] for est in estimators}
-    cf = np.empty((K, replicates)) if collect_conditional_f else None
-    for i, payload in enumerate(rows):
-        for est in estimators:
-            effects, se, p = payload[est]
-            estimates[est][i] = effects
-            ses[est][i] = se
-            pvals[est][i] = p
-        for index, est, message in payload.get("_failures", ()):
-            failures[est].append((index, message))
-        if collect_conditional_f:
-            cf[:, i] = payload["_cf"]
-
-    return ReplicateSummary(
-        scenario=scenario,
-        estimator_names=tuple(estimators),
-        estimates=estimates,
-        standard_errors=ses,
-        p_values=pvals,
-        failures=failures,
-        conditional_f=cf,
-        seed=seed,
-    )
+    cf = np.column_stack([row["_cf"] for row in rows]) if collect_conditional_f else None
+    return _replicate_summary(scenario, estimators, rows, seed, cf)
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +803,8 @@ def pleiotropy_experiment(
     seed = scenario.seed if seed is None else seed
     if seed is None:
         raise ScenarioError("a seed is required")
+    _require_known(estimators)
     keep = [k for k in range(scenario.n_exposures) if k not in hidden]
-    K_full = scenario.n_exposures
-    K_keep = len(keep)
 
     correct_summaries = []
     missp_summaries = []
@@ -823,52 +822,12 @@ def pleiotropy_experiment(
         def one(index, rng, cell=cell):
             data = generate_dataset(cell, rng)
             dropped = data.statistics.drop_exposures(hidden)
-            payload = {}
-            for est in estimators:
-                try:
-                    payload[("full", est)] = _estimate_once(
-                        data.statistics, est, data.sd_exposures, data.sd_outcome
-                    )
-                except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
-                    payload[("full", est)] = _nan_payload(K_full)
-                    payload.setdefault("_failures", []).append(("full", index, est, str(exc)))
-                try:
-                    payload[("drop", est)] = _estimate_once(
-                        dropped, est, data.sd_exposures[keep], data.sd_outcome
-                    )
-                except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
-                    payload[("drop", est)] = _nan_payload(K_keep)
-                    payload.setdefault("_failures", []).append(("drop", index, est, str(exc)))
-            return payload
-
-        rows = _run_indexed(one, replicates, seed + g, threads)
-
-        def collect(tag, k, scenario_out):
-            estimates = {est: np.empty((replicates, k)) for est in estimators}
-            ses = {est: np.empty((replicates, k)) for est in estimators}
-            ps = {est: np.empty((replicates, k)) for est in estimators}
-            failures = {est: [] for est in estimators}
-            for i, payload in enumerate(rows):
-                for est in estimators:
-                    eff, se, p = payload[(tag, est)]
-                    estimates[est][i] = eff
-                    ses[est][i] = se
-                    ps[est][i] = p
-                for failed_tag, index, est, message in payload.get("_failures", ()):
-                    if failed_tag == tag:
-                        failures[est].append((index, message))
-            return ReplicateSummary(
-                scenario=scenario_out,
-                estimator_names=tuple(estimators),
-                estimates=estimates,
-                standard_errors=ses,
-                p_values=ps,
-                failures=failures,
-                conditional_f=None,
-                seed=seed + g,
+            return (
+                _estimate_all(data.statistics, estimators, data.sd_exposures, data.sd_outcome),
+                _estimate_all(dropped, estimators, data.sd_exposures[keep], data.sd_outcome),
             )
 
-        correct_summaries.append(collect("full", K_full, cell))
+        rows = _run_indexed(one, replicates, seed + g, threads)
         missp_scenario = replace(
             cell,
             true_effects=tuple(np.asarray(cell.true_effects)[keep]),
@@ -878,7 +837,12 @@ def pleiotropy_experiment(
             else None,
             name=f"{cell.name}/misspecified",
         )
-        missp_summaries.append(collect("drop", K_keep, missp_scenario))
+        correct_summaries.append(
+            _replicate_summary(cell, estimators, [full for full, _ in rows], seed + g)
+        )
+        missp_summaries.append(
+            _replicate_summary(missp_scenario, estimators, [drop for _, drop in rows], seed + g)
+        )
 
     return PleiotropyResult(grid, correct_summaries, missp_summaries, hidden)
 
@@ -941,7 +905,8 @@ def type1_power(
     ``exposure`` is the index of the tested exposure; by default the first
     exposure whose effect is zero in the null scenario and nonzero in the
     alternative.  Type-1 error is the fraction of null replicates with
-    p < alpha, power the same fraction under the alternative.
+    p < alpha, power the same fraction under the alternative; replicates
+    whose estimator failed (no p-value) are left out of both.
     """
     if exposure is None:
         candidates = [
@@ -965,14 +930,20 @@ def type1_power(
     alt_summary = run_replicates(
         alt_scenario, estimators=estimators, replicates=replicates, seed=None if seed is None else seed + 7919, threads=threads
     )
-    rates = {}
-    for est in estimators:
-        p_null = null_summary.p_values[est][:, exposure]
-        p_alt = alt_summary.p_values[est][:, exposure]
-        rates[est] = {
-            "type1": float(np.nanmean(p_null < alpha)),
-            "power": float(np.nanmean(p_alt < alpha)),
+
+    def rejection_rate(summary, est):
+        """Share of the replicates with a finite p-value that reject."""
+        p = summary.p_values[est][:, [exposure]]
+        rejected = np.where(np.isfinite(p), p < alpha, np.nan)
+        return float(_nan_reduce(np.nanmean, rejected, axis=0)[0])
+
+    rates = {
+        est: {
+            "type1": rejection_rate(null_summary, est),
+            "power": rejection_rate(alt_summary, est),
         }
+        for est in estimators
+    }
     return {
         "alpha": alpha,
         "exposure": exposure,
@@ -1209,7 +1180,7 @@ def export_locus_files(
             beta = float(stats.sigma_EY[i])
             se = max(1.0 / float(np.sqrt(n_out)), 1e-12)
             z = beta / se
-            pval = max(float(2.0 * sps.norm.sf(abs(z))), 1e-300)
+            pval = max(float(2.0 * ndtr(-abs(z))), 1e-300)
             pval = min(pval, 4.9e-8)  # keep every simulated SNP genome-wide significant
             fh.write(f"{snp}\t{chrom}\t{pos}\t{beta!r}\t{se!r}\t{pval!r}\t{n_out}\n")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,41 +198,156 @@ class TestStandardErrors:
         assert np.all(median_gap < 0.15)
 
 
+def overidentified_statistics(n_outcome=2000):
+    """L = 5 correlated instruments, K = 3 exposures."""
+    rng = np.random.default_rng(4)
+    R = np.array([[0.4 ** abs(i - j) for j in range(5)] for i in range(5)])
+    return est.SummaryStatistics(
+        rng.uniform(-0.3, 0.3, size=(5, 3)),
+        rng.uniform(-0.1, 0.1, size=5),
+        R,
+        n_outcome=n_outcome,
+        exposure_names=("a", "b", "c"),
+    )
+
+
+METHODS = ("ls", "gmm", "twmr")
+
+
+class TestSharedFactorisation:
+    def test_one_diagnostics_pass_per_statistics(self, monkeypatch):
+        calls = []
+        diagnostics = est.identifiability_diagnostics
+
+        def counting(stats):
+            calls.append(stats)
+            return diagnostics(stats)
+
+        monkeypatch.setattr(est, "identifiability_diagnostics", counting)
+        stats = overidentified_statistics()
+        for method in METHODS:
+            est.estimate(stats, method)
+        assert len(calls) == 1
+
+    def test_statistics_are_immutable(self):
+        sigma_EX = np.array([[0.3, 0.1], [0.1, 0.4], [0.2, 0.2]])
+        sigma_EE = np.eye(3)
+        stats = est.SummaryStatistics(sigma_EX, [0.1, 0.2, 0.1], sigma_EE, n_outcome=500)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.n_outcome = 10
+        with pytest.raises(ValueError):
+            stats.sigma_EE[0, 1] = 0.5
+        before = est.estimate(stats, "gmm")
+        sigma_EX[0, 0] = 5.0
+        sigma_EE[0, 1] = sigma_EE[1, 0] = 0.5
+        assert stats.sigma_EX[0, 0] == 0.3
+        assert stats.sigma_EE[0, 1] == 0.0
+        after = est.estimate(stats, "gmm")
+        assert np.array_equal(after.effects, before.effects)
+        assert np.array_equal(after.standard_errors, before.standard_errors)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_derived_statistics_get_fresh_caches(self, method):
+        stats = overidentified_statistics()
+        est.estimate(stats, method)  # fill the cache of the source statistics
+        order = [3, 0, 4, 1, 2]
+        derived = [
+            (
+                stats.reorder_instruments(order),
+                (stats.sigma_EX[order], stats.sigma_EY[order], stats.sigma_EE[np.ix_(order, order)]),
+            ),
+            (
+                stats.drop_exposures([1]),
+                (stats.sigma_EX[:, [0, 2]], stats.sigma_EY, stats.sigma_EE),
+            ),
+        ]
+        for got, arrays in derived:
+            direct = est.SummaryStatistics(*arrays, n_outcome=stats.n_outcome)
+            a, b = est.estimate(got, method), est.estimate(direct, method)
+            assert np.array_equal(a.effects, b.effects)
+            assert np.array_equal(a.standard_errors, b.standard_errors)
+            assert got.diagnostics == direct.diagnostics
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimate_attaches_inference_when_n_outcome_set(self, method):
+        stats = overidentified_statistics()
+        result = est.estimate(stats, method, bonferroni_threshold=0.2)
+        bare = est.ESTIMATORS[method](stats)
+        se = est.standard_errors(bare, stats)["summary"]
+        assert bare.standard_errors is None  # standard_errors writes into nothing
+        p, significant, degenerate = est.p_values(bare.effects, se, 0.2)
+        assert np.array_equal(result.effects, bare.effects)
+        assert np.array_equal(result.standard_errors, se)
+        assert np.array_equal(result.p_values, p)
+        assert np.array_equal(result.bonferroni_significant, significant)
+        assert np.array_equal(result.degenerate, degenerate)
+
+        plain = est.estimate(dataclasses.replace(stats, n_outcome=None), method)
+        assert np.array_equal(plain.effects, bare.effects)
+        assert plain.standard_errors is None
+        assert plain.p_values is None
+        assert plain.bonferroni_significant is None
+        assert plain.degenerate is None
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown estimator"):
+            est.estimate(overidentified_statistics(), "ols")
+
+
+class TestErrorOrder:
+    @pytest.mark.parametrize("method", ["gmm", "twmr"])
+    def test_ill_conditioned_ld_before_rank_check(self, method):
+        R = np.array([[1.0, 1.0 - 1e-14, 0.0], [1.0 - 1e-14, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        stats = est.SummaryStatistics(
+            np.array([[0.3, 0.6], [0.2, 0.4], [0.1, 0.2]]), [0.1, 0.2, 0.1], R, n_outcome=1000
+        )
+        with pytest.raises(IllConditionedLdError):
+            est.estimate(stats, method)
+        with pytest.raises(UnderdeterminedError):
+            est.estimate(stats, "ls")
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            (np.ones((2, 3)), "square"),
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+        ],
+    )
+    def test_gmm_estimate_checks_the_weight(self, delta, message):
+        with pytest.raises(ValueError, match=message):
+            est.gmm_estimate(fig_2a_statistics(), delta)
+
+
 class TestPValues:
     def test_zero_statistic(self):
-        stats = fig_2a_statistics(n_outcome=1000)
-        result = est.ls_estimate(stats)
-        result.effects = np.array([0.0, 0.0])
-        result.standard_errors = np.array([0.1, 0.2])
-        p, flags = est.p_values(result)
+        p, flags, _ = est.p_values(np.array([0.0, 0.0]), np.array([0.1, 0.2]))
         assert np.allclose(p, 1.0)
         assert not flags.any()
 
     def test_normal_quantile(self):
-        result = est.EstimateResult(
-            "ls", np.array([1.959964]), standard_errors=np.array([1.0])
-        )
-        p, _ = est.p_values(result)
+        p, _, _ = est.p_values(np.array([1.959964]), np.array([1.0]))
         assert p[0] == pytest.approx(0.05, abs=1e-6)
 
     def test_bonferroni_threshold(self):
-        result = est.EstimateResult(
-            "ls", np.array([1.0]), standard_errors=np.array([1.0])
-        )
-        result.p_values = None
-        result.effects = np.array([3.72])  # two-sided p ~ 2e-4
-        p, flags = est.p_values(result)
+        p, flags, _ = est.p_values(np.array([3.72]), np.array([1.0]))  # two-sided p ~ 2e-4
         assert p[0] < 3e-4
         assert flags[0]
 
     def test_degenerate_se(self):
-        result = est.EstimateResult(
-            "ls", np.array([0.5, 0.0]), standard_errors=np.array([0.0, 0.0])
-        )
-        p, _ = est.p_values(result)
+        p, _, degenerate = est.p_values(np.array([0.5, 0.0]), np.array([0.0, 0.0]))
         assert p[0] == 0.0
         assert p[1] == 1.0
-        assert result.degenerate.tolist() == [True, True]
+        assert degenerate.tolist() == [True, True]
+
+    def test_tail_matches_scipy_norm_sf_bitwise(self):
+        from scipy import stats as sps
+
+        z = np.concatenate(
+            [[0.0, 1e-300, 8.0, 40.0, np.inf, -np.inf], np.linspace(-45.0, 45.0, 9001)]
+        )
+        p, _, _ = est.p_values(z, np.ones_like(z))
+        reference = 2.0 * sps.norm.sf(np.abs(z))
+        assert p.tobytes() == reference.tobytes()
 
 
 class TestConditionalF:

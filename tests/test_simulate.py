@@ -1,5 +1,7 @@
 import importlib.resources as resources
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from dataclasses import replace
 
 from mvmr import estimators as est
 from mvmr import simulate as sim
-from mvmr.errors import FeasibilityError, ScenarioError, UnderdeterminedError
+from mvmr.errors import FeasibilityError, MvmrError, ScenarioError, UnderdeterminedError
 
 
 class TestGenotypeSampling:
@@ -375,6 +377,19 @@ class TestPleiotropyExperiment:
             assert all(msg == "forced failure" for _, msg in summary.failures["ls"])
             assert np.all(np.isnan(summary.estimates["ls"]))
 
+    def test_unknown_estimator_rejected(self):
+        scenario = sim.scenario_from_dict(
+            json.loads(
+                resources.files("mvmr")
+                .joinpath("data", "scenarios", "fig2_pleiotropy.json")
+                .read_text(encoding="utf-8")
+            )
+        )
+        with pytest.raises(ScenarioError, match="unknown estimator"):
+            sim.pleiotropy_experiment(
+                scenario, estimators=("ols",), hidden_effect_grid=(0.0,), replicates=2, seed=3
+            )
+
     def test_requires_hidden_exposures(self):
         scenario = sim.SimulationScenario(
             true_effects=(0.2, 0.6),
@@ -424,6 +439,44 @@ class TestType1Power:
         out = sim.type1_power(scenario, alt, replicates=30, alpha=1.0, seed=2, estimators=("ls",))
         assert out["rates"]["ls"]["type1"] == 1.0
         assert out["rates"]["ls"]["power"] == 1.0
+
+    @staticmethod
+    def _s9_scenarios():
+        path = resources.files("mvmr").joinpath("data", "scenarios", "s9_type1_power.json")
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config.pop("alpha")
+        null_effects = config.pop("null_effects")
+        return (
+            sim.scenario_from_dict({**config, "true_effects": null_effects}),
+            sim.scenario_from_dict(config),
+        )
+
+    def test_failed_replicates_left_out_of_rates(self, monkeypatch):
+        calls = itertools.count()
+        ls = sim.ESTIMATORS["ls"]
+
+        def every_other_call_fails(stats):
+            if next(calls) % 2:
+                raise MvmrError("forced failure")
+            return ls(stats)
+
+        monkeypatch.setitem(sim.ESTIMATORS, "ls", every_other_call_fails)
+        null, alt = self._s9_scenarios()
+        out = sim.type1_power(null, alt, replicates=20, alpha=1.0, seed=3, estimators=("ls",))
+        assert len(out["null"].failures["ls"]) == 10
+        assert out["rates"]["ls"] == {"type1": 1.0, "power": 1.0}
+
+    def test_all_failed_rates_are_nan_without_warning(self, monkeypatch):
+        def always_fails(stats):
+            raise MvmrError("forced failure")
+
+        monkeypatch.setitem(sim.ESTIMATORS, "ls", always_fails)
+        null, alt = self._s9_scenarios()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sim.type1_power(null, alt, replicates=4, alpha=0.05, seed=3, estimators=("ls",))
+        assert np.isnan(out["rates"]["ls"]["type1"])
+        assert np.isnan(out["rates"]["ls"]["power"])
 
     def test_null_scenario_validated(self):
         scenario = sim.SimulationScenario(
