@@ -108,12 +108,25 @@ def _seed_for(config, args):
     return int(seed)
 
 
+def _write_cells(out_dir, seed, cells):
+    """Write ``replicates.csv`` and ``summary.json`` for ``(labels, summary)``
+    cells, the sorted label columns leading every CSV row; returns the
+    summary cells."""
+    label_fields = sorted({k for labels, _ in cells for k in labels})
+    _write_rows(
+        os.path.join(out_dir, "replicates.csv"),
+        label_fields + REPLICATE_FIELDS,
+        (row for labels, summary in cells for row in summary.iter_rows(labels)),
+    )
+    summaries = [{"labels": labels, **summary.summary_dict()} for labels, summary in cells]
+    _write_json(os.path.join(out_dir, "summary.json"), {"cells": summaries, "seed": seed})
+    return summaries
+
+
 def _run_replicates_kind(config, args, out_dir, estimators, seed):
-    cells = expand_scenario_config(config)
     collect_f = bool(config.get("conditional_f", False))
-    rows = []
-    summaries = []
-    for index, (labels, scenario) in enumerate(cells):
+    cells = []
+    for index, (labels, scenario) in enumerate(expand_scenario_config(config)):
         summary = run_replicates(
             scenario,
             estimators=estimators,
@@ -122,16 +135,8 @@ def _run_replicates_kind(config, args, out_dir, estimators, seed):
             threads=args.threads,
             collect_conditional_f=collect_f,
         )
-        rows.extend(summary.iter_rows(labels))
-        summaries.append({"labels": labels, **summary.summary_dict()})
-    label_fields = sorted({k for cell in summaries for k in cell["labels"]})
-    _write_rows(
-        os.path.join(out_dir, "replicates.csv"),
-        label_fields + REPLICATE_FIELDS,
-        rows,
-    )
-    _write_json(os.path.join(out_dir, "summary.json"), {"cells": summaries, "seed": seed})
-    return summaries
+        cells.append((labels, summary))
+    return _write_cells(out_dir, seed, cells)
 
 
 def _run_pleiotropy_kind(config, args, out_dir, estimators, seed):
@@ -143,23 +148,14 @@ def _run_pleiotropy_kind(config, args, out_dir, estimators, seed):
         seed=seed,
         threads=args.threads,
     )
-    rows = []
-    cells = []
-    for value, correct, missp in zip(
-        result.hidden_effect_grid, result.correct, result.misspecified
-    ):
-        for tag, summary in (("full", correct), ("misspecified", missp)):
-            rows.extend(summary.iter_rows({"hidden_effect": value, "model": tag}))
-            cells.append(
-                {"labels": {"hidden_effect": value, "model": tag}, **summary.summary_dict()}
-            )
-    _write_rows(
-        os.path.join(out_dir, "replicates.csv"),
-        ["hidden_effect", "model"] + REPLICATE_FIELDS,
-        rows,
-    )
-    _write_json(os.path.join(out_dir, "summary.json"), {"cells": cells, "seed": seed})
-    return cells
+    cells = [
+        ({"hidden_effect": value, "model": tag}, summary)
+        for value, correct, missp in zip(
+            result.hidden_effect_grid, result.correct, result.misspecified
+        )
+        for tag, summary in (("full", correct), ("misspecified", missp))
+    ]
+    return _write_cells(out_dir, seed, cells)
 
 
 def _run_two_sample_kind(config, args, out_dir, estimators, seed):
@@ -180,19 +176,8 @@ def _run_two_sample_kind(config, args, out_dir, estimators, seed):
         seed=seed,
         threads=args.threads,
     )
-    rows = []
-    cells = []
-    for (ne, no), summary in results.items():
-        labels = {"n_exposure": ne, "n_outcome": no}
-        rows.extend(summary.iter_rows(labels))
-        cells.append({"labels": labels, **summary.summary_dict()})
-    _write_rows(
-        os.path.join(out_dir, "replicates.csv"),
-        ["n_exposure", "n_outcome"] + REPLICATE_FIELDS,
-        rows,
-    )
-    _write_json(os.path.join(out_dir, "summary.json"), {"cells": cells, "seed": seed})
-    return cells
+    cells = [({"n_exposure": ne, "n_outcome": no}, summary) for (ne, no), summary in results.items()]
+    return _write_cells(out_dir, seed, cells)
 
 
 def _run_type1_power_kind(config, args, out_dir, estimators, seed):
@@ -276,9 +261,10 @@ def cmd_simulate(args):
     try:
         kind, config = load_scenario_file(args.scenario)
         seed = _seed_for(config, args)
-        estimators = _parse_estimators(args.estimators)
-        if config.get("estimators") and args.estimators == "ls,gmm":
-            estimators = _parse_estimators(",".join(config["estimators"]))
+        names = args.estimators
+        if names is None:  # no --estimators: the scenario's list, else ls,gmm
+            names = ",".join(config.get("estimators") or ("ls", "gmm"))
+        estimators = _parse_estimators(names)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -319,13 +305,24 @@ def cmd_simulate(args):
 # estimate
 
 
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "an array"}
+_STATS_REQUIRED = ("sigma_EX", "sigma_EY", "sigma_EE")
+
+
 def _stats_from_json(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    allowed = {"sigma_EX", "sigma_EY", "sigma_EE", "n_exposure", "n_outcome", "exposure_names", "instrument_names"}
+    if not isinstance(payload, dict):
+        raise ScenarioError(
+            f"statistics file {path} must hold a JSON object, not {_JSON_TYPES[type(payload)]}"
+        )
+    allowed = {*_STATS_REQUIRED, "n_exposure", "n_outcome", "exposure_names", "instrument_names"}
     unknown = set(payload) - allowed
     if unknown:
         raise ScenarioError(f"unknown statistics keys: {sorted(unknown)}")
+    missing = [key for key in _STATS_REQUIRED if key not in payload]
+    if missing:
+        raise ScenarioError(f"statistics file {path} lacks required keys: {missing}")
     return SummaryStatistics(
         np.asarray(payload["sigma_EX"], dtype=float),
         np.asarray(payload["sigma_EY"], dtype=float),
@@ -385,10 +382,7 @@ def cmd_estimate(args):
         else:
             print("error: provide --stats or --diagram", file=sys.stderr)
             return EXIT_USAGE
-    except (OSError, ScenarioError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MvmrError, ValueError) as exc:
+    except (OSError, MvmrError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -535,7 +529,7 @@ def build_parser():
     sim.add_argument("--replicates", type=int, default=None, help="override the scenario replicate count")
     sim.add_argument("--threads", type=int, default=1, help="worker threads; results are identical for any value")
     sim.add_argument("--out", default=None, help="output directory (default $MVMR_OUTPUT_DIR or ./mvmr_out)")
-    sim.add_argument("--estimators", default="ls,gmm", help="comma list from: ls, gmm, twmr")
+    sim.add_argument("--estimators", default=None, help="comma list from: ls, gmm, twmr (default: the scenario's 'estimators', else ls,gmm)")
     sim.add_argument("--max-failure-rate", type=float, default=0.2, help="exit 4 when any cell's replicate failure rate exceeds this")
     sim.set_defaults(func=cmd_simulate)
 
@@ -570,7 +564,7 @@ def build_parser():
     fig.add_argument("--seed", type=int, default=None, help="master seed applied to every scenario")
     fig.add_argument("--replicates", type=int, default=None, help="override replicate counts (quick runs)")
     fig.add_argument("--threads", type=int, default=1)
-    fig.add_argument("--estimators", default="ls,gmm")
+    fig.add_argument("--estimators", default=None, help="comma list from: ls, gmm, twmr (default: each scenario's 'estimators', else ls,gmm)")
     fig.add_argument("--only", default=None, help="comma list of scenario names to run")
     fig.add_argument("--max-failure-rate", type=float, default=0.2)
     fig.set_defaults(func=cmd_figures)

@@ -22,7 +22,7 @@ returns one complete :class:`EstimateResult`, effects plus inference.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -207,15 +207,23 @@ class IndividualData:
         self.sds = scale / np.sqrt(n)
         self.corr = cross / np.outer(scale, scale)
 
-    def summary_statistics(self, n_outcome=None):
-        """Correlations of the instruments with the exposures and outcome."""
-        n, L, corr = self.n_observations, self.n_instruments, self.corr
+    @property
+    def ld(self):
+        """The instruments' correlation matrix, with an exactly-unit diagonal."""
+        return _unit_diagonal(self.corr[: self.n_instruments, : self.n_instruments])
+
+    def summary_statistics(self, outcome=None, ld=None):
+        """``Sigma_EX`` of this cohort, ``Sigma_EY`` of the ``outcome`` cohort
+        (same instruments) and ``Sigma_EE = ld``; both default to this
+        cohort, and the sample sizes are the two cohorts' counts."""
+        outcome = self if outcome is None else outcome
+        L = self.n_instruments
         return SummaryStatistics(
-            sigma_EX=corr[:L, L:-1],
-            sigma_EY=corr[:L, -1],
-            sigma_EE=_unit_diagonal(corr[:L, :L]),
-            n_exposure=n,
-            n_outcome=n if n_outcome is None else n_outcome,
+            sigma_EX=self.corr[:L, L:-1],
+            sigma_EY=outcome.corr[:L, -1],
+            sigma_EE=self.ld if ld is None else ld,
+            n_exposure=self.n_observations,
+            n_outcome=outcome.n_observations,
         )
 
 
@@ -230,16 +238,13 @@ def _unit_diagonal(matrix):
 
 @dataclass
 class EstimateResult:
-    """Per-exposure causal-effect estimates with inference and diagnostics."""
+    """Per-exposure causal-effect estimates with their inference."""
 
-    method: str
     effects: np.ndarray
     standard_errors: np.ndarray | None = None
     p_values: np.ndarray | None = None
     bonferroni_significant: np.ndarray | None = None
     degenerate: np.ndarray | None = None
-    exposure_names: tuple | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -319,7 +324,7 @@ def _weight_matrix(delta):
     return delta
 
 
-def _solve_moments(stats, report, moments):
+def _solve_moments(report, moments):
     """GMM result solving ``M c = v`` for ``(M, v) = moments()``.
 
     A singular M, whether ``solve`` or the cached ``inv(M)`` of
@@ -332,12 +337,7 @@ def _solve_moments(stats, report, moments):
         raise UnderdeterminedError(
             "weighted moment matrix is singular", diagnostics=report
         ) from None
-    return EstimateResult(
-        method="gmm",
-        effects=effects,
-        exposure_names=stats.exposure_names,
-        diagnostics=asdict(report),
-    )
+    return EstimateResult(effects)
 
 
 def gmm_estimate(stats, delta):
@@ -353,12 +353,12 @@ def gmm_estimate(stats, delta):
         raise ValueError("weight matrix dimension must equal instrument count")
     report = _require_full_rank(stats)
     S = stats.sigma_EX
-    return _solve_moments(stats, report, lambda: (S.T @ D @ S, S.T @ D @ stats.sigma_EY))
+    return _solve_moments(report, lambda: (S.T @ D @ S, S.T @ D @ stats.sigma_EY))
 
 
 def ls_estimate(stats):
     """Least-squares solution of the moment equations (identity weighting)."""
-    return replace(gmm_estimate(stats, np.eye(stats.n_instruments)), method="ls")
+    return gmm_estimate(stats, np.eye(stats.n_instruments))
 
 
 def gmm_optimal(stats):
@@ -371,7 +371,7 @@ def gmm_optimal(stats):
     """
     _weight_matrix(stats.ld_inverse)
     report = _require_full_rank(stats)
-    return _solve_moments(stats, report, lambda: stats.weighted_moments[:2])
+    return _solve_moments(report, lambda: stats.weighted_moments[:2])
 
 
 def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
@@ -386,21 +386,10 @@ def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"shrinkage alpha must lie in [0, 1], got {alpha}")
     stats.ld_inverse  # an ill-conditioned LD matrix fails before the rank check
-    report = _require_full_rank(stats)
+    _require_full_rank(stats)
     _, v, H = stats.weighted_moments
     H_shrunk = (1.0 - alpha) * H + alpha * np.eye(stats.n_exposures)
-    effects = H_shrunk @ v
-    diagnostics = asdict(report)
-    diagnostics["shrinkage_alpha"] = alpha
-    diagnostics["shrinkage_distance"] = float(
-        np.linalg.norm(H - np.eye(stats.n_exposures))
-    )
-    return EstimateResult(
-        method=f"twmr(alpha={alpha:.6g})",
-        effects=effects,
-        exposure_names=stats.exposure_names,
-        diagnostics=diagnostics,
-    )
+    return EstimateResult(H_shrunk @ v)
 
 
 def univariate_ratio(sigma_EX, sigma_EY, tolerance=1e-6):

@@ -200,6 +200,10 @@ def _causal_mask(causal_rows, n_instruments, n_exposures):
     return mask, rows
 
 
+DRAW_BATCH = 256  # candidate effect matrices drawn and screened together
+MAX_DRAWS = 2_000_000  # candidates drawn before the design constraints are refused
+
+
 @dataclass(frozen=True)
 class EffectSizes:
     """Instrument -> exposure effect matrix, fixed or resampled per replicate.
@@ -248,8 +252,6 @@ class EffectSizes:
         reference_ld=None,
         instrument_sds=None,
         noise_variance=1.0,
-        batch=256,
-        max_draws=2_000_000,
     ):
         if self.matrix is not None:
             A = np.asarray(self.matrix, dtype=float)
@@ -274,16 +276,14 @@ class EffectSizes:
             )
             cov_E = reference_ld * np.outer(sds, sds)
 
-        drawn = 0
-        while drawn < max_draws:
-            A_full = rng.uniform(self.low, self.high, size=(batch, n_instruments, n_exposures))
+        for _ in range(0, MAX_DRAWS, DRAW_BATCH):
+            A_full = rng.uniform(self.low, self.high, size=(DRAW_BATCH, n_instruments, n_exposures))
             if self.signs == "random":
                 # the stream and values of rng.choice([-1.0, 1.0]), drawn
                 # without choice()'s per-call argument handling
                 A_full *= 2.0 * rng.integers(0, 2, size=A_full.shape) - 1.0
             A_full *= mask[None, :, :]
-            drawn += batch
-            ok = np.ones(batch, dtype=bool)
+            ok = np.ones(DRAW_BATCH, dtype=bool)
             if square and (self.det_min is not None or self.det_max is not None):
                 det = np.linalg.det(A_full[:, shared_rows, :])
                 if self.det_min is not None:
@@ -312,7 +312,7 @@ class EffectSizes:
                 return A_full[hits[0]]
         raise ScenarioError(
             f"could not satisfy the effect-matrix design constraints after "
-            f"{max_draws} draws"
+            f"{MAX_DRAWS} draws"
         )
 
 
@@ -435,7 +435,6 @@ class GeneratedDataset:
     statistics: SummaryStatistics
     sd_exposures: np.ndarray
     sd_outcome: float
-    effect_matrix: np.ndarray
 
 
 def _draw_genotypes(scenario, n, rng, ld_override=None):
@@ -454,34 +453,41 @@ def _generate_arrays(scenario, A, n, rng, ld_override=None):
     return e_raw, x, y
 
 
-def _assemble(scenario, e_raw, x, y):
-    subset = scenario.instrument_subset
-    if subset is not None:
-        e_raw = e_raw[:, list(subset)]
+def _cohort(scenario, e_raw, x, y):
+    """One cohort's drawn arrays, on the scenario's instruments, reduced to
+    :class:`IndividualData`."""
+    if scenario.instrument_subset is not None:
+        e_raw = e_raw[:, list(scenario.instrument_subset)]
     try:
-        individual = IndividualData(e_raw, x, y)
+        return IndividualData(e_raw, x, y)
     except ValueError as exc:
         raise ScenarioError(f"generated data rejected: {exc}") from None
-    stats = individual.summary_statistics()
-    if scenario.use_reference_ld:
+
+
+def _estimation_ld(scenario, outcome):
+    """The LD matrix to estimate with, None for the exposure cohort's own:
+    the reference on the instrument subset under ``use_reference_ld``, else
+    the ``ld_choice`` of a two-sample scenario (one-sample ones ignore it)."""
+    two_sample = scenario.n_outcome is not None
+    if scenario.use_reference_ld or (two_sample and scenario.ld_choice == "reference"):
         reference = scenario.reference_ld()
-        if subset is not None:
-            reference = reference[np.ix_(list(subset), list(subset))]
-        stats = SummaryStatistics(
-            stats.sigma_EX, stats.sigma_EY, reference, stats.n_exposure, stats.n_outcome
-        )
-    L = individual.n_instruments
-    return individual, stats, individual.sds[L:-1], float(individual.sds[-1])
+        if scenario.instrument_subset is not None:
+            keep = list(scenario.instrument_subset)
+            reference = reference[np.ix_(keep, keep)]
+        return reference
+    if two_sample and scenario.ld_choice == "outcome":
+        return outcome.ld
+    return None
 
 
 def generate_dataset(scenario, seed):
-    """Simulate one dataset and its summary statistics.
+    """Simulate one dataset and its one :class:`SummaryStatistics`.
 
-    Returns a :class:`GeneratedDataset`; for two-sample scenarios
-    (``n_outcome`` set) the summary statistics mix the exposure-sample
-    instrument-exposure block with the outcome-sample instrument-outcome
-    covariances, with the LD matrix taken from the cohort selected by
-    ``ld_choice``.
+    Returns a :class:`GeneratedDataset`.  Two-sample scenarios
+    (``n_outcome`` set) draw independent exposure and outcome cohorts, and
+    ``IndividualData.summary_statistics`` mixes the first's
+    instrument-exposure block with the second's instrument-outcome
+    correlations; see :func:`_estimation_ld` for the LD matrix.
     """
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     A = scenario.effects.realize(
@@ -494,51 +500,23 @@ def generate_dataset(scenario, seed):
         noise_variance=scenario.noise_variance,
     )
 
+    def draw_cohort(n, wishart_df):
+        ld = None if wishart_df is None else perturb_ld(scenario.reference_ld(), wishart_df, rng)
+        return _cohort(scenario, *_generate_arrays(scenario, A, n, rng, ld))
+
     if scenario.n_outcome is None:
-        ld_override = None
-        if scenario.ld_wishart_df is not None:
-            ld_override = perturb_ld(scenario.reference_ld(), scenario.ld_wishart_df, rng)
-        e_raw, x, y = _generate_arrays(scenario, A, scenario.n_samples, rng, ld_override)
-        individual, stats, sd_x, sd_y = _assemble(scenario, e_raw, x, y)
-        return GeneratedDataset(individual, stats, sd_x, sd_y, A)
-
-    # Two-sample: independent exposure and outcome cohorts sharing the
-    # same effect matrix, optionally each with its own perturbed LD.
-    def cohort_ld(n):
-        if scenario.ld_df_scale is None:
-            return None
-        dim = scenario.n_instruments_total
-        df = max(dim, int(round(n * scenario.ld_df_scale)))
-        return perturb_ld(scenario.reference_ld(), df, rng)
-
-    e_exp, x_exp, y_exp = _generate_arrays(
-        scenario, A, scenario.n_samples, rng, cohort_ld(scenario.n_samples)
-    )
-    e_out, x_out, y_out = _generate_arrays(
-        scenario, A, scenario.n_outcome, rng, cohort_ld(scenario.n_outcome)
-    )
-    individual, stats_exp, sd_x, _ = _assemble(scenario, e_exp, x_exp, y_exp)
-    _, stats_out, _, sd_y_out = _assemble(scenario, e_out, x_out, y_out)
-    if scenario.ld_choice == "exposure":
-        sigma_EE = stats_exp.sigma_EE
-    elif scenario.ld_choice == "outcome":
-        sigma_EE = stats_out.sigma_EE
+        exposure = outcome = draw_cohort(scenario.n_samples, scenario.ld_wishart_df)
     else:
-        reference = scenario.reference_ld()
-        if scenario.instrument_subset is not None:
-            keep = list(scenario.instrument_subset)
-            reference = reference[np.ix_(keep, keep)]
-        sigma_EE = reference
-    stats = SummaryStatistics(
-        stats_exp.sigma_EX,
-        stats_out.sigma_EY,
-        sigma_EE,
-        n_exposure=scenario.n_samples,
-        n_outcome=scenario.n_outcome,
-        exposure_names=scenario.exposure_names,
-        instrument_names=scenario.instrument_names,
-    )
-    return GeneratedDataset(individual, stats, sd_x, sd_y_out, A)
+        # independent cohorts sharing the effect matrix, each optionally with
+        # its own LD perturbed at n * ld_df_scale degrees of freedom
+        scale = scenario.ld_df_scale
+        exposure, outcome = (
+            draw_cohort(n, None if scale is None else max(scenario.n_instruments_total, round(n * scale)))
+            for n in (scenario.n_samples, scenario.n_outcome)
+        )
+    stats = exposure.summary_statistics(outcome, _estimation_ld(scenario, outcome))
+    L = exposure.n_instruments
+    return GeneratedDataset(exposure, stats, exposure.sds[L:-1], float(outcome.sds[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +829,6 @@ def two_sample_experiment(
     scenario,
     n_exposure_grid,
     n_outcome_grid,
-    ld_choice=None,
     estimators=("ls", "gmm"),
     replicates=None,
     seed=None,
@@ -874,7 +851,6 @@ def two_sample_experiment(
                 scenario,
                 n_samples=int(ne),
                 n_outcome=int(no) if no is not None else None,
-                ld_choice=ld_choice or scenario.ld_choice,
                 name=f"{scenario.name}[n_exp={ne},n_out={no}]",
             )
             cell_seed = (scenario.seed if seed is None else seed)

@@ -69,6 +69,29 @@ class TestSimulateCommand:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [(None, ["gmm"]), ("ls,gmm", ["gmm", "ls"]), ("ls", ["ls"]), ("twmr", ["twmr"])],
+    )
+    def test_explicit_estimators_win_over_the_scenario(self, tmp_path, flag, expected):
+        scenario = write_scenario(tmp_path, "fig3_ld_perturb.json")  # lists only gmm
+        argv = ["simulate", "--scenario", scenario, "--seed", "3", "--replicates", "2", "--out", str(tmp_path / "out")]
+        if flag is not None:
+            argv += ["--estimators", flag]
+        assert cli.main(argv) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert sorted(summary["cells"][0]["estimators"]) == expected
+
+    def test_estimators_default_to_ls_gmm(self, tmp_path):
+        payload = json.loads(SCENARIOS.joinpath("fig2_corr_desk.json").read_text(encoding="utf-8"))
+        del payload["estimators"]
+        scenario = tmp_path / "no_estimators.json"
+        scenario.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--seed", "3", "--replicates", "2", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(sorted(cell["estimators"]) == ["gmm", "ls"] for cell in summary["cells"])
+
     def test_thread_count_does_not_change_output(self, tmp_path):
         scenario = write_scenario(tmp_path)
         for out, threads in (("t1", "1"), ("t4", "4")):
@@ -209,6 +232,27 @@ class TestEstimateCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["estimates"]["ls"]["effects"] == pytest.approx([0.2, 0.6])
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{}", "lacks required keys: ['sigma_EX', 'sigma_EY', 'sigma_EE']"),
+            (
+                json.dumps({"sigma_EX": [[1.0]], "sigma_EY": [0.2], "n_outcome": 100}),
+                "lacks required keys: ['sigma_EE']",
+            ),
+            ("null", "must hold a JSON object, not null"),
+            ("[]", "must hold a JSON object, not an array"),
+        ],
+    )
+    def test_malformed_stats_file_exit_2(self, tmp_path, capsys, content, message):
+        stats = tmp_path / "stats.json"
+        stats.write_text(content)
+        code = cli.main(["estimate", "--stats", str(stats)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_diagram_population_exact_recovery(self, tmp_path, capsys):
         text = standardized_diagram_text()

@@ -269,6 +269,106 @@ class TestGenerateDataset:
         assert data.statistics.n_exposure == 400
         assert data.statistics.n_outcome == 900
 
+    # one-sample, one-sample with the reference LD, two-sample with each LD
+    # source, two-sample with the reference LD (which beats ld_choice)
+    ASSEMBLY_CASES = {
+        "one_sample": {},
+        "one_sample_reference_ld": {"use_reference_ld": True},
+        "two_sample_exposure_ld": {"n_outcome": 700, "ld_choice": "exposure"},
+        "two_sample_outcome_ld": {"n_outcome": 700, "ld_choice": "outcome"},
+        "two_sample_reference_ld": {"n_outcome": 700, "ld_choice": "reference"},
+        "two_sample_use_reference_ld": {"n_outcome": 700, "ld_choice": "outcome", "use_reference_ld": True},
+    }
+
+    @staticmethod
+    def _assembly_scenario(**kwargs):
+        ld = 0.4 ** np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
+        return sim.SimulationScenario(
+            true_effects=(0.2, -0.3),
+            n_samples=400,
+            ld_matrix=ld,
+            effects=sim.EffectSizes(low=0.1, high=0.3, signs="random"),
+            instrument_subset=(0, 1, 3, 4),
+            ld_df_scale=0.5 if kwargs.get("n_outcome") else None,
+            **kwargs,
+        )
+
+    @staticmethod
+    def _statistics_assembled_per_cohort(scenario, seed):
+        """Statistics built as each cohort's own statistics and then mixed,
+        from the same draws as ``generate_dataset``."""
+        rng = np.random.default_rng(seed)
+        A = scenario.effects.realize(
+            rng,
+            scenario.n_instruments_total,
+            scenario.n_exposures,
+            scenario.causal_instruments,
+            reference_ld=scenario.reference_ld(),
+            instrument_sds=scenario.instrument_sds(),
+            noise_variance=scenario.noise_variance,
+        )
+        keep = list(scenario.instrument_subset)
+        reference = scenario.reference_ld()[np.ix_(keep, keep)]
+
+        def cohort_statistics(n):
+            ld_override = None
+            if scenario.ld_df_scale is not None:
+                df = max(scenario.n_instruments_total, int(round(n * scenario.ld_df_scale)))
+                ld_override = sim.perturb_ld(scenario.reference_ld(), df, rng)
+            e, x, y = sim._generate_arrays(scenario, A, n, rng, ld_override)
+            return est.IndividualData(e[:, keep], x, y).summary_statistics()
+
+        exposure = cohort_statistics(scenario.n_samples)
+        if scenario.n_outcome is None:
+            sigma_EE = reference if scenario.use_reference_ld else exposure.sigma_EE
+            return est.SummaryStatistics(
+                exposure.sigma_EX, exposure.sigma_EY, sigma_EE, scenario.n_samples, scenario.n_samples
+            )
+        outcome = cohort_statistics(scenario.n_outcome)
+        if scenario.use_reference_ld or scenario.ld_choice == "reference":
+            sigma_EE = reference
+        elif scenario.ld_choice == "outcome":
+            sigma_EE = outcome.sigma_EE
+        else:
+            sigma_EE = exposure.sigma_EE
+        return est.SummaryStatistics(
+            exposure.sigma_EX, outcome.sigma_EY, sigma_EE, scenario.n_samples, scenario.n_outcome
+        )
+
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_one_summary_statistics_per_dataset(self, case, monkeypatch):
+        scenario = self._assembly_scenario(**self.ASSEMBLY_CASES[case])
+        built = []
+        validate = est.SummaryStatistics.__post_init__
+
+        def counting(stats):
+            built.append(stats)
+            validate(stats)
+
+        monkeypatch.setattr(est.SummaryStatistics, "__post_init__", counting)
+        data = sim.generate_dataset(scenario, 21)
+        assert built == [data.statistics]
+
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_statistics_match_per_cohort_assembly(self, case):
+        scenario = self._assembly_scenario(**self.ASSEMBLY_CASES[case])
+        got = sim.generate_dataset(scenario, 21).statistics
+        want = self._statistics_assembled_per_cohort(scenario, 21)
+        for name in ("sigma_EX", "sigma_EY", "sigma_EE"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.n_exposure, got.n_outcome) == (want.n_exposure, want.n_outcome)
+
+    def test_ld_sources_differ(self):
+        """The six cases do not collapse onto one LD matrix."""
+        ld = {
+            case: sim.generate_dataset(self._assembly_scenario(**kwargs), 21).statistics.sigma_EE
+            for case, kwargs in self.ASSEMBLY_CASES.items()
+        }
+        assert not np.array_equal(ld["two_sample_exposure_ld"], ld["two_sample_outcome_ld"])
+        assert not np.array_equal(ld["two_sample_exposure_ld"], ld["two_sample_reference_ld"])
+        assert not np.array_equal(ld["one_sample"], ld["one_sample_reference_ld"])
+        assert np.array_equal(ld["two_sample_use_reference_ld"], ld["two_sample_reference_ld"])
+
     def test_markov_with_wishart_rejected(self):
         with pytest.raises(ScenarioError):
             sim.SimulationScenario(
