@@ -95,6 +95,10 @@ def _parse_estimators(text):
     return tuple(names)
 
 
+def _is_names(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -261,9 +265,14 @@ def cmd_simulate(args):
     try:
         kind, config = load_scenario_file(args.scenario)
         seed = _seed_for(config, args)
+        listed = config.get("estimators")
+        if listed is not None and not _is_names(listed):
+            raise ScenarioError(
+                f"scenario key 'estimators' must be a list of estimator names, not {json.dumps(listed)}"
+            )
         names = args.estimators
         if names is None:  # no --estimators: the scenario's list, else ls,gmm
-            names = ",".join(config.get("estimators") or ("ls", "gmm"))
+            names = ",".join(listed or ("ls", "gmm"))
         estimators = _parse_estimators(names)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -309,6 +318,19 @@ _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a
 _STATS_REQUIRED = ("sigma_EX", "sigma_EY", "sigma_EE")
 
 
+def _is_count(value):
+    return type(value) is int and value > 0  # a JSON integer, not a boolean
+
+
+def _stats_optional(payload, key, valid, expected):
+    """``payload[key]``, None when absent or null; a value ``valid`` refuses
+    is a ``ScenarioError`` naming the key."""
+    value = payload.get(key)
+    if value is not None and not valid(value):
+        raise ScenarioError(f"statistics key {key!r} must be null or {expected}, not {json.dumps(value)}")
+    return value
+
+
 def _stats_from_json(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -323,15 +345,19 @@ def _stats_from_json(path):
     missing = [key for key in _STATS_REQUIRED if key not in payload]
     if missing:
         raise ScenarioError(f"statistics file {path} lacks required keys: {missing}")
-    return SummaryStatistics(
+    sizes = {key: _stats_optional(payload, key, _is_count, "a positive integer") for key in ("n_exposure", "n_outcome")}
+    names = {key: _stats_optional(payload, key, _is_names, "a list of strings") for key in ("exposure_names", "instrument_names")}
+    stats = SummaryStatistics(
         np.asarray(payload["sigma_EX"], dtype=float),
         np.asarray(payload["sigma_EY"], dtype=float),
         np.asarray(payload["sigma_EE"], dtype=float),
-        n_exposure=payload.get("n_exposure"),
-        n_outcome=payload.get("n_outcome"),
-        exposure_names=tuple(payload["exposure_names"]) if payload.get("exposure_names") else None,
-        instrument_names=tuple(payload["instrument_names"]) if payload.get("instrument_names") else None,
+        **sizes,
+        **{key: None if value is None else tuple(value) for key, value in names.items()},
     )
+    for key, count, what in (("exposure_names", stats.n_exposures, "exposures"), ("instrument_names", stats.n_instruments, "instruments")):
+        if names[key] is not None and len(names[key]) != count:
+            raise ScenarioError(f"statistics key {key!r} has {len(names[key])} entries for {count} {what}")
+    return stats
 
 
 def _stats_from_diagram(path, instruments, exposures, outcome):

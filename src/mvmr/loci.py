@@ -6,6 +6,11 @@ prunes near-duplicate instruments; and runs per-tissue (or gene-tissue
 pair) multivariable MR to classify candidate causal genes by effect-size
 threshold and multiple-testing flag.
 
+An eQTL row is a significant instrument-gene association when its FDR is
+below ``EQTL_FDR`` (0.05).  Only :func:`build_loci` applies that rule: each
+locus it returns carries the significant rows of its instruments
+(``LocusDefinition.eqtls``), and every later step reads them there.
+
 File formats (all UTF-8):
 
 * eQTL TSV, header required:
@@ -37,6 +42,7 @@ from .estimators import (
 )
 
 OUTCOME_SCALE_NOTE = "effects are per unit of the outcome association scale (log-odds for case/control GWAS)"
+EQTL_FDR = 0.05
 
 
 @dataclass(frozen=True)
@@ -50,10 +56,6 @@ class EqtlRecord:
     se: float
     maf: float
     fdr: float
-
-    @property
-    def significant(self):
-        return self.fdr < 0.05
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,7 @@ class LocusDefinition:
     pruned: tuple  # (snp, reason, partner_snp)
     genes_by_tissue: dict
     instruments_by_tissue: dict
+    eqtls: tuple  # significant EqtlRecords of member_snps
     dropped_snps: tuple = ()  # (snp, reason)
 
     def tissues(self):
@@ -124,7 +127,6 @@ class CausalGeneCall:
 class PipelineConfig:
     radius: int = 500_000
     gwas_p: float = 5e-8
-    fdr: float = 0.05
     nonzero_ld: float = 0.01  # |r| above this counts as linked to the lead
     perfect_ld_r2: float = 0.99
     prune_r2: float = 0.95
@@ -290,29 +292,26 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
     repeats.  Within a locus, SNPs in effectively perfect LD with the lead
     are removed first, then near-duplicates at the pruning threshold are
     dropped keeping the smaller GWAS p-value (tie: smaller position).
+    Each locus carries the significant rows of its instruments.
     """
-    sig = [r for r in eqtls if r.fdr < config.fdr]
-    snp_info = {}
+    rows_by_snp = {}  # significant rows, grouped by SNP in table order
+    for r in eqtls:
+        if r.fdr < EQTL_FDR:
+            rows_by_snp.setdefault(r.snp, []).append(r)
     dropped = []
-    for r in sig:
-        snp_info.setdefault(r.snp, (r.chrom, r.pos))
     candidates = []
-    for snp, (chrom, pos) in snp_info.items():
+    for snp, rows in rows_by_snp.items():
         gw = gwas_by_snp.get(snp)
         if gw is None or gw.pval >= config.gwas_p:
             continue
         if snp not in ld:
             dropped.append((snp, "missing from LD matrix"))
             continue
-        candidates.append((gw.pval, chrom, pos, snp))
+        candidates.append((gw.pval, rows[0].chrom, rows[0].pos, snp))
     candidates.sort()
 
-    sig_by_snp_tissue = {}
-    for r in sig:
-        sig_by_snp_tissue.setdefault(r.snp, []).append(r)
-
     loci = []
-    remaining = candidates[:]
+    remaining = candidates
     while remaining:
         _, chrom, pos, lead = remaining[0]
         collected = [
@@ -322,7 +321,8 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
             and abs(entry[2] - pos) <= config.radius
             and (entry[3] == lead or abs(ld.r(lead, entry[3])) > config.nonzero_ld)
         ]
-        remaining = [e for e in remaining if e not in collected]
+        taken = {e[3] for e in collected}
+        remaining = [e for e in remaining if e[3] not in taken]
 
         pruned = []
         kept = []
@@ -339,19 +339,12 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
                 continue
             kept.append(snp)
 
+        rows = tuple(r for snp in kept for r in rows_by_snp[snp])
         genes_by_tissue = {}
         instruments_by_tissue = {}
-        for snp in kept:
-            for record in sig_by_snp_tissue.get(snp, ()):
-                genes_by_tissue.setdefault(record.tissue, set()).add(record.gene)
-                instruments_by_tissue.setdefault(record.tissue, set()).add(snp)
-        genes_by_tissue = {
-            t: tuple(sorted(genes)) for t, genes in genes_by_tissue.items()
-        }
-        instruments_by_tissue = {
-            t: tuple(s for s in kept if s in snps)
-            for t, snps in instruments_by_tissue.items()
-        }
+        for r in rows:
+            genes_by_tissue.setdefault(r.tissue, set()).add(r.gene)
+            instruments_by_tissue.setdefault(r.tissue, set()).add(r.snp)
 
         loci.append(
             LocusDefinition(
@@ -362,8 +355,12 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
                 member_snps=tuple(kept),
                 collected_snps=tuple(e[3] for e in collected),
                 pruned=tuple(pruned),
-                genes_by_tissue=genes_by_tissue,
-                instruments_by_tissue=instruments_by_tissue,
+                genes_by_tissue={t: tuple(sorted(g)) for t, g in genes_by_tissue.items()},
+                instruments_by_tissue={
+                    t: tuple(s for s in kept if s in snps)
+                    for t, snps in instruments_by_tissue.items()
+                },
+                eqtls=rows,
                 dropped_snps=tuple(dropped),
             )
         )
@@ -371,15 +368,10 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
     return loci
 
 
-def verify_closure(locus, eqtls, config=PipelineConfig()):
-    """Brute-force closure check: no gene outside the locus's exposure sets
-    shares a significant cis-eQTL with any instrument."""
-    instruments = set(locus.member_snps)
-    for record in eqtls:
-        if record.fdr < config.fdr and record.snp in instruments:
-            if record.gene not in locus.genes_by_tissue.get(record.tissue, ()):
-                return False
-    return True
+def verify_closure(locus):
+    """Closure check: every gene sharing a significant cis-eQTL with an
+    instrument of the locus is an exposure of that row's tissue."""
+    return all(r.gene in locus.genes_by_tissue.get(r.tissue, ()) for r in locus.eqtls)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +426,15 @@ def _run_estimator(stats, locus_id, labels, config):
     return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"
 
 
-def analyze_locus(locus, tissue, eqtls, gwas_by_snp, ld, config=PipelineConfig()):
+def analyze_locus(locus, tissue, gwas_by_snp, ld, config=PipelineConfig()):
     """Tissue-specific MVMR for one locus.
 
-    Uses all genes with significant cis-eQTL associations at the locus's
-    instruments in the tissue as exposures; instrument-exposure entries
-    with no recorded association are zero.  Returns
-    ``(calls, diagnostics, verdict)``; a rank-deficient or fail-verdict
-    design yields ``verdict='non_identifiable'`` with no calls rather than
-    an exception.
+    The exposures are the genes of the locus's significant eQTL rows
+    (``locus.eqtls``) in the tissue, the instruments the member SNPs that
+    carry such a row; instrument-exposure entries with no significant row
+    are zero.  Returns ``(calls, diagnostics, verdict)``; a rank-deficient
+    or fail-verdict design yields ``verdict='non_identifiable'`` with no
+    calls rather than an exception.
     """
     genes = locus.genes_by_tissue.get(tissue, ())
     snps = locus.instruments_by_tissue.get(tissue, ())
@@ -454,29 +446,21 @@ def analyze_locus(locus, tissue, eqtls, gwas_by_snp, ld, config=PipelineConfig()
             {"n_instruments": len(snps), "n_exposures": len(genes)},
             "non_identifiable",
         )
-    beta_lookup = {
-        (r.snp, r.gene): r.beta
-        for r in eqtls
-        if r.tissue == tissue and r.fdr < config.fdr and r.snp in set(snps)
-    }
+    beta_lookup = {(r.snp, r.gene): r.beta for r in locus.eqtls if r.tissue == tissue}
     stats = _locus_statistics(snps, genes, beta_lookup, gwas_by_snp, ld)
     labels = [(gene, tissue) for gene in genes]
     return _run_estimator(stats, locus.locus_id, labels, config)
 
 
-def multi_tissue_analysis(locus, pairs, eqtls, gwas_by_snp, ld, config=PipelineConfig()):
+def multi_tissue_analysis(locus, pairs, gwas_by_snp, ld, config=PipelineConfig()):
     """MVMR with gene-tissue pairs as distinct exposures.
 
     ``pairs`` is a sequence of (gene, tissue) tuples; instruments are the
-    locus SNPs carrying a significant association for at least one of the
-    pairs.
+    member SNPs whose significant rows (``locus.eqtls``) hold at least one
+    of the pairs.
     """
     pairs = [tuple(p) for p in pairs]
-    sig = {
-        (r.snp, r.gene, r.tissue): r.beta
-        for r in eqtls
-        if r.fdr < config.fdr and r.snp in set(locus.member_snps)
-    }
+    sig = {(r.snp, r.gene, r.tissue): r.beta for r in locus.eqtls}
     snps = [
         s
         for s in locus.member_snps
@@ -533,13 +517,11 @@ def classify_causal(calls, threshold=0.1, bonferroni=BONFERRONI_DEFAULT):
 # Whole-pipeline driver with deterministic reports
 
 
-def _locus_report(locus, eqtls, gwas_by_snp, ld, config):
+def _locus_report(locus, gwas_by_snp, ld, config):
     tissues = {}
     calls_out = []
     for tissue in locus.tissues():
-        calls, diagnostics, verdict = analyze_locus(
-            locus, tissue, eqtls, gwas_by_snp, ld, config
-        )
+        calls, diagnostics, verdict = analyze_locus(locus, tissue, gwas_by_snp, ld, config)
         tissues[tissue] = {
             "verdict": verdict,
             "genes": list(locus.genes_by_tissue.get(tissue, ())),
@@ -566,7 +548,7 @@ def _locus_report(locus, eqtls, gwas_by_snp, ld, config):
         "instruments": list(locus.member_snps),
         "collected": list(locus.collected_snps),
         "pruned": [list(p) for p in locus.pruned],
-        "closure_ok": verify_closure(locus, eqtls, config),
+        "closure_ok": verify_closure(locus),
         "effect_scale": OUTCOME_SCALE_NOTE,
         "tissues": tissues,
     }
@@ -587,7 +569,7 @@ def run_pipeline(
     loci = build_loci(eqtls, gwas_by_snp, ld, config)
 
     def work(locus):
-        return _locus_report(locus, eqtls, gwas_by_snp, ld, config)
+        return _locus_report(locus, gwas_by_snp, ld, config)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -126,6 +126,17 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--scenario", str(bad), "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("listed", ["gmm", [1], {"ls": True}, ["ls", None]])
+    def test_scenario_estimators_must_be_a_list_of_names(self, tmp_path, capsys, listed):
+        scenario = write_scenario(tmp_path, estimators=listed)
+        for extra in ([], ["--estimators", "ls"]):
+            argv = ["simulate", "--scenario", scenario, "--seed", "1", "--out", str(tmp_path / "out")]
+            code = cli.main(argv + extra)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: scenario key 'estimators' must be a list")
+            assert "Traceback" not in err
+
     def test_fig2_layout_columns(self, tmp_path):
         scenario = write_scenario(tmp_path, name="fig2_corr.json")
         code = cli.main(
@@ -243,6 +254,27 @@ class TestEstimateCommand:
             ),
             ("null", "must hold a JSON object, not null"),
             ("[]", "must hold a JSON object, not an array"),
+            *(
+                (
+                    json.dumps({"sigma_EX": [[1.0]], "sigma_EY": [0.2], "sigma_EE": [[1.0]], key: value}),
+                    message,
+                )
+                for key, value, message in (
+                    ("exposure_names", 5, "'exposure_names' must be null or a list of strings, not 5"),
+                    ("exposure_names", "a", "'exposure_names' must be null or a list of strings"),
+                    ("exposure_names", ["a", 1], "'exposure_names' must be null or a list of strings"),
+                    ("exposure_names", ["a", "b"], "'exposure_names' has 2 entries for 1 exposures"),
+                    ("exposure_names", [], "'exposure_names' has 0 entries for 1 exposures"),
+                    ("instrument_names", ["e1", "e2"], "'instrument_names' has 2 entries for 1 instruments"),
+                    ("instrument_names", {"e1": 1}, "'instrument_names' must be null or a list of strings"),
+                    ("n_outcome", "100", "'n_outcome' must be null or a positive integer, not \"100\""),
+                    ("n_outcome", True, "'n_outcome' must be null or a positive integer, not true"),
+                    ("n_outcome", 100.0, "'n_outcome' must be null or a positive integer"),
+                    ("n_outcome", 0, "'n_outcome' must be null or a positive integer"),
+                    ("n_exposure", -5, "'n_exposure' must be null or a positive integer"),
+                    ("n_exposure", [100], "'n_exposure' must be null or a positive integer"),
+                )
+            ),
         ],
     )
     def test_malformed_stats_file_exit_2(self, tmp_path, capsys, content, message):

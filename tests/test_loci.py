@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources as resources
 import json
 import os
@@ -29,6 +30,19 @@ def loaded(fixture_paths):
 def built(loaded):
     eqtls, gwas, ld, _ = loaded
     return loci.build_loci(eqtls, gwas, ld)
+
+
+def full_table_rows(locus, eqtls):
+    """Reference: the significant rows of the members, by a pass over the whole table."""
+    return {r for r in eqtls if r.fdr < 0.05 and r.snp in locus.member_snps}
+
+
+def full_table_closure(locus, eqtls):
+    """Reference closure check over the whole eQTL table."""
+    return all(
+        r.gene in locus.genes_by_tissue.get(r.tissue, ())
+        for r in full_table_rows(locus, eqtls)
+    )
 
 
 class TestLoadSummaries:
@@ -114,7 +128,7 @@ class TestBuildLoci:
             "RP1_257A7_5",
             "TBC1D7",
         )
-        assert loci.verify_closure(locus, eqtls)
+        assert loci.verify_closure(locus)
 
     def test_lead_is_most_significant(self, built, loaded):
         _, gwas, _, _ = loaded
@@ -177,11 +191,52 @@ class TestBuildLoci:
         assert assigned == candidates
 
 
+class TestLocusRows:
+    def test_rows_are_the_significant_rows_of_the_members(self, built, loaded):
+        eqtls = loaded[0]
+        for locus in built:
+            assert len(locus.eqtls) == len(set(locus.eqtls))
+            assert set(locus.eqtls) == full_table_rows(locus, eqtls)
+            assert loci.verify_closure(locus)
+            assert full_table_closure(locus, eqtls)
+
+    def test_rows_at_or_above_the_fdr_threshold_are_left_out(self, tmp_path):
+        (tmp_path / "eqtl.tsv").write_text(
+            "snp\tchrom\tpos\tgene\ttissue\tbeta\tse\tmaf\tfdr\n"
+            "rs1\t1\t100\tGENE1\tLIV\t0.4\t0.01\t0.3\t0.001\n"
+            "rs1\t1\t100\tGENE2\tLIV\t0.3\t0.01\t0.3\t0.05\n"
+            "rs1\t1\t100\tGENE3\tSKLM\t0.2\t0.01\t0.3\t0.2\n"
+            "rs1\t1\t100\tGENE4\tLIV\t0.1\t0.01\t0.3\t0.049\n"
+        )
+        (tmp_path / "gwas.tsv").write_text(
+            "snp\tchrom\tpos\tbeta\tse\tpval\tn\n"
+            "rs1\t1\t100\t0.08\t0.004\t1e-12\t10000\n"
+        )
+        (tmp_path / "ld.txt").write_text("rs1\n1.0\n")
+        records, gwas_map, ld_data, _ = loci.load_summaries(
+            str(tmp_path / "eqtl.tsv"), str(tmp_path / "gwas.tsv"), str(tmp_path / "ld.txt")
+        )
+        (locus,) = loci.build_loci(records, gwas_map, ld_data)
+        assert [(r.gene, r.tissue) for r in locus.eqtls] == [("GENE1", "LIV"), ("GENE4", "LIV")]
+        assert set(locus.eqtls) == full_table_rows(locus, records)
+        assert locus.genes_by_tissue == {"LIV": ("GENE1", "GENE4")}
+
+    def test_closure_fails_when_a_gene_is_missing(self, built, loaded):
+        eqtls = loaded[0]
+        locus = [l for l in built if l.chrom == "6"][0]
+        genes = locus.genes_by_tissue["MAM"]
+        broken = dataclasses.replace(
+            locus, genes_by_tissue={**locus.genes_by_tissue, "MAM": genes[1:]}
+        )
+        assert not loci.verify_closure(broken)
+        assert not full_table_closure(broken, eqtls)
+
+
 class TestAnalyzeLocus:
     def test_phactr1_like_locus(self, built, loaded):
         eqtls, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "6"][0]
-        calls, diagnostics, verdict = loci.analyze_locus(locus, "MAM", eqtls, gwas, ld)
+        calls, diagnostics, verdict = loci.analyze_locus(locus, "MAM", gwas, ld)
         assert verdict in ("ok", "warn")
         effects = {c.gene: c.effect for c in calls}
         assert effects["PHACTR1"] == pytest.approx(0.19, abs=1e-6)
@@ -192,7 +247,7 @@ class TestAnalyzeLocus:
     def test_adamts7_like_locus(self, built, loaded):
         eqtls, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "15"][0]
-        calls, _, verdict = loci.analyze_locus(locus, "AOR", eqtls, gwas, ld)
+        calls, _, verdict = loci.analyze_locus(locus, "AOR", gwas, ld)
         effects = {c.gene: c.effect for c in calls}
         assert effects["ADAMTS7"] == pytest.approx(0.18, abs=1e-6)
         assert effects["CTSH"] == pytest.approx(0.025, abs=1e-6)
@@ -219,7 +274,7 @@ class TestAnalyzeLocus:
         )
         built = loci.build_loci(records, gwas_map, ld_data)
         calls, diagnostics, verdict = loci.analyze_locus(
-            built[0], "LIV", records, gwas_map, ld_data
+            built[0], "LIV", gwas_map, ld_data
         )
         assert verdict == "non_identifiable"
         assert calls == []
@@ -235,7 +290,7 @@ class TestMultiTissue:
     def test_gene_tissue_pairs(self, built, loaded):
         eqtls, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "19"][0]
-        calls, _, verdict = loci.multi_tissue_analysis(locus, self.PAIRS, eqtls, gwas, ld)
+        calls, _, verdict = loci.multi_tissue_analysis(locus, self.PAIRS, gwas, ld)
         assert verdict == "ok"
         results = {(c.gene, c.tissue): c for c in calls}
         assert results[("CARM1", "SKLM")].effect == pytest.approx(0.18, abs=1e-6)
@@ -251,15 +306,15 @@ class TestMultiTissue:
         eqtls, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "19"][0]
         too_many = self.PAIRS + [("GENE_X", "LIV")]
-        calls, _, verdict = loci.multi_tissue_analysis(locus, too_many, eqtls, gwas, ld)
+        calls, _, verdict = loci.multi_tissue_analysis(locus, too_many, gwas, ld)
         assert verdict == "non_identifiable"
 
     def test_single_tissue_reduction(self, built, loaded):
         eqtls, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "15"][0]
         pairs = [("ADAMTS7", "AOR"), ("CTSH", "AOR")]
-        pair_calls, _, _ = loci.multi_tissue_analysis(locus, pairs, eqtls, gwas, ld)
-        tissue_calls, _, _ = loci.analyze_locus(locus, "AOR", eqtls, gwas, ld)
+        pair_calls, _, _ = loci.multi_tissue_analysis(locus, pairs, gwas, ld)
+        tissue_calls, _, _ = loci.analyze_locus(locus, "AOR", gwas, ld)
         pair_effects = {c.gene: c.effect for c in pair_calls}
         tissue_effects = {c.gene: c.effect for c in tissue_calls}
         assert pair_effects == pytest.approx(tissue_effects)

@@ -5,7 +5,9 @@ Runs, in this interpreter:
 * ``mvmr simulate --seed 11 --replicates 12 --estimators ls,gmm,twmr
   --max-failure-rate 1`` on every bundled scenario;
 * ``mvmr loci --estimator E`` for E in ls, gmm and twmr on the bundled
-  eQTL/GWAS/LD fixture trio;
+  eQTL/GWAS/LD fixture trio, and again on a 60-block input written by
+  this checkout's ``perfbench/inputs.write_loci_inputs(dir, 5, 60)``
+  (every verdict, both prune reasons, dropped SNPs and a warning);
 
 and prints one ``exit <code>  <command>`` line per command followed by one
 ``<sha256>  <relative path>`` line per file it wrote.  Two source trees
@@ -15,9 +17,11 @@ produce the same outputs exactly when their fingerprints are equal:
     python tools/output_fingerprint.py > after.txt
     diff before.txt after.txt
 
-Only the standard library and the ``mvmr`` package under ``--src`` are
-used; BLAS runs single-threaded (unless the environment already says
-otherwise) and command output on stdout/stderr is discarded.
+``--src`` switches only the ``mvmr`` package; the generated loci input
+always comes from this checkout.  Besides the standard library this needs
+numpy (for the input generator); BLAS runs single-threaded (unless the
+environment already says otherwise) and command output on stdout/stderr
+is discarded.
 """
 
 import argparse
@@ -32,6 +36,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 SIMULATE_ARGS = ["--seed", "11", "--replicates", "12", "--estimators", "ls,gmm,twmr", "--max-failure-rate", "1"]
 LOCI_ESTIMATORS = ("ls", "gmm", "twmr")
+LOCI_BLOCKS = ("blocks60", 5, 60)  # (label, seed, blocks) of the generated loci input
 
 
 def _sha256(path):
@@ -56,11 +61,21 @@ def _commands(package_dir, out_root):
             out = os.path.join(out_root, "simulate", name[: -len(".json")])
             argv = ["simulate", "--scenario", os.path.join(scenarios, name), *SIMULATE_ARGS, "--out", out]
             yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
+    sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
+    import inputs
+
+    trio = ("eqtl.tsv", "gwas.tsv", "ld.txt")
     fixtures = os.path.join(package_dir, "data", "fixtures")
-    inputs = ["--eqtl", os.path.join(fixtures, "eqtl.tsv"), "--gwas", os.path.join(fixtures, "gwas.tsv"), "--ld", os.path.join(fixtures, "ld.txt")]
-    for estimator in LOCI_ESTIMATORS:
-        out = os.path.join(out_root, "loci", estimator)
-        yield f"loci fixtures --estimator {estimator}", ["loci", *inputs, "--estimator", estimator, "--out", out], out
+    label, seed, blocks = LOCI_BLOCKS
+    generated = inputs.write_loci_inputs(os.path.join(out_root, "inputs", label), seed, blocks)
+    for name, out_dir, (eqtl, gwas, ld) in (
+        ("fixtures", os.path.join(out_root, "loci"), [os.path.join(fixtures, f) for f in trio]),
+        (label, os.path.join(out_root, "loci", label), [generated[f] for f in trio]),
+    ):
+        for estimator in LOCI_ESTIMATORS:
+            out = os.path.join(out_dir, estimator)
+            argv = ["loci", "--eqtl", eqtl, "--gwas", gwas, "--ld", ld, "--estimator", estimator, "--out", out]
+            yield f"loci {name} --estimator {estimator}", argv, out
 
 
 def fingerprint(out_root):
@@ -84,6 +99,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=os.path.join(HERE, "..", "src"), help="directory holding the mvmr package (default: this checkout's src)")
     args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave both source trees as they are
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, os.path.abspath(args.src))
