@@ -15,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -28,6 +27,7 @@ from .estimators import (
     SummaryStatistics,
     estimate,
 )
+from .jsonio import dumps, write_json
 from .loci import PipelineConfig, run_pipeline
 from .simulate import (
     empirical_pc1_share,
@@ -69,24 +69,6 @@ def _write_rows(path, fieldnames, rows):
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
-def _finite_or_null(value):
-    """``value`` with every non-finite float, at any depth, replaced by None."""
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _write_json(path, payload):
-    """Strict JSON: NaN and infinities are written as null."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_finite_or_null(payload), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
 def _parse_estimators(text):
     names = [n.strip() for n in text.split(",") if n.strip()]
     for n in names:
@@ -123,7 +105,7 @@ def _write_cells(out_dir, seed, cells):
         (row for labels, summary in cells for row in summary.iter_rows(labels)),
     )
     summaries = [{"labels": labels, **summary.summary_dict()} for labels, summary in cells]
-    _write_json(os.path.join(out_dir, "summary.json"), {"cells": summaries, "seed": seed})
+    write_json(os.path.join(out_dir, "summary.json"), {"cells": summaries, "seed": seed})
     return summaries
 
 
@@ -215,7 +197,7 @@ def _run_type1_power_kind(config, args, out_dir, estimators, seed):
         "rates": outcome["rates"],
         "seed": seed,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), payload)
+    write_json(os.path.join(out_dir, "summary.json"), payload)
     return [payload]
 
 
@@ -248,7 +230,7 @@ def _run_pca_kind(config, args, out_dir, estimators, seed):
         ["correlation", "expected_share", "empirical_share", "n", "repetitions"],
         rows,
     )
-    _write_json(os.path.join(out_dir, "summary.json"), {"cells": rows, "seed": seed})
+    write_json(os.path.join(out_dir, "summary.json"), {"cells": rows, "seed": seed})
     return rows
 
 
@@ -436,18 +418,16 @@ def cmd_estimate(args):
             payload["estimates"][name] = block
     except UnderdeterminedError as exc:
         payload["error"] = str(exc)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(dumps(payload))
         print(f"non-identifiable: {exc}", file=sys.stderr)
         return EXIT_NON_IDENTIFIABLE
     except (MvmrError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, payload)
+    print(dumps(payload))
     return EXIT_OK
 
 

@@ -2,9 +2,11 @@
 
 Ingests eQTL associations, GWAS outcome statistics and an LD matrix;
 groups genome-wide significant eQTL SNPs into loci around lead SNPs;
-prunes near-duplicate instruments; and runs per-tissue (or gene-tissue
-pair) multivariable MR to classify candidate causal genes by effect-size
-threshold and multiple-testing flag.
+prunes near-duplicate instruments; and runs multivariable MR to classify
+candidate causal genes by effect-size threshold and multiple-testing flag.
+Every locus analysis is MVMR on a list of (gene, tissue) exposures: the
+per-tissue analysis takes the genes of one tissue, the multi-tissue one
+any gene-tissue pairs.
 
 An eQTL row is a significant instrument-gene association when its FDR is
 below ``EQTL_FDR`` (0.05).  Only :func:`build_loci` applies that rule: each
@@ -27,10 +29,9 @@ report metadata, no conversion applied).
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .estimators import (
     SummaryStatistics,
     estimate,
 )
+from .jsonio import write_json
 
 OUTCOME_SCALE_NOTE = "effects are per unit of the outcome association scale (log-odds for case/control GWAS)"
 EQTL_FDR = 0.05
@@ -104,11 +106,6 @@ class LocusDefinition:
 
     def tissues(self):
         return sorted(self.genes_by_tissue)
-
-    def identifiable(self, tissue):
-        return len(self.instruments_by_tissue.get(tissue, ())) >= len(
-            self.genes_by_tissue.get(tissue, ())
-        )
 
 
 @dataclass
@@ -378,23 +375,6 @@ def verify_closure(locus):
 # Per-locus analysis
 
 
-def _locus_statistics(snps, exposures, beta_lookup, gwas_by_snp, ld):
-    sigma_EX = np.zeros((len(snps), len(exposures)))
-    for i, snp in enumerate(snps):
-        for k, exposure in enumerate(exposures):
-            sigma_EX[i, k] = beta_lookup.get((snp, exposure), 0.0)
-    sigma_EY = np.array([gwas_by_snp[s].beta for s in snps])
-    n_outcome = int(np.median([gwas_by_snp[s].n for s in snps]))
-    return SummaryStatistics(
-        sigma_EX,
-        sigma_EY,
-        ld.submatrix(snps),
-        n_outcome=n_outcome,
-        exposure_names=tuple(str(e) for e in exposures),
-        instrument_names=tuple(snps),
-    )
-
-
 def _run_estimator(stats, locus_id, labels, config):
     report = stats.diagnostics
     diagnostics = asdict(report)
@@ -409,8 +389,7 @@ def _run_estimator(stats, locus_id, labels, config):
         diagnostics["error"] = str(exc)
         return [], diagnostics, "failed"
     calls = []
-    for k, name in enumerate(labels):
-        gene, tissue = name
+    for k, (gene, tissue) in enumerate(labels):
         calls.append(
             CausalGeneCall(
                 locus_id=locus_id,
@@ -426,91 +405,50 @@ def _run_estimator(stats, locus_id, labels, config):
     return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"
 
 
-def analyze_locus(locus, tissue, gwas_by_snp, ld, config=PipelineConfig()):
-    """Tissue-specific MVMR for one locus.
+def _analyze(locus, exposures, gwas_by_snp, ld, config):
+    """MVMR of one locus on ``exposures``, a list of distinct (gene, tissue) pairs.
 
-    The exposures are the genes of the locus's significant eQTL rows
-    (``locus.eqtls``) in the tissue, the instruments the member SNPs that
-    carry such a row; instrument-exposure entries with no significant row
-    are zero.  Returns ``(calls, diagnostics, verdict)``; a rank-deficient
-    or fail-verdict design yields ``verdict='non_identifiable'`` with no
-    calls rather than an exception.
+    The instruments are the member SNPs, in order, that carry a
+    significant row (``locus.eqtls``) of at least one exposure; an
+    instrument-exposure entry with no such row is zero.  No exposures
+    yields ``verdict='no_data'``; fewer instruments than exposures, a
+    rank-deficient or a fail-verdict design yields
+    ``verdict='non_identifiable'``; both with no calls rather than an
+    exception.
+    """
+    if not exposures:
+        return [], {}, "no_data"
+    column = {exposure: k for k, exposure in enumerate(exposures)}
+    sigma_EX_rows = {}  # snp -> its row of Sigma_EX
+    for r in locus.eqtls:
+        k = column.get((r.gene, r.tissue))
+        if k is not None:
+            sigma_EX_rows.setdefault(r.snp, [0.0] * len(exposures))[k] = r.beta
+    snps = [s for s in locus.member_snps if s in sigma_EX_rows]
+    if len(snps) < len(exposures):
+        return [], {"n_instruments": len(snps), "n_exposures": len(exposures)}, "non_identifiable"
+    stats = SummaryStatistics(
+        [sigma_EX_rows[s] for s in snps],
+        [gwas_by_snp[s].beta for s in snps],
+        ld.submatrix(snps),
+        n_outcome=int(np.median([gwas_by_snp[s].n for s in snps])),
+    )
+    return _run_estimator(stats, locus.locus_id, exposures, config)
+
+
+def analyze_locus(locus, tissue, gwas_by_snp, ld, config=PipelineConfig()):
+    """Tissue-specific MVMR: the gene-tissue-pair MVMR on the genes of the
+    locus's significant rows in ``tissue``.  Returns ``(calls,
+    diagnostics, verdict)``; a tissue with no genes is ``'no_data'``.
     """
     genes = locus.genes_by_tissue.get(tissue, ())
-    snps = locus.instruments_by_tissue.get(tissue, ())
-    if not genes or not snps:
-        return [], {}, "no_data"
-    if len(snps) < len(genes):
-        return (
-            [],
-            {"n_instruments": len(snps), "n_exposures": len(genes)},
-            "non_identifiable",
-        )
-    beta_lookup = {(r.snp, r.gene): r.beta for r in locus.eqtls if r.tissue == tissue}
-    stats = _locus_statistics(snps, genes, beta_lookup, gwas_by_snp, ld)
-    labels = [(gene, tissue) for gene in genes]
-    return _run_estimator(stats, locus.locus_id, labels, config)
+    return _analyze(locus, [(g, tissue) for g in genes], gwas_by_snp, ld, config)
 
 
 def multi_tissue_analysis(locus, pairs, gwas_by_snp, ld, config=PipelineConfig()):
-    """MVMR with gene-tissue pairs as distinct exposures.
-
-    ``pairs`` is a sequence of (gene, tissue) tuples; instruments are the
-    member SNPs whose significant rows (``locus.eqtls``) hold at least one
-    of the pairs.
-    """
-    pairs = [tuple(p) for p in pairs]
-    sig = {(r.snp, r.gene, r.tissue): r.beta for r in locus.eqtls}
-    snps = [
-        s
-        for s in locus.member_snps
-        if any((s, g, t) in sig for g, t in pairs)
-    ]
-    if len(snps) < len(pairs):
-        return (
-            [],
-            {"n_instruments": len(snps), "n_exposures": len(pairs)},
-            "non_identifiable",
-        )
-    beta_lookup = {
-        (snp, (g, t)): sig[(snp, g, t)]
-        for snp in snps
-        for (g, t) in pairs
-        if (snp, g, t) in sig
-    }
-    stats = _locus_statistics(snps, pairs, beta_lookup, gwas_by_snp, ld)
-    return _run_estimator(stats, locus.locus_id, pairs, config)
-
-
-def classify_causal(calls, threshold=0.1, bonferroni=BONFERRONI_DEFAULT):
-    """Re-flag calls at the given thresholds and summarise counts."""
-    flagged = []
-    for call in calls:
-        flagged.append(
-            CausalGeneCall(
-                locus_id=call.locus_id,
-                gene=call.gene,
-                tissue=call.tissue,
-                effect=call.effect,
-                se=call.se,
-                p=call.p,
-                causal=abs(call.effect) >= threshold,
-                bonferroni=call.p < bonferroni,
-            )
-        )
-    summary = {}
-    for call in flagged:
-        bucket = summary.setdefault(
-            call.locus_id, {"n_calls": 0, "n_causal": 0, "by_tissue": {}}
-        )
-        bucket["n_calls"] += 1
-        bucket["n_causal"] += int(call.causal)
-        tissue = bucket["by_tissue"].setdefault(
-            call.tissue, {"n_calls": 0, "n_causal": 0}
-        )
-        tissue["n_calls"] += 1
-        tissue["n_causal"] += int(call.causal)
-    return flagged, summary
+    """MVMR with gene-tissue pairs, a sequence of (gene, tissue), as
+    distinct exposures.  Returns ``(calls, diagnostics, verdict)``."""
+    return _analyze(locus, [tuple(p) for p in pairs], gwas_by_snp, ld, config)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +497,8 @@ def run_pipeline(
     eqtl_path, gwas_path, ld_path, out_dir, config=PipelineConfig(), threads=1
 ):
     """Full analysis: load, build loci, analyse every locus/tissue, write
-    one JSON report per locus plus a flat calls CSV.
+    one strict JSON report per locus (non-finite numbers as null) plus a
+    flat calls CSV.
 
     Output bytes are deterministic for identical inputs and configuration,
     independent of the thread count (loci are processed independently and
@@ -582,9 +521,7 @@ def run_pipeline(
     report_paths = []
     for locus, (report, calls) in zip(loci, results):
         path = os.path.join(out_dir, f"locus_{locus.chrom}_{locus.lead_pos}.json")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, report)
         report_paths.append(path)
         all_calls.extend(calls)
 
@@ -617,7 +554,5 @@ def run_pipeline(
         "calls_csv": os.path.basename(csv_path),
     }
     summary_path = os.path.join(out_dir, "pipeline_summary.json")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(summary_path, summary)
     return summary

@@ -118,7 +118,7 @@ def _conditional_allele_probs(maf_prev, maf_next, r, pair_index):
 
 def sample_genotypes(model, n, seed):
     """Draw an (n, L) integer genotype matrix from the Markov model."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     L = model.n_snps
     alleles = np.empty((2, n, L), dtype=np.int8)
     for copy in range(2):
@@ -149,7 +149,7 @@ def perturb_ld(reference, df, seed):
         np.linalg.cholesky(reference)
     except np.linalg.LinAlgError:
         raise ScenarioError("reference LD matrix must be positive definite") from None
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     draw = sps.wishart.rvs(df=df, scale=reference / df, random_state=rng)
     return _unit_diagonal(np.atleast_2d(draw))
 
@@ -164,7 +164,7 @@ def pc1_explained_variance(r):
 def empirical_pc1_share(r, n=2000, repetitions=2000, maf=0.3, seed=0):
     """Mean empirical PC1 variance share over repeated genotype-pair samples."""
     model = GenotypeModel.pair(r, maf)
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     shares = np.empty(repetitions)
     for rep in range(repetitions):
         g = sample_genotypes(model, n, rng).astype(float)
@@ -339,7 +339,6 @@ class SimulationScenario:
     seed: int | None = None
     name: str = "scenario"
     exposure_names: tuple | None = None
-    instrument_names: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "true_effects", tuple(float(c) for c in self.true_effects))
@@ -489,7 +488,7 @@ def generate_dataset(scenario, seed):
     instrument-exposure block with the second's instrument-outcome
     correlations; see :func:`_estimation_ld` for the LD matrix.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     A = scenario.effects.realize(
         rng,
         scenario.n_instruments_total,
@@ -965,7 +964,6 @@ _SCENARIO_KEYS = {
     "replicates",
     "seed",
     "exposure_names",
-    "instrument_names",
     "estimators",
     "conditional_f",
     "alpha",

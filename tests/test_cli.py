@@ -22,6 +22,10 @@ def write_scenario(tmp_path, name="fig2_corr_desk.json", **overrides):
     return str(path)
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def standardized_diagram_text(include_cross=True):
     """Unit-variance two-exposure diagram rendered in the text format."""
     edges = {
@@ -125,6 +129,10 @@ class TestSimulateCommand:
         bad.write_text(json.dumps({"kind": "replicates", "bogus": 1}))
         code = cli.main(["simulate", "--scenario", str(bad), "--seed", "1"])
         assert code == 2
+        scenario = write_scenario(tmp_path, instrument_names=["e1", "e2", "e3"])
+        code = cli.main(["simulate", "--scenario", scenario, "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "instrument_names" in capsys.readouterr().err
 
     @pytest.mark.parametrize("listed", ["gmm", [1], {"ls": True}, ["ls", None]])
     def test_scenario_estimators_must_be_a_list_of_names(self, tmp_path, capsys, listed):
@@ -345,6 +353,23 @@ class TestEstimateCommand:
     def test_requires_input_source(self, capsys):
         assert cli.main(["estimate"]) == 2
 
+    def test_rank_deficient_stats_print_strict_json(self, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(
+            json.dumps(
+                {
+                    "sigma_EX": [[0.3, 0.0], [0.2, 0.0]],
+                    "sigma_EY": [0.1, 0.05],
+                    "sigma_EE": [[1, 0.2], [0.2, 1]],
+                    "n_outcome": 1000,
+                }
+            )
+        )
+        code = cli.main(["estimate", "--stats", str(stats)])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert payload["diagnostics"]["condition_EX"] is None
+
 
 class TestLociCommand:
     def test_fixture_trio(self, tmp_path, capsys):
@@ -413,6 +438,25 @@ class TestLociCommand:
         )
         assert code == 0
         assert "analysed 0 loci" in capsys.readouterr().out
+
+    def test_zero_beta_gene_writes_strict_json(self, tmp_path, capsys):
+        rows = (FIXTURES / "eqtl.tsv").read_text().splitlines()
+        zeroed = [rows[0]]
+        for row in rows[1:]:
+            cols = row.split("\t")
+            if cols[3:5] == ["CARM1", "SKLM"]:
+                cols[5] = "0.0"
+            zeroed.append("\t".join(cols))
+        eqtl = tmp_path / "eqtl.tsv"
+        eqtl.write_text("\n".join(zeroed) + "\n")
+        out = tmp_path / "out"
+        code = cli.main(
+            ["loci", "--eqtl", str(eqtl), "--gwas", str(FIXTURES / "gwas.tsv"), "--ld", str(FIXTURES / "ld.txt"), "--out", str(out)]
+        )
+        assert code == 0
+        reports = {p.name: json.loads(p.read_text(), parse_constant=reject_constant) for p in out.glob("*.json")}
+        assert len(reports) == 4
+        assert reports["locus_19_11052000.json"]["tissues"]["SKLM"]["diagnostics"]["condition_EX"] is None
 
 
 class TestFiguresCommand:

@@ -279,9 +279,21 @@ class TestAnalyzeLocus:
         assert verdict == "non_identifiable"
         assert calls == []
 
-    def test_more_genes_than_instruments_flagged(self, built):
+    def test_more_genes_than_instruments_flagged(self, built, loaded):
+        _, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "19"][0]
-        assert locus.identifiable("LIV")
+        _, _, verdict = loci.analyze_locus(locus, "LIV", gwas, ld)
+        assert verdict == "ok"
+
+    def test_causal_boundary_is_inclusive(self, built, loaded):
+        _, gwas, ld, _ = loaded
+        locus = [l for l in built if l.chrom == "15"][0]
+        (ctsh,) = [c for c in loci.analyze_locus(locus, "AOR", gwas, ld)[0] if c.gene == "CTSH"]
+        at = abs(ctsh.effect)
+        for threshold, causal in ((at, True), (np.nextafter(at, np.inf), False)):
+            config = loci.PipelineConfig(causal_threshold=threshold)
+            calls, _, _ = loci.analyze_locus(locus, "AOR", gwas, ld, config)
+            assert {c.gene: c.causal for c in calls}["CTSH"] is causal
 
 
 class TestMultiTissue:
@@ -309,33 +321,18 @@ class TestMultiTissue:
         calls, _, verdict = loci.multi_tissue_analysis(locus, too_many, gwas, ld)
         assert verdict == "non_identifiable"
 
+    def test_no_pairs_is_no_data(self, built, loaded):
+        _, gwas, ld, _ = loaded
+        assert loci.multi_tissue_analysis(built[0], [], gwas, ld) == ([], {}, "no_data")
+
     def test_single_tissue_reduction(self, built, loaded):
-        eqtls, gwas, ld, _ = loaded
-        locus = [l for l in built if l.chrom == "15"][0]
-        pairs = [("ADAMTS7", "AOR"), ("CTSH", "AOR")]
-        pair_calls, _, _ = loci.multi_tissue_analysis(locus, pairs, gwas, ld)
-        tissue_calls, _, _ = loci.analyze_locus(locus, "AOR", gwas, ld)
-        pair_effects = {c.gene: c.effect for c in pair_calls}
-        tissue_effects = {c.gene: c.effect for c in tissue_calls}
-        assert pair_effects == pytest.approx(tissue_effects)
-
-
-class TestClassifyCausal:
-    def test_threshold_flags(self):
-        calls = [
-            loci.CausalGeneCall("L", "A", "T", 0.19, 0.01, 1e-10, False, False),
-            loci.CausalGeneCall("L", "B", "T", 0.099, 0.01, 1e-10, False, False),
-            loci.CausalGeneCall("L", "C", "T", -0.27, 0.01, 2e-4, False, False),
-        ]
-        flagged, summary = loci.classify_causal(calls)
-        assert [c.causal for c in flagged] == [True, False, True]
-        assert [c.bonferroni for c in flagged] == [True, True, True]
-        assert summary["L"]["n_causal"] == 2
-
-    def test_boundary_is_strict(self):
-        calls = [loci.CausalGeneCall("L", "A", "T", 0.1, 0.01, 0.5, False, False)]
-        flagged, _ = loci.classify_causal(calls)
-        assert flagged[0].causal  # |effect| >= 0.1 counts
+        _, gwas, ld, _ = loaded
+        for locus in built:
+            for tissue in locus.tissues():
+                pairs = [(g, tissue) for g in locus.genes_by_tissue[tissue]]
+                assert loci.analyze_locus(locus, tissue, gwas, ld) == loci.multi_tissue_analysis(
+                    locus, pairs, gwas, ld
+                ), (locus.locus_id, tissue)
 
 
 class TestPipeline:

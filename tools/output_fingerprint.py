@@ -1,4 +1,4 @@
-"""Fingerprint the deterministic outputs of ``mvmr simulate`` and ``mvmr loci``.
+"""Fingerprint the deterministic outputs of ``mvmr simulate``, ``loci`` and ``estimate``.
 
 Runs, in this interpreter:
 
@@ -8,6 +8,10 @@ Runs, in this interpreter:
   eQTL/GWAS/LD fixture trio, and again on a 60-block input written by
   this checkout's ``perfbench/inputs.write_loci_inputs(dir, 5, 60)``
   (every verdict, both prune reasons, dropped SNPs and a warning);
+* ``mvmr estimate --estimators ls,gmm,twmr`` on the statistics files in
+  ``ESTIMATE_STATS`` (exactly and over-identified, with and without
+  ``n_outcome``, a zero standard error, an ill-conditioned LD matrix that
+  exits 4 and a rank-deficient design that exits 3);
 
 and prints one ``exit <code>  <command>`` line per command followed by one
 ``<sha256>  <relative path>`` line per file it wrote.  Two source trees
@@ -28,6 +32,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -37,6 +42,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SIMULATE_ARGS = ["--seed", "11", "--replicates", "12", "--estimators", "ls,gmm,twmr", "--max-failure-rate", "1"]
 LOCI_ESTIMATORS = ("ls", "gmm", "twmr")
 LOCI_BLOCKS = ("blocks60", 5, 60)  # (label, seed, blocks) of the generated loci input
+_LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
+_EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
+ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
+    "exact_toy": {"sigma_EX": [[0.3, 0.1], [0.15, 0.25]], "sigma_EY": [0.12, 0.18], "sigma_EE": [[1.0, 0.6], [0.6, 1.0]], "n_outcome": 20000, "exposure_names": ["X1", "X2"]},
+    "over_identified": {"sigma_EX": _EX3, "sigma_EY": [0.1, 0.17, 0.06], "sigma_EE": _LD3, "n_outcome": 50000},
+    "over_identified_no_n": {"sigma_EX": _EX3, "sigma_EY": [0.1, 0.17, 0.06], "sigma_EE": _LD3},
+    "zero_se": {"sigma_EX": [[1.0, 0.0], [0.0, 1.0]], "sigma_EY": [1.0, 1.0], "sigma_EE": [[1.0, 0.0], [0.0, 1.0]], "n_outcome": 1000},
+    "ill_conditioned_ld": {"sigma_EX": [[0.3], [0.2]], "sigma_EY": [0.06, 0.04], "sigma_EE": [[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]], "n_outcome": 1000},
+    "rank_deficient": {"sigma_EX": [[0.3, 0.0], [0.2, 0.0]], "sigma_EY": [0.1, 0.05], "sigma_EE": [[1.0, 0.2], [0.2, 1.0]], "n_outcome": 1000},
+}
 
 
 def _sha256(path):
@@ -76,6 +91,25 @@ def _commands(package_dir, out_root):
             out = os.path.join(out_dir, estimator)
             argv = ["loci", "--eqtl", eqtl, "--gwas", gwas, "--ld", ld, "--estimator", estimator, "--out", out]
             yield f"loci {name} --estimator {estimator}", argv, out
+    os.makedirs(os.path.join(out_root, "inputs", "estimate"))
+    os.makedirs(os.path.join(out_root, "estimate"))
+    for name, payload in ESTIMATE_STATS.items():
+        stats = os.path.join(out_root, "inputs", "estimate", f"{name}.json")
+        with open(stats, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out = os.path.join(out_root, "estimate", f"{name}.json")
+        argv = ["estimate", "--stats", stats, "--estimators", "ls,gmm,twmr", "--out", out]
+        yield f"estimate {name} --estimators ls,gmm,twmr", argv, out
+
+
+def _written(out):
+    """The files a command wrote to ``out``, a file or a directory tree, in a fixed order."""
+    if os.path.isfile(out):
+        yield out
+    for dirpath, dirnames, filenames in os.walk(out):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            yield os.path.join(dirpath, filename)
 
 
 def fingerprint(out_root):
@@ -87,11 +121,8 @@ def fingerprint(out_root):
     lines = []
     for label, argv, out in _commands(package_dir, out_root):
         lines.append(f"exit {_run(mvmr.cli.main, argv)}  {label}")
-        for dirpath, dirnames, filenames in os.walk(out):
-            dirnames.sort()
-            for filename in sorted(filenames):
-                path = os.path.join(dirpath, filename)
-                lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
+        for path in _written(out):
+            lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
     return lines
 
 
