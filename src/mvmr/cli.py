@@ -405,6 +405,7 @@ def cmd_estimate(args):
             "failed_condition": check.failed_condition,
             "detail": check.detail,
         }
+    code = EXIT_OK
     try:
         for name in estimators:
             result = estimate(stats, name)
@@ -418,17 +419,17 @@ def cmd_estimate(args):
             payload["estimates"][name] = block
     except UnderdeterminedError as exc:
         payload["error"] = str(exc)
-        print(dumps(payload))
         print(f"non-identifiable: {exc}", file=sys.stderr)
-        return EXIT_NON_IDENTIFIABLE
+        code = EXIT_NON_IDENTIFIABLE
     except (MvmrError, np.linalg.LinAlgError) as exc:
+        payload["error"] = str(exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
 
     if args.out:
         write_json(args.out, payload)
     print(dumps(payload))
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +547,7 @@ def build_parser():
     est.add_argument("--exposures", default=None, help="comma list of exposure nodes (diagram mode)")
     est.add_argument("--outcome", default=None, help="outcome node (diagram mode)")
     est.add_argument("--estimators", default="ls,gmm", help="comma list from: ls, gmm, twmr")
-    est.add_argument("--out", default=None, help="also write the JSON result to this file")
+    est.add_argument("--out", default=None, help="also write the JSON result, with its error on exit 3 or 4, to this file")
     est.set_defaults(func=cmd_estimate)
 
     loc = sub.add_parser("loci", help="run the locus pipeline on eQTL/GWAS/LD summary files")

@@ -26,7 +26,6 @@ from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from .errors import (
@@ -479,7 +478,7 @@ def conditional_f(individual):
     if n <= L + K:
         raise ValueError("conditional F requires N > L + K")
     chol = np.linalg.cholesky(corr[:L, :L])
-    fitted = solve_triangular(chol, corr[:L, L:-1], lower=True)
+    fitted = np.linalg.solve(chol, corr[:L, L:-1])
     stats_out = np.empty(K)
     for k in range(K):
         target = fitted[:, k]

@@ -5,7 +5,8 @@ between consecutive SNPs so that per-SNP minor allele frequencies and
 consecutive-pair correlations hit their targets exactly in expectation.
 Scenarios that need an arbitrary full correlation matrix (e.g. Wishart
 perturbation experiments) use a Gaussian genotype mode instead, since only
-second moments enter the estimators.
+second moments enter the estimators.  A perturbed LD matrix is one Wishart
+draw by the Bartlett decomposition, in numpy.
 
 Exposures follow ``X_j = sum_i A[i, j] * E_i + noise`` and the outcome
 ``Y = sum_j c_j * X_j + noise`` with noise variance 1 by default.  The
@@ -27,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as sps
 from scipy.special import ndtr
 
 from .errors import FeasibilityError, MvmrError, ScenarioError
@@ -137,7 +137,13 @@ def perturb_ld(reference, df, seed):
     """Sample a unit-diagonal LD matrix from a Wishart centred on ``reference``.
 
     The scatter matrix is Wishart(df, reference/df), so its expectation is
-    the reference itself before renormalisation to unit diagonal.
+    the reference itself before renormalisation to unit diagonal.  It is
+    drawn by the Bartlett decomposition (Smith & Hocking 1972, AS 53): with
+    C the Cholesky factor of reference/df and A lower triangular with
+    standard normals below the diagonal and sqrt(chi2(df - i)) on it, the
+    draw is (CA)(CA)^T.  The variates are taken in scipy.stats.wishart's
+    order, so a seed gives the same matrix.  ``df`` below the dimension is
+    rejected (the chi-square degrees of freedom would not stay positive).
     """
     reference = np.asarray(reference, dtype=float)
     dim = reference.shape[0]
@@ -146,12 +152,15 @@ def perturb_ld(reference, df, seed):
             f"Wishart degrees of freedom {df} below matrix dimension {dim}"
         )
     try:
-        np.linalg.cholesky(reference)
+        scale_factor = np.linalg.cholesky(reference / df)
     except np.linalg.LinAlgError:
         raise ScenarioError("reference LD matrix must be positive definite") from None
     rng = np.random.default_rng(seed)
-    draw = sps.wishart.rvs(df=df, scale=reference / df, random_state=rng)
-    return _unit_diagonal(np.atleast_2d(draw))
+    bartlett = np.zeros((dim, dim))
+    bartlett[np.tril_indices(dim, -1)] = rng.normal(size=dim * (dim - 1) // 2)
+    bartlett[np.diag_indices(dim)] = np.sqrt([rng.chisquare(df - i) for i in range(dim)])
+    factor = scale_factor @ bartlett
+    return _unit_diagonal(factor @ factor.T)
 
 
 def pc1_explained_variance(r):

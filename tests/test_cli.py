@@ -371,6 +371,34 @@ class TestEstimateCommand:
         assert payload["diagnostics"]["condition_EX"] is None
 
 
+    @pytest.mark.parametrize(
+        "payload, exit_code, message",
+        [
+            (  # rank-deficient design: non-identifiable
+                {"sigma_EX": [[0.3, 0.0], [0.2, 0.0]], "sigma_EY": [0.1, 0.05], "sigma_EE": [[1.0, 0.2], [0.2, 1.0]], "n_outcome": 1000},
+                3,
+                "non-identifiable",
+            ),
+            (  # near-singular LD: numerical failure
+                {"sigma_EX": [[0.3], [0.2]], "sigma_EY": [0.06, 0.04], "sigma_EE": [[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]], "n_outcome": 1000},
+                4,
+                "numerical failure",
+            ),
+        ],
+    )
+    def test_failure_writes_its_payload_to_out(self, tmp_path, capsys, payload, exit_code, message):
+        stats, out = tmp_path / "stats.json", tmp_path / "result.json"
+        stats.write_text(json.dumps(payload))
+        code = cli.main(["estimate", "--stats", str(stats), "--out", str(out)])
+        assert code == exit_code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        printed = json.loads(captured.out, parse_constant=reject_constant)
+        written = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert written == printed
+        assert written["error"]
+        assert "diagnostics" in written
+
 class TestLociCommand:
     def test_fixture_trio(self, tmp_path, capsys):
         code = cli.main(

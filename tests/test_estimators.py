@@ -437,6 +437,47 @@ def reference_conditional_f(e, x):
     return out
 
 
+def triangular_solve_conditional_f(individual):
+    """Conditional F with the fitted exposures from scipy's triangular solve."""
+    from scipy.linalg import solve_triangular
+
+    n, L, corr = individual.n_observations, individual.n_instruments, individual.corr
+    K = corr.shape[0] - L - 1
+    fitted = solve_triangular(np.linalg.cholesky(corr[:L, :L]), corr[:L, L:-1], lower=True)
+    out = np.empty(K)
+    for k in range(K):
+        target = fitted[:, k]
+        resid = target
+        if K > 1:
+            others = np.delete(fitted, k, axis=1)
+            coef, *_ = np.linalg.lstsq(others, target, rcond=None)
+            resid = target - others @ coef
+        rss1 = n * (1.0 - float(target @ target))
+        out[k] = (n * float(resid @ resid) / (L - K + 1)) / (rss1 / (n - L))
+    return out
+
+
+class TestConditionalFSolve:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_triangular_solve_on_markov_datasets(self, K):
+        fixture = sim.load_fixture("slc22a3_lpa_plg")
+        scenario = sim.SimulationScenario(
+            true_effects=(0.3, -0.1, 0.2)[:K],
+            n_samples=2000,
+            genotypes=sim.GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"]),
+            effects=sim.EffectSizes(low=0.05, high=0.3, signs="random"),
+            causal_instruments=(0, 3, 5)[:K],
+        )
+        for seed in range(20):
+            individual = sim.generate_dataset(scenario, seed).individual
+            np.testing.assert_allclose(
+                est.conditional_f(individual),
+                triangular_solve_conditional_f(individual),
+                rtol=1e-12,
+                atol=0,
+            )
+
+
 class TestIndividualDataSufficientStatistics:
     """The correlation representation against the array formulas it replaced."""
 

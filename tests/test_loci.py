@@ -279,11 +279,32 @@ class TestAnalyzeLocus:
         assert verdict == "non_identifiable"
         assert calls == []
 
+    def test_more_instruments_than_genes_is_ok(self, built, loaded):
+        _, gwas, ld, _ = loaded
+        locus = [l for l in built if l.chrom == "19"][0]
+        assert len(locus.instruments_by_tissue["LIV"]) > len(locus.genes_by_tissue["LIV"])
+        _, _, verdict = loci.analyze_locus(locus, "LIV", gwas, ld)
+        assert verdict == "ok"
+
     def test_more_genes_than_instruments_flagged(self, built, loaded):
         _, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "19"][0]
-        _, _, verdict = loci.analyze_locus(locus, "LIV", gwas, ld)
-        assert verdict == "ok"
+        liv = [r for r in locus.eqtls if r.tissue == "LIV"]
+        extra = tuple(
+            dataclasses.replace(r, gene=gene, beta=0.5 * r.beta)
+            for gene, r in (("GENE_X", liv[0]), ("GENE_Y", liv[-1]))
+        )
+        crowded = dataclasses.replace(
+            locus,
+            eqtls=locus.eqtls + extra,
+            genes_by_tissue={**locus.genes_by_tissue, "LIV": locus.genes_by_tissue["LIV"] + ("GENE_X", "GENE_Y")},
+        )
+        calls, diagnostics, verdict = loci.analyze_locus(crowded, "LIV", gwas, ld)
+        assert (calls, diagnostics, verdict) == (
+            [],
+            {"n_instruments": 3, "n_exposures": 4},
+            "non_identifiable",
+        )
 
     def test_causal_boundary_is_inclusive(self, built, loaded):
         _, gwas, ld, _ = loaded

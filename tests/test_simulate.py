@@ -70,6 +70,49 @@ class TestPerturbLd:
             sim.perturb_ld(bad, 50, 0)
 
 
+class TestPerturbLdMatchesScipyWishart:
+    """The numpy Bartlett draw is scipy.stats.wishart's draw, variate for variate."""
+
+    PAIR = ((1.0, 0.6), (0.6, 1.0))
+
+    @pytest.mark.parametrize("name", ["slc22a3_lpa_plg", "mras_esyt3", "pair"])
+    def test_same_matrix_as_scipy(self, name):
+        from scipy import linalg, stats
+
+        reference = np.asarray(self.PAIR if name == "pair" else sim.load_fixture(name)["ld"])
+        dim = reference.shape[0]
+        exact = 0
+        for df in (dim, dim + 1, 50, 400, 12345):
+            scale = reference / df
+            # scipy factors the scale with its own Cholesky; where numpy's
+            # factor differs in its last bits, so may the draw
+            same_factor = np.array_equal(
+                np.linalg.cholesky(scale), linalg.cholesky(scale, lower=True)
+            )
+            exact += same_factor
+            for seed in range(100):
+                expected = est._unit_diagonal(
+                    stats.wishart.rvs(df=df, scale=scale, random_state=np.random.default_rng(seed))
+                )
+                drawn = sim.perturb_ld(reference, df, seed)
+                if same_factor:
+                    np.testing.assert_array_equal(drawn, expected, err_msg=f"df={df} seed={seed}")
+                else:
+                    np.testing.assert_allclose(
+                        drawn, expected, rtol=1e-12, atol=0, err_msg=f"df={df} seed={seed}"
+                    )
+        assert exact >= 4  # the exact leg is not vacuous
+
+    def test_leaves_the_stream_where_scipy_does(self):
+        from scipy import stats
+
+        reference = np.asarray(sim.load_fixture("mras_esyt3")["ld"])
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        sim.perturb_ld(reference, 40, ours)
+        stats.wishart.rvs(df=40, scale=reference / 40, random_state=theirs)
+        assert ours.random() == theirs.random()
+
+
 class TestPc1:
     def test_formula(self):
         assert sim.pc1_explained_variance(0.0) == 0.5
