@@ -29,7 +29,10 @@ report metadata, no conversion applied).
 from __future__ import annotations
 
 import csv
+import functools
+import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -152,44 +155,67 @@ def _parse_row(parts, schema, path, lineno):
     return out
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 _EQTL_SCHEMA = [
     ("snp", str),
     ("chrom", str),
     ("pos", int),
     ("gene", str),
     ("tissue", str),
-    ("beta", float),
-    ("se", float),
-    ("maf", float),
+    ("beta", _finite),
+    ("se", _finite),
+    ("maf", _finite),
     ("fdr", float),
 ]
 _GWAS_SCHEMA = [
     ("snp", str),
     ("chrom", str),
     ("pos", int),
-    ("beta", float),
-    ("se", float),
+    ("beta", _finite),
+    ("se", _finite),
     ("pval", float),
     ("n", int),
 ]
 
 
+def _text_reader(read):
+    """Report a file that is not UTF-8 text as a ``SummaryFormatError``."""
+
+    @functools.wraps(read)
+    def checked(path, *args):
+        try:
+            return read(path, *args)
+        except UnicodeDecodeError as exc:
+            raise SummaryFormatError(f"not UTF-8 text ({exc.reason})", path) from None
+
+    return checked
+
+
+@_text_reader
 def _read_tsv(path, header, schema, builder):
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
-            first = next(reader)
-        except StopIteration:
-            raise SummaryFormatError("empty file, header required", path, 1) from None
-        if [c.strip() for c in first] != header:
-            raise SummaryFormatError(
-                f"bad header {first!r}, expected {header!r}", path, 1
-            )
-        for lineno, parts in enumerate(reader, start=2):
-            if not parts or (len(parts) == 1 and not parts[0].strip()):
-                continue
-            rows.append(builder(_parse_row(parts, schema, path, lineno), path, lineno))
+            first = next(reader, None)
+            if first is None:
+                raise SummaryFormatError("empty file, header required", path, 1)
+            if [c.strip() for c in first] != header:
+                raise SummaryFormatError(
+                    f"bad header {first!r}, expected {header!r}", path, 1
+                )
+            for lineno, parts in enumerate(reader, start=2):
+                if not parts or (len(parts) == 1 and not parts[0].strip()):
+                    continue
+                rows.append(builder(_parse_row(parts, schema, path, lineno), path, lineno))
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise SummaryFormatError(str(exc), path, reader.line_num) from None
     return rows
 
 
@@ -207,33 +233,62 @@ def _build_gwas(values, path, lineno):
     return record
 
 
+@_text_reader
 def _read_ld(path):
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise SummaryFormatError("empty LD file", path, 1)
-    snps = tuple(lines[0].split())
-    L = len(snps)
-    if len(set(snps)) != L:
-        raise SummaryFormatError("duplicate SNP ids in LD header", path, 1)
-    if len(lines) - 1 != L:
-        raise SummaryFormatError(
-            f"LD matrix not square: {L} ids but {len(lines) - 1} rows", path, len(lines)
-        )
-    matrix = np.empty((L, L))
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != L:
-            raise SummaryFormatError(
-                f"LD row has {len(parts)} entries, expected {L}", path, i
-            )
+        for header_line, header in enumerate(iter(fh.readline, ""), start=1):
+            if header.strip():
+                break
+        else:
+            raise SummaryFormatError("empty LD file", path, 1)
+        snps = tuple(header.split())
+        L = len(snps)
+        if len(set(snps)) != L:
+            raise SummaryFormatError("duplicate SNP ids in LD header", path, header_line)
         try:
-            matrix[i - 2] = [float(v) for v in parts]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+                matrix = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
         except ValueError:
-            raise SummaryFormatError("cannot parse LD entry", path, i) from None
+            matrix = None
+    if matrix is None or matrix.shape != (L, L) or not np.isfinite(matrix).all():
+        raise _ld_body_error(path, header_line, L)
+    off_diagonal = np.flatnonzero(np.abs(np.diag(matrix) - 1.0) > 1e-8)
+    if off_diagonal.size:
+        i = int(off_diagonal[0])
+        lineno = _ld_rows(path, header_line)[i][0]
+        raise SummaryFormatError(
+            f"LD diagonal entry for {snps[i]} is {float(matrix[i, i])!r}, not 1 within 1e-8", path, lineno
+        )
     if np.max(np.abs(matrix - matrix.T)) > 1e-8:
         raise SummaryFormatError("LD matrix not symmetric within 1e-8", path)
     return LdData(snps, (matrix + matrix.T) / 2.0)
+
+
+def _ld_rows(path, header_line):
+    """``(line number, line)`` of every non-blank line after the LD header."""
+    with open(path, encoding="utf-8") as fh:
+        return [(i, line) for i, line in enumerate(fh, start=1) if i > header_line and line.strip()]
+
+
+def _ld_body_error(path, header_line, L):
+    """The error for an LD body ``np.loadtxt`` rejected or read as non-square
+    or non-finite, located by reading the body again row by row."""
+    rows = _ld_rows(path, header_line)
+    if len(rows) != L:
+        lineno = rows[-1][0] if rows else header_line
+        return SummaryFormatError(f"LD matrix not square: {L} ids but {len(rows)} rows", path, lineno)
+    for lineno, line in rows:
+        entries = len(line.split())
+        if entries != L:
+            return SummaryFormatError(f"LD row has {entries} entries, expected {L}", path, lineno)
+        try:
+            values = np.loadtxt([line], dtype=float, comments=None)
+        except ValueError:
+            return SummaryFormatError("cannot parse LD entry", path, lineno)
+        if not np.isfinite(values).all():
+            return SummaryFormatError("non-finite LD entry", path, lineno)
+    return SummaryFormatError("cannot parse LD matrix", path)
 
 
 def load_summaries(eqtl_path, gwas_path, ld_path):

@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import FeasibilityError, MvmrError, ScenarioError
 from .estimators import (
@@ -37,6 +36,7 @@ from .estimators import (
     SummaryStatistics,
     conditional_f,
     estimate,
+    _ndtr,
     _unit_diagonal,
 )
 
@@ -1163,7 +1163,7 @@ def export_locus_files(
             beta = float(stats.sigma_EY[i])
             se = max(1.0 / float(np.sqrt(n_out)), 1e-12)
             z = beta / se
-            pval = max(float(2.0 * ndtr(-abs(z))), 1e-300)
+            pval = max(2.0 * _ndtr(-abs(z)), 1e-300)
             pval = min(pval, 4.9e-8)  # keep every simulated SNP genome-wide significant
             fh.write(f"{snp}\t{chrom}\t{pos}\t{beta!r}\t{se!r}\t{pval!r}\t{n_out}\n")
 

@@ -439,6 +439,37 @@ class TestLociCommand:
         assert code == 2
         assert ":2" in capsys.readouterr().err
 
+    @staticmethod
+    def _fixture_with(tmp_path, name, edit):
+        """The fixture trio with ``name`` replaced by ``edit(lines)``; loci argv."""
+        paths = {f: str(FIXTURES / f) for f in ("eqtl.tsv", "gwas.tsv", "ld.txt")}
+        lines = (FIXTURES / name).read_text().splitlines()
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text("\n".join(edit(lines)) + "\n")
+        return ["loci", "--eqtl", paths["eqtl.tsv"], "--gwas", paths["gwas.tsv"], "--ld", paths["ld.txt"], "--out", str(tmp_path / "out")]
+
+    @staticmethod
+    def _set(lines, row, col, value, sep):
+        cells = lines[row].split(sep)
+        cells[col] = value
+        return lines[:row] + [sep.join(cells)] + lines[row + 1 :]
+
+    @pytest.mark.parametrize(
+        "name, row, col, value, sep, message",
+        [
+            ("eqtl.tsv", 3, 5, "nan", "\t", "column 'beta'"),
+            ("gwas.tsv", 2, 3, "inf", "\t", "column 'beta'"),
+            ("ld.txt", 2, 5, "nan", " ", "non-finite LD entry"),
+            ("ld.txt", 4, 3, "0.5", " ", "diagonal entry for rs603 is 0.5"),
+        ],
+    )
+    def test_non_finite_or_bad_diagonal_exit_2(self, tmp_path, capsys, name, row, col, value, sep, message):
+        argv = self._fixture_with(tmp_path, name, lambda lines: self._set(lines, row, col, value, sep))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"{name}:{row + 1}]" in err
+
     def test_no_significant_gwas_empty_report(self, tmp_path, capsys):
         eqtl = tmp_path / "eqtl.tsv"
         eqtl.write_text(

@@ -349,6 +349,32 @@ class TestPValues:
         reference = 2.0 * sps.norm.sf(np.abs(z))
         assert p.tobytes() == reference.tobytes()
 
+    def test_random_statistics_and_nan_match_scipy_bitwise(self):
+        from scipy.special import ndtr
+
+        rng = np.random.default_rng(2401)
+        z = np.concatenate([rng.normal(0.0, 6.0, 100_000), [np.nan]])
+        p, _, _ = est.p_values(z, np.ones_like(z))
+        assert np.isnan(p[-1])
+        assert p.tobytes() == (2.0 * ndtr(-np.abs(z))).tobytes()
+
+    def test_cephes_port_matches_scipy_special_bitwise(self):
+        # every branch of ndtr, erf and erfc: |x| below and above 1/sqrt(2),
+        # 1 and 8, exp underflow, signed zeros, infinities and NaN
+        from scipy import special
+
+        rng = np.random.default_rng(2402)
+        x = np.concatenate(
+            [
+                [0.0, -0.0, 5e-324, 1.0, -1.0, 8.0, -8.0, 27.0, -27.0, 40.0, np.inf, -np.inf, np.nan],
+                np.linspace(-40.0, 40.0, 8001),
+                rng.uniform(-30.0, 30.0, 20_000),
+            ]
+        )
+        for port, reference in ((est._ndtr, special.ndtr), (est._erf, special.erf), (est._erfc, special.erfc)):
+            values = np.array([port(v) for v in x.tolist()])
+            assert values.tobytes() == reference(x).tobytes(), port.__name__
+
 
 class TestConditionalF:
     @staticmethod

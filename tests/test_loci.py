@@ -96,6 +96,68 @@ class TestLoadSummaries:
         with pytest.raises(SummaryFormatError, match="square"):
             loci.load_summaries(eqtl_path, gwas_path, str(bad))
 
+    def test_ld_matches_a_per_entry_parse_bitwise(self, fixture_paths):
+        with open(fixture_paths[2], encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        reference = np.array([[float(v) for v in line.split()] for line in lines[1:] if line.strip()])
+        ld = loci._read_ld(fixture_paths[2])
+        assert ld.snps == tuple(lines[0].split())
+        assert ld.matrix.tobytes() == ((reference + reference.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("1.0 nan\nnan 1.0\n", 3, "non-finite LD entry"),
+            ("1.0 0.5\n0.5 inf\n", 4, "non-finite LD entry"),
+            ("1.0 0.5\n\n0.5\n", 5, "1 entries, expected 2"),
+            ("1.0 0.5\n\n0.5 x\n", 5, "cannot parse LD entry"),
+            ("1.0 0.5\n0.5 1.0\n0.1 0.1\n", 5, "not square"),
+            ("1.0 0.5\n\n0.5 0.5\n", 5, "diagonal entry for rs2 is 0.5"),
+        ],
+    )
+    def test_bad_ld_body_names_its_line(self, tmp_path, fixture_paths, body, line, message):
+        bad = tmp_path / "ld.txt"
+        bad.write_text("\nrs1 rs2\n" + body)
+        eqtl_path, gwas_path, _ = fixture_paths
+        with pytest.raises(SummaryFormatError, match=message) as caught:
+            loci.load_summaries(eqtl_path, gwas_path, str(bad))
+        assert caught.value.line == line
+
+    @pytest.mark.parametrize("kind", ["eqtl", "gwas", "ld"])
+    def test_file_that_is_not_utf8_rejected(self, tmp_path, fixture_paths, kind):
+        paths = dict(zip(("eqtl", "gwas", "ld"), fixture_paths))
+        paths[kind] = str(tmp_path / "gzipped")
+        (tmp_path / "gzipped").write_bytes(b"\x1f\x8b\x08\x00rs1\n")
+        with pytest.raises(SummaryFormatError, match="not UTF-8"):
+            loci.load_summaries(paths["eqtl"], paths["gwas"], paths["ld"])
+
+    def test_field_over_the_csv_limit_rejected(self, tmp_path, fixture_paths):
+        bad = tmp_path / "eqtl.tsv"
+        bad.write_text("snp\tchrom\tpos\tgene\ttissue\tbeta\tse\tmaf\tfdr\n" + "x" * 200_000 + "\n")
+        _, gwas_path, ld_path = fixture_paths
+        with pytest.raises(SummaryFormatError, match="field limit.*:2"):
+            loci.load_summaries(str(bad), gwas_path, ld_path)
+
+    @pytest.mark.parametrize("column, value", [("beta", "nan"), ("se", "inf"), ("maf", "-inf")])
+    def test_non_finite_eqtl_value_rejected(self, tmp_path, fixture_paths, column, value):
+        row = dict(snp="rs1", chrom="1", pos="100", gene="G", tissue="T", beta="0.2", se="0.01", maf="0.3", fdr="0.001")
+        row[column] = value
+        bad = tmp_path / "eqtl.tsv"
+        bad.write_text("\t".join(row) + "\n" + "\t".join(row.values()) + "\n")
+        _, gwas_path, ld_path = fixture_paths
+        with pytest.raises(SummaryFormatError, match=f"column '{column}'.*:2"):
+            loci.load_summaries(str(bad), gwas_path, ld_path)
+
+    @pytest.mark.parametrize("column, value", [("beta", "inf"), ("se", "NaN")])
+    def test_non_finite_gwas_value_rejected(self, tmp_path, fixture_paths, column, value):
+        row = dict(snp="rs1", chrom="1", pos="100", beta="0.2", se="0.01", pval="1e-9", n="1000")
+        row[column] = value
+        bad = tmp_path / "gwas.tsv"
+        bad.write_text("\t".join(row) + "\n" + "\t".join(row.values()) + "\n")
+        eqtl_path, _, ld_path = fixture_paths
+        with pytest.raises(SummaryFormatError, match=f"column '{column}'.*:2"):
+            loci.load_summaries(eqtl_path, str(bad), ld_path)
+
     def test_missing_ld_snp_warns(self, tmp_path, fixture_paths):
         eqtl = tmp_path / "eqtl.tsv"
         eqtl.write_text(

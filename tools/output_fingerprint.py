@@ -8,6 +8,9 @@ Runs, in this interpreter:
   eQTL/GWAS/LD fixture trio, and again on a 60-block input written by
   this checkout's ``perfbench/inputs.write_loci_inputs(dir, 5, 60)``
   (every verdict, both prune reasons, dropped SNPs and a warning);
+* ``mvmr loci --estimator ls`` on the fixture trio with ``FDR_ROWS``
+  added to the eQTL table: rows at FDR 0.05 and 0.2, which the
+  ``fdr < EQTL_FDR`` rule (0.05) leaves out;
 * ``mvmr estimate --estimators ls,gmm,twmr`` on the statistics files in
   ``ESTIMATE_STATS`` (exactly and over-identified, with and without
   ``n_outcome``, a zero standard error, an ill-conditioned LD matrix that
@@ -42,6 +45,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SIMULATE_ARGS = ["--seed", "11", "--replicates", "12", "--estimators", "ls,gmm,twmr", "--max-failure-rate", "1"]
 LOCI_ESTIMATORS = ("ls", "gmm", "twmr")
 LOCI_BLOCKS = ("blocks60", 5, 60)  # (label, seed, blocks) of the generated loci input
+FDR_ROWS = (  # eQTL rows at and above the significance threshold, for locus 15
+    "rs1501\t15\t79139000\tCTSH\tAOR\t0.2\t0.03\t0.3\t0.05\n",
+    "rs1503\t15\t79147000\tCTSH\tAOR\t-0.25\t0.03\t0.3\t0.2\n",
+)
 _LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
 ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
@@ -91,6 +98,13 @@ def _commands(package_dir, out_root):
             out = os.path.join(out_dir, estimator)
             argv = ["loci", "--eqtl", eqtl, "--gwas", gwas, "--ld", ld, "--estimator", estimator, "--out", out]
             yield f"loci {name} --estimator {estimator}", argv, out
+    eqtl = os.path.join(out_root, "inputs", "fdr", "eqtl.tsv")
+    os.makedirs(os.path.dirname(eqtl))
+    with open(os.path.join(fixtures, "eqtl.tsv"), encoding="utf-8") as src, open(eqtl, "w", encoding="utf-8") as dst:
+        dst.write(src.read() + "".join(FDR_ROWS))
+    out = os.path.join(out_root, "loci", "fdr", "ls")
+    argv = ["loci", "--eqtl", eqtl, "--gwas", os.path.join(fixtures, "gwas.tsv"), "--ld", os.path.join(fixtures, "ld.txt"), "--estimator", "ls", "--out", out]
+    yield "loci fixtures+fdr_rows --estimator ls", argv, out
     os.makedirs(os.path.join(out_root, "inputs", "estimate"))
     os.makedirs(os.path.join(out_root, "estimate"))
     for name, payload in ESTIMATE_STATS.items():
