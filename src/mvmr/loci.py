@@ -251,43 +251,44 @@ def _read_ld(path):
                 matrix = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
         except ValueError:
             matrix = None
-    if matrix is None or matrix.shape != (L, L) or not np.isfinite(matrix).all():
-        raise _ld_body_error(path, header_line, L)
-    off_diagonal = np.flatnonzero(np.abs(np.diag(matrix) - 1.0) > 1e-8)
-    if off_diagonal.size:
-        i = int(off_diagonal[0])
-        lineno = _ld_rows(path, header_line)[i][0]
-        raise SummaryFormatError(
-            f"LD diagonal entry for {snps[i]} is {float(matrix[i, i])!r}, not 1 within 1e-8", path, lineno
-        )
+    if (
+        matrix is None
+        or matrix.shape != (L, L)
+        or not np.isfinite(matrix).all()
+        or np.max(np.abs(np.diag(matrix) - 1.0)) > 1e-8
+    ):
+        raise _ld_body_error(path, header_line, snps)
     if np.max(np.abs(matrix - matrix.T)) > 1e-8:
         raise SummaryFormatError("LD matrix not symmetric within 1e-8", path)
     return LdData(snps, (matrix + matrix.T) / 2.0)
 
 
-def _ld_rows(path, header_line):
-    """``(line number, line)`` of every non-blank line after the LD header."""
+def _ld_body_error(path, header_line, snps):
+    """The error for an LD body that ``np.loadtxt`` rejected or read as
+    non-square, non-finite or off the unit diagonal, located by reading
+    the body again line by line."""
     with open(path, encoding="utf-8") as fh:
-        return [(i, line) for i, line in enumerate(fh, start=1) if i > header_line and line.strip()]
-
-
-def _ld_body_error(path, header_line, L):
-    """The error for an LD body ``np.loadtxt`` rejected or read as non-square
-    or non-finite, located by reading the body again row by row."""
-    rows = _ld_rows(path, header_line)
+        rows = [(i, line) for i, line in enumerate(fh, start=1) if i > header_line and line.strip()]
+    L = len(snps)
     if len(rows) != L:
         lineno = rows[-1][0] if rows else header_line
         return SummaryFormatError(f"LD matrix not square: {L} ids but {len(rows)} rows", path, lineno)
-    for lineno, line in rows:
+    for i, (lineno, line) in enumerate(rows):
         entries = len(line.split())
         if entries != L:
             return SummaryFormatError(f"LD row has {entries} entries, expected {L}", path, lineno)
         try:
-            values = np.loadtxt([line], dtype=float, comments=None)
+            values = np.loadtxt([line], dtype=float, comments=None, ndmin=1)
         except ValueError:
+            values = None
+        if values is None or values.shape != (L,):
             return SummaryFormatError("cannot parse LD entry", path, lineno)
         if not np.isfinite(values).all():
             return SummaryFormatError("non-finite LD entry", path, lineno)
+        if abs(values[i] - 1.0) > 1e-8:
+            return SummaryFormatError(
+                f"LD diagonal entry for {snps[i]} is {float(values[i])!r}, not 1 within 1e-8", path, lineno
+            )
     return SummaryFormatError("cannot parse LD matrix", path)
 
 
