@@ -421,7 +421,7 @@ def cmd_estimate(args):
         payload["error"] = str(exc)
         print(f"non-identifiable: {exc}", file=sys.stderr)
         code = EXIT_NON_IDENTIFIABLE
-    except (MvmrError, np.linalg.LinAlgError) as exc:
+    except MvmrError as exc:
         payload["error"] = str(exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         code = EXIT_NUMERICAL

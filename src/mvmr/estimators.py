@@ -15,14 +15,17 @@ regularised toward the identity with a hard-coded factor.
 A :class:`SummaryStatistics` is immutable and factorises its design once:
 the identifiability diagnostics, the inverse LD matrix and the optimally
 weighted normal equations are computed on first use and shared by the
-diagnostics, every estimator and the standard errors.  :func:`estimate`
-returns one complete :class:`EstimateResult`, effects plus inference.
+diagnostics, every estimator and the standard errors.  ``ld_inverse`` is
+the one check of the LD matrix and ``weighted_moments`` the one check of
+the weighted moment matrix; the estimators solve what they cached.
+:func:`estimate` returns one complete :class:`EstimateResult`, effects
+plus inference, or raises an ``MvmrError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,8 +91,11 @@ class SummaryStatistics:
             raise ValueError("sigma_EE must be symmetric")
         if np.max(np.abs(np.diag(sigma_EE) - 1.0)) > 1e-8:
             raise ValueError("sigma_EE must have unit diagonal (standardized scale)")
-        if np.linalg.eigvalsh(sigma_EE).min() < -1e-10:
+        min_eigenvalue = float(np.linalg.eigvalsh(sigma_EE).min())
+        if min_eigenvalue < -1e-10:
             raise ValueError("sigma_EE must be positive definite within tolerance")
+        # ``ld_inverse`` refuses the rounding-indefinite matrices let through here
+        object.__setattr__(self, "_min_eigenvalue", min_eigenvalue)
         object.__setattr__(self, "sigma_EX", _read_only(sigma_EX))
         object.__setattr__(self, "sigma_EY", _read_only(sigma_EY))
         object.__setattr__(self, "sigma_EE", _read_only(sigma_EE))
@@ -109,12 +115,19 @@ class SummaryStatistics:
 
     @cached_property
     def ld_inverse(self):
-        """``Sigma_EE^-1``, refused when the LD matrix is too ill-conditioned."""
+        """``Sigma_EE^-1``, refused when the LD matrix is too ill-conditioned
+        or not positive definite."""
         cond = self.diagnostics.condition_EE
         if not np.isfinite(cond) or cond > LD_CONDITION_LIMIT:
             raise IllConditionedLdError(
                 f"LD matrix condition number {cond:.3e} exceeds {LD_CONDITION_LIMIT:.0e}; "
                 "prune near-identical instruments (r^2 >= 0.95) before estimating"
+            )
+        if self._min_eigenvalue <= 0.0:
+            raise IllConditionedLdError(
+                f"LD matrix is not positive definite (smallest eigenvalue "
+                f"{self._min_eigenvalue:.3e}); prune near-identical instruments "
+                "(r^2 >= 0.95) before estimating"
             )
         return _read_only(np.linalg.inv(self.sigma_EE))
 
@@ -124,11 +137,22 @@ class SummaryStatistics:
 
         ``M = S_EX^T Sigma_EE^-1 S_EX`` and ``v = S_EX^T Sigma_EE^-1 S_EY``:
         optimal GMM solves ``M c = v``, TWMR shrinks ``M^-1`` and every
-        standard error reads ``M^-1`` as its sandwich.
+        standard error reads ``M^-1`` as its sandwich.  After the LD
+        matrix is checked, a rank-deficient design or a numerically
+        singular ``M`` raises :class:`UnderdeterminedError`.
         """
         W = self.sigma_EX.T @ self.ld_inverse
+        report = _require_full_rank(self)
         M = W @ self.sigma_EX
-        return _read_only(M), _read_only(W @ self.sigma_EY), _read_only(np.linalg.inv(M))
+        try:
+            M_inv = np.linalg.inv(M)
+            if not np.isfinite(M_inv).all():  # singular at float precision
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            raise UnderdeterminedError(
+                "weighted moment matrix is singular", diagnostics=report
+            ) from None
+        return _read_only(M), _read_only(W @ self.sigma_EY), _read_only(M_inv)
 
     def reorder_instruments(self, order):
         order = list(order)
@@ -164,9 +188,8 @@ class IndividualData:
     Built from genotypes (N x L), exposures (N x K) and outcome (N) on any
     scale.  One centring pass and one cross product of Z = [E | X | Y]
     give the column standard deviations ``sds`` (ddof 0) and the
-    correlation matrix ``corr`` of Z, which is all the estimators, the
-    individual-level standard errors and the conditional F-statistic read:
-    the N-row arrays are not kept.
+    correlation matrix ``corr`` of Z, which is all the summary statistics
+    and the conditional F-statistic read: the N-row arrays are not kept.
     """
 
     genotypes: InitVar[np.ndarray]
@@ -242,7 +265,6 @@ class EstimateResult:
     standard_errors: np.ndarray | None = None
     p_values: np.ndarray | None = None
     bonferroni_significant: np.ndarray | None = None
-    degenerate: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -322,22 +344,6 @@ def _weight_matrix(delta):
     return delta
 
 
-def _solve_moments(report, moments):
-    """GMM result solving ``M c = v`` for ``(M, v) = moments()``.
-
-    A singular M, whether ``solve`` or the cached ``inv(M)`` of
-    ``weighted_moments`` finds it, leaves the effects unidentified.
-    """
-    try:
-        M, v = moments()
-        effects = np.linalg.solve(M, v)
-    except np.linalg.LinAlgError:
-        raise UnderdeterminedError(
-            "weighted moment matrix is singular", diagnostics=report
-        ) from None
-    return EstimateResult(effects)
-
-
 def gmm_estimate(stats, delta):
     """Method-of-moments estimator with weighting matrix ``delta``.
 
@@ -351,7 +357,13 @@ def gmm_estimate(stats, delta):
         raise ValueError("weight matrix dimension must equal instrument count")
     report = _require_full_rank(stats)
     S = stats.sigma_EX
-    return _solve_moments(report, lambda: (S.T @ D @ S, S.T @ D @ stats.sigma_EY))
+    try:
+        effects = np.linalg.solve(S.T @ D @ S, S.T @ D @ stats.sigma_EY)
+    except np.linalg.LinAlgError:
+        raise UnderdeterminedError(
+            "weighted moment matrix is singular", diagnostics=report
+        ) from None
+    return EstimateResult(effects)
 
 
 def ls_estimate(stats):
@@ -367,9 +379,8 @@ def gmm_optimal(stats):
     two-stage least squares on standardized data.  Solves the cached
     ``stats.weighted_moments``.
     """
-    _weight_matrix(stats.ld_inverse)
-    report = _require_full_rank(stats)
-    return _solve_moments(report, lambda: stats.weighted_moments[:2])
+    M, v, _ = stats.weighted_moments
+    return EstimateResult(np.linalg.solve(M, v))
 
 
 def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
@@ -383,8 +394,6 @@ def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"shrinkage alpha must lie in [0, 1], got {alpha}")
-    stats.ld_inverse  # an ill-conditioned LD matrix fails before the rank check
-    _require_full_rank(stats)
     _, v, H = stats.weighted_moments
     H_shrunk = (1.0 - alpha) * H + alpha * np.eye(stats.n_exposures)
     return EstimateResult(H_shrunk @ v)
@@ -400,44 +409,24 @@ def univariate_ratio(sigma_EX, sigma_EY, tolerance=1e-6):
     return sigma_EY / sigma_EX
 
 
-def standard_errors(result, stats, individual=None):
-    """Per-exposure standard errors for an estimate on the same statistics.
+def standard_errors(result, stats):
+    """Per-exposure summary-mode standard errors for an estimate on ``stats``.
 
-    Summary mode divides the sandwich
-    ``sigma_U^2 * (S_EX^T Sigma_EE^-1 S_EX)^-1`` by the outcome sample
-    size, with the residual variance approximated on the standardized scale
-    as ``max(0, 1 - c^T S_EX^T Sigma_EE^-1 S_EY)`` (conservative fallback
-    to 1 when non-finite).  Individual mode uses the empirical residual
-    variance of ``y - x c`` on the standardized scale instead, read from
-    the correlations as ``N (1 - 2 c^T S_XY + c^T S_XX c)``, and divides by
-    the observation count.  The sandwich and ``S_EX^T Sigma_EE^-1 S_EY``
-    come from ``stats.weighted_moments``.
-    Returns a dict with the computed modes, keyed "summary" and
-    "individual"; ``result`` is not modified.
+    Divides the sandwich ``sigma_U^2 * (S_EX^T Sigma_EE^-1 S_EX)^-1`` by
+    the outcome sample size, with the residual variance approximated on
+    the standardized scale as ``max(0, 1 - c^T S_EX^T Sigma_EE^-1 S_EY)``
+    (conservative fallback to 1 when non-finite).  The sandwich and
+    ``S_EX^T Sigma_EE^-1 S_EY`` come from ``stats.weighted_moments``.
+    Returns the array of standard errors; ``result`` is not modified.
     """
-    _, v, sandwich = stats.weighted_moments
-    c = result.effects
-    out = {}
-
-    if individual is None and stats.n_outcome is None:
+    if stats.n_outcome is None:
         raise ValueError("summary-mode standard errors require n_outcome")
-    if stats.n_outcome is not None:
-        explained = float(c @ v)
-        sigma_u2 = 1.0 - explained
-        if not np.isfinite(sigma_u2):
-            sigma_u2 = 1.0
-        sigma_u2 = max(0.0, sigma_u2)
-        out["summary"] = np.sqrt(
-            np.clip(np.diag(sandwich) * sigma_u2 / stats.n_outcome, 0.0, None)
-        )
-    if individual is not None:
-        L, n = individual.n_instruments, individual.n_observations
-        sigma_XX = individual.corr[L:-1, L:-1]
-        sigma_XY = individual.corr[L:-1, -1]
-        rss = n * max(0.0, 1.0 - 2.0 * float(c @ sigma_XY) + float(c @ sigma_XX @ c))
-        sigma_u2 = rss / max(n - stats.n_exposures, 1)
-        out["individual"] = np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / n, 0.0, None))
-    return out
+    _, v, sandwich = stats.weighted_moments
+    sigma_u2 = 1.0 - float(result.effects @ v)
+    if not np.isfinite(sigma_u2):
+        sigma_u2 = 1.0
+    sigma_u2 = max(0.0, sigma_u2)
+    return np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / stats.n_outcome, 0.0, None))
 
 
 # The standard normal CDF, ported from S. L. Moshier's Cephes ``ndtr``,
@@ -536,17 +525,16 @@ def _ndtr(a):
 def p_values(effects, standard_errors, bonferroni_threshold=BONFERRONI_DEFAULT):
     """Two-sided normal p-values of c / SE plus Bonferroni flags.
 
-    Returns ``(p, significant, degenerate)``.  A zero standard error with
-    a nonzero effect yields p = 0 together with a degeneracy flag; a zero
-    effect with zero SE yields p = 1 (flagged).
+    Returns ``(p, significant)``.  A zero standard error yields p = 0 with
+    a nonzero effect and p = 1 with a zero effect.
     """
     c = np.asarray(effects)
     se = np.asarray(standard_errors)
-    degenerate = se == 0.0
+    zero_se = se == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(degenerate, np.where(c != 0, np.inf, 0.0), c / np.where(degenerate, 1.0, se))
+        z = np.where(zero_se, np.where(c != 0, np.inf, 0.0), c / np.where(zero_se, 1.0, se))
     p = np.array([2.0 * _ndtr(-abs(v)) for v in z.ravel().tolist()]).reshape(z.shape)
-    return p, p < bonferroni_threshold, degenerate
+    return p, p < bonferroni_threshold
 
 
 def conditional_f(individual):
@@ -608,9 +596,10 @@ def estimate(stats, method="ls", bonferroni_threshold=BONFERRONI_DEFAULT):
     """Estimate with a named estimator ('ls', 'gmm' or 'twmr'), with inference.
 
     When ``stats.n_outcome`` is set the result carries the summary-mode
-    standard errors, p-values, Bonferroni flags at ``bonferroni_threshold``
-    and the degeneracy mask; otherwise it holds the effects only.  Every
-    step reads the factorisation cached on ``stats``.
+    standard errors, p-values and Bonferroni flags at
+    ``bonferroni_threshold``; otherwise it holds the effects only.  Every
+    step reads the factorisation cached on ``stats``, and a numerical
+    refusal is an ``MvmrError``.
     """
     try:
         fn = ESTIMATORS[method]
@@ -621,12 +610,6 @@ def estimate(stats, method="ls", bonferroni_threshold=BONFERRONI_DEFAULT):
     result = fn(stats)
     if stats.n_outcome is None:
         return result
-    se = standard_errors(result, stats)["summary"]
-    p, significant, degenerate = p_values(result.effects, se, bonferroni_threshold)
-    return replace(
-        result,
-        standard_errors=se,
-        p_values=p,
-        bonferroni_significant=significant,
-        degenerate=degenerate,
-    )
+    se = standard_errors(result, stats)
+    p, significant = p_values(result.effects, se, bonferroni_threshold)
+    return EstimateResult(result.effects, se, p, significant)

@@ -19,7 +19,11 @@ File formats (all UTF-8):
   ``snp chrom pos gene tissue beta se maf fdr`` (tab separated)
 * GWAS TSV, header required: ``snp chrom pos beta se pval n``
 * LD file: first line whitespace-separated SNP ids, then a square,
-  symmetric matrix of r values (not r squared).
+  symmetric matrix of r values (not r squared) in [-1, 1] with a unit
+  diagonal.  Positive semi-definiteness is not checked here.
+
+Both TSV files are plain: one physical line per record, fields split at
+every tab, and a ``"`` is an ordinary character, not a quote.
 
 Outcome effects inherit the GWAS scale; for case/control GWAS the
 estimates read as effects on the log-odds of the outcome (recorded as
@@ -199,9 +203,11 @@ def _text_reader(read):
 
 @_text_reader
 def _read_tsv(path, header, schema, builder):
+    """Rows of a plain tab-separated file, one physical line per record: a
+    ``"`` is data, not a quote, so every error names its true line."""
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
+        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             first = next(reader, None)
             if first is None:
@@ -256,6 +262,8 @@ def _read_ld(path):
         or matrix.shape != (L, L)
         or not np.isfinite(matrix).all()
         or np.max(np.abs(np.diag(matrix) - 1.0)) > 1e-8
+        or matrix.max() > 1.0 + 1e-8
+        or matrix.min() < -1.0 - 1e-8
     ):
         raise _ld_body_error(path, header_line, snps)
     if np.max(np.abs(matrix - matrix.T)) > 1e-8:
@@ -265,8 +273,8 @@ def _read_ld(path):
 
 def _ld_body_error(path, header_line, snps):
     """The error for an LD body that ``np.loadtxt`` rejected or read as
-    non-square, non-finite or off the unit diagonal, located by reading
-    the body again line by line."""
+    non-square, non-finite, off the unit diagonal or with an entry outside
+    [-1, 1], located by reading the body again line by line."""
     with open(path, encoding="utf-8") as fh:
         rows = [(i, line) for i, line in enumerate(fh, start=1) if i > header_line and line.strip()]
     L = len(snps)
@@ -288,6 +296,13 @@ def _ld_body_error(path, header_line, snps):
         if abs(values[i] - 1.0) > 1e-8:
             return SummaryFormatError(
                 f"LD diagonal entry for {snps[i]} is {float(values[i])!r}, not 1 within 1e-8", path, lineno
+            )
+        j = int(np.argmax(np.abs(values)))
+        if abs(values[j]) > 1.0 + 1e-8:
+            return SummaryFormatError(
+                f"LD entry for {snps[i]} and {snps[j]} is {float(values[j])!r}, outside [-1, 1] within 1e-8",
+                path,
+                lineno,
             )
     return SummaryFormatError("cannot parse LD matrix", path)
 
@@ -441,7 +456,7 @@ def _run_estimator(stats, locus_id, labels, config):
     except UnderdeterminedError as exc:
         diagnostics["error"] = str(exc)
         return [], diagnostics, "non_identifiable"
-    except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
+    except MvmrError as exc:
         diagnostics["error"] = str(exc)
         return [], diagnostics, "failed"
     calls = []

@@ -660,7 +660,7 @@ def _estimate_all(stats, estimators, sd_x, sd_y):
     for est in estimators:
         try:
             result = estimate(stats, est)
-        except (MvmrError, ValueError, np.linalg.LinAlgError) as exc:
+        except MvmrError as exc:
             out[est] = str(exc)
             continue
         out[est] = (result.effects * scale, result.standard_errors * scale, result.p_values)

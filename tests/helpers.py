@@ -104,3 +104,30 @@ def population_statistics(diagram, sem, instruments, exposures, outcome, n_outco
         exposure_names=tuple(exposures),
         instrument_names=tuple(instruments),
     )
+
+
+def near_singular_ld_payload():
+    """``mvmr estimate --stats`` payload on a positive definite LD matrix of
+    condition number 9.0e5: two blocks of three near-identical SNPs (r =
+    0.999996 within a block, 0.2 between).  The first SNP of each block
+    drives one exposure, and the exposures' effects on the outcome are 0.2
+    and -0.1, so every entry is a population covariance."""
+    ld = [[1.0 if i == j else (0.999996 if i // 3 == j // 3 else 0.2) for j in range(6)] for i in range(6)]
+    sigma_EX = [[0.3 * row[0], 0.3 * row[3]] for row in ld]
+    sigma_EY = [0.2 * a - 0.1 * b for a, b in sigma_EX]
+    return {"sigma_EX": sigma_EX, "sigma_EY": sigma_EY, "sigma_EE": ld, "n_outcome": 10000}
+
+
+def rounding_indefinite_ld_payload():
+    """``mvmr estimate --stats`` payload whose LD matrix is indefinite by
+    rounding: the third SNP is in exact LD with the sum of the first two
+    (r = sqrt(0.8) with each), written rounded up in the 11th decimal.  The
+    smallest eigenvalue is -5.5e-11, inside the constructor's tolerance,
+    and the condition number 4.7e10 is under ``LD_CONDITION_LIMIT``."""
+    r = 0.89442719104
+    return {
+        "sigma_EX": [[0.3, 0.1], [0.1, 0.3], [0.2236, 0.2236]],
+        "sigma_EY": [0.1, 0.12, 0.15],
+        "sigma_EE": [[1.0, 0.6, r], [0.6, 1.0, r], [r, r, 1.0]],
+        "n_outcome": 10000,
+    }

@@ -9,6 +9,7 @@ import pytest
 from mvmr import cli, graph, simulate
 from mvmr.errors import UnderdeterminedError
 from mvmr.estimators import ESTIMATORS
+from helpers import near_singular_ld_payload, rounding_indefinite_ld_payload
 
 SCENARIOS = resources.files("mvmr").joinpath("data", "scenarios")
 FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
@@ -399,6 +400,27 @@ class TestEstimateCommand:
         assert written["error"]
         assert "diagnostics" in written
 
+    def test_near_singular_positive_definite_ld_exit_0(self, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(near_singular_ld_payload()))
+        code = cli.main(["estimate", "--stats", str(stats), "--estimators", "ls,gmm,twmr"])
+        assert code == 0
+        estimates = json.loads(capsys.readouterr().out, parse_constant=reject_constant)["estimates"]
+        assert sorted(estimates) == ["gmm", "ls", "twmr"]
+        assert estimates["gmm"]["effects"] == pytest.approx([0.2, -0.1], abs=1e-9)
+
+    @pytest.mark.parametrize("estimators", ["ls", "gmm", "twmr", "ls,gmm,twmr"])
+    def test_rounding_indefinite_ld_exit_4(self, tmp_path, capsys, estimators):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(rounding_indefinite_ld_payload()))
+        code = cli.main(["estimate", "--stats", str(stats), "--estimators", estimators])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: LD matrix is not positive definite")
+        payload = json.loads(captured.out, parse_constant=reject_constant)
+        assert payload["estimates"] == {}  # no effect, let alone a significant one
+
+
 class TestLociCommand:
     def test_fixture_trio(self, tmp_path, capsys):
         code = cli.main(
@@ -461,6 +483,7 @@ class TestLociCommand:
             ("gwas.tsv", 2, 3, "inf", "\t", "column 'beta'"),
             ("ld.txt", 2, 5, "nan", " ", "non-finite LD entry"),
             ("ld.txt", 4, 3, "0.5", " ", "diagonal entry for rs603 is 0.5"),
+            ("ld.txt", 2, 0, "1.5", " ", "LD entry for rs601 and rs600 is 1.5, outside [-1, 1]"),
         ],
     )
     def test_non_finite_or_bad_diagonal_exit_2(self, tmp_path, capsys, name, row, col, value, sep, message):

@@ -12,8 +12,28 @@ from mvmr.errors import (
     UnderdeterminedError,
     WeakInstrumentError,
 )
-from helpers import population_statistics, random_mvmr_graph
+from helpers import (
+    near_singular_ld_payload,
+    population_statistics,
+    random_mvmr_graph,
+    rounding_indefinite_ld_payload,
+)
 from test_graph import fig_2a_model
+
+
+def individual_standard_errors(result, stats, individual):
+    """Individual-level standard errors of ``result``: the summary-mode
+    sandwich with the empirical residual variance of ``y - x c`` on the
+    standardized scale, read from the correlations as
+    ``N (1 - 2 c^T S_XY + c^T S_XX c)``, over the observation count."""
+    c = result.effects
+    L, n = individual.n_instruments, individual.n_observations
+    sigma_XX = individual.corr[L:-1, L:-1]
+    sigma_XY = individual.corr[L:-1, -1]
+    rss = n * max(0.0, 1.0 - 2.0 * float(c @ sigma_XY) + float(c @ sigma_XX @ c))
+    sigma_u2 = rss / max(n - stats.n_exposures, 1)
+    sandwich = stats.weighted_moments[2]
+    return np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / n, 0.0, None))
 
 
 def fig_2a_statistics(n_outcome=None):
@@ -149,8 +169,8 @@ class TestStandardErrors:
         stats_large = fig_2a_statistics(n_outcome=100_000)
         r1 = est.ls_estimate(stats_small)
         r2 = est.ls_estimate(stats_large)
-        se1 = est.standard_errors(r1, stats_small)["summary"]
-        se2 = est.standard_errors(r2, stats_large)["summary"]
+        se1 = est.standard_errors(r1, stats_small)
+        se2 = est.standard_errors(r2, stats_large)
         assert np.all(se2 < se1)
         assert np.allclose(se1 / se2, np.sqrt(100.0), rtol=1e-10)
 
@@ -171,8 +191,8 @@ class TestStandardErrors:
         data = est.IndividualData(e, x, y)
         stats = data.summary_statistics()
         result = est.ls_estimate(stats)
-        se = est.standard_errors(result, stats, individual=data)
-        assert np.allclose(se["individual"], 0.0, atol=1e-6)
+        se = individual_standard_errors(result, stats, data)
+        assert np.allclose(se, 0.0, atol=1e-6)
 
     def test_summary_and_individual_modes_agree(self):
         """One-sample locus-style simulation: the summary approximation
@@ -191,8 +211,9 @@ class TestStandardErrors:
         for rep, child in enumerate(rng_root.spawn(2000)):
             data = sim.generate_dataset(scenario, np.random.default_rng(child))
             result = est.gmm_optimal(data.statistics)
-            both = est.standard_errors(result, data.statistics, individual=data.individual)
-            ratios.append(both["summary"] / both["individual"])
+            summary = est.standard_errors(result, data.statistics)
+            individual = individual_standard_errors(result, data.statistics, data.individual)
+            ratios.append(summary / individual)
         ratios = np.array(ratios)
         median_gap = np.median(np.abs(ratios - 1.0), axis=0)
         assert np.all(median_gap < 0.15)
@@ -273,21 +294,19 @@ class TestSharedFactorisation:
         stats = overidentified_statistics()
         result = est.estimate(stats, method, bonferroni_threshold=0.2)
         bare = est.ESTIMATORS[method](stats)
-        se = est.standard_errors(bare, stats)["summary"]
+        se = est.standard_errors(bare, stats)
         assert bare.standard_errors is None  # standard_errors writes into nothing
-        p, significant, degenerate = est.p_values(bare.effects, se, 0.2)
+        p, significant = est.p_values(bare.effects, se, 0.2)
         assert np.array_equal(result.effects, bare.effects)
         assert np.array_equal(result.standard_errors, se)
         assert np.array_equal(result.p_values, p)
         assert np.array_equal(result.bonferroni_significant, significant)
-        assert np.array_equal(result.degenerate, degenerate)
 
         plain = est.estimate(dataclasses.replace(stats, n_outcome=None), method)
         assert np.array_equal(plain.effects, bare.effects)
         assert plain.standard_errors is None
         assert plain.p_values is None
         assert plain.bonferroni_significant is None
-        assert plain.degenerate is None
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown estimator"):
@@ -318,26 +337,58 @@ class TestErrorOrder:
             est.gmm_estimate(fig_2a_statistics(), delta)
 
 
+class TestLdGate:
+    """``ld_inverse`` is the one check of Sigma_EE and ``weighted_moments``
+    the one check of the weighted moment matrix; the estimators solve what
+    they cached."""
+
+    def test_near_singular_positive_definite_ld_is_estimated(self):
+        stats = est.SummaryStatistics(**near_singular_ld_payload())
+        assert 5e5 < stats.diagnostics.condition_EE < 2e6
+        for method in METHODS:
+            result = est.estimate(stats, method)
+            assert np.all(np.isfinite(result.effects))
+            assert np.all(result.standard_errors > 0)
+        np.testing.assert_allclose(est.gmm_optimal(stats).effects, [0.2, -0.1], atol=1e-9)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rounding_indefinite_ld_refused(self, method):
+        stats = est.SummaryStatistics(**rounding_indefinite_ld_payload())
+        assert stats.diagnostics.condition_EE < est.LD_CONDITION_LIMIT
+        with pytest.raises(IllConditionedLdError, match="not positive definite"):
+            est.estimate(stats, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_singular_moment_matrix_is_underdetermined(self, method, scale):
+        # full rank, but M = S^T S underflows to zero (1e-170) or to a
+        # subnormal whose inverse overflows (1e-160)
+        stats = est.SummaryStatistics(scale * np.eye(2), [0.1, 0.2], np.eye(2), n_outcome=100)
+        assert stats.diagnostics.rank_EX == 2
+        with pytest.raises(UnderdeterminedError, match="singular"):
+            est.estimate(stats, method)
+
+
 class TestPValues:
     def test_zero_statistic(self):
-        p, flags, _ = est.p_values(np.array([0.0, 0.0]), np.array([0.1, 0.2]))
+        p, flags = est.p_values(np.array([0.0, 0.0]), np.array([0.1, 0.2]))
         assert np.allclose(p, 1.0)
         assert not flags.any()
 
     def test_normal_quantile(self):
-        p, _, _ = est.p_values(np.array([1.959964]), np.array([1.0]))
+        p, _ = est.p_values(np.array([1.959964]), np.array([1.0]))
         assert p[0] == pytest.approx(0.05, abs=1e-6)
 
     def test_bonferroni_threshold(self):
-        p, flags, _ = est.p_values(np.array([3.72]), np.array([1.0]))  # two-sided p ~ 2e-4
+        p, flags = est.p_values(np.array([3.72]), np.array([1.0]))  # two-sided p ~ 2e-4
         assert p[0] < 3e-4
         assert flags[0]
 
     def test_degenerate_se(self):
-        p, _, degenerate = est.p_values(np.array([0.5, 0.0]), np.array([0.0, 0.0]))
+        p, flags = est.p_values(np.array([0.5, 0.0]), np.array([0.0, 0.0]))
         assert p[0] == 0.0
         assert p[1] == 1.0
-        assert degenerate.tolist() == [True, True]
+        assert flags.tolist() == [True, False]
 
     def test_tail_matches_scipy_norm_sf_bitwise(self):
         from scipy import stats as sps
@@ -345,7 +396,7 @@ class TestPValues:
         z = np.concatenate(
             [[0.0, 1e-300, 8.0, 40.0, np.inf, -np.inf], np.linspace(-45.0, 45.0, 9001)]
         )
-        p, _, _ = est.p_values(z, np.ones_like(z))
+        p, _ = est.p_values(z, np.ones_like(z))
         reference = 2.0 * sps.norm.sf(np.abs(z))
         assert p.tobytes() == reference.tobytes()
 
@@ -354,7 +405,7 @@ class TestPValues:
 
         rng = np.random.default_rng(2401)
         z = np.concatenate([rng.normal(0.0, 6.0, 100_000), [np.nan]])
-        p, _, _ = est.p_values(z, np.ones_like(z))
+        p, _ = est.p_values(z, np.ones_like(z))
         assert np.isnan(p[-1])
         assert p.tobytes() == (2.0 * ndtr(-np.abs(z))).tobytes()
 
@@ -536,7 +587,7 @@ class TestIndividualDataSufficientStatistics:
         np.testing.assert_allclose(data.sds[-1], y.std(), **close)
 
         result = est.ls_estimate(stats)
-        se = est.standard_errors(result, stats, individual=data)["individual"]
+        se = individual_standard_errors(result, stats, data)
         resid = ys - xs @ result.effects
         sandwich = np.linalg.inv(
             stats.sigma_EX.T @ np.linalg.inv(stats.sigma_EE) @ stats.sigma_EX

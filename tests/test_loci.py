@@ -113,6 +113,8 @@ class TestLoadSummaries:
             ("1.0 0.5\n\n0.5 x\n", 5, "cannot parse LD entry"),
             ("1.0 0.5\n0.5 1.0\n0.1 0.1\n", 5, "not square"),
             ("1.0 0.5\n\n0.5 0.5\n", 5, "diagonal entry for rs2 is 0.5"),
+            ("1.0 1.5\n1.5 1.0\n", 3, r"LD entry for rs1 and rs2 is 1.5, outside \[-1, 1\]"),
+            ("1.0 -0.5\n\n-1.0000001 1.0\n", 5, r"LD entry for rs2 and rs1 is -1.0000001, outside"),
         ],
     )
     def test_bad_ld_body_names_its_line(self, tmp_path, fixture_paths, body, line, message):
@@ -137,6 +139,27 @@ class TestLoadSummaries:
         _, gwas_path, ld_path = fixture_paths
         with pytest.raises(SummaryFormatError, match="field limit.*:2"):
             loci.load_summaries(str(bad), gwas_path, ld_path)
+
+    def test_quote_is_data_and_errors_name_their_physical_line(self, tmp_path, fixture_paths):
+        # a csv-quoting reader joins lines 3 and 4 into one record whose gene
+        # holds a tab and a newline, and then reports line 6 as line 5
+        rows = [
+            "snp\tchrom\tpos\tgene\ttissue\tbeta\tse\tmaf\tfdr",
+            "rs600\t6\t100\tG0\tT\t0.2\t0.01\t0.3\t0.001",
+            'rs601\t6\t200\t"G1\tT\t0.2\t0.01\t0.3\t0.001',
+            'rs602\t6\t300\tG2"\tT\t0.2\t0.01\t0.3\t0.001',
+            "rs603\t6\t400\tG3\tT\t0.2\t0.01\t0.3\t0.001",
+        ]
+        _, gwas_path, ld_path = fixture_paths
+        good = tmp_path / "good.tsv"
+        good.write_text("\n".join(rows) + "\n")
+        eqtls, _, _, _ = loci.load_summaries(str(good), gwas_path, ld_path)
+        assert [r.gene for r in eqtls] == ["G0", '"G1', 'G2"', "G3"]
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(rows + ["rs604\t6\t500\tG4\tT\toops\t0.01\t0.3\t0.001"]) + "\n")
+        with pytest.raises(SummaryFormatError, match="column 'beta'") as caught:
+            loci.load_summaries(str(bad), gwas_path, ld_path)
+        assert caught.value.line == 6
 
     @pytest.mark.parametrize("column, value", [("beta", "nan"), ("se", "inf"), ("maf", "-inf")])
     def test_non_finite_eqtl_value_rejected(self, tmp_path, fixture_paths, column, value):

@@ -14,10 +14,14 @@ Runs, in this interpreter:
 * ``mvmr estimate --estimators ls,gmm,twmr`` on the statistics files in
   ``ESTIMATE_STATS`` (exactly and over-identified, with and without
   ``n_outcome``, a zero standard error, an ill-conditioned LD matrix that
-  exits 4 and a rank-deficient design that exits 3);
+  exits 4, a rank-deficient design that exits 3, a positive definite LD
+  matrix of condition number 9.0e5 that exits 0 and an LD matrix made
+  indefinite by rounding that exits 4);
 
 and prints one ``exit <code>  <command>`` line per command followed by one
-``<sha256>  <relative path>`` line per file it wrote.  Two source trees
+``<sha256>  <relative path>`` line per file it wrote.  A command that ends
+in an uncaught exception reads ``exit 1``, as the console script would,
+and its traceback goes to stderr.  Two source trees
 produce the same outputs exactly when their fingerprints are equal:
 
     python tools/output_fingerprint.py --src /path/to/other/src > before.txt
@@ -39,6 +43,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -51,6 +56,10 @@ FDR_ROWS = (  # eQTL rows at and above the significance threshold, for locus 15
 )
 _LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
+# two blocks of three near-identical SNPs (r = 0.999996 within, 0.2 between); SNPs 1 and 4 drive the exposures
+_LD_BLOCKS = [[1.0 if i == j else (0.999996 if i // 3 == j // 3 else 0.2) for j in range(6)] for i in range(6)]
+_EX_BLOCKS = [[0.3 * row[0], 0.3 * row[3]] for row in _LD_BLOCKS]
+_R_ROUNDED = 0.89442719104  # sqrt(0.8) rounded up: SNP 3 tags the sum of SNPs 1 and 2
 ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
     "exact_toy": {"sigma_EX": [[0.3, 0.1], [0.15, 0.25]], "sigma_EY": [0.12, 0.18], "sigma_EE": [[1.0, 0.6], [0.6, 1.0]], "n_outcome": 20000, "exposure_names": ["X1", "X2"]},
     "over_identified": {"sigma_EX": _EX3, "sigma_EY": [0.1, 0.17, 0.06], "sigma_EE": _LD3, "n_outcome": 50000},
@@ -58,6 +67,8 @@ ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
     "zero_se": {"sigma_EX": [[1.0, 0.0], [0.0, 1.0]], "sigma_EY": [1.0, 1.0], "sigma_EE": [[1.0, 0.0], [0.0, 1.0]], "n_outcome": 1000},
     "ill_conditioned_ld": {"sigma_EX": [[0.3], [0.2]], "sigma_EY": [0.06, 0.04], "sigma_EE": [[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]], "n_outcome": 1000},
     "rank_deficient": {"sigma_EX": [[0.3, 0.0], [0.2, 0.0]], "sigma_EY": [0.1, 0.05], "sigma_EE": [[1.0, 0.2], [0.2, 1.0]], "n_outcome": 1000},
+    "near_singular_ld": {"sigma_EX": _EX_BLOCKS, "sigma_EY": [0.2 * a - 0.1 * b for a, b in _EX_BLOCKS], "sigma_EE": _LD_BLOCKS, "n_outcome": 10000},
+    "rounding_indefinite_ld": {"sigma_EX": [[0.3, 0.1], [0.1, 0.3], [0.2236, 0.2236]], "sigma_EY": [0.1, 0.12, 0.15], "sigma_EE": [[1.0, 0.6, _R_ROUNDED], [0.6, 1.0, _R_ROUNDED], [_R_ROUNDED, _R_ROUNDED, 1.0]], "n_outcome": 10000},
 }
 
 
@@ -68,11 +79,14 @@ def _sha256(path):
 
 def _run(main, argv):
     sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        try:
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             return main(argv)
-        except SystemExit as exc:
-            return exc.code
+    except SystemExit as exc:
+        return exc.code
+    except Exception:  # the traceback goes to stderr, the fingerprint reads exit 1
+        traceback.print_exc()
+        return 1
 
 
 def _commands(package_dir, out_root):
