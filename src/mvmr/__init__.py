@@ -13,6 +13,7 @@ from .errors import (
     FeasibilityError,
     GraphStructureError,
     IllConditionedLdError,
+    InvalidStatisticsError,
     MvmrError,
     PathEnumerationError,
     ScenarioError,
@@ -20,7 +21,6 @@ from .errors import (
     SummaryFormatError,
     UnderdeterminedError,
     UnknownNodeError,
-    WeakInstrumentError,
 )
 from .estimators import (
     EstimateResult,
@@ -35,7 +35,6 @@ from .estimators import (
     p_values,
     standard_errors,
     twmr_shrunk_estimate,
-    univariate_ratio,
 )
 from .graph import (
     CausalDiagram,

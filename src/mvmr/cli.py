@@ -2,8 +2,13 @@
 
 Every subcommand is side-effect-free outside its output directory and
 deterministic for a fixed seed and thread count (thread counts do not
-change results, only wall time).  Exit codes: 0 success, 2 usage or file
-format error, 3 non-identifiable model, 4 numerical failure.
+change results, only wall time).  Exit codes: 0 success; 2 usage or
+input error (an unreadable file, ScenarioError, SummaryFormatError, or
+``estimate`` statistics refused with InvalidStatisticsError); 3
+non-identifiable ``estimate`` design (UnderdeterminedError); 4 numerical
+failure (any other MvmrError, such as a simulated constant column, or a
+``simulate`` failure rate above ``--max-failure-rate``).  ``loci``
+records a locus tissue it cannot estimate as that tissue's verdict.
 
 The default output directory is taken from the MVMR_OUTPUT_DIR
 environment variable when set, else ``./mvmr_out``.
@@ -256,18 +261,13 @@ def cmd_simulate(args):
         if names is None:  # no --estimators: the scenario's list, else ls,gmm
             names = ",".join(listed or ("ls", "gmm"))
         estimators = _parse_estimators(names)
+        out_dir = args.out or _default_out()
+        os.makedirs(out_dir, exist_ok=True)
+        cells = _KIND_RUNNERS[kind](config, args, out_dir, estimators, seed)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    out_dir = args.out or _default_out()
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        cells = _KIND_RUNNERS[kind](config, args, out_dir, estimators, seed)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MvmrError, np.linalg.LinAlgError) as exc:
+    except MvmrError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -304,6 +304,13 @@ def _is_count(value):
     return type(value) is int and value > 0  # a JSON integer, not a boolean
 
 
+def _non_numbers(value):
+    """The entries of ``value``, at any list depth, that are not JSON numbers (a boolean is not one)."""
+    if isinstance(value, list):
+        return [bad for v in value for bad in _non_numbers(v)]
+    return [] if type(value) in (int, float) else [value]
+
+
 def _stats_optional(payload, key, valid, expected):
     """``payload[key]``, None when absent or null; a value ``valid`` refuses
     is a ``ScenarioError`` naming the key."""
@@ -327,12 +334,14 @@ def _stats_from_json(path):
     missing = [key for key in _STATS_REQUIRED if key not in payload]
     if missing:
         raise ScenarioError(f"statistics file {path} lacks required keys: {missing}")
+    for key in _STATS_REQUIRED:
+        bad = _non_numbers(payload[key])
+        if bad:
+            raise ScenarioError(f"statistics key {key!r} must hold numbers or arrays of numbers, not {json.dumps(bad[0])}")
     sizes = {key: _stats_optional(payload, key, _is_count, "a positive integer") for key in ("n_exposure", "n_outcome")}
     names = {key: _stats_optional(payload, key, _is_names, "a list of strings") for key in ("exposure_names", "instrument_names")}
     stats = SummaryStatistics(
-        np.asarray(payload["sigma_EX"], dtype=float),
-        np.asarray(payload["sigma_EY"], dtype=float),
-        np.asarray(payload["sigma_EE"], dtype=float),
+        *(payload[key] for key in _STATS_REQUIRED),
         **sizes,
         **{key: None if value is None else tuple(value) for key, value in names.items()},
     )
@@ -358,7 +367,6 @@ def _stats_from_diagram(path, instruments, exposures, outcome):
         exposure_names=tuple(exposures),
         instrument_names=tuple(instruments),
     )
-    check = None
     if len(instruments) == len(exposures):
         check = graph.check_instrumental_set(diagram, instruments, exposures, outcome)
     else:
@@ -390,7 +398,7 @@ def cmd_estimate(args):
         else:
             print("error: provide --stats or --diagram", file=sys.stderr)
             return EXIT_USAGE
-    except (OSError, MvmrError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, MvmrError, ValueError) as exc:  # JSON, UTF-8 and diagram-argument errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -458,7 +466,7 @@ def cmd_loci(args):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MvmrError, np.linalg.LinAlgError) as exc:
+    except MvmrError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for warning in summary["warnings"]:

@@ -39,8 +39,10 @@ class IllConditionedLdError(MvmrError, ValueError):
     """Instrument LD matrix is numerically singular (near-duplicate SNPs)."""
 
 
-class WeakInstrumentError(MvmrError, ValueError):
-    """Instrument-exposure covariance too small for a ratio estimate."""
+class InvalidStatisticsError(MvmrError, ValueError):
+    """Summary statistics or individual-level data that no estimator can
+    read: wrong shapes, non-finite entries, an LD matrix that is not a
+    correlation matrix, a constant column or too few observations."""
 
 
 class CollinearExposuresError(MvmrError, ValueError):

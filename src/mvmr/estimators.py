@@ -33,8 +33,8 @@ import numpy as np
 from .errors import (
     CollinearExposuresError,
     IllConditionedLdError,
+    InvalidStatisticsError,
     UnderdeterminedError,
-    WeakInstrumentError,
 )
 
 RANK_RTOL = 1e-10
@@ -51,6 +51,29 @@ def _read_only(array):
     return array
 
 
+def _floats(value, name, error=InvalidStatisticsError):
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be an array of numbers") from None
+
+
+def check_correlation(matrix, name, error=InvalidStatisticsError):
+    """``matrix`` as a float array and its eigenvalues in ascending order;
+    ``error`` refuses a matrix that is not square, finite, symmetric and
+    unit-diagonal.  Definiteness is left to the caller."""
+    r = np.atleast_2d(_floats(matrix, name, error))
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+        raise error(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(r)):
+        raise error(f"{name} contains non-finite entries")
+    if np.max(np.abs(r - r.T)) > 1e-8:
+        raise error(f"{name} must be symmetric")
+    if np.max(np.abs(np.diag(r) - 1.0)) > 1e-8:
+        raise error(f"{name} must have unit diagonal (standardized scale)")
+    return r, np.linalg.eigvalsh(r)
+
+
 @dataclass(frozen=True, eq=False)
 class SummaryStatistics:
     """Summary-level inputs: Sigma_EX (L x K), Sigma_EY (L), Sigma_EE (L x L).
@@ -58,8 +81,9 @@ class SummaryStatistics:
     Frozen, and the three arrays are read-only copies of the inputs, so
     the factorisation cached on first use (``diagnostics``,
     ``ld_inverse``, ``weighted_moments``) always describes these
-    statistics.  Derive changed statistics with ``reorder_instruments``,
-    ``drop_exposures`` or a new instance; each starts with an empty cache.
+    statistics.  Derive changed statistics with ``drop_exposures`` or a
+    new instance; each starts with an empty cache.  Inputs no estimator
+    can read raise :class:`InvalidStatisticsError`.
     """
 
     sigma_EX: np.ndarray
@@ -71,31 +95,24 @@ class SummaryStatistics:
     instrument_names: tuple | None = None
 
     def __post_init__(self):
-        sigma_EX = np.atleast_2d(np.array(self.sigma_EX, dtype=float))
-        sigma_EY = np.array(self.sigma_EY, dtype=float).reshape(-1)
-        sigma_EE = np.atleast_2d(np.array(self.sigma_EE, dtype=float))
+        sigma_EX = np.atleast_2d(_floats(self.sigma_EX, "sigma_EX"))
+        sigma_EY = _floats(self.sigma_EY, "sigma_EY").reshape(-1)
+        if sigma_EX.ndim != 2:
+            raise InvalidStatisticsError("sigma_EX must be an instruments x exposures matrix")
         L, K = sigma_EX.shape
         if K < 1 or L < K:
-            raise ValueError(f"need L >= K >= 1 instruments/exposures, got L={L}, K={K}")
+            raise InvalidStatisticsError(f"need L >= K >= 1 instruments/exposures, got L={L}, K={K}")
         if sigma_EY.shape != (L,):
-            raise ValueError("sigma_EY length must match instrument count")
+            raise InvalidStatisticsError("sigma_EY length must match instrument count")
+        if not (np.all(np.isfinite(sigma_EX)) and np.all(np.isfinite(sigma_EY))):
+            raise InvalidStatisticsError("summary statistics contain non-finite entries")
+        sigma_EE, eigenvalues = check_correlation(self.sigma_EE, "sigma_EE")
         if sigma_EE.shape != (L, L):
-            raise ValueError("sigma_EE must be square with one row per instrument")
-        if not (
-            np.all(np.isfinite(sigma_EX))
-            and np.all(np.isfinite(sigma_EY))
-            and np.all(np.isfinite(sigma_EE))
-        ):
-            raise ValueError("summary statistics contain non-finite entries")
-        if np.max(np.abs(sigma_EE - sigma_EE.T)) > 1e-8:
-            raise ValueError("sigma_EE must be symmetric")
-        if np.max(np.abs(np.diag(sigma_EE) - 1.0)) > 1e-8:
-            raise ValueError("sigma_EE must have unit diagonal (standardized scale)")
-        min_eigenvalue = float(np.linalg.eigvalsh(sigma_EE).min())
-        if min_eigenvalue < -1e-10:
-            raise ValueError("sigma_EE must be positive definite within tolerance")
+            raise InvalidStatisticsError("sigma_EE must have one row per instrument")
+        if eigenvalues[0] < -1e-10:
+            raise InvalidStatisticsError("sigma_EE must be positive definite within tolerance")
         # ``ld_inverse`` refuses the rounding-indefinite matrices let through here
-        object.__setattr__(self, "_min_eigenvalue", min_eigenvalue)
+        object.__setattr__(self, "_ld_eigenvalues", _read_only(eigenvalues))
         object.__setattr__(self, "sigma_EX", _read_only(sigma_EX))
         object.__setattr__(self, "sigma_EY", _read_only(sigma_EY))
         object.__setattr__(self, "sigma_EE", _read_only(sigma_EE))
@@ -123,10 +140,10 @@ class SummaryStatistics:
                 f"LD matrix condition number {cond:.3e} exceeds {LD_CONDITION_LIMIT:.0e}; "
                 "prune near-identical instruments (r^2 >= 0.95) before estimating"
             )
-        if self._min_eigenvalue <= 0.0:
+        if self._ld_eigenvalues[0] <= 0.0:
             raise IllConditionedLdError(
                 f"LD matrix is not positive definite (smallest eigenvalue "
-                f"{self._min_eigenvalue:.3e}); prune near-identical instruments "
+                f"{self._ld_eigenvalues[0]:.3e}); prune near-identical instruments "
                 "(r^2 >= 0.95) before estimating"
             )
         return _read_only(np.linalg.inv(self.sigma_EE))
@@ -153,20 +170,6 @@ class SummaryStatistics:
                 "weighted moment matrix is singular", diagnostics=report
             ) from None
         return _read_only(M), _read_only(W @ self.sigma_EY), _read_only(M_inv)
-
-    def reorder_instruments(self, order):
-        order = list(order)
-        return SummaryStatistics(
-            self.sigma_EX[order],
-            self.sigma_EY[order],
-            self.sigma_EE[np.ix_(order, order)],
-            self.n_exposure,
-            self.n_outcome,
-            self.exposure_names,
-            tuple(self.instrument_names[i] for i in order)
-            if self.instrument_names
-            else None,
-        )
 
     def drop_exposures(self, indices):
         keep = [k for k in range(self.n_exposures) if k not in set(indices)]
@@ -207,9 +210,9 @@ class IndividualData:
         n, L = e.shape
         K = x.shape[1]
         if x.shape[0] != n or y.shape[0] != n:
-            raise ValueError("genotypes, exposures and outcome disagree on N")
+            raise InvalidStatisticsError("genotypes, exposures and outcome disagree on N")
         if n <= L:
-            raise ValueError("need more observations than instruments")
+            raise InvalidStatisticsError("need more observations than instruments")
         z = np.empty((n, L + K + 1))
         z[:, :L] = e
         z[:, L:-1] = x
@@ -219,10 +222,10 @@ class IndividualData:
         z -= np.ones(n) @ z / n
         cross = z.T @ z
         if not np.all(np.isfinite(cross)):
-            raise ValueError("individual-level data contain non-finite values")
+            raise InvalidStatisticsError("individual-level data contain non-finite values")
         scale = np.sqrt(np.diag(cross))
         if np.any(scale <= 0):
-            raise ValueError("degenerate (constant) column in individual-level data")
+            raise InvalidStatisticsError("degenerate (constant) column in individual-level data")
         self.n_observations = n
         self.n_instruments = L
         self.sds = scale / np.sqrt(n)
@@ -270,12 +273,11 @@ class EstimateResult:
 @dataclass(frozen=True)
 class IdentifiabilityReport:
     det_normalized_gram: float
-    det_ld: float
     rank_EX: int
     n_exposures: int
     n_instruments: int
     condition_EX: float
-    condition_EE: float
+    condition_EE: float  # max|lambda| / min|lambda| over the eigenvalues of Sigma_EE
     verdict: str  # "pass" | "warn" | "fail"
 
 
@@ -294,11 +296,11 @@ def identifiability_diagnostics(stats):
     safe = np.where(norms > 0, norms, 1.0)
     G = (S / safe).T @ (S / safe)
     det_gram = float(np.linalg.det(G)) if np.all(norms > 0) else 0.0
-    det_ld = float(np.linalg.det(stats.sigma_EE))
     svals = np.linalg.svd(S, compute_uv=False)
     rank = int(np.sum(svals > svals[0] * RANK_RTOL)) if svals[0] > 0 else 0
     cond_EX = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    cond_EE = float(np.linalg.cond(stats.sigma_EE))
+    magnitudes = np.abs(stats._ld_eigenvalues)
+    cond_EE = float(magnitudes.max() / magnitudes.min()) if magnitudes.min() > 0 else np.inf
     if det_gram > DET_PASS:
         verdict = "pass"
     elif det_gram < DET_FAIL:
@@ -307,7 +309,6 @@ def identifiability_diagnostics(stats):
         verdict = "warn"
     return IdentifiabilityReport(
         det_normalized_gram=det_gram,
-        det_ld=det_ld,
         rank_EX=rank,
         n_exposures=stats.n_exposures,
         n_instruments=stats.n_instruments,
@@ -397,16 +398,6 @@ def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
     _, v, H = stats.weighted_moments
     H_shrunk = (1.0 - alpha) * H + alpha * np.eye(stats.n_exposures)
     return EstimateResult(H_shrunk @ v)
-
-
-def univariate_ratio(sigma_EX, sigma_EY, tolerance=1e-6):
-    """Single-instrument, single-exposure ratio estimate sigma_EY / sigma_EX."""
-    if abs(sigma_EX) <= tolerance:
-        raise WeakInstrumentError(
-            f"|sigma_EX| = {abs(sigma_EX):.3e} at or below the weak-instrument "
-            f"guard {tolerance:.0e}"
-        )
-    return sigma_EY / sigma_EX
 
 
 def standard_errors(result, stats):
@@ -556,8 +547,11 @@ def conditional_f(individual):
     n, L, corr = individual.n_observations, individual.n_instruments, individual.corr
     K = corr.shape[0] - L - 1
     if n <= L + K:
-        raise ValueError("conditional F requires N > L + K")
-    chol = np.linalg.cholesky(corr[:L, :L])
+        raise InvalidStatisticsError("conditional F requires N > L + K")
+    try:
+        chol = np.linalg.cholesky(corr[:L, :L])
+    except np.linalg.LinAlgError:
+        raise InvalidStatisticsError("conditional F needs a positive definite LD matrix") from None
     fitted = np.linalg.solve(chol, corr[:L, L:-1])
     stats_out = np.empty(K)
     for k in range(K):

@@ -20,7 +20,8 @@ File formats (all UTF-8):
 * GWAS TSV, header required: ``snp chrom pos beta se pval n``
 * LD file: first line whitespace-separated SNP ids, then a square,
   symmetric matrix of r values (not r squared) in [-1, 1] with a unit
-  diagonal.  Positive semi-definiteness is not checked here.
+  diagonal.  A locus tissue whose LD submatrix is not positive
+  semi-definite reads ``failed``, with the error, in its report.
 
 Both TSV files are plain: one physical line per record, fields split at
 every tab, and a ``"`` is an ordinary character, not a quote.
@@ -446,46 +447,16 @@ def verify_closure(locus):
 # Per-locus analysis
 
 
-def _run_estimator(stats, locus_id, labels, config):
-    report = stats.diagnostics
-    diagnostics = asdict(report)
-    if report.rank_EX < stats.n_exposures or report.verdict == "fail":
-        return [], diagnostics, "non_identifiable"
-    try:
-        result = estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
-    except UnderdeterminedError as exc:
-        diagnostics["error"] = str(exc)
-        return [], diagnostics, "non_identifiable"
-    except MvmrError as exc:
-        diagnostics["error"] = str(exc)
-        return [], diagnostics, "failed"
-    calls = []
-    for k, (gene, tissue) in enumerate(labels):
-        calls.append(
-            CausalGeneCall(
-                locus_id=locus_id,
-                gene=gene,
-                tissue=tissue,
-                effect=float(result.effects[k]),
-                se=float(result.standard_errors[k]),
-                p=float(result.p_values[k]),
-                causal=bool(abs(result.effects[k]) >= config.causal_threshold),
-                bonferroni=bool(result.bonferroni_significant[k]),
-            )
-        )
-    return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"
-
-
 def _analyze(locus, exposures, gwas_by_snp, ld, config):
     """MVMR of one locus on ``exposures``, a list of distinct (gene, tissue) pairs.
 
     The instruments are the member SNPs, in order, that carry a
     significant row (``locus.eqtls``) of at least one exposure; an
     instrument-exposure entry with no such row is zero.  No exposures
-    yields ``verdict='no_data'``; fewer instruments than exposures, a
-    rank-deficient or a fail-verdict design yields
-    ``verdict='non_identifiable'``; both with no calls rather than an
-    exception.
+    yields ``'no_data'``; fewer instruments than exposures, or a
+    rank-deficient or fail-verdict design, ``'non_identifiable'``; any
+    other MvmrError, such as an indefinite LD block, ``'failed'`` with
+    the error.  Each comes with no calls rather than an exception.
     """
     if not exposures:
         return [], {}, "no_data"
@@ -498,13 +469,38 @@ def _analyze(locus, exposures, gwas_by_snp, ld, config):
     snps = [s for s in locus.member_snps if s in sigma_EX_rows]
     if len(snps) < len(exposures):
         return [], {"n_instruments": len(snps), "n_exposures": len(exposures)}, "non_identifiable"
-    stats = SummaryStatistics(
-        [sigma_EX_rows[s] for s in snps],
-        [gwas_by_snp[s].beta for s in snps],
-        ld.submatrix(snps),
-        n_outcome=int(np.median([gwas_by_snp[s].n for s in snps])),
-    )
-    return _run_estimator(stats, locus.locus_id, exposures, config)
+    diagnostics = {}
+    try:
+        stats = SummaryStatistics(
+            [sigma_EX_rows[s] for s in snps],
+            [gwas_by_snp[s].beta for s in snps],
+            ld.submatrix(snps),
+            n_outcome=int(np.median([gwas_by_snp[s].n for s in snps])),
+        )
+        report = stats.diagnostics
+        diagnostics = asdict(report)
+        if report.rank_EX < stats.n_exposures or report.verdict == "fail":
+            return [], diagnostics, "non_identifiable"
+        result = estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
+    except UnderdeterminedError as exc:
+        return [], {**diagnostics, "error": str(exc)}, "non_identifiable"
+    except MvmrError as exc:
+        return [], {**diagnostics, "error": str(exc)}, "failed"
+    calls = []
+    for k, (gene, tissue) in enumerate(exposures):
+        calls.append(
+            CausalGeneCall(
+                locus_id=locus.locus_id,
+                gene=gene,
+                tissue=tissue,
+                effect=float(result.effects[k]),
+                se=float(result.standard_errors[k]),
+                p=float(result.p_values[k]),
+                causal=bool(abs(result.effects[k]) >= config.causal_threshold),
+                bonferroni=bool(result.bonferroni_significant[k]),
+            )
+        )
+    return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"
 
 
 def analyze_locus(locus, tissue, gwas_by_snp, ld, config=PipelineConfig()):

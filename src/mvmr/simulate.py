@@ -29,11 +29,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FeasibilityError, MvmrError, ScenarioError
+from .errors import FeasibilityError, IllConditionedLdError, MvmrError, ScenarioError
 from .estimators import (
     ESTIMATORS,
     IndividualData,
     SummaryStatistics,
+    check_correlation,
     conditional_f,
     estimate,
     _ndtr,
@@ -327,7 +328,7 @@ class EffectSizes:
 
 @dataclass(frozen=True)
 class SimulationScenario:
-    """Declarative description of one simulation cell."""
+    """Declarative description of one simulation cell, checked when built."""
 
     true_effects: tuple
     n_samples: int
@@ -351,11 +352,13 @@ class SimulationScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "true_effects", tuple(float(c) for c in self.true_effects))
-        if self.ld_matrix is not None:
-            ld = np.asarray(self.ld_matrix, dtype=float)
-            object.__setattr__(self, "ld_matrix", tuple(map(tuple, ld)))
         if (self.genotypes is None) == (self.ld_matrix is None):
             raise ScenarioError("specify exactly one of genotypes (Markov) or ld_matrix (Gaussian)")
+        if self.ld_matrix is not None:
+            ld, eigenvalues = check_correlation(self.ld_matrix, "ld_matrix", ScenarioError)
+            if eigenvalues[0] <= 0.0:
+                raise ScenarioError("ld_matrix must be positive definite")
+            object.__setattr__(self, "ld_matrix", tuple(map(tuple, ld)))
         if self.causal_instruments is not None:
             rows = list(self.causal_instruments)
             if rows and isinstance(rows[0], (list, tuple)):
@@ -386,6 +389,9 @@ class SimulationScenario:
                 "(ld_matrix); the Markov sampler cannot target an arbitrary "
                 "perturbed matrix"
             )
+        for key, n in (("n_samples", self.n_samples), ("n_outcome", self.n_outcome)):
+            if n is not None and n <= self.n_instruments:
+                raise ScenarioError(f"{key} {n} must exceed the instrument count {self.n_instruments}")
 
     @property
     def n_exposures(self):
@@ -449,7 +455,10 @@ def _draw_genotypes(scenario, n, rng, ld_override=None):
     if scenario.genotypes is not None:
         return sample_genotypes(scenario.genotypes, n, rng).astype(float)
     ld = scenario.reference_ld() if ld_override is None else ld_override
-    chol = np.linalg.cholesky(ld)
+    try:
+        chol = np.linalg.cholesky(ld)
+    except np.linalg.LinAlgError:  # the reference is checked: a perturbed draw
+        raise IllConditionedLdError("perturbed LD matrix is not positive definite") from None
     return rng.standard_normal((n, ld.shape[0])) @ chol.T
 
 
@@ -459,17 +468,6 @@ def _generate_arrays(scenario, A, n, rng, ld_override=None):
     x = e_raw @ A + noise_sd * rng.standard_normal((n, scenario.n_exposures))
     y = x @ np.asarray(scenario.true_effects) + noise_sd * rng.standard_normal(n)
     return e_raw, x, y
-
-
-def _cohort(scenario, e_raw, x, y):
-    """One cohort's drawn arrays, on the scenario's instruments, reduced to
-    :class:`IndividualData`."""
-    if scenario.instrument_subset is not None:
-        e_raw = e_raw[:, list(scenario.instrument_subset)]
-    try:
-        return IndividualData(e_raw, x, y)
-    except ValueError as exc:
-        raise ScenarioError(f"generated data rejected: {exc}") from None
 
 
 def _estimation_ld(scenario, outcome):
@@ -510,7 +508,10 @@ def generate_dataset(scenario, seed):
 
     def draw_cohort(n, wishart_df):
         ld = None if wishart_df is None else perturb_ld(scenario.reference_ld(), wishart_df, rng)
-        return _cohort(scenario, *_generate_arrays(scenario, A, n, rng, ld))
+        e_raw, x, y = _generate_arrays(scenario, A, n, rng, ld)
+        if scenario.instrument_subset is not None:
+            e_raw = e_raw[:, list(scenario.instrument_subset)]
+        return IndividualData(e_raw, x, y)
 
     if scenario.n_outcome is None:
         exposure = outcome = draw_cohort(scenario.n_samples, scenario.ld_wishart_df)
@@ -722,7 +723,7 @@ def run_replicates(
         if collect_conditional_f:
             try:
                 row["_cf"] = conditional_f(data.individual)
-            except (MvmrError, ValueError, np.linalg.LinAlgError):
+            except MvmrError:
                 row["_cf"] = np.full(K, np.nan)
         return row
 
@@ -1018,8 +1019,7 @@ def _genotypes_from_config(cfg):
             }
         return {"genotypes": GenotypeModel(cfg["mafs"], cfg.get("successive_r", ()))}
     if mode == "gaussian":
-        ld = fixture["ld"] if fixture is not None else cfg["ld"]
-        return {"ld_matrix": tuple(map(tuple, np.asarray(ld, dtype=float)))}
+        return {"ld_matrix": fixture["ld"] if fixture is not None else cfg["ld"]}
     raise ScenarioError(f"unknown genotype mode {mode!r}")
 
 

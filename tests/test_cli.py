@@ -135,6 +135,50 @@ class TestSimulateCommand:
         assert code == 2
         assert "instrument_names" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ld, message",
+        [
+            ([[1, 0.5], [0.3, 1]], "ld_matrix must be symmetric"),
+            ([[1, 1.2], [1.2, 1]], "ld_matrix must be positive definite"),
+            ([[1, 0.5], [0.5]], "ld_matrix must be an array of numbers"),
+            ([[1, 0.5, 0.2], [0.5, 1, 0.1]], "ld_matrix must be a square matrix"),
+            ([[1, "a"], ["a", 1]], "ld_matrix must be an array of numbers"),
+            ([[1, float("nan")], [float("nan"), 1]], "ld_matrix contains non-finite entries"),
+            ([[2, 0.5], [0.5, 1]], "ld_matrix must have unit diagonal"),
+        ],
+    )
+    def test_gaussian_ld_checked_where_the_scenario_is_built(self, tmp_path, capsys, ld, message):
+        scenario = write_scenario(tmp_path, genotypes={"mode": "gaussian", "ld": ld})
+        code = cli.main(["simulate", "--scenario", scenario, "--seed", "1", "--replicates", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("key", ["n_samples", "n_outcome"])
+    def test_cohort_no_larger_than_the_instrument_count_exit_2(self, tmp_path, capsys, key):
+        scenario = write_scenario(tmp_path, **{key: 2})  # fig2_corr_desk has two instruments
+        code = cli.main(["simulate", "--scenario", scenario, "--seed", "1", "--replicates", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} 2 must exceed the instrument count 2" in capsys.readouterr().err
+
+    def test_constant_generated_column_exit_4(self, tmp_path, capsys):
+        scenario = tmp_path / "constant.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "kind": "replicates",
+                    "true_effects": [0.2, 0.6],
+                    "n_samples": 200,
+                    "genotypes": {"mode": "markov", "mafs": [0.3, 0.3], "successive_r": [0.5]},
+                    "effects": {"matrix": [[0.3, 0.0], [0.2, 0.0]]},
+                    "noise_variance": 0.0,
+                }
+            )
+        )
+        code = cli.main(["simulate", "--scenario", str(scenario), "--seed", "3", "--replicates", "2", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numerical failure: degenerate (constant) column")
+
     @pytest.mark.parametrize("listed", ["gmm", [1], {"ls": True}, ["ls", None]])
     def test_scenario_estimators_must_be_a_list_of_names(self, tmp_path, capsys, listed):
         scenario = write_scenario(tmp_path, estimators=listed)
@@ -282,6 +326,14 @@ class TestEstimateCommand:
                     ("n_outcome", 0, "'n_outcome' must be null or a positive integer"),
                     ("n_exposure", -5, "'n_exposure' must be null or a positive integer"),
                     ("n_exposure", [100], "'n_exposure' must be null or a positive integer"),
+                    ("sigma_EX", {"a": 1}, "'sigma_EX' must hold numbers or arrays of numbers, not {\"a\": 1}"),
+                    ("sigma_EX", [[True]], "'sigma_EX' must hold numbers or arrays of numbers, not true"),
+                    ("sigma_EY", [False], "'sigma_EY' must hold numbers or arrays of numbers, not false"),
+                    ("sigma_EY", ["0.2"], "'sigma_EY' must hold numbers or arrays of numbers, not \"0.2\""),
+                    ("sigma_EE", [[None]], "'sigma_EE' must hold numbers or arrays of numbers, not null"),
+                    ("sigma_EE", [[1.0], [1.0, 0.0]], "sigma_EE must be an array of numbers"),
+                    ("sigma_EE", [[10**400]], "sigma_EE must be an array of numbers"),
+                    ("sigma_EX", [[[1.0]]], "sigma_EX must be an instruments x exposures matrix"),
                 )
             ),
         ],
@@ -492,6 +544,33 @@ class TestLociCommand:
         err = capsys.readouterr().err
         assert message in err
         assert f"{name}:{row + 1}]" in err
+
+    def test_indefinite_ld_block_fails_its_tissue_only(self, tmp_path, capsys):
+        # r(rs600, rs603) = -0.9 against r ~ +0.93 with rs601: the MAM LD block is indefinite
+        edit = lambda lines: self._set(self._set(lines, 1, 3, "-0.9", " "), 4, 0, "-0.9", " ")
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "clean").mkdir()
+        argv = self._fixture_with(tmp_path / "bad", "ld.txt", edit)
+        clean = self._fixture_with(tmp_path / "clean", "ld.txt", lambda lines: lines)
+        assert cli.main(argv) == 0
+        assert cli.main(clean) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+        def verdicts(out):
+            reports = [json.loads(p.read_text()) for p in sorted(out.glob("locus_*.json"))]
+            return {(r["locus_id"], t): v for r in reports for t, v in r["tissues"].items()}
+
+        bad, good = verdicts(tmp_path / "bad" / "out"), verdicts(tmp_path / "clean" / "out")
+        mam = bad.pop(("chr6:12891000", "MAM"))
+        assert mam["verdict"] == "failed" and mam["calls"] == []
+        assert "positive definite" in mam["diagnostics"]["error"]
+        assert good.pop(("chr6:12891000", "MAM"))["verdict"] == "ok"
+        assert len(bad) == 4 and bad == good
+
+        def calls_outside_mam(out):
+            return [row for row in (out / "causal_gene_calls.csv").read_text().splitlines() if ",MAM," not in row]
+
+        assert calls_outside_mam(tmp_path / "bad" / "out") == calls_outside_mam(tmp_path / "clean" / "out")
 
     def test_no_significant_gwas_empty_report(self, tmp_path, capsys):
         eqtl = tmp_path / "eqtl.tsv"

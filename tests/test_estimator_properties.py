@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from mvmr import estimators as est
-from mvmr.errors import IllConditionedLdError, MvmrError
+from mvmr.errors import IllConditionedLdError, InvalidStatisticsError, MvmrError
 
 PROPERTY = settings(
     max_examples=100,
@@ -86,7 +86,7 @@ def _statistics(draw, kinds=LD_KINDS, n_outcome=N_OUTCOME):
     sigma_EY = _matrix(draw, L, 1).ravel()
     try:
         return est.SummaryStatistics(sigma_EX, sigma_EY, draw(_ld(L, kinds)), n_outcome=draw(n_outcome))
-    except ValueError:
+    except InvalidStatisticsError:
         reject()
 
 

@@ -8,9 +8,8 @@ from mvmr import simulate as sim
 from mvmr.errors import (
     CollinearExposuresError,
     IllConditionedLdError,
-    ScenarioError,
+    InvalidStatisticsError,
     UnderdeterminedError,
-    WeakInstrumentError,
 )
 from helpers import (
     near_singular_ld_payload,
@@ -151,18 +150,6 @@ class TestTwmrShrunk:
             est.twmr_shrunk_estimate(fig_2a_statistics(), alpha=1.5)
 
 
-class TestUnivariateRatio:
-    def test_basic_ratio(self):
-        assert est.univariate_ratio(0.5, 0.15) == pytest.approx(0.3)
-
-    def test_null_effect(self):
-        assert est.univariate_ratio(1.0, 0.0) == 0.0
-
-    def test_weak_instrument_guard(self):
-        with pytest.raises(WeakInstrumentError):
-            est.univariate_ratio(1e-9, 0.1)
-
-
 class TestStandardErrors:
     def test_scaling_with_outcome_sample_size(self):
         stats_small = fig_2a_statistics(n_outcome=1000)
@@ -271,23 +258,20 @@ class TestSharedFactorisation:
     def test_derived_statistics_get_fresh_caches(self, method):
         stats = overidentified_statistics()
         est.estimate(stats, method)  # fill the cache of the source statistics
+        got = stats.drop_exposures([1])
+        direct = est.SummaryStatistics(stats.sigma_EX[:, [0, 2]], stats.sigma_EY, stats.sigma_EE, n_outcome=stats.n_outcome)
+        a, b = est.estimate(got, method), est.estimate(direct, method)
+        assert np.array_equal(a.effects, b.effects)
+        assert np.array_equal(a.standard_errors, b.standard_errors)
+        assert got.diagnostics == direct.diagnostics
+        # statistics built from permuted arrays start with their own cache
         order = [3, 0, 4, 1, 2]
-        derived = [
-            (
-                stats.reorder_instruments(order),
-                (stats.sigma_EX[order], stats.sigma_EY[order], stats.sigma_EE[np.ix_(order, order)]),
-            ),
-            (
-                stats.drop_exposures([1]),
-                (stats.sigma_EX[:, [0, 2]], stats.sigma_EY, stats.sigma_EE),
-            ),
-        ]
-        for got, arrays in derived:
-            direct = est.SummaryStatistics(*arrays, n_outcome=stats.n_outcome)
-            a, b = est.estimate(got, method), est.estimate(direct, method)
-            assert np.array_equal(a.effects, b.effects)
-            assert np.array_equal(a.standard_errors, b.standard_errors)
-            assert got.diagnostics == direct.diagnostics
+        permuted = est.SummaryStatistics(
+            stats.sigma_EX[order], stats.sigma_EY[order], stats.sigma_EE[np.ix_(order, order)], n_outcome=stats.n_outcome
+        )
+        assert permuted.ld_inverse is not stats.ld_inverse
+        np.testing.assert_allclose(permuted.ld_inverse, stats.ld_inverse[np.ix_(order, order)], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(est.estimate(permuted, method).effects, est.estimate(stats, method).effects, rtol=1e-10)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_estimate_attaches_inference_when_n_outcome_set(self, method):
@@ -609,7 +593,7 @@ class TestIndividualDataSufficientStatistics:
         with pytest.raises(ValueError):
             est.IndividualData(rng.normal(size=(3, 3)), rng.normal(size=(3, 1)), rng.normal(size=3))
 
-    def test_constant_generated_column_is_a_scenario_error(self):
+    def test_constant_generated_column_is_invalid_statistics(self):
         scenario = sim.SimulationScenario(
             true_effects=(0.2, 0.6),
             n_samples=200,
@@ -617,7 +601,7 @@ class TestIndividualDataSufficientStatistics:
             effects=sim.EffectSizes(matrix=((0.3, 0.0), (0.2, 0.0))),
             noise_variance=0.0,
         )
-        with pytest.raises(ScenarioError, match="constant"):
+        with pytest.raises(InvalidStatisticsError, match="constant"):
             sim.generate_dataset(scenario, 3)
 
 
@@ -680,7 +664,9 @@ class TestInvariants:
         )
         stats = population_statistics(diagram, sem, instruments, exposures, outcome)
         order = [2, 0, 1]
-        shuffled = stats.reorder_instruments(order)
+        shuffled = est.SummaryStatistics(
+            stats.sigma_EX[order], stats.sigma_EY[order], stats.sigma_EE[np.ix_(order, order)]
+        )
         for method in ("ls", "gmm"):
             a = est.estimate(stats, method).effects
             b = est.estimate(shuffled, method).effects

@@ -11,6 +11,9 @@ Runs, in this interpreter:
 * ``mvmr loci --estimator ls`` on the fixture trio with ``FDR_ROWS``
   added to the eQTL table: rows at FDR 0.05 and 0.2, which the
   ``fdr < EQTL_FDR`` rule (0.05) leaves out;
+* ``mvmr loci --estimator ls`` on the fixture trio with the LD entry
+  ``INDEFINITE_LD`` changed so that one tissue's LD block is indefinite:
+  that tissue reads ``failed`` and the run exits 0;
 * ``mvmr estimate --estimators ls,gmm,twmr`` on the statistics files in
   ``ESTIMATE_STATS`` (exactly and over-identified, with and without
   ``n_outcome``, a zero standard error, an ill-conditioned LD matrix that
@@ -54,6 +57,7 @@ FDR_ROWS = (  # eQTL rows at and above the significance threshold, for locus 15
     "rs1501\t15\t79139000\tCTSH\tAOR\t0.2\t0.03\t0.3\t0.05\n",
     "rs1503\t15\t79147000\tCTSH\tAOR\t-0.25\t0.03\t0.3\t0.2\n",
 )
+INDEFINITE_LD = ("rs600", "rs603", "-0.9")  # r(rs600, rs603) in the fixture LD; the MAM block of chr6:12891000 turns indefinite
 _LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
 # two blocks of three near-identical SNPs (r = 0.999996 within, 0.2 between); SNPs 1 and 4 drive the exposures
@@ -119,6 +123,18 @@ def _commands(package_dir, out_root):
     out = os.path.join(out_root, "loci", "fdr", "ls")
     argv = ["loci", "--eqtl", eqtl, "--gwas", os.path.join(fixtures, "gwas.tsv"), "--ld", os.path.join(fixtures, "ld.txt"), "--estimator", "ls", "--out", out]
     yield "loci fixtures+fdr_rows --estimator ls", argv, out
+    with open(os.path.join(fixtures, "ld.txt"), encoding="utf-8") as fh:
+        rows = [line.split(" ") for line in fh.read().splitlines()]
+    a, b, value = INDEFINITE_LD
+    i, j = rows[0].index(a), rows[0].index(b)
+    rows[1 + i][j] = rows[1 + j][i] = value
+    ld = os.path.join(out_root, "inputs", "indefinite", "ld.txt")
+    os.makedirs(os.path.dirname(ld))
+    with open(ld, "w", encoding="utf-8") as fh:
+        fh.write("".join(" ".join(row) + "\n" for row in rows))
+    out = os.path.join(out_root, "loci", "indefinite", "ls")
+    argv = ["loci", "--eqtl", os.path.join(fixtures, "eqtl.tsv"), "--gwas", os.path.join(fixtures, "gwas.tsv"), "--ld", ld, "--estimator", "ls", "--out", out]
+    yield "loci fixtures+indefinite_ld --estimator ls", argv, out
     os.makedirs(os.path.join(out_root, "inputs", "estimate"))
     os.makedirs(os.path.join(out_root, "estimate"))
     for name, payload in ESTIMATE_STATS.items():
