@@ -151,13 +151,18 @@ def _run_pleiotropy_kind(config, args, out_dir, estimators, seed):
 
 def _run_two_sample_kind(config, args, out_dir, estimators, seed):
     config = dict(config)
+    missing = [key for key in ("n_samples", "n_outcome") if key not in config]
+    if missing:
+        raise ScenarioError(f"two_sample scenarios need {missing}")
     n_exposure_grid = config.pop("n_samples")
     n_outcome_grid = config.pop("n_outcome")
     if not isinstance(n_exposure_grid, (list, tuple)):
         n_exposure_grid = [n_exposure_grid]
     if not isinstance(n_outcome_grid, (list, tuple)):
         n_outcome_grid = [n_outcome_grid]
-    scenario = scenario_from_dict({**config, "n_samples": int(n_exposure_grid[0])})
+    if not n_exposure_grid or not n_outcome_grid:
+        raise ScenarioError("two-sample grids must be nonempty")
+    scenario = scenario_from_dict({**config, "n_samples": n_exposure_grid[0]})
     results = two_sample_experiment(
         scenario,
         n_exposure_grid,
@@ -306,9 +311,14 @@ def _is_count(value):
 
 def _non_numbers(value):
     """The entries of ``value``, at any list depth, that are not JSON numbers (a boolean is not one)."""
-    if isinstance(value, list):
-        return [bad for v in value for bad in _non_numbers(v)]
-    return [] if type(value) in (int, float) else [value]
+    bad, pending = [], [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(reversed(item))
+        elif type(item) not in (int, float):
+            bad.append(item)
+    return bad
 
 
 def _stats_optional(payload, key, valid, expected):
@@ -322,7 +332,10 @@ def _stats_optional(payload, key, valid, expected):
 
 def _stats_from_json(path):
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ScenarioError(f"statistics file {path} is nested too deeply to parse") from None
     if not isinstance(payload, dict):
         raise ScenarioError(
             f"statistics file {path} must hold a JSON object, not {_JSON_TYPES[type(payload)]}"

@@ -188,22 +188,42 @@ class SummaryStatistics:
 class IndividualData:
     """Individual-level data kept as its sufficient statistics.
 
-    Built from genotypes (N x L), exposures (N x K) and outcome (N) on any
-    scale.  One centring pass and one cross product of Z = [E | X | Y]
-    give the column standard deviations ``sds`` (ddof 0) and the
-    correlation matrix ``corr`` of Z, which is all the summary statistics
-    and the conditional F-statistic read: the N-row arrays are not kept.
+    Built from the sample size N, the instrument count L and the centred
+    cross-product matrix of Z = [E | X | Y] (genotypes, exposures, outcome;
+    L + K + 1 columns, any scale): the column standard deviations ``sds``
+    (ddof 0) and the correlation matrix ``corr`` of Z are all the summary
+    statistics and the conditional F-statistic read.  A simulated cohort
+    draws the matrix itself; :meth:`from_arrays` reduces N-row arrays.
     """
 
-    genotypes: InitVar[np.ndarray]
-    exposures: InitVar[np.ndarray]
-    outcome: InitVar[np.ndarray]
-    n_observations: int = field(init=False)
-    n_instruments: int = field(init=False)
+    n_observations: int
+    n_instruments: int
+    cross: InitVar[np.ndarray]
     sds: np.ndarray = field(init=False)
     corr: np.ndarray = field(init=False)
 
-    def __post_init__(self, genotypes, exposures, outcome):
+    def __post_init__(self, cross):
+        cross = _floats(cross, "cross-product matrix")
+        L = self.n_instruments
+        if cross.ndim != 2 or cross.shape[0] != cross.shape[1] or cross.shape[0] < L + 2:
+            raise InvalidStatisticsError(
+                f"cross-product matrix must be square with more than {L + 1} columns"
+            )
+        if self.n_observations <= L:
+            raise InvalidStatisticsError("need more observations than instruments")
+        if not np.all(np.isfinite(cross)):
+            raise InvalidStatisticsError("individual-level data contain non-finite values")
+        diagonal = np.diag(cross)
+        if np.any(diagonal <= 0):
+            raise InvalidStatisticsError("degenerate (constant) column in individual-level data")
+        scale = np.sqrt(diagonal)
+        self.sds = scale / np.sqrt(self.n_observations)
+        self.corr = cross / np.outer(scale, scale)
+
+    @classmethod
+    def from_arrays(cls, genotypes, exposures, outcome):
+        """Reduce genotypes (N x L), exposures (N x K) and outcome (N) by one
+        centring pass and one cross product; the arrays are not kept."""
         e = np.atleast_2d(np.asarray(genotypes, dtype=float))
         x = np.atleast_2d(np.asarray(exposures, dtype=float))
         y = np.asarray(outcome, dtype=float).reshape(-1)
@@ -211,8 +231,6 @@ class IndividualData:
         K = x.shape[1]
         if x.shape[0] != n or y.shape[0] != n:
             raise InvalidStatisticsError("genotypes, exposures and outcome disagree on N")
-        if n <= L:
-            raise InvalidStatisticsError("need more observations than instruments")
         z = np.empty((n, L + K + 1))
         z[:, :L] = e
         z[:, L:-1] = x
@@ -220,16 +238,7 @@ class IndividualData:
         # column means by one matrix-vector product: a reduction down the
         # columns of this row-major buffer takes several times longer
         z -= np.ones(n) @ z / n
-        cross = z.T @ z
-        if not np.all(np.isfinite(cross)):
-            raise InvalidStatisticsError("individual-level data contain non-finite values")
-        scale = np.sqrt(np.diag(cross))
-        if np.any(scale <= 0):
-            raise InvalidStatisticsError("degenerate (constant) column in individual-level data")
-        self.n_observations = n
-        self.n_instruments = L
-        self.sds = scale / np.sqrt(n)
-        self.corr = cross / np.outer(scale, scale)
+        return cls(n, L, z.T @ z)
 
     @property
     def ld(self):

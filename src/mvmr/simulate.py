@@ -9,12 +9,15 @@ second moments enter the estimators.  A perturbed LD matrix is one Wishart
 draw by the Bartlett decomposition, in numpy.
 
 Exposures follow ``X_j = sum_i A[i, j] * E_i + noise`` and the outcome
-``Y = sum_j c_j * X_j + noise`` with noise variance 1 by default.  The
-drawn arrays are reduced at once to their sufficient statistics: one
-centring pass and one cross product give the sample standard deviations
-and the correlations the summary statistics are read from.  Estimates are
-mapped back to the generative scale (multiplying by the sample
-sd(Y)/sd(X_k) ratio) so that replicate bias is measured against the
+``Y = sum_j c_j * X_j + noise`` with noise variance 1 by default.  What the
+estimators read of a cohort is the centred cross-product matrix of
+[E | X | Y].  A Markov cohort draws that matrix directly, at a cost that
+does not grow with N: the N genotype vectors are one multinomial draw of
+counts over the model's table of 3^L possible vectors, and the noise cross
+products follow exactly given the genotypes.  A Gaussian cohort draws its
+N-row arrays and reduces them by one centring pass and one cross product.
+Estimates are mapped back to the generative scale (multiplying by the
+sample sd(Y)/sd(X_k) ratio) so that replicate bias is measured against the
 scenario's true effect vector.
 
 Replicates draw independent RNG streams spawned from the master seed by
@@ -24,8 +27,10 @@ parallelism.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +43,11 @@ from .estimators import (
     conditional_f,
     estimate,
     _ndtr,
+    _read_only,
     _unit_diagonal,
 )
+
+MAX_MARKOV_SNPS = 10  # a Markov model's genotype table holds 3^L vectors: 59,049 at the cap
 
 # ---------------------------------------------------------------------------
 # Genotype models
@@ -47,22 +55,32 @@ from .estimators import (
 
 @dataclass(frozen=True)
 class GenotypeModel:
-    """Markov-chain binomial genotype sampler settings.
+    """Markov-chain binomial genotype model.
 
     ``mafs[k]`` is the minor allele frequency of SNP k (in (0, 0.5]) and
     ``successive_r[k]`` the target correlation between SNPs k and k+1.
     Each genotype is the sum of two allele draws; the allele chain for SNP
     k+1 is Bernoulli with success probability linear in the paired allele
     of SNP k, which reproduces both the MAF and the pairwise correlation.
+    Chains longer than ``MAX_MARKOV_SNPS`` are refused, as the genotype
+    table grows as 3^L.
     """
 
     mafs: tuple
     successive_r: tuple = ()
 
     def __init__(self, mafs, successive_r=()):
-        object.__setattr__(self, "mafs", tuple(float(m) for m in mafs))
-        object.__setattr__(self, "successive_r", tuple(float(r) for r in successive_r))
-        if len(self.successive_r) != max(len(self.mafs) - 1, 0):
+        try:
+            object.__setattr__(self, "mafs", tuple(float(m) for m in mafs))
+            object.__setattr__(self, "successive_r", tuple(float(r) for r in successive_r))
+        except (TypeError, ValueError):
+            raise ScenarioError("genotype mafs and successive_r must be lists of numbers") from None
+        if not 0 < len(self.mafs) <= MAX_MARKOV_SNPS:
+            raise ScenarioError(
+                f"a Markov genotype model needs 1 to {MAX_MARKOV_SNPS} SNPs "
+                f"(MAX_MARKOV_SNPS), got {len(self.mafs)}"
+            )
+        if len(self.successive_r) != len(self.mafs) - 1:
             raise ScenarioError("need one successive correlation per SNP pair")
         for k, m in enumerate(self.mafs):
             if not 0.0 < m <= 0.5:
@@ -98,6 +116,41 @@ class GenotypeModel:
                 out[i, j] = out[j, i] = acc
         return out
 
+    @property
+    def genotype_table(self):
+        """``(vectors, probabilities)``: all 3^L genotype vectors (int8 rows)
+        and the probability of each, sorted by descending probability.
+        Built on first use and shared by equal models."""
+        return _genotype_table(self)
+
+
+@lru_cache(maxsize=8)
+def _genotype_table(model):
+    """:attr:`GenotypeModel.genotype_table`, by a forward pass over the two
+    allele chains: ``probs[code, a1, a2]`` is the probability of the
+    genotype prefix ``code`` (base 3, first SNP most significant) whose last
+    SNP carries alleles ``a1`` and ``a2``."""
+    allele = np.array([1.0 - model.mafs[0], model.mafs[0]])
+    probs = np.zeros((3, 2, 2))
+    for a1, a2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        probs[a1 + a2, a1, a2] = allele[a1] * allele[a2]
+    for k in range(1, model.n_snps):
+        p0, p1 = _conditional_allele_probs(
+            model.mafs[k - 1], model.mafs[k], model.successive_r[k - 1], k - 1
+        )
+        step = np.array([[1.0 - p0, p0], [1.0 - p1, p1]])  # step[allele, next allele]
+        # moved[c, (a1', a2')] = sum over (a1, a2) of probs[c, a1, a2] step[a1, a1'] step[a2, a2']
+        moved = probs.reshape(-1, 4) @ np.kron(step, step)
+        probs = np.zeros((moved.shape[0], 3, 2, 2))
+        for a1, a2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            probs[:, a1 + a2, a1, a2] = moved[:, 2 * a1 + a2]
+        probs = probs.reshape(-1, 2, 2)
+    probs = probs.sum(axis=(1, 2))
+    # descending, so that the multinomial draw stops after few cells
+    order = np.argsort(-probs, kind="stable")
+    vectors = np.indices((3,) * model.n_snps, dtype=np.int8).reshape(model.n_snps, -1).T
+    return _read_only(vectors[order]), _read_only(probs[order])
+
 
 def _conditional_allele_probs(maf_prev, maf_next, r, pair_index):
     """Bernoulli success probabilities for the next allele given the previous.
@@ -118,20 +171,81 @@ def _conditional_allele_probs(maf_prev, maf_next, r, pair_index):
 
 
 def sample_genotypes(model, n, seed):
-    """Draw an (n, L) integer genotype matrix from the Markov model."""
+    """Draw n genotype vectors from the Markov model as their counts.
+
+    Returns the int64 multinomial counts over ``model.genotype_table``, one
+    per table row: n iid vectors are exactly one multinomial draw.
+    """
     rng = np.random.default_rng(seed)
-    L = model.n_snps
-    alleles = np.empty((2, n, L), dtype=np.int8)
-    for copy in range(2):
-        alleles[copy, :, 0] = rng.random(n) < model.mafs[0]
-        for k in range(1, L):
-            p0, p1 = _conditional_allele_probs(
-                model.mafs[k - 1], model.mafs[k], model.successive_r[k - 1], k - 1
-            )
-            prev = alleles[copy, :, k - 1]
-            probs = np.where(prev == 1, p1, p0)
-            alleles[copy, :, k] = rng.random(n) < probs
-    return alleles.sum(axis=0).astype(np.int64)
+    return rng.multinomial(n, model.genotype_table[1])
+
+
+def _genotype_cross(model, counts):
+    """Centred cross-product matrix of the genotypes counted by ``counts``,
+    summed over the drawn table rows only."""
+    drawn = np.flatnonzero(counts)
+    g = model.genotype_table[0][drawn].astype(float)
+    w = counts[drawn].astype(float)
+    sums = w @ g
+    return (g.T * w) @ g - np.outer(sums, sums) / counts.sum()
+
+
+def _bartlett_factor(df, dim, rng):
+    """Lower-triangular A with A A^T ~ Wishart(df, I_dim) (Bartlett; Smith &
+    Hocking 1972, AS 53): standard normals below the diagonal, then
+    sqrt(chi2(df - i)) on it, in scipy.stats.wishart's variate order."""
+    factor = np.zeros((dim, dim))
+    factor[np.tri(dim, k=-1, dtype=bool)] = rng.normal(size=dim * (dim - 1) // 2)
+    factor.flat[:: dim + 1] = np.sqrt(rng.chisquare(df - np.arange(dim)))
+    return factor
+
+
+def _with_noise_cross(cross_EE, n, dim, rng):
+    """Centred cross-product matrix of [E | W] given E's, ``cross_EE``, for W
+    an (n, dim) matrix of independent standard normals, drawn exactly.
+
+    With E_c the centred genotypes and S S^T = cross_EE (S from the
+    eigendecomposition, r = rank columns, so a singular matrix is fine),
+    E_c^T W is S Z for an (r, dim) standard normal Z, and W^T W centred is
+    Z^T Z plus an independent Wishart(n - 1 - r, I_dim): the part of W
+    orthogonal to the constant and to E_c.  Below dim degrees of freedom the
+    Wishart is drawn as the cross product of its normal rows.
+    """
+    values, vectors = np.linalg.eigh(cross_EE)
+    kept = values > values[-1] * len(values) * np.finfo(float).eps
+    root = vectors[:, kept] * np.sqrt(values[kept])
+    z = rng.standard_normal((root.shape[1], dim))
+    df = n - 1 - root.shape[1]
+    if df >= dim:
+        factor = _bartlett_factor(df, dim, rng)
+        residual = factor @ factor.T
+    else:
+        rows = rng.standard_normal((df, dim))
+        residual = rows.T @ rows
+    L = cross_EE.shape[0]
+    cross = np.empty((L + dim, L + dim))
+    cross[:L, :L] = cross_EE
+    cross[:L, L:] = root @ z
+    cross[L:, :L] = cross[:L, L:].T
+    cross[L:, L:] = z.T @ z + residual
+    return cross
+
+
+def _exposure_outcome_cross(cross, A, effects, noise_sd):
+    """Centred cross-product matrix of [E | X | Y] from that of [E | U | V],
+    for X = E A + noise_sd U and Y = X c + noise_sd V: [E | X | Y] is
+    [E | U | V] T, so the result is T^T cross T, made exactly symmetric."""
+    L, K = A.shape
+    c = np.asarray(effects, dtype=float)
+    T = np.zeros((L + K + 1, L + K + 1))
+    T[:L, :L] = np.eye(L)
+    T[:L, L:-1] = A
+    T[:L, -1] = A @ c
+    T[L:-1, L:-1] = noise_sd * np.eye(K)
+    T[L:-1, -1] = noise_sd * c
+    T[-1, -1] = noise_sd
+    mapped = T.T @ cross @ T
+    return (mapped + mapped.T) / 2.0
 
 
 def perturb_ld(reference, df, seed):
@@ -157,10 +271,7 @@ def perturb_ld(reference, df, seed):
     except np.linalg.LinAlgError:
         raise ScenarioError("reference LD matrix must be positive definite") from None
     rng = np.random.default_rng(seed)
-    bartlett = np.zeros((dim, dim))
-    bartlett[np.tril_indices(dim, -1)] = rng.normal(size=dim * (dim - 1) // 2)
-    bartlett[np.diag_indices(dim)] = np.sqrt([rng.chisquare(df - i) for i in range(dim)])
-    factor = scale_factor @ bartlett
+    factor = scale_factor @ _bartlett_factor(df, dim, rng)
     return _unit_diagonal(factor @ factor.T)
 
 
@@ -172,14 +283,17 @@ def pc1_explained_variance(r):
 
 
 def empirical_pc1_share(r, n=2000, repetitions=2000, maf=0.3, seed=0):
-    """Mean empirical PC1 variance share over repeated genotype-pair samples."""
+    """Mean empirical PC1 variance share over repeated genotype-pair samples.
+
+    Each sample's correlation matrix z^T z / n comes from its genotype counts.
+    """
     model = GenotypeModel.pair(r, maf)
     rng = np.random.default_rng(seed)
     shares = np.empty(repetitions)
     for rep in range(repetitions):
-        g = sample_genotypes(model, n, rng).astype(float)
-        z = (g - g.mean(axis=0)) / g.std(axis=0)
-        eig = np.linalg.eigvalsh(z.T @ z / n)
+        cross = _genotype_cross(model, sample_genotypes(model, n, rng))
+        scale = np.sqrt(np.diag(cross))
+        eig = np.linalg.eigvalsh(cross / np.outer(scale, scale))
         shares[rep] = eig[-1] / eig.sum()
     return float(shares.mean())
 
@@ -351,7 +465,15 @@ class SimulationScenario:
     exposure_names: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "true_effects", tuple(float(c) for c in self.true_effects))
+        try:
+            effects = tuple(float(c) for c in self.true_effects)
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"true_effects must be a list of numbers, not {self.true_effects!r}"
+            ) from None
+        if not effects:
+            raise ScenarioError("true_effects must name at least one exposure")
+        object.__setattr__(self, "true_effects", effects)
         if (self.genotypes is None) == (self.ld_matrix is None):
             raise ScenarioError("specify exactly one of genotypes (Markov) or ld_matrix (Gaussian)")
         if self.ld_matrix is not None:
@@ -389,6 +511,12 @@ class SimulationScenario:
                 "(ld_matrix); the Markov sampler cannot target an arbitrary "
                 "perturbed matrix"
             )
+        for key in ("n_samples", "n_outcome", "replicates"):
+            n = getattr(self, key)
+            if key == "n_outcome" and n is None:
+                continue
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ScenarioError(f"{key} must be an integer, not {n!r}")
         for key, n in (("n_samples", self.n_samples), ("n_outcome", self.n_outcome)):
             if n is not None and n <= self.n_instruments:
                 raise ScenarioError(f"{key} {n} must exceed the instrument count {self.n_instruments}")
@@ -451,23 +579,28 @@ class GeneratedDataset:
     sd_outcome: float
 
 
-def _draw_genotypes(scenario, n, rng, ld_override=None):
-    if scenario.genotypes is not None:
-        return sample_genotypes(scenario.genotypes, n, rng).astype(float)
+def _generate_arrays(scenario, A, n, rng, ld_override=None):
+    """N-row genotypes, exposures and outcome of one Gaussian-mode cohort."""
     ld = scenario.reference_ld() if ld_override is None else ld_override
     try:
         chol = np.linalg.cholesky(ld)
     except np.linalg.LinAlgError:  # the reference is checked: a perturbed draw
         raise IllConditionedLdError("perturbed LD matrix is not positive definite") from None
-    return rng.standard_normal((n, ld.shape[0])) @ chol.T
-
-
-def _generate_arrays(scenario, A, n, rng, ld_override=None):
-    e_raw = _draw_genotypes(scenario, n, rng, ld_override)
+    e_raw = rng.standard_normal((n, ld.shape[0])) @ chol.T
     noise_sd = np.sqrt(scenario.noise_variance)
     x = e_raw @ A + noise_sd * rng.standard_normal((n, scenario.n_exposures))
     y = x @ np.asarray(scenario.true_effects) + noise_sd * rng.standard_normal(n)
     return e_raw, x, y
+
+
+def _markov_cross(scenario, A, n, rng):
+    """Centred cross-product matrix of [E | X | Y] for one Markov-mode
+    cohort of n, all instruments: genotype counts, then the noise given
+    the genotypes, then the linear map to exposures and outcome."""
+    model = scenario.genotypes
+    cross_EE = _genotype_cross(model, sample_genotypes(model, n, rng))
+    cross = _with_noise_cross(cross_EE, n, scenario.n_exposures + 1, rng)
+    return _exposure_outcome_cross(cross, A, scenario.true_effects, np.sqrt(scenario.noise_variance))
 
 
 def _estimation_ld(scenario, outcome):
@@ -506,12 +639,21 @@ def generate_dataset(scenario, seed):
         noise_variance=scenario.noise_variance,
     )
 
+    subset = scenario.instrument_subset
+
     def draw_cohort(n, wishart_df):
+        if scenario.genotypes is not None:
+            cross = _markov_cross(scenario, A, n, rng)
+            if subset is not None:
+                L = scenario.n_instruments_total
+                keep = [*subset, *range(L, cross.shape[0])]
+                cross = cross[np.ix_(keep, keep)]
+            return IndividualData(n, scenario.n_instruments, cross)
         ld = None if wishart_df is None else perturb_ld(scenario.reference_ld(), wishart_df, rng)
         e_raw, x, y = _generate_arrays(scenario, A, n, rng, ld)
-        if scenario.instrument_subset is not None:
-            e_raw = e_raw[:, list(scenario.instrument_subset)]
-        return IndividualData(e_raw, x, y)
+        if subset is not None:
+            e_raw = e_raw[:, list(subset)]
+        return IndividualData.from_arrays(e_raw, x, y)
 
     if scenario.n_outcome is None:
         exposure = outcome = draw_cohort(scenario.n_samples, scenario.ld_wishart_df)
@@ -858,8 +1000,8 @@ def two_sample_experiment(
         for j, no in enumerate(n_outcome_grid):
             cell = replace(
                 scenario,
-                n_samples=int(ne),
-                n_outcome=int(no) if no is not None else None,
+                n_samples=ne,
+                n_outcome=no,
                 name=f"{scenario.name}[n_exp={ne},n_out={no}]",
             )
             cell_seed = (scenario.seed if seed is None else seed)
@@ -1003,9 +1145,23 @@ def load_fixture(name):
     return payload
 
 
+# genotype mode -> the keys it reads, one of which it needs
+_GENOTYPE_NEEDS = {
+    "pair": ("correlation",),
+    "gaussian_pair": ("correlation",),
+    "markov": ("mafs", "fixture"),
+    "gaussian": ("ld", "fixture"),
+}
+
+
 def _genotypes_from_config(cfg):
     _check_keys(cfg, _GENOTYPE_KEYS, "genotype")
     mode = cfg.get("mode", "markov")
+    needs = _GENOTYPE_NEEDS.get(mode)
+    if needs is None:
+        raise ScenarioError(f"unknown genotype mode {mode!r}")
+    if not any(key in cfg for key in needs):
+        raise ScenarioError(f"{mode} genotypes need {' or '.join(map(repr, needs))}")
     fixture = load_fixture(cfg["fixture"]) if "fixture" in cfg else None
     if mode == "pair":
         return {"genotypes": GenotypeModel.pair(cfg["correlation"], cfg.get("maf", 0.3))}
@@ -1018,9 +1174,7 @@ def _genotypes_from_config(cfg):
                 "genotypes": GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"])
             }
         return {"genotypes": GenotypeModel(cfg["mafs"], cfg.get("successive_r", ()))}
-    if mode == "gaussian":
-        return {"ld_matrix": fixture["ld"] if fixture is not None else cfg["ld"]}
-    raise ScenarioError(f"unknown genotype mode {mode!r}")
+    return {"ld_matrix": fixture["ld"] if fixture is not None else cfg["ld"]}
 
 
 def scenario_from_dict(config):
@@ -1039,9 +1193,12 @@ def scenario_from_dict(config):
     effects = EffectSizes(**effects_cfg)
 
     geno_cfg = cfg.pop("genotypes", None)
-    if geno_cfg is None:
-        raise ScenarioError("scenario needs a 'genotypes' section")
+    if not isinstance(geno_cfg, dict):
+        raise ScenarioError("scenario needs a 'genotypes' object")
     geno_fields = _genotypes_from_config(dict(geno_cfg))
+    missing = [key for key in ("true_effects", "n_samples") if key not in cfg]
+    if missing:
+        raise ScenarioError(f"scenario lacks required keys: {missing}")
 
     prune_r2 = cfg.pop("ld_prune_r2", None)
     scenario = SimulationScenario(effects=effects, **geno_fields, **cfg)
@@ -1100,6 +1257,8 @@ def load_scenario_file(path):
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid scenario JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ScenarioError(f"scenario file {path} is nested too deeply to parse") from None
     if not isinstance(config, dict):
         raise ScenarioError(f"scenario file {path} must hold a JSON object")
     _check_keys(config, _SCENARIO_KEYS, "scenario")

@@ -1,9 +1,10 @@
-"""Random model generators shared across the test modules."""
+"""Random model generators and reference samplers shared across the test modules."""
 
 import numpy as np
 
 from mvmr import graph
 from mvmr.errors import GraphStructureError, StandardizationError
+from mvmr.simulate import _conditional_allele_probs
 
 
 def random_standardized_sem(rng, n_nodes=6, edge_prob=0.35, bicov_prob=0.15):
@@ -131,3 +132,32 @@ def rounding_indefinite_ld_payload():
         "sigma_EE": [[1.0, 0.6, r], [0.6, 1.0, r], [r, r, 1.0]],
         "n_outcome": 10000,
     }
+
+
+def sample_genotype_rows(model, n, rng):
+    """Reference Markov sampler: an (n, L) genotype matrix drawn allele by
+    allele, two independent allele chains per individual."""
+    L = model.n_snps
+    alleles = np.empty((2, n, L), dtype=np.int8)
+    for copy in range(2):
+        alleles[copy, :, 0] = rng.random(n) < model.mafs[0]
+        for k in range(1, L):
+            p0, p1 = _conditional_allele_probs(
+                model.mafs[k - 1], model.mafs[k], model.successive_r[k - 1], k - 1
+            )
+            prev = alleles[copy, :, k - 1]
+            probs = np.where(prev == 1, p1, p0)
+            alleles[copy, :, k] = rng.random(n) < probs
+    return alleles.sum(axis=0).astype(np.int64)
+
+
+def reference_markov_cross(scenario, A, n, rng):
+    """Reference for ``simulate._markov_cross``: the centred cross-product
+    matrix of [E | X | Y] reduced from drawn N-row arrays."""
+    e = sample_genotype_rows(scenario.genotypes, n, rng).astype(float)
+    noise_sd = np.sqrt(scenario.noise_variance)
+    x = e @ A + noise_sd * rng.standard_normal((n, scenario.n_exposures))
+    y = x @ np.asarray(scenario.true_effects) + noise_sd * rng.standard_normal(n)
+    z = np.column_stack([e, x, y])
+    z -= z.mean(axis=0)
+    return z.T @ z

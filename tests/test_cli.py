@@ -16,8 +16,11 @@ FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
 
 
 def write_scenario(tmp_path, name="fig2_corr_desk.json", **overrides):
+    """A bundled scenario with ``overrides`` applied; an override of None
+    leaves its key out."""
     payload = json.loads(SCENARIOS.joinpath(name).read_text(encoding="utf-8"))
     payload.update(overrides)
+    payload = {key: value for key, value in payload.items() if value is not None}
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
@@ -178,6 +181,49 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--scenario", str(scenario), "--seed", "3", "--replicates", "2", "--out", str(tmp_path / "out")])
         assert code == 4
         assert capsys.readouterr().err.startswith("numerical failure: degenerate (constant) column")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"genotypes": {}}, "markov genotypes need 'mafs' or 'fixture'"),
+            ({"genotypes": {"mode": "markov"}}, "markov genotypes need 'mafs' or 'fixture'"),
+            ({"genotypes": {"mode": "gaussian"}}, "gaussian genotypes need 'ld' or 'fixture'"),
+            ({"genotypes": [0.3, 0.3]}, "scenario needs a 'genotypes' object"),
+            ({"n_samples": None}, "scenario lacks required keys: ['n_samples']"),
+            ({"n_samples": "2000"}, "n_samples must be an integer, not '2000'"),
+            ({"n_samples": 2000.0}, "n_samples must be an integer, not 2000.0"),
+            ({"true_effects": 0.1}, "true_effects must be a list of numbers, not 0.1"),
+            ({"true_effects": ["a", 0.6]}, "true_effects must be a list of numbers"),
+            ({"replicates": "5"}, "replicates must be an integer, not '5'"),
+            (
+                {"genotypes": {"mode": "markov", "mafs": [0.3] * 11, "successive_r": [0.5] * 10}},
+                "needs 1 to 10 SNPs (MAX_MARKOV_SNPS), got 11",
+            ),
+        ],
+    )
+    def test_malformed_scenario_exit_2(self, tmp_path, capsys, edit, message):
+        scenario = write_scenario(tmp_path, **edit)
+        code = cli.main(["simulate", "--scenario", scenario, "--seed", "1", "--replicates", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("key", ["n_samples", "n_outcome"])
+    @pytest.mark.parametrize("value, message", [(None, "two_sample scenarios need"), ([], "two-sample grids must be nonempty")])
+    def test_two_sample_scenario_grids(self, tmp_path, capsys, key, value, message):
+        scenario = write_scenario(tmp_path, "fig3_two_sample.json", **{key: value})
+        code = cli.main(["simulate", "--scenario", scenario, "--seed", "1", "--replicates", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    def test_deeply_nested_scenario_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "nested.json"
+        scenario.write_text("[" * 100_000)
+        code = cli.main(["simulate", "--scenario", str(scenario), "--seed", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and f"{scenario} is nested too deeply" in err
 
     @pytest.mark.parametrize("listed", ["gmm", [1], {"ls": True}, ["ls", None]])
     def test_scenario_estimators_must_be_a_list_of_names(self, tmp_path, capsys, listed):
@@ -346,6 +392,23 @@ class TestEstimateCommand:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[" * 100_000, "nested.json is nested too deeply"),
+            # parses, but deeper than a recursive walk of the lists could go
+            ('{"sigma_EX": ' + "[" * 500 + "1" + "]" * 500 + ', "sigma_EY": [1], "sigma_EE": [[1]]}', "sigma_EX must be an array of numbers"),
+        ],
+        ids=["past_the_parser", "past_a_recursive_walk"],
+    )
+    def test_deeply_nested_stats_file_exit_2(self, tmp_path, capsys, content, message):
+        stats = tmp_path / "nested.json"
+        stats.write_text(content)
+        code = cli.main(["estimate", "--stats", str(stats)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
 
     def test_diagram_population_exact_recovery(self, tmp_path, capsys):
         text = standardized_diagram_text()

@@ -175,7 +175,7 @@ class TestStandardErrors:
         e = (e - e.mean(0)) / e.std(0)
         x = (x - x.mean(0)) / x.std(0)
         y = (y - y.mean()) / y.std()
-        data = est.IndividualData(e, x, y)
+        data = est.IndividualData.from_arrays(e, x, y)
         stats = data.summary_statistics()
         result = est.ls_estimate(stats)
         se = individual_standard_errors(result, stats, data)
@@ -449,7 +449,7 @@ class TestConditionalF:
         e = (e - e.mean(0)) / e.std(0)
         xs = ((x - x.mean()) / x.std()).reshape(-1, 1)
         ys = (y - y.mean()) / y.std()
-        data = est.IndividualData(e, xs, ys)
+        data = est.IndividualData.from_arrays(e, xs, ys)
         f = est.conditional_f(data)[0]
         # ordinary first-stage F of x on the instruments
         proj, *_ = np.linalg.lstsq(e, xs[:, 0], rcond=None)
@@ -470,7 +470,7 @@ class TestConditionalF:
         e = (e - e.mean(0)) / e.std(0)
         y = rng.normal(size=300)
         y = (y - y.mean()) / y.std()
-        data = est.IndividualData(e, x, y)
+        data = est.IndividualData.from_arrays(e, x, y)
         with pytest.raises(CollinearExposuresError):
             est.conditional_f(data)
 
@@ -559,7 +559,7 @@ class TestIndividualDataSufficientStatistics:
         e, x, y = self.draw(rng, n, L, K)
         if prestandardized:
             e, x, y = standardized(e), standardized(x), standardized(y)
-        data = est.IndividualData(e, x, y)
+        data = est.IndividualData.from_arrays(e, x, y)
         es, xs, ys = standardized(e), standardized(x), standardized(y)
 
         stats = data.summary_statistics()
@@ -586,12 +586,27 @@ class TestIndividualDataSufficientStatistics:
     def test_mismatched_n_rejected(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            est.IndividualData(rng.normal(size=(50, 2)), rng.normal(size=(49, 1)), rng.normal(size=50))
+            est.IndividualData.from_arrays(rng.normal(size=(50, 2)), rng.normal(size=(49, 1)), rng.normal(size=50))
 
     def test_too_few_observations_rejected(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            est.IndividualData(rng.normal(size=(3, 3)), rng.normal(size=(3, 1)), rng.normal(size=3))
+            est.IndividualData.from_arrays(rng.normal(size=(3, 3)), rng.normal(size=(3, 1)), rng.normal(size=3))
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [((0, 1), np.nan, "non-finite"), ((2, 2), 0.0, "constant"), ((3, 3), -1.0, "constant")],
+    )
+    def test_cross_product_constructor_checks(self, entry, value, message):
+        rng = np.random.default_rng(3)
+        e, x, y = self.draw(rng, 40, 2, 1)
+        cross = est.IndividualData.from_arrays(e, x, y).corr.copy()
+        est.IndividualData(40, 2, cross)
+        cross[entry] = value
+        with pytest.raises(InvalidStatisticsError, match=message):
+            est.IndividualData(40, 2, cross)
+        with pytest.raises(InvalidStatisticsError, match="square"):
+            est.IndividualData(40, 3, np.eye(4)[:, :3])
 
     def test_constant_generated_column_is_invalid_statistics(self):
         scenario = sim.SimulationScenario(

@@ -11,25 +11,68 @@ from mvmr import estimators as est
 from mvmr import simulate as sim
 from mvmr.errors import FeasibilityError, MvmrError, ScenarioError, UnderdeterminedError
 
+from helpers import reference_markov_cross
+
+
+def bundled_cell(name, n_samples):
+    text = resources.files("mvmr").joinpath("data", "scenarios", f"{name}.json").read_text(encoding="utf-8")
+    for labels, scenario in sim.expand_scenario_config(json.loads(text)):
+        if scenario.n_samples == n_samples:
+            return scenario
+    raise LookupError(f"{name} has no cell with n_samples={n_samples}")
+
+
+def z_mean(a, b):
+    """Per column: difference of the means of two independent samples over
+    its standard error."""
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    return (a.mean(axis=0) - b.mean(axis=0)) / se
+
+
+def z_log_sd(a, b):
+    """Per column: log ratio of the SDs of two independent samples over its
+    large-sample standard error, sqrt((kurtosis - 1) / 4n) for each."""
+    def log_sd(x):
+        centred = x - x.mean(axis=0)
+        m2 = np.mean(centred**2, axis=0)
+        m4 = np.mean(centred**4, axis=0)
+        return 0.5 * np.log(m2), (m4 / m2**2 - 1.0) / (4 * len(x))
+
+    (la, va), (lb, vb) = log_sd(a), log_sd(b)
+    return (la - lb) / np.sqrt(va + vb)
+
+
+def count_moments(model, counts):
+    """Mean vector and correlation matrix of the genotypes ``counts`` draws,
+    from the table rows weighted by their counts."""
+    vectors = model.genotype_table[0].astype(float)
+    n = counts.sum()
+    mean = counts @ vectors / n
+    cov = (vectors.T * counts) @ vectors / n - np.outer(mean, mean)
+    sd = np.sqrt(np.diag(cov))
+    return mean, cov / np.outer(sd, sd)
+
 
 class TestGenotypeSampling:
     def test_single_snp_binomial_mean(self):
         model = sim.GenotypeModel((0.25,), ())
-        g = sim.sample_genotypes(model, 20000, 2)
-        assert abs(g.mean() - 0.5) < 0.02
-        assert set(np.unique(g)) <= {0, 1, 2}
+        counts = sim.sample_genotypes(model, 20000, 2)
+        assert counts.dtype == np.int64 and counts.sum() == 20000
+        mean, _ = count_moments(model, counts)
+        assert abs(mean[0] - 0.5) < 0.02
+        assert set(np.unique(model.genotype_table[0])) <= {0, 1, 2}
 
     def test_zero_correlation_independent(self):
         model = sim.GenotypeModel((0.3, 0.3), (0.0,))
-        g = sim.sample_genotypes(model, 20000, 3)
-        assert abs(np.corrcoef(g.T)[0, 1]) < 0.03
+        _, corr = count_moments(model, sim.sample_genotypes(model, 20000, 3))
+        assert abs(corr[0, 1]) < 0.03
 
     def test_moment_matching(self):
         model = sim.GenotypeModel((0.3, 0.3), (0.7,))
-        g = sim.sample_genotypes(model, 20000, 1)
-        mafs = g.mean(axis=0) / 2.0
+        mean, corr = count_moments(model, sim.sample_genotypes(model, 20000, 1))
+        mafs = mean / 2.0
         assert np.max(np.abs(mafs - 0.3)) < 0.01
-        assert abs(np.corrcoef(g.T)[0, 1] - 0.7) < 0.02
+        assert abs(corr[0, 1] - 0.7) < 0.02
 
     def test_infeasible_pair_named(self):
         with pytest.raises(FeasibilityError, match="pair 0-1"):
@@ -39,8 +82,165 @@ class TestGenotypeSampling:
         model = sim.GenotypeModel((0.3, 0.35, 0.28), (0.8, 0.6))
         implied = model.implied_ld()
         assert implied[0, 2] == pytest.approx(0.48)
-        g = sim.sample_genotypes(model, 40000, 4)
-        assert abs(np.corrcoef(g.T)[0, 2] - 0.48) < 0.02
+        _, corr = count_moments(model, sim.sample_genotypes(model, 40000, 4))
+        assert abs(corr[0, 2] - 0.48) < 0.02
+
+
+def random_feasible_models(seed, count):
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        L = int(rng.integers(1, 8))
+        try:
+            models.append(
+                sim.GenotypeModel(rng.uniform(0.02, 0.5, size=L), rng.uniform(-0.95, 0.95, size=L - 1))
+            )
+        except FeasibilityError:
+            continue
+    return models
+
+
+TABLE_MODELS = {
+    **{
+        name: sim.GenotypeModel.from_ld_matrix(sim.load_fixture(name)["ld"], sim.load_fixture(name)["mafs"])
+        for name in ("slc22a3_lpa_plg", "mras_esyt3", "adamts7_ctsh_mam")
+    },
+    **{f"random{i}": model for i, model in enumerate(random_feasible_models(23, 6))},
+}
+
+
+class TestGenotypeTable:
+    """The table is the exact distribution of one genotype vector."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_moments_are_exact(self, name):
+        model = TABLE_MODELS[name]
+        vectors, probs = model.genotype_table
+        L = model.n_snps
+        assert vectors.shape == (3**L, L) and probs.shape == (3**L,)
+        assert len({tuple(v) for v in vectors.tolist()}) == 3**L
+        assert np.all(probs[:-1] >= probs[1:])
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        mean = probs @ vectors
+        np.testing.assert_allclose(mean, 2.0 * np.asarray(model.mafs), rtol=0, atol=1e-12)
+        cov = (vectors.T * probs) @ vectors - np.outer(mean, mean)
+        sd = np.sqrt(np.diag(cov))
+        np.testing.assert_allclose(cov / np.outer(sd, sd), model.implied_ld(), rtol=0, atol=1e-12)
+
+    def test_cross_from_counts_matches_rows(self):
+        model = sim.GenotypeModel((0.3, 0.2, 0.4), (0.6, -0.3))
+        counts = sim.sample_genotypes(model, 700, 8)
+        rows = np.repeat(model.genotype_table[0], counts, axis=0).astype(float)
+        rows -= rows.mean(axis=0)
+        np.testing.assert_allclose(sim._genotype_cross(model, counts), rows.T @ rows, rtol=1e-12, atol=1e-9)
+
+    def test_chain_length_cap(self):
+        assert sim.GenotypeModel((0.3,) * sim.MAX_MARKOV_SNPS, (0.5,) * (sim.MAX_MARKOV_SNPS - 1))
+        with pytest.raises(ScenarioError, match="MAX_MARKOV_SNPS"):
+            sim.GenotypeModel((0.3,) * (sim.MAX_MARKOV_SNPS + 1), (0.5,) * sim.MAX_MARKOV_SNPS)
+
+
+class TestMarkovCohortDraw:
+    def test_linear_map_of_explicit_arrays(self):
+        rng = np.random.default_rng(12)
+        n, L, K = 300, 4, 3
+        A = rng.uniform(-0.4, 0.4, size=(L, K))
+        effects = (0.3, -0.2, 0.1)
+        noise_sd = 0.7
+        e = rng.integers(0, 3, size=(n, L)).astype(float)
+        u = rng.standard_normal((n, K))
+        v = rng.standard_normal(n)
+        x = e @ A + noise_sd * u
+        y = x @ np.asarray(effects) + noise_sd * v
+
+        def centred_cross(*columns):
+            z = np.column_stack(columns)
+            z -= z.mean(axis=0)
+            return z.T @ z
+
+        mapped = sim._exposure_outcome_cross(centred_cross(e, u, v), A, effects, noise_sd)
+        np.testing.assert_allclose(mapped, centred_cross(e, x, y), rtol=0, atol=1e-10)
+        assert np.array_equal(mapped, mapped.T)
+
+    @staticmethod
+    def singular_genotypes(n):
+        """Centred genotypes of n individuals whose second SNP copies the
+        first: a rank-2 block, leaving n - 3 residual degrees of freedom."""
+        g = np.array([0.0, 1.0, 2.0, 1.0] * 100)[:n]
+        e = np.column_stack([g, g, np.arange(n) % 2])
+        return e - e.mean(axis=0)
+
+    @pytest.mark.parametrize("n", [4, 5, 400])
+    def test_noise_cross_keeps_genotype_block(self, n):
+        # at n = 4 and 5 the residual has fewer degrees of freedom than noise columns
+        e = self.singular_genotypes(n)
+        cross_EE = e.T @ e
+        cross = sim._with_noise_cross(cross_EE, n, 3, np.random.default_rng(n))
+        assert np.array_equal(cross[:3, :3], cross_EE)
+        assert np.array_equal(cross, cross.T)
+        assert np.linalg.eigvalsh(cross)[0] > -1e-9 * np.abs(cross).max()
+        # E_c^T W lies in the column space of E_c: the copied SNPs agree
+        np.testing.assert_allclose(cross[0, 3:], cross[1, 3:], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_noise_cross_matches_explicit_noise(self, n):
+        """The noise blocks against the centred cross product of explicit
+        (n, 3) normal draws, below (n = 5) and above (n = 8) three residual
+        degrees of freedom: means and SDs within Monte-Carlo error."""
+        e = self.singular_genotypes(n)
+        rng = np.random.default_rng(40 + n)
+        upper = np.triu_indices(6)
+        noise = upper[1] >= 3  # the E block is fixed
+        drawn = np.array([sim._with_noise_cross(e.T @ e, n, 3, rng)[upper][noise] for _ in range(10_000)])
+        explicit = []
+        for _ in range(10_000):
+            d = np.column_stack([e, rng.standard_normal((n, 3))])
+            d -= d.mean(axis=0)
+            explicit.append((d.T @ d)[upper][noise])
+        explicit = np.array(explicit)
+        assert np.max(np.abs(z_mean(drawn, explicit))) < 4.0
+        assert np.max(np.abs(z_log_sd(drawn, explicit))) < 4.0
+
+
+class TestMarkovDrawMatchesArraySampler:
+    """The count draw against the N-row reference sampler of
+    ``helpers.reference_markov_cross``.  Both draw each replicate's effect
+    matrix first from the same stream, so the centred cross products of
+    [E | X | Y] and the LS and GMM replicate estimates must agree in
+    distribution: means and SDs within Monte-Carlo error."""
+
+    REPLICATES = 2000
+    Z_LIMIT = 4.0
+    CELLS = {
+        "fig3_ls_vs_gmm_n500": ("fig3_ls_vs_gmm", 500),
+        "fig3_ls_vs_gmm_n2000": ("fig3_ls_vs_gmm", 2000),
+        "s3_conditional_f_strong": ("s3_conditional_f_strong", 2000),
+    }
+
+    def _run(self, scenario, draw, monkeypatch):
+        crosses = []
+
+        def recording(scenario, A, n, rng):
+            crosses.append(draw(scenario, A, n, rng))
+            return crosses[-1]
+
+        monkeypatch.setattr(sim, "_markov_cross", recording)
+        summary = sim.run_replicates(scenario, estimators=("ls", "gmm"), replicates=self.REPLICATES, seed=2024)
+        upper = np.triu_indices(crosses[0].shape[0])
+        return np.array([cross[upper] for cross in crosses]), summary
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_same_distribution(self, cell, monkeypatch):
+        scenario = bundled_cell(*self.CELLS[cell])
+        counted, counted_summary = self._run(scenario, sim._markov_cross, monkeypatch)
+        rows, rows_summary = self._run(scenario, reference_markov_cross, monkeypatch)
+        checks = {"cross products": (counted, rows)}
+        for est in ("ls", "gmm"):
+            assert not counted_summary.failures[est] and not rows_summary.failures[est]
+            checks[est] = (counted_summary.estimates[est], rows_summary.estimates[est])
+        for what, (a, b) in checks.items():
+            assert np.max(np.abs(z_mean(a, b))) < self.Z_LIMIT, f"{what}: means"
+            assert np.max(np.abs(z_log_sd(a, b))) < self.Z_LIMIT, f"{what}: SDs"
 
 
 class TestPerturbLd:
@@ -257,10 +457,11 @@ class TestSurvivorScreen:
 
 class TestGenerateDataset:
     def test_standardized_columns_and_stats(self):
+        # Gaussian mode: the one mode that still draws N-row arrays
         scenario = sim.SimulationScenario(
             true_effects=(0.2, 0.6),
             n_samples=500,
-            genotypes=sim.GenotypeModel((0.3, 0.3), (0.7,)),
+            ld_matrix=((1.0, 0.7), (0.7, 1.0)),
             effects=sim.EffectSizes(matrix=((0.3, 0.1), (0.2, 0.25))),
         )
         data = sim.generate_dataset(scenario, 5)
@@ -299,6 +500,36 @@ class TestGenerateDataset:
         )
         data = sim.generate_dataset(scenario, 3)
         assert data.statistics.sigma_EX.shape == (4, 3)
+
+    def test_instrument_subset_slices_the_cross_product(self, monkeypatch):
+        """A Markov cohort's subset statistics equal those of the subset
+        arrays: the cross product is drawn for all instruments and sliced."""
+        fixture = sim.load_fixture("slc22a3_lpa_plg")
+        scenario = sim.SimulationScenario(
+            true_effects=(0.15, -0.05, -0.27),
+            n_samples=300,
+            genotypes=sim.GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"]),
+            effects=sim.EffectSizes(low=0.1, high=0.3),
+            causal_instruments=(0, 3, 5),
+            instrument_subset=(0, 3, 5, 6),
+        )
+        drawn = []
+
+        def arrays_cross(scenario, A, n, rng):
+            e = rng.integers(0, 3, size=(n, scenario.n_instruments_total)).astype(float)
+            x = e @ A + rng.standard_normal((n, scenario.n_exposures))
+            y = x @ np.asarray(scenario.true_effects) + rng.standard_normal(n)
+            drawn.append((e, x, y))
+            z = np.column_stack([e, x, y])
+            z -= z.mean(axis=0)
+            return z.T @ z
+
+        monkeypatch.setattr(sim, "_markov_cross", arrays_cross)
+        got = sim.generate_dataset(scenario, 3).statistics
+        e, x, y = drawn[0]
+        want = est.IndividualData.from_arrays(e[:, list(scenario.instrument_subset)], x, y).summary_statistics()
+        for name in ("sigma_EX", "sigma_EY", "sigma_EE"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12, err_msg=name)
 
     def test_two_sample_split(self):
         scenario = sim.SimulationScenario(
@@ -359,7 +590,7 @@ class TestGenerateDataset:
                 df = max(scenario.n_instruments_total, int(round(n * scenario.ld_df_scale)))
                 ld_override = sim.perturb_ld(scenario.reference_ld(), df, rng)
             e, x, y = sim._generate_arrays(scenario, A, n, rng, ld_override)
-            return est.IndividualData(e[:, keep], x, y).summary_statistics()
+            return est.IndividualData.from_arrays(e[:, keep], x, y).summary_statistics()
 
         exposure = cohort_statistics(scenario.n_samples)
         if scenario.n_outcome is None:
