@@ -8,6 +8,14 @@ perturbation experiments) use a Gaussian genotype mode instead, since only
 second moments enter the estimators.  A perturbed LD matrix is one Wishart
 draw by the Bartlett decomposition, in numpy.
 
+A scenario's LD policy is two fields, and each takes effect in one-sample
+and two-sample (``n_outcome`` set) designs alike.  ``ld_choice`` picks the
+LD matrix the estimators read: the exposure cohort's sample LD, the outcome
+cohort's (the one cohort of a one-sample design, as for ``exposure``) or
+the reference LD on the analysed instruments.  ``ld_wishart_df`` draws
+every cohort of a Gaussian scenario from its own Wishart perturbation of
+the reference LD.
+
 Exposures follow ``X_j = sum_i A[i, j] * E_i + noise`` and the outcome
 ``Y = sum_j c_j * X_j + noise`` with noise variance 1 by default.  What the
 estimators read of a cohort is the centred cross-product matrix of
@@ -30,7 +38,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -346,8 +354,8 @@ class EffectSizes:
     * ``design_strength_min``: every exposure's instrument-signal column
       norm, in correlation units, at least this large (no weak designs).
 
-    The last two need the scenario's reference LD / instrument variances
-    and are what keeps highly correlated instrument panels estimable.
+    The last two read the scenario's reference LD and instrument SDs and
+    are what keeps highly correlated instrument panels estimable.
     """
 
     matrix: tuple | None = None
@@ -367,16 +375,9 @@ class EffectSizes:
                 self, "matrix", tuple(map(tuple, np.asarray(self.matrix, dtype=float)))
             )
 
-    def realize(
-        self,
-        rng,
-        n_instruments,
-        n_exposures,
-        causal_rows=None,
-        reference_ld=None,
-        instrument_sds=None,
-        noise_variance=1.0,
-    ):
+    def realize(self, rng, scenario):
+        """One effect matrix for ``scenario``'s instruments and exposures."""
+        n_instruments, n_exposures = scenario.n_instruments_total, scenario.n_exposures
         if self.matrix is not None:
             A = np.asarray(self.matrix, dtype=float)
             if A.shape != (n_instruments, n_exposures):
@@ -385,20 +386,14 @@ class EffectSizes:
                     f"(L={n_instruments}, K={n_exposures})"
                 )
             return A
-        mask, shared_rows = _causal_mask(causal_rows, n_instruments, n_exposures)
+        mask, shared_rows = _causal_mask(scenario.causal_instruments, n_instruments, n_exposures)
         square = shared_rows is not None and len(shared_rows) == n_exposures
         needs_screen = (
             self.design_gram_min is not None or self.design_strength_min is not None
         )
         if needs_screen:
-            if reference_ld is None:
-                raise ScenarioError("design screen requires a reference LD matrix")
-            sds = (
-                np.ones(n_instruments)
-                if instrument_sds is None
-                else np.asarray(instrument_sds, dtype=float)
-            )
-            cov_E = reference_ld * np.outer(sds, sds)
+            sds = scenario.instrument_sds
+            cov_E = scenario.reference_ld * np.outer(sds, sds)
 
         for _ in range(0, MAX_DRAWS, DRAW_BATCH):
             A_full = rng.uniform(self.low, self.high, size=(DRAW_BATCH, n_instruments, n_exposures))
@@ -421,7 +416,7 @@ class EffectSizes:
                 A = A_full[rows]
                 covEX = np.einsum("ij,bjk->bik", cov_E, A)
                 varX = np.einsum("bji,jk,bkl->bil", A, cov_E, A)
-                sdX = np.sqrt(np.einsum("bii->bi", varX) + noise_variance)
+                sdX = np.sqrt(np.einsum("bii->bi", varX) + scenario.noise_variance)
                 S = covEX / sds[None, :, None] / sdX[:, None, :]
                 norms = np.linalg.norm(S, axis=1)
                 if self.design_strength_min is not None:
@@ -442,7 +437,8 @@ class EffectSizes:
 
 @dataclass(frozen=True)
 class SimulationScenario:
-    """Declarative description of one simulation cell, checked when built."""
+    """Declarative description of one simulation cell, checked when built;
+    what every replicate reads of it but does not draw is derived once."""
 
     true_effects: tuple
     n_samples: int
@@ -455,10 +451,8 @@ class SimulationScenario:
     hidden_effect_grid: tuple | None = None
     instrument_subset: tuple | None = None
     n_outcome: int | None = None
-    ld_choice: str = "exposure"  # two-sample LD source: exposure|outcome|reference
-    ld_wishart_df: int | None = None  # one-sample generative LD perturbation
-    ld_df_scale: float | None = None  # two-sample per-cohort Wishart df = n*scale
-    use_reference_ld: bool = False  # estimate with the reference LD matrix
+    ld_choice: str = "exposure"  # LD estimated with: exposure|outcome cohort's or the reference
+    ld_wishart_df: int | None = None  # Gaussian: every cohort's LD a Wishart(df) draw around the reference
     replicates: int = 1000
     seed: int | None = None
     name: str = "scenario"
@@ -537,17 +531,33 @@ class SimulationScenario:
             return len(self.instrument_subset)
         return self.n_instruments_total
 
+    @cached_property
     def reference_ld(self):
+        """Population LD matrix of all instruments (read-only)."""
         if self.ld_matrix is not None:
-            return np.asarray(self.ld_matrix, dtype=float)
-        return self.genotypes.implied_ld()
+            return _read_only(np.asarray(self.ld_matrix, dtype=float))
+        return _read_only(self.genotypes.implied_ld())
 
+    @cached_property
     def instrument_sds(self):
         """Population instrument standard deviations on the generative scale."""
         if self.genotypes is not None:
             m = np.asarray(self.genotypes.mafs)
-            return np.sqrt(2.0 * m * (1.0 - m))
-        return np.ones(self.n_instruments_total)
+            return _read_only(np.sqrt(2.0 * m * (1.0 - m)))
+        return _read_only(np.ones(self.n_instruments_total))
+
+    @cached_property
+    def analysed_reference_ld(self):
+        """``reference_ld`` on the analysed instruments (``instrument_subset``)."""
+        if self.instrument_subset is None:
+            return self.reference_ld
+        keep = list(self.instrument_subset)
+        return _read_only(self.reference_ld[np.ix_(keep, keep)])
+
+    @cached_property
+    def ld_factor(self):
+        """Cholesky factor of the Gaussian-mode reference LD."""
+        return _read_only(_cholesky(self.reference_ld))
 
 
 def select_by_ld_threshold(ld, max_r2):
@@ -579,14 +589,17 @@ class GeneratedDataset:
     sd_outcome: float
 
 
-def _generate_arrays(scenario, A, n, rng, ld_override=None):
-    """N-row genotypes, exposures and outcome of one Gaussian-mode cohort."""
-    ld = scenario.reference_ld() if ld_override is None else ld_override
+def _cholesky(ld):
     try:
-        chol = np.linalg.cholesky(ld)
-    except np.linalg.LinAlgError:  # the reference is checked: a perturbed draw
-        raise IllConditionedLdError("perturbed LD matrix is not positive definite") from None
-    e_raw = rng.standard_normal((n, ld.shape[0])) @ chol.T
+        return np.linalg.cholesky(ld)
+    except np.linalg.LinAlgError:
+        raise IllConditionedLdError("LD matrix is not positive definite") from None
+
+
+def _generate_arrays(scenario, A, n, rng, factor):
+    """N-row genotypes, exposures and outcome of one Gaussian-mode cohort
+    whose genotypes have the LD matrix ``factor @ factor.T``."""
+    e_raw = rng.standard_normal((n, factor.shape[0])) @ factor.T
     noise_sd = np.sqrt(scenario.noise_variance)
     x = e_raw @ A + noise_sd * rng.standard_normal((n, scenario.n_exposures))
     y = x @ np.asarray(scenario.true_effects) + noise_sd * rng.standard_normal(n)
@@ -603,20 +616,30 @@ def _markov_cross(scenario, A, n, rng):
     return _exposure_outcome_cross(cross, A, scenario.true_effects, np.sqrt(scenario.noise_variance))
 
 
-def _estimation_ld(scenario, outcome):
-    """The LD matrix to estimate with, None for the exposure cohort's own:
-    the reference on the instrument subset under ``use_reference_ld``, else
-    the ``ld_choice`` of a two-sample scenario (one-sample ones ignore it)."""
-    two_sample = scenario.n_outcome is not None
-    if scenario.use_reference_ld or (two_sample and scenario.ld_choice == "reference"):
-        reference = scenario.reference_ld()
-        if scenario.instrument_subset is not None:
-            keep = list(scenario.instrument_subset)
-            reference = reference[np.ix_(keep, keep)]
-        return reference
-    if two_sample and scenario.ld_choice == "outcome":
-        return outcome.ld
-    return None
+def _draw_cohort(scenario, A, n, rng):
+    """One cohort of n, as :class:`IndividualData` on the analysed instruments."""
+    subset = scenario.instrument_subset
+    if scenario.genotypes is not None:
+        cross = _markov_cross(scenario, A, n, rng)
+        if subset is not None:
+            keep = [*subset, *range(scenario.n_instruments_total, cross.shape[0])]
+            cross = cross[np.ix_(keep, keep)]
+        return IndividualData(n, scenario.n_instruments, cross)
+    if scenario.ld_wishart_df is None:
+        factor = scenario.ld_factor
+    else:
+        factor = _cholesky(perturb_ld(scenario.reference_ld, scenario.ld_wishart_df, rng))
+    e_raw, x, y = _generate_arrays(scenario, A, n, rng, factor)
+    if subset is not None:
+        e_raw = e_raw[:, list(subset)]
+    return IndividualData.from_arrays(e_raw, x, y)
+
+
+def _estimation_ld(scenario, exposure, outcome):
+    """The LD matrix that ``scenario.ld_choice`` picks."""
+    if scenario.ld_choice == "reference":
+        return scenario.analysed_reference_ld
+    return (exposure if scenario.ld_choice == "exposure" else outcome).ld
 
 
 def generate_dataset(scenario, seed):
@@ -629,43 +652,10 @@ def generate_dataset(scenario, seed):
     correlations; see :func:`_estimation_ld` for the LD matrix.
     """
     rng = np.random.default_rng(seed)
-    A = scenario.effects.realize(
-        rng,
-        scenario.n_instruments_total,
-        scenario.n_exposures,
-        scenario.causal_instruments,
-        reference_ld=scenario.reference_ld(),
-        instrument_sds=scenario.instrument_sds(),
-        noise_variance=scenario.noise_variance,
-    )
-
-    subset = scenario.instrument_subset
-
-    def draw_cohort(n, wishart_df):
-        if scenario.genotypes is not None:
-            cross = _markov_cross(scenario, A, n, rng)
-            if subset is not None:
-                L = scenario.n_instruments_total
-                keep = [*subset, *range(L, cross.shape[0])]
-                cross = cross[np.ix_(keep, keep)]
-            return IndividualData(n, scenario.n_instruments, cross)
-        ld = None if wishart_df is None else perturb_ld(scenario.reference_ld(), wishart_df, rng)
-        e_raw, x, y = _generate_arrays(scenario, A, n, rng, ld)
-        if subset is not None:
-            e_raw = e_raw[:, list(subset)]
-        return IndividualData.from_arrays(e_raw, x, y)
-
-    if scenario.n_outcome is None:
-        exposure = outcome = draw_cohort(scenario.n_samples, scenario.ld_wishart_df)
-    else:
-        # independent cohorts sharing the effect matrix, each optionally with
-        # its own LD perturbed at n * ld_df_scale degrees of freedom
-        scale = scenario.ld_df_scale
-        exposure, outcome = (
-            draw_cohort(n, None if scale is None else max(scenario.n_instruments_total, round(n * scale)))
-            for n in (scenario.n_samples, scenario.n_outcome)
-        )
-    stats = exposure.summary_statistics(outcome, _estimation_ld(scenario, outcome))
+    A = scenario.effects.realize(rng, scenario)
+    exposure = _draw_cohort(scenario, A, scenario.n_samples, rng)
+    outcome = exposure if scenario.n_outcome is None else _draw_cohort(scenario, A, scenario.n_outcome, rng)
+    stats = exposure.summary_statistics(outcome, _estimation_ld(scenario, exposure, outcome))
     L = exposure.n_instruments
     return GeneratedDataset(exposure, stats, exposure.sds[L:-1], float(outcome.sds[-1]))
 
@@ -1111,8 +1101,6 @@ _SCENARIO_KEYS = {
     "n_outcome",
     "ld_choice",
     "ld_wishart_df",
-    "ld_df_scale",
-    "use_reference_ld",
     "replicates",
     "seed",
     "exposure_names",
@@ -1203,7 +1191,7 @@ def scenario_from_dict(config):
     prune_r2 = cfg.pop("ld_prune_r2", None)
     scenario = SimulationScenario(effects=effects, **geno_fields, **cfg)
     if prune_r2 is not None:
-        subset = select_by_ld_threshold(scenario.reference_ld(), float(prune_r2))
+        subset = select_by_ld_threshold(scenario.reference_ld, float(prune_r2))
         scenario = replace(scenario, instrument_subset=tuple(subset))
     return scenario
 

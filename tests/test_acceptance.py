@@ -237,7 +237,7 @@ def test_criterion_09_twmr_shrinkage_bias():
     )
     # population deviation for one realized design
     rng = np.random.default_rng(909)
-    A = scenario.effects.realize(rng, 8, 3, scenario.causal_instruments)
+    A = scenario.effects.realize(rng, scenario)
     mafs = np.asarray(fixture["mafs"])
     sds = np.sqrt(2 * mafs * (1 - mafs))
     cov_E = np.asarray(fixture["ld"]) * np.outer(sds, sds)

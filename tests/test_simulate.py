@@ -328,6 +328,17 @@ class TestPc1:
 
 
 class TestScenario:
+    @staticmethod
+    def _markov(n_instruments, spec, causal_instruments=None, n_exposures=2):
+        """A Markov scenario of ``n_instruments`` SNPs whose effect matrix ``spec`` draws."""
+        return sim.SimulationScenario(
+            true_effects=(0.1,) * n_exposures,
+            n_samples=100,
+            genotypes=sim.GenotypeModel((0.3,) * n_instruments, (0.2,) * (n_instruments - 1)),
+            effects=spec,
+            causal_instruments=causal_instruments,
+        )
+
     def test_requires_one_genotype_source(self):
         with pytest.raises(ScenarioError):
             sim.SimulationScenario(true_effects=(0.3,), n_samples=100)
@@ -344,7 +355,7 @@ class TestScenario:
     def test_effect_range_respected(self):
         rng = np.random.default_rng(0)
         spec = sim.EffectSizes(low=0.1, high=0.3, signs="random")
-        A = spec.realize(rng, 4, 2, (0, 2))
+        A = spec.realize(rng, self._markov(4, spec, (0, 2)))
         nonzero = A[[0, 2]]
         assert np.all((np.abs(nonzero) >= 0.1) & (np.abs(nonzero) <= 0.3))
         assert np.all(A[[1, 3]] == 0.0)
@@ -353,16 +364,16 @@ class TestScenario:
         rng = np.random.default_rng(1)
         strong = sim.EffectSizes(low=0.1, high=0.3, det_min=0.05)
         for _ in range(10):
-            A = strong.realize(rng, 2, 2)
+            A = strong.realize(rng, self._markov(2, strong))
             assert np.linalg.det(A) > 0.05
         weak = sim.EffectSizes(low=0.001, high=0.01, det_max=0.001)
-        A = weak.realize(rng, 2, 2)
+        A = weak.realize(rng, self._markov(2, weak))
         assert abs(np.linalg.det(A)) < 0.001
 
     def test_per_exposure_causal_rows(self):
         rng = np.random.default_rng(2)
         spec = sim.EffectSizes(low=0.1, high=0.3)
-        A = spec.realize(rng, 5, 2, ((0, 1), (3, 4)))
+        A = spec.realize(rng, self._markov(5, spec, ((0, 1), (3, 4))))
         assert np.all(A[[0, 1], 0] != 0) and np.all(A[[3, 4], 0] == 0)
         assert np.all(A[[3, 4], 1] != 0) and np.all(A[[0, 1], 1] == 0)
 
@@ -376,14 +387,15 @@ class TestScenario:
         assert sizes == {0.25: 3, 0.3: 4, 0.4: 5, 0.5: 6, 0.8: 7, 0.96: 8}
 
 
-def realize_scoring_every_draw(spec, rng, n_instruments, n_exposures, causal_rows,
-                               reference_ld, instrument_sds, noise_variance, batch=256):
+def realize_scoring_every_draw(spec, rng, scenario, batch=256):
     """Reference rejection loop that runs the determinant band twice and
     scores the Gram/strength screen on every draw of a batch."""
-    mask, shared_rows = sim._causal_mask(causal_rows, n_instruments, n_exposures)
+    n_instruments, n_exposures = scenario.n_instruments_total, scenario.n_exposures
+    mask, shared_rows = sim._causal_mask(scenario.causal_instruments, n_instruments, n_exposures)
     square = shared_rows is not None and len(shared_rows) == n_exposures
-    sds = np.asarray(instrument_sds, dtype=float)
-    cov_E = reference_ld * np.outer(sds, sds)
+    sds = scenario.instrument_sds
+    cov_E = scenario.reference_ld * np.outer(sds, sds)
+    noise_variance = scenario.noise_variance
     while True:
         A_full = rng.uniform(spec.low, spec.high, size=(batch, n_instruments, n_exposures))
         if spec.signs == "random":
@@ -418,21 +430,10 @@ class TestSurvivorScreen:
 
     @staticmethod
     def assert_same_draws(scenario, seeds):
-        args = (
-            scenario.n_instruments_total,
-            scenario.n_exposures,
-            scenario.causal_instruments,
-            scenario.reference_ld(),
-            scenario.instrument_sds(),
-            scenario.noise_variance,
-        )
         for seed in seeds:
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            A_new = scenario.effects.realize(
-                rng_new, *args[:3], reference_ld=args[3], instrument_sds=args[4],
-                noise_variance=args[5],
-            )
-            A_old = realize_scoring_every_draw(scenario.effects, rng_old, *args)
+            A_new = scenario.effects.realize(rng_new, scenario)
+            A_old = realize_scoring_every_draw(scenario.effects, rng_old, scenario)
             assert np.array_equal(A_new, A_old), seed
             assert rng_new.random() == rng_old.random(), seed
 
@@ -469,7 +470,7 @@ class TestGenerateDataset:
         assert np.allclose(np.diag(data.statistics.sigma_EE), 1.0)
         # the same draws, standardized explicitly as columns of N rows
         A = np.asarray(scenario.effects.matrix)
-        e, x, y = sim._generate_arrays(scenario, A, 500, np.random.default_rng(5))
+        e, x, y = sim._generate_arrays(scenario, A, 500, np.random.default_rng(5), scenario.ld_factor)
         e, x, y = ((a - a.mean(axis=0)) / a.std(axis=0) for a in (e, x, y))
         assert np.allclose(data.statistics.sigma_EX, e.T @ x / 500, rtol=0, atol=1e-12)
         assert np.allclose(data.statistics.sigma_EY, e.T @ y / 500, rtol=0, atol=1e-12)
@@ -543,15 +544,14 @@ class TestGenerateDataset:
         assert data.statistics.n_exposure == 400
         assert data.statistics.n_outcome == 900
 
-    # one-sample, one-sample with the reference LD, two-sample with each LD
-    # source, two-sample with the reference LD (which beats ld_choice)
+    # one-sample with the sample and the reference LD, two-sample with each
+    # LD source (each cohort from its own perturbed LD)
     ASSEMBLY_CASES = {
         "one_sample": {},
-        "one_sample_reference_ld": {"use_reference_ld": True},
+        "one_sample_reference_ld": {"ld_choice": "reference"},
         "two_sample_exposure_ld": {"n_outcome": 700, "ld_choice": "exposure"},
         "two_sample_outcome_ld": {"n_outcome": 700, "ld_choice": "outcome"},
         "two_sample_reference_ld": {"n_outcome": 700, "ld_choice": "reference"},
-        "two_sample_use_reference_ld": {"n_outcome": 700, "ld_choice": "outcome", "use_reference_ld": True},
     }
 
     @staticmethod
@@ -563,7 +563,7 @@ class TestGenerateDataset:
             ld_matrix=ld,
             effects=sim.EffectSizes(low=0.1, high=0.3, signs="random"),
             instrument_subset=(0, 1, 3, 4),
-            ld_df_scale=0.5 if kwargs.get("n_outcome") else None,
+            ld_wishart_df=300 if kwargs.get("n_outcome") else None,
             **kwargs,
         )
 
@@ -572,34 +572,25 @@ class TestGenerateDataset:
         """Statistics built as each cohort's own statistics and then mixed,
         from the same draws as ``generate_dataset``."""
         rng = np.random.default_rng(seed)
-        A = scenario.effects.realize(
-            rng,
-            scenario.n_instruments_total,
-            scenario.n_exposures,
-            scenario.causal_instruments,
-            reference_ld=scenario.reference_ld(),
-            instrument_sds=scenario.instrument_sds(),
-            noise_variance=scenario.noise_variance,
-        )
+        A = scenario.effects.realize(rng, scenario)
         keep = list(scenario.instrument_subset)
-        reference = scenario.reference_ld()[np.ix_(keep, keep)]
+        reference = np.asarray(scenario.ld_matrix)[np.ix_(keep, keep)]
 
         def cohort_statistics(n):
-            ld_override = None
-            if scenario.ld_df_scale is not None:
-                df = max(scenario.n_instruments_total, int(round(n * scenario.ld_df_scale)))
-                ld_override = sim.perturb_ld(scenario.reference_ld(), df, rng)
-            e, x, y = sim._generate_arrays(scenario, A, n, rng, ld_override)
+            ld = np.asarray(scenario.ld_matrix)
+            if scenario.ld_wishart_df is not None:
+                ld = sim.perturb_ld(ld, scenario.ld_wishart_df, rng)
+            e, x, y = sim._generate_arrays(scenario, A, n, rng, np.linalg.cholesky(ld))
             return est.IndividualData.from_arrays(e[:, keep], x, y).summary_statistics()
 
         exposure = cohort_statistics(scenario.n_samples)
         if scenario.n_outcome is None:
-            sigma_EE = reference if scenario.use_reference_ld else exposure.sigma_EE
+            sigma_EE = reference if scenario.ld_choice == "reference" else exposure.sigma_EE
             return est.SummaryStatistics(
                 exposure.sigma_EX, exposure.sigma_EY, sigma_EE, scenario.n_samples, scenario.n_samples
             )
         outcome = cohort_statistics(scenario.n_outcome)
-        if scenario.use_reference_ld or scenario.ld_choice == "reference":
+        if scenario.ld_choice == "reference":
             sigma_EE = reference
         elif scenario.ld_choice == "outcome":
             sigma_EE = outcome.sigma_EE
@@ -633,7 +624,7 @@ class TestGenerateDataset:
         assert (got.n_exposure, got.n_outcome) == (want.n_exposure, want.n_outcome)
 
     def test_ld_sources_differ(self):
-        """The six cases do not collapse onto one LD matrix."""
+        """The five cases do not collapse onto one LD matrix."""
         ld = {
             case: sim.generate_dataset(self._assembly_scenario(**kwargs), 21).statistics.sigma_EE
             for case, kwargs in self.ASSEMBLY_CASES.items()
@@ -641,7 +632,21 @@ class TestGenerateDataset:
         assert not np.array_equal(ld["two_sample_exposure_ld"], ld["two_sample_outcome_ld"])
         assert not np.array_equal(ld["two_sample_exposure_ld"], ld["two_sample_reference_ld"])
         assert not np.array_equal(ld["one_sample"], ld["one_sample_reference_ld"])
-        assert np.array_equal(ld["two_sample_use_reference_ld"], ld["two_sample_reference_ld"])
+
+    @pytest.mark.parametrize("n_outcome", [None, 700])
+    def test_wishart_df_perturbs_every_cohort(self, n_outcome, monkeypatch):
+        scenario = sim.SimulationScenario(
+            true_effects=(0.2, -0.3),
+            n_samples=400,
+            ld_matrix=0.4 ** np.abs(np.subtract.outer(np.arange(5), np.arange(5))),
+            n_outcome=n_outcome,
+            ld_wishart_df=40,
+        )
+        perturb, perturbed = sim.perturb_ld, []
+        monkeypatch.setattr(sim, "perturb_ld", lambda *args: perturbed.append(perturb(*args)) or perturbed[-1])
+        sim.generate_dataset(scenario, 5)
+        assert len(perturbed) == (1 if n_outcome is None else 2)
+        assert not any(np.array_equal(ld, scenario.reference_ld) for ld in perturbed)
 
     def test_markov_with_wishart_rejected(self):
         with pytest.raises(ScenarioError):

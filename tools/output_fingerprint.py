@@ -3,7 +3,10 @@
 Runs, in this interpreter:
 
 * ``mvmr simulate --seed 11 --replicates 12 --estimators ls,gmm,twmr
-  --max-failure-rate 1`` on every bundled scenario;
+  --max-failure-rate 1`` on every bundled scenario, and on the two
+  Gaussian two-sample scenarios in ``LD_SCENARIOS``, which estimate with
+  the outcome cohort's LD and with the reference LD on an instrument
+  subset (no bundled scenario takes either path);
 * ``mvmr loci --estimator E`` for E in ls, gmm and twmr on the bundled
   eQTL/GWAS/LD fixture trio, and again on a 60-block input written by
   this checkout's ``perfbench/inputs.write_loci_inputs(dir, 5, 60)``
@@ -57,6 +60,11 @@ FDR_ROWS = (  # eQTL rows at and above the significance threshold, for locus 15
     "rs1501\t15\t79139000\tCTSH\tAOR\t0.2\t0.03\t0.3\t0.05\n",
     "rs1503\t15\t79147000\tCTSH\tAOR\t-0.25\t0.03\t0.3\t0.2\n",
 )
+_TWO_SAMPLE = {"kind": "replicates", "true_effects": [0.208, -0.294], "n_samples": 300, "n_outcome": 1000, "genotypes": {"mode": "gaussian", "fixture": "mras_esyt3"}, "effects": {"low": 0.05, "high": 0.15}, "causal_instruments": [[0, 1], [3, 4]]}
+LD_SCENARIOS = {  # name -> scenario file written and simulated as the bundled ones are
+    "ld_outcome": {**_TWO_SAMPLE, "ld_choice": "outcome"},
+    "ld_reference": {**_TWO_SAMPLE, "ld_choice": "reference", "instrument_subset": [0, 1, 3, 4]},
+}
 INDEFINITE_LD = ("rs600", "rs603", "-0.9")  # r(rs600, rs603) in the fixture LD; the MAM block of chr6:12891000 turns indefinite
 _LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
@@ -101,6 +109,14 @@ def _commands(package_dir, out_root):
             out = os.path.join(out_root, "simulate", name[: -len(".json")])
             argv = ["simulate", "--scenario", os.path.join(scenarios, name), *SIMULATE_ARGS, "--out", out]
             yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
+    os.makedirs(os.path.join(out_root, "inputs", "scenarios"))
+    for name, payload in LD_SCENARIOS.items():
+        scenario = os.path.join(out_root, "inputs", "scenarios", f"{name}.json")
+        with open(scenario, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out = os.path.join(out_root, "simulate", name)
+        argv = ["simulate", "--scenario", scenario, *SIMULATE_ARGS, "--out", out]
+        yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
     sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
     import inputs
 
