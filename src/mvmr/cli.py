@@ -35,6 +35,7 @@ from .estimators import (
 from .jsonio import dumps, write_json
 from .loci import PipelineConfig, run_pipeline
 from .simulate import (
+    check_seed,
     empirical_pc1_share,
     expand_scenario_config,
     load_scenario_file,
@@ -96,7 +97,7 @@ def _seed_for(config, args):
         raise ScenarioError(
             "a seed is required: pass --seed or set 'seed' in the scenario file"
         )
-    return int(seed)
+    return check_seed(seed)
 
 
 def _write_cells(out_dir, seed, cells):
@@ -178,7 +179,7 @@ def _run_two_sample_kind(config, args, out_dir, estimators, seed):
 
 def _run_type1_power_kind(config, args, out_dir, estimators, seed):
     config = dict(config)
-    alpha = float(config.pop("alpha", 0.05))
+    alpha = config.pop("alpha", 0.05)
     null_effects = config.pop("null_effects", None)
     if null_effects is None:
         raise ScenarioError("type1_power scenarios need 'null_effects'")
@@ -201,7 +202,7 @@ def _run_type1_power_kind(config, args, out_dir, estimators, seed):
         os.path.join(out_dir, "replicates.csv"), ["scenario"] + REPLICATE_FIELDS, rows
     )
     payload = {
-        "alpha": alpha,
+        "alpha": float(alpha),
         "tested_exposure": outcome["exposure"],
         "replicates": outcome["replicates"],
         "rates": outcome["rates"],
@@ -214,15 +215,18 @@ def _run_type1_power_kind(config, args, out_dir, estimators, seed):
 def _run_pca_kind(config, args, out_dir, estimators, seed):
     config = dict(config)
     correlations = config.pop("correlations", None)
-    if correlations is None:
-        raise ScenarioError("pca scenarios need 'correlations'")
-    repetitions = int(config.pop("pca_repetitions", 2000))
-    n = int(config.get("n_samples", 2000))
+    if not isinstance(correlations, list):
+        raise ScenarioError("pca scenarios need 'correlations', a list of numbers")
+    repetitions = config.pop("pca_repetitions", 2000)
+    n = config.get("n_samples", 2000)
+    for key, value in (("pca_repetitions", repetitions), ("n_samples", n)):
+        if not _is_count(value):
+            raise ScenarioError(f"pca scenario key {key!r} must be a positive integer, not {json.dumps(value)}")
     if args.replicates:
         repetitions = args.replicates
     rows = []
     for i, r in enumerate(correlations):
-        expected = pc1_explained_variance(float(r))
+        expected = pc1_explained_variance(r)
         observed = empirical_pc1_share(
             float(r), n=n, repetitions=repetitions, seed=seed + i
         )

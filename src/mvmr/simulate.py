@@ -35,6 +35,7 @@ parallelism.
 
 from __future__ import annotations
 
+import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -42,7 +43,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import FeasibilityError, IllConditionedLdError, MvmrError, ScenarioError
+from .errors import (
+    FeasibilityError,
+    IllConditionedLdError,
+    InvalidStatisticsError,
+    MvmrError,
+    ScenarioError,
+)
 from .estimators import (
     ESTIMATORS,
     IndividualData,
@@ -50,6 +57,7 @@ from .estimators import (
     check_correlation,
     conditional_f,
     estimate,
+    _floats,
     _ndtr,
     _read_only,
     _unit_diagonal,
@@ -81,7 +89,7 @@ class GenotypeModel:
         try:
             object.__setattr__(self, "mafs", tuple(float(m) for m in mafs))
             object.__setattr__(self, "successive_r", tuple(float(r) for r in successive_r))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ScenarioError("genotype mafs and successive_r must be lists of numbers") from None
         if not 0 < len(self.mafs) <= MAX_MARKOV_SNPS:
             raise ScenarioError(
@@ -285,8 +293,8 @@ def perturb_ld(reference, df, seed):
 
 def pc1_explained_variance(r):
     """Expected share of variance on the first principal component, (1+r)/2."""
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"correlation must lie strictly inside (-1, 1), got {r}")
+    if _finite(r) is None or not -1.0 < r < 1.0:
+        raise ScenarioError(f"correlation must lie strictly inside (-1, 1), got {r!r}")
     return (1.0 + r) / 2.0
 
 
@@ -300,7 +308,10 @@ def empirical_pc1_share(r, n=2000, repetitions=2000, maf=0.3, seed=0):
     shares = np.empty(repetitions)
     for rep in range(repetitions):
         cross = _genotype_cross(model, sample_genotypes(model, n, rng))
-        scale = np.sqrt(np.diag(cross))
+        diagonal = np.diag(cross)
+        if np.any(diagonal <= 0):
+            raise InvalidStatisticsError(f"a sample of {n} genotype pairs has a constant column")
+        scale = np.sqrt(diagonal)
         eig = np.linalg.eigvalsh(cross / np.outer(scale, scale))
         shares[rep] = eig[-1] / eig.sum()
     return float(shares.mean())
@@ -310,26 +321,79 @@ def empirical_pc1_share(r, n=2000, repetitions=2000, maf=0.3, seed=0):
 # Scenario description
 
 
-def _causal_mask(causal_rows, n_instruments, n_exposures):
-    """Boolean causal-entry mask from a shared row list or per-exposure lists.
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    Returns ``(mask, shared_rows)``; ``shared_rows`` is the flat row list
-    when the same rows apply to every exposure (enabling determinant
-    constraints), else None.
+
+def _finite(value):
+    """``value`` as a float if it is a finite real number (not a boolean), else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _finite_numbers(values, key):
+    """``values``, a list of finite numbers, as a tuple of floats."""
+    out = [_finite(v) for v in values] if isinstance(values, (list, tuple, np.ndarray)) else [None]
+    if None in out:
+        raise ScenarioError(f"{key} must be a list of numbers, not {values!r}")
+    return tuple(out)
+
+
+def _indices(values, bound, key):
+    """``values``, a list of distinct integers in [0, bound), as a tuple."""
+    if not isinstance(values, (list, tuple)) or not all(_is_int(i) for i in values):
+        raise ScenarioError(f"{key} must be a list of integer indices, not {values!r}")
+    if not all(0 <= i < bound for i in values):
+        raise ScenarioError(f"{key} entries must lie in [0, {bound}), got {list(values)}")
+    if len(set(values)) < len(values):
+        raise ScenarioError(f"{key} repeats an index: {list(values)}")
+    return tuple(int(i) for i in values)
+
+
+def check_seed(seed):
+    """``seed`` when it is a non-negative integer, the seeds numpy takes."""
+    if not _is_int(seed) or seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, not {seed!r}")
+    return seed
+
+
+def _causal_layout(causal_rows, n_instruments, n_exposures):
+    """The causal instruments checked, as ``(rows, mask, shared_rows)``.
+
+    ``causal_rows`` is None (every instrument affects every exposure), one
+    list of instrument indices shared by all exposures, or one list per
+    exposure.  ``rows`` is it as tuples, ``mask[i, k]`` says whether
+    instrument i affects exposure k, and ``shared_rows`` is the shared
+    list (enabling determinant constraints), else None.
     """
-    if causal_rows is None:
-        return np.ones((n_instruments, n_exposures), dtype=bool), list(range(n_instruments))
-    rows = list(causal_rows)
-    per_exposure = bool(rows) and isinstance(rows[0], (list, tuple))
     mask = np.zeros((n_instruments, n_exposures), dtype=bool)
-    if per_exposure:
-        if len(rows) != n_exposures:
+    key = "causal_instruments"
+    if causal_rows is None:
+        rows, shared_rows = None, list(range(n_instruments))
+        mask[:] = True
+    elif (
+        isinstance(causal_rows, (list, tuple))
+        and causal_rows
+        and all(isinstance(sub, (list, tuple)) for sub in causal_rows)
+    ):
+        if len(causal_rows) != n_exposures:
             raise ScenarioError("need one causal-instrument list per exposure")
+        rows = tuple(_indices(sub, n_instruments, f"{key}[{k}]") for k, sub in enumerate(causal_rows))
+        shared_rows = None
         for k, sub in enumerate(rows):
             mask[list(sub), k] = True
-        return mask, None
-    mask[rows, :] = True
-    return mask, rows
+    else:
+        rows = _indices(causal_rows, n_instruments, key)
+        shared_rows = list(rows)
+        mask[shared_rows, :] = True
+    if np.count_nonzero(mask.any(axis=1)) < n_exposures:
+        raise ScenarioError("need at least as many causal instruments as exposures")
+    return rows, _read_only(mask), shared_rows
 
 
 DRAW_BATCH = 256  # candidate effect matrices drawn and screened together
@@ -370,10 +434,17 @@ class EffectSizes:
     def __post_init__(self):
         if self.signs not in ("positive", "random"):
             raise ScenarioError(f"unknown sign policy {self.signs!r}")
+        for key in ("low", "high", "det_min", "det_max", "design_gram_min", "design_strength_min"):
+            value = getattr(self, key)
+            if (value is not None or key in ("low", "high")) and _finite(value) is None:
+                raise ScenarioError(f"effects {key} must be a finite number, not {value!r}")
+        if not self.low <= self.high or _finite(self.high - self.low) is None:
+            raise ScenarioError(f"effects low {self.low!r} must not exceed high {self.high!r}")
         if self.matrix is not None:
-            object.__setattr__(
-                self, "matrix", tuple(map(tuple, np.asarray(self.matrix, dtype=float)))
-            )
+            matrix = _floats(self.matrix, "effects matrix", ScenarioError)
+            if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
+                raise ScenarioError("effects matrix must be a finite instruments x exposures matrix")
+            object.__setattr__(self, "matrix", tuple(map(tuple, matrix)))
 
     def realize(self, rng, scenario):
         """One effect matrix for ``scenario``'s instruments and exposures."""
@@ -386,7 +457,7 @@ class EffectSizes:
                     f"(L={n_instruments}, K={n_exposures})"
                 )
             return A
-        mask, shared_rows = _causal_mask(scenario.causal_instruments, n_instruments, n_exposures)
+        mask, shared_rows = scenario.causal_layout
         square = shared_rows is not None and len(shared_rows) == n_exposures
         needs_screen = (
             self.design_gram_min is not None or self.design_strength_min is not None
@@ -438,7 +509,9 @@ class EffectSizes:
 @dataclass(frozen=True)
 class SimulationScenario:
     """Declarative description of one simulation cell, checked when built;
-    what every replicate reads of it but does not draw is derived once."""
+    what every replicate reads of it but does not draw is derived once.
+    ``causal_layout`` is the ``(mask, shared_rows)`` of the causal
+    instruments (see :func:`_causal_layout`)."""
 
     true_effects: tuple
     n_samples: int
@@ -459,12 +532,7 @@ class SimulationScenario:
     exposure_names: tuple | None = None
 
     def __post_init__(self):
-        try:
-            effects = tuple(float(c) for c in self.true_effects)
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f"true_effects must be a list of numbers, not {self.true_effects!r}"
-            ) from None
+        effects = _finite_numbers(self.true_effects, "true_effects")
         if not effects:
             raise ScenarioError("true_effects must name at least one exposure")
         object.__setattr__(self, "true_effects", effects)
@@ -475,45 +543,52 @@ class SimulationScenario:
             if eigenvalues[0] <= 0.0:
                 raise ScenarioError("ld_matrix must be positive definite")
             object.__setattr__(self, "ld_matrix", tuple(map(tuple, ld)))
-        if self.causal_instruments is not None:
-            rows = list(self.causal_instruments)
-            if rows and isinstance(rows[0], (list, tuple)):
-                object.__setattr__(
-                    self, "causal_instruments", tuple(tuple(r) for r in rows)
-                )
-                distinct = set().union(*(set(r) for r in rows))
-            else:
-                object.__setattr__(self, "causal_instruments", tuple(rows))
-                distinct = set(rows)
-            if len(distinct) < self.n_exposures:
-                raise ScenarioError(
-                    "need at least as many causal instruments as exposures"
-                )
-        if self.hidden_exposures:
-            object.__setattr__(self, "hidden_exposures", tuple(self.hidden_exposures))
-            if not set(self.hidden_exposures) < set(range(self.n_exposures)):
-                raise ScenarioError("hidden exposures must be a strict subset")
+        L, K = self.n_instruments_total, self.n_exposures
         if self.instrument_subset is not None:
-            object.__setattr__(self, "instrument_subset", tuple(self.instrument_subset))
+            subset = _indices(self.instrument_subset, L, "instrument_subset")
+            if len(subset) < K:
+                raise ScenarioError(f"instrument_subset needs at least one instrument per exposure, got {list(subset)}")
+            object.__setattr__(self, "instrument_subset", subset)
+        rows, mask, shared_rows = _causal_layout(self.causal_instruments, L, K)
+        object.__setattr__(self, "causal_instruments", rows)
+        object.__setattr__(self, "causal_layout", (mask, shared_rows))
+        hidden = _indices(self.hidden_exposures, K, "hidden_exposures")
+        if len(hidden) >= K:
+            raise ScenarioError("hidden exposures must be a strict subset")
+        object.__setattr__(self, "hidden_exposures", hidden)
+        if self.hidden_effect_grid is not None:
+            grid = _finite_numbers(self.hidden_effect_grid, "hidden_effect_grid")
+            object.__setattr__(self, "hidden_effect_grid", grid)
+        if self.exposure_names is not None:
+            names = self.exposure_names
+            if not isinstance(names, (list, tuple)) or len(names) != K or not all(isinstance(n, str) for n in names):
+                raise ScenarioError(f"exposure_names must be a list of {K} strings, one per exposure, not {names!r}")
+            object.__setattr__(self, "exposure_names", tuple(names))
         if self.ld_choice not in ("exposure", "outcome", "reference"):
             raise ScenarioError(f"unknown ld_choice {self.ld_choice!r}")
-        if self.noise_variance < 0:
-            raise ScenarioError("noise variance must be >= 0")
-        if self.ld_wishart_df is not None and self.ld_matrix is None:
-            raise ScenarioError(
-                "generative LD perturbation needs the Gaussian genotype mode "
-                "(ld_matrix); the Markov sampler cannot target an arbitrary "
-                "perturbed matrix"
-            )
+        noise = _finite(self.noise_variance)
+        if noise is None or noise < 0:
+            raise ScenarioError(f"noise variance must be a finite number >= 0, not {self.noise_variance!r}")
+        if self.ld_wishart_df is not None:
+            if self.ld_matrix is None:
+                raise ScenarioError(
+                    "generative LD perturbation needs the Gaussian genotype mode "
+                    "(ld_matrix); the Markov sampler cannot target an arbitrary "
+                    "perturbed matrix"
+                )
+            if not _is_int(self.ld_wishart_df) or self.ld_wishart_df < L:
+                raise ScenarioError(f"ld_wishart_df must be an integer of at least {L}, the instrument count, not {self.ld_wishart_df!r}")
         for key in ("n_samples", "n_outcome", "replicates"):
             n = getattr(self, key)
             if key == "n_outcome" and n is None:
                 continue
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            if not _is_int(n):
                 raise ScenarioError(f"{key} must be an integer, not {n!r}")
         for key, n in (("n_samples", self.n_samples), ("n_outcome", self.n_outcome)):
             if n is not None and n <= self.n_instruments:
                 raise ScenarioError(f"{key} {n} must exceed the instrument count {self.n_instruments}")
+        if self.seed is not None:
+            check_seed(self.seed)
 
     @property
     def n_exposures(self):
@@ -947,9 +1022,13 @@ def pleiotropy_experiment(
             )
 
         rows = _run_indexed(one, replicates, seed + g, threads)
+        causal = cell.causal_instruments
+        if cell.causal_layout[1] is None:  # one causal list per exposure: the modelled ones
+            causal = tuple(causal[k] for k in keep)
         missp_scenario = replace(
             cell,
             true_effects=tuple(np.asarray(cell.true_effects)[keep]),
+            causal_instruments=causal,
             hidden_exposures=(),
             exposure_names=tuple(np.asarray(cell.exposure_names)[keep])
             if cell.exposure_names
@@ -1038,6 +1117,8 @@ def type1_power(
                 "no exposure has a zero null effect and nonzero alternative"
             )
         exposure = candidates[0]
+    if _finite(alpha) is None or not 0.0 < alpha <= 1.0:
+        raise ScenarioError(f"alpha must be a number in (0, 1], not {alpha!r}")
     if null_scenario.true_effects[exposure] != 0.0:
         raise ScenarioError("tested exposure must have zero effect in the null scenario")
 
@@ -1125,12 +1206,11 @@ def load_fixture(name):
     import importlib.resources as resources
     import json
 
-    ref = resources.files("mvmr").joinpath("data", "fixtures", f"{name}.json")
-    try:
-        payload = json.loads(ref.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ScenarioError(f"no bundled fixture named {name!r}") from None
-    return payload
+    fixtures = resources.files("mvmr").joinpath("data", "fixtures")
+    names = {entry.name[: -len(".json")] for entry in fixtures.iterdir() if entry.name.endswith(".json")}
+    if not isinstance(name, str) or name not in names:
+        raise ScenarioError(f"no bundled fixture named {name!r}")
+    return json.loads(fixtures.joinpath(f"{name}.json").read_text(encoding="utf-8"))
 
 
 # genotype mode -> the keys it reads, one of which it needs
@@ -1145,7 +1225,7 @@ _GENOTYPE_NEEDS = {
 def _genotypes_from_config(cfg):
     _check_keys(cfg, _GENOTYPE_KEYS, "genotype")
     mode = cfg.get("mode", "markov")
-    needs = _GENOTYPE_NEEDS.get(mode)
+    needs = _GENOTYPE_NEEDS.get(mode) if isinstance(mode, str) else None
     if needs is None:
         raise ScenarioError(f"unknown genotype mode {mode!r}")
     if not any(key in cfg for key in needs):
@@ -1154,7 +1234,9 @@ def _genotypes_from_config(cfg):
     if mode == "pair":
         return {"genotypes": GenotypeModel.pair(cfg["correlation"], cfg.get("maf", 0.3))}
     if mode == "gaussian_pair":
-        r = float(cfg["correlation"])
+        r = _finite(cfg["correlation"])
+        if r is None:
+            raise ScenarioError(f"gaussian_pair correlation must be a number, not {cfg['correlation']!r}")
         return {"ld_matrix": ((1.0, r), (r, 1.0))}
     if mode == "markov":
         if fixture is not None:
@@ -1176,7 +1258,9 @@ def scenario_from_dict(config):
     for runner_key in ("kind", "estimators", "conditional_f", "alpha", "null_effects", "correlations", "pca_repetitions"):
         cfg.pop(runner_key, None)
 
-    effects_cfg = dict(cfg.pop("effects", {}))
+    effects_cfg = cfg.pop("effects", {})
+    if not isinstance(effects_cfg, dict):
+        raise ScenarioError("scenario 'effects' must be an object")
     _check_keys(effects_cfg, _EFFECT_KEYS, "effects")
     effects = EffectSizes(**effects_cfg)
 
@@ -1191,6 +1275,8 @@ def scenario_from_dict(config):
     prune_r2 = cfg.pop("ld_prune_r2", None)
     scenario = SimulationScenario(effects=effects, **geno_fields, **cfg)
     if prune_r2 is not None:
+        if _finite(prune_r2) is None:
+            raise ScenarioError(f"ld_prune_r2 must be a number, not {prune_r2!r}")
         subset = select_by_ld_threshold(scenario.reference_ld, float(prune_r2))
         scenario = replace(scenario, instrument_subset=tuple(subset))
     return scenario

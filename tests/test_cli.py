@@ -236,6 +236,71 @@ class TestSimulateCommand:
             assert err.startswith("error: scenario key 'estimators' must be a list")
             assert "Traceback" not in err
 
+    # a 3-SNP Markov scenario with two exposures; each edit below once ended
+    # in a traceback, ran on a wrong reading of the file, or ran every
+    # replicate before failing
+    MARKOV_3SNP = {
+        "true_effects": [0.2, 0.6],
+        "n_samples": 500,
+        "genotypes": {"mode": "markov", "mafs": [0.3, 0.3, 0.3], "successive_r": [0.4, 0.4]},
+        "effects": {"low": 0.1, "high": 0.3},
+        "seed": 1,
+    }
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"instrument_subset": [0, 9]}, "instrument_subset entries must lie in [0, 3), got [0, 9]"),
+            ({"instrument_subset": [0, 1, -1]}, "instrument_subset entries must lie in [0, 3), got [0, 1, -1]"),
+            ({"instrument_subset": [True, 2]}, "instrument_subset must be a list of integer indices"),
+            ({"instrument_subset": [0, 0, 1]}, "instrument_subset repeats an index: [0, 0, 1]"),
+            ({"instrument_subset": [1]}, "instrument_subset needs at least one instrument per exposure, got [1]"),
+            ({"instrument_subset": 1}, "instrument_subset must be a list of integer indices"),
+            ({"causal_instruments": [0, 7]}, "causal_instruments entries must lie in [0, 3), got [0, 7]"),
+            ({"causal_instruments": [0.5, 1]}, "causal_instruments must be a list of integer indices"),
+            ({"causal_instruments": [True, 2]}, "causal_instruments must be a list of integer indices"),
+            ({"causal_instruments": [[0, 1], [2, 5]]}, "causal_instruments[1] entries must lie in [0, 3)"),
+            ({"causal_instruments": [[0, 1], 2]}, "causal_instruments must be a list of integer indices"),
+            ({"causal_instruments": [[0, 1]]}, "need one causal-instrument list per exposure"),
+            ({"hidden_exposures": [2]}, "hidden_exposures entries must lie in [0, 2), got [2]"),
+            ({"hidden_exposures": [[0]]}, "hidden_exposures must be a list of integer indices"),
+        ],
+    )
+    def test_scenario_indices_checked_when_built(self, tmp_path, capsys, edit, message):
+        self.assert_refused(tmp_path, capsys, edit, message)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"noise_variance": "a"}, "noise variance must be a finite number >= 0, not 'a'"),
+            ({"seed": "x"}, "seed must be a non-negative integer, not 'x'"),
+            ({"seed": -1}, "seed must be a non-negative integer, not -1"),
+            ({"effects": {"low": 0.5, "high": 0.1}}, "effects low 0.5 must not exceed high 0.1"),
+            ({"effects": {"det_min": "x"}}, "effects det_min must be a finite number, not 'x'"),
+            ({"effects": {"matrix": [0.1, 0.2]}}, "effects matrix must be a finite instruments x exposures matrix"),
+            ({"effects": [0.1]}, "scenario 'effects' must be an object"),
+            ({"true_effects": [float("nan"), 0.1]}, "true_effects must be a list of numbers, not [nan, 0.1]"),
+            ({"exposure_names": ["A"]}, "exposure_names must be a list of 2 strings, one per exposure"),
+            ({"hidden_effect_grid": ["a"]}, "hidden_effect_grid must be a list of numbers"),
+            ({"ld_prune_r2": "x"}, "ld_prune_r2 must be a number, not 'x'"),
+            ({"genotypes": {"mode": ["markov"]}}, "unknown genotype mode ['markov']"),
+            ({"genotypes": {"fixture": "../scenarios/fig2_corr"}}, "no bundled fixture named '../scenarios/fig2_corr'"),
+            ({"kind": "type1_power", "null_effects": [0.0, 0.6], "alpha": "x"}, "alpha must be a number in (0, 1], not 'x'"),
+            ({"kind": "pca", "correlations": ["x"]}, "correlation must lie strictly inside (-1, 1), got 'x'"),
+            ({"kind": "pca", "correlations": [0.5], "pca_repetitions": "x"}, "'pca_repetitions' must be a positive integer"),
+        ],
+    )
+    def test_scenario_scalars_checked_when_built(self, tmp_path, capsys, edit, message):
+        self.assert_refused(tmp_path, capsys, edit, message)
+
+    def assert_refused(self, tmp_path, capsys, edit, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**self.MARKOV_3SNP, **edit}))
+        code = cli.main(["simulate", "--scenario", str(scenario), "--replicates", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
     def test_fig2_layout_columns(self, tmp_path):
         scenario = write_scenario(tmp_path, name="fig2_corr.json")
         code = cli.main(

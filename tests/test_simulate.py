@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from mvmr import estimators as est
 from mvmr import simulate as sim
-from mvmr.errors import FeasibilityError, MvmrError, ScenarioError, UnderdeterminedError
+from mvmr.errors import FeasibilityError, InvalidStatisticsError, MvmrError, ScenarioError, UnderdeterminedError
 
 from helpers import reference_markov_cross
 
@@ -322,6 +322,11 @@ class TestPc1:
         with pytest.raises(ValueError):
             sim.pc1_explained_variance(1.0)
 
+    def test_constant_sample_column_refused(self):
+        # one genotype pair has no variance: its share was a silent NaN
+        with pytest.raises(InvalidStatisticsError, match="constant column"):
+            sim.empirical_pc1_share(0.5, n=1, repetitions=1)
+
     def test_empirical_matches_formula(self):
         share = sim.empirical_pc1_share(0.7, n=2000, repetitions=300, seed=11)
         assert abs(share - 0.85) < 0.01
@@ -391,7 +396,7 @@ def realize_scoring_every_draw(spec, rng, scenario, batch=256):
     """Reference rejection loop that runs the determinant band twice and
     scores the Gram/strength screen on every draw of a batch."""
     n_instruments, n_exposures = scenario.n_instruments_total, scenario.n_exposures
-    mask, shared_rows = sim._causal_mask(scenario.causal_instruments, n_instruments, n_exposures)
+    mask, shared_rows = scenario.causal_layout
     square = shared_rows is not None and len(shared_rows) == n_exposures
     sds = scenario.instrument_sds
     cov_E = scenario.reference_ld * np.outer(sds, sds)
