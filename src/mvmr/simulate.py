@@ -338,7 +338,7 @@ def _finite(value):
 
 def _finite_numbers(values, key):
     """``values``, a list of finite numbers, as a tuple of floats."""
-    out = [_finite(v) for v in values] if isinstance(values, (list, tuple, np.ndarray)) else [None]
+    out = [_finite(v) for v in values] if isinstance(values, (list, tuple)) else [None]
     if None in out:
         raise ScenarioError(f"{key} must be a list of numbers, not {values!r}")
     return tuple(out)
@@ -524,8 +524,8 @@ class SimulationScenario:
     hidden_effect_grid: tuple | None = None
     instrument_subset: tuple | None = None
     n_outcome: int | None = None
-    ld_choice: str = "exposure"  # LD estimated with: exposure|outcome cohort's or the reference
-    ld_wishart_df: int | None = None  # Gaussian: every cohort's LD a Wishart(df) draw around the reference
+    ld_choice: str = "exposure"  # estimation LD in either design: exposure|outcome cohort's|reference
+    ld_wishart_df: int | None = None  # Gaussian: each cohort from its own Wishart(df) LD around the reference
     replicates: int = 1000
     seed: int | None = None
     name: str = "scenario"

@@ -334,10 +334,11 @@ class TestPc1:
 
 class TestScenario:
     @staticmethod
-    def _markov(n_instruments, spec, causal_instruments=None, n_exposures=2):
-        """A Markov scenario of ``n_instruments`` SNPs whose effect matrix ``spec`` draws."""
+    def _markov(n_instruments, spec, causal_instruments=None):
+        """A two-exposure Markov scenario of ``n_instruments`` SNPs whose
+        effect matrix ``spec`` draws."""
         return sim.SimulationScenario(
-            true_effects=(0.1,) * n_exposures,
+            true_effects=(0.1, 0.1),
             n_samples=100,
             genotypes=sim.GenotypeModel((0.3,) * n_instruments, (0.2,) * (n_instruments - 1)),
             effects=spec,
