@@ -49,14 +49,14 @@ class CollinearExposuresError(MvmrError, ValueError):
     """Exposure columns are collinear; conditioning regression impossible."""
 
 
-class FeasibilityError(MvmrError, ValueError):
+class ScenarioError(MvmrError, ValueError):
+    """Malformed or inconsistent simulation scenario."""
+
+
+class FeasibilityError(ScenarioError):
     """Requested MAF / correlation combination cannot be realised by the
     allele-level Markov sampler (conditional allele probability outside
     [0, 1])."""
-
-
-class ScenarioError(MvmrError, ValueError):
-    """Malformed or inconsistent simulation scenario."""
 
 
 class SummaryFormatError(MvmrError, ValueError):

@@ -7,16 +7,19 @@ it defines the linear model
 
     X_i = sum_j C[i, j] * X_j + U_i,      cov(U_i, U_j) = Psi[i, j]
 
-whose implied covariance matrix is (I - C)^-1 Psi (I - C^T)^-1.  The same
-covariances can be obtained by summing path products over unblocked paths
-(the method of path coefficients); both routes are implemented here and
-cross-checked in the test suite.  The path search never steps through a
-collider, so it only ever walks unblocked paths, and it memoises them per
-endpoint pair on the immutable diagram, so the instrumental-set search and
-the path sums share one enumeration.  The module also provides unconditional
-d-separation and the graphical instrumental-set check that underpins
-identification of direct effects in multivariable MR with correlated
-instruments.
+whose implied covariance matrix is (I - C)^-1 Psi (I - C^T)^-1.  For a
+standardized model (unit implied variances) the same covariances can be
+obtained by summing path products over unblocked paths (the method of path
+coefficients); both routes are implemented here and cross-checked in the
+test suite.  The path search never steps through a collider, so it only
+ever walks unblocked paths, and it memoises them per endpoint pair on the
+immutable diagram, so the instrumental-set search and the path sums share
+one enumeration.  The module also provides the graphical instrumental-set
+check that underpins identification of direct effects in multivariable MR
+with correlated instruments; it reads both its path condition and its
+d-separation condition off that one enumeration.  Unconditional
+d-separation for any diagram, above the path cap too, is a separate
+ancestral-set test.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
 
 DIRECTED = "directed"
 BIDIRECTED = "bidirected"
+MAX_SET_SIZE = 8  # largest instrumental set whose orderings the check searches
 
 
 def _normalize_pair(a, b):
@@ -143,10 +147,6 @@ class CausalDiagram:
     def has_bidirected(self, a, b):
         return _normalize_pair(a, b) in self._bidirected_set
 
-    def parents(self, node):
-        self.index(node)
-        return [s for s, t in self.directed_edges if t == node]
-
     def children(self, node):
         self.index(node)
         return [
@@ -223,31 +223,6 @@ class SemParameters:
     def n_nodes(self):
         return self.coefficients.shape[0]
 
-    def validate_against(self, diagram):
-        """Check the zero pattern of C and Psi against the diagram."""
-        idx = {n: k for k, n in enumerate(diagram.nodes)}
-        directed = {(idx[t], idx[s]) for s, t in diagram.directed_edges}
-        for i in range(self.n_nodes):
-            for j in range(self.n_nodes):
-                if i == j:
-                    if self.coefficients[i, j] != 0.0:
-                        raise GraphStructureError("nonzero diagonal coefficient")
-                    continue
-                if self.coefficients[i, j] != 0.0 and (i, j) not in directed:
-                    raise GraphStructureError(
-                        f"coefficient set for missing edge "
-                        f"{diagram.nodes[j]} -> {diagram.nodes[i]}"
-                    )
-        bidirected = {(idx[a], idx[b]) for a, b in diagram.bidirected_edges}
-        bidirected |= {(j, i) for i, j in bidirected}
-        for i in range(self.n_nodes):
-            for j in range(i + 1, self.n_nodes):
-                if self.error_cov[i, j] != 0.0 and (i, j) not in bidirected:
-                    raise GraphStructureError(
-                        f"error covariance set for missing bidirected edge "
-                        f"{diagram.nodes[i]} <-> {diagram.nodes[j]}"
-                    )
-
     def coefficient(self, diagram, source, target):
         return self.coefficients[diagram.index(target), diagram.index(source)]
 
@@ -283,9 +258,7 @@ def sem_from_values(diagram, coefficients, error_cov=None, error_var=None):
                 raise GraphStructureError(f"no bidirected edge {a} <-> {b} in diagram")
             i, j = diagram.index(a), diagram.index(b)
             psi[i, j] = psi[j, i] = value
-    sem = SemParameters(C, psi)
-    sem.validate_against(diagram)
-    return sem
+    return SemParameters(C, psi)
 
 
 def implied_covariance(sem):
@@ -334,9 +307,7 @@ def calibrate_unit_variances(diagram, coefficients, error_cov=None):
             )
         diag[i] = value
     np.fill_diagonal(psi, diag)
-    sem = SemParameters(C, psi)
-    sem.validate_against(diagram)
-    return sem
+    return SemParameters(C, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -366,34 +337,6 @@ class Path:
 
     def __len__(self):
         return len(self.edges)
-
-    @property
-    def is_blocked(self):
-        """True iff some interior node is a collider on this path."""
-        for k in range(1, len(self.nodes) - 1):
-            node = self.nodes[k]
-            if self.edges[k - 1].arrow_at(node) and self.edges[k].arrow_at(node):
-                return True
-        return False
-
-    @property
-    def has_bidirected(self):
-        return any(e.kind == BIDIRECTED for e in self.edges)
-
-    @property
-    def root(self):
-        """Node emitting both adjacent edges (apex of an unblocked path).
-
-        ``None`` when the path is blocked or its apex is a bidirected edge.
-        """
-        if self.is_blocked or self.has_bidirected:
-            return None
-        for k, node in enumerate(self.nodes):
-            left_arrow = k > 0 and self.edges[k - 1].arrow_at(node)
-            right_arrow = k < len(self.edges) and self.edges[k].arrow_at(node)
-            if not left_arrow and not right_arrow:
-                return node
-        return None
 
     def weight(self, diagram, sem):
         """Product of edge parameters along the path."""
@@ -467,53 +410,26 @@ def _unblocked_paths(adjacency, a, b):
     return tuple(paths)
 
 
-def wright_covariance(
-    diagram,
-    sem,
-    a,
-    b,
-    standardized=True,
-    root_variances=None,
-    max_nodes=20,
-):
-    """Covariance of two variables by summing unblocked path products.
+def wright_covariance(diagram, sem, a, b, max_nodes=20):
+    """Covariance of two variables of a standardized model by summing the
+    edge-parameter products of the unblocked paths between them.
 
-    In standardized mode every path contributes the plain product of its
-    edge parameters; the mode is only valid when the model's implied
-    variances are all one, which is verified up to 1e-8.  Otherwise the
-    caller must supply ``root_variances`` (a node -> variance map) and each
-    path whose apex is a single root node is additionally multiplied by
-    that node's variance; paths topped by a bidirected edge already carry
-    the error covariance as their apex factor.
+    Valid only when the model's implied variances are all one, which is
+    verified up to 1e-8; :func:`implied_covariance` serves any model.
     """
     diagram.index(a)
     diagram.index(b)
-    if standardized:
-        variances = np.diag(implied_covariance(sem))
-        if np.max(np.abs(variances - 1.0)) > 1e-8:
-            raise StandardizationError(
-                "standardized mode requires unit implied variances; "
-                f"max |var - 1| = {np.max(np.abs(variances - 1.0)):.3e}"
-            )
-        if a == b:
-            return 1.0
-    elif a == b:
-        raise GraphStructureError(
-            "variances are not path sums; query distinct nodes or use "
-            "implied_covariance"
+    variances = np.diag(implied_covariance(sem))
+    if np.max(np.abs(variances - 1.0)) > 1e-8:
+        raise StandardizationError(
+            "path sums require unit implied variances; "
+            f"max |var - 1| = {np.max(np.abs(variances - 1.0)):.3e}"
         )
-
+    if a == b:
+        return 1.0
     total = 0.0
     for path in enumerate_paths(diagram, a, b, max_nodes=max_nodes):
-        term = path.weight(diagram, sem)
-        if not standardized and not path.has_bidirected:
-            root = path.root
-            if root_variances is None or root not in root_variances:
-                raise GraphStructureError(
-                    f"non-standardized mode requires a variance for path root {root!r}"
-                )
-            term *= root_variances[root]
-        total += term
+        total += path.weight(diagram, sem)
     return total
 
 
@@ -594,15 +510,15 @@ def _prefix_points_to(path, position):
 
 def _pair_ok(instrument_j, path_i, path_j):
     """Condition-3 compatibility of an earlier path with a later one."""
-    if instrument_j in path_i.nodes:
+    nodes_i = path_i.nodes
+    if instrument_j in nodes_i:
         return False
-    index_i = {node: k for k, node in enumerate(path_i.nodes)}
     for pos_j, node in enumerate(path_j.nodes):
-        if node not in index_i:
+        if node not in nodes_i:
             continue
-        if node == path_i.nodes[-1] and node == path_j.nodes[-1]:
+        if node == nodes_i[-1] and node == path_j.nodes[-1]:
             continue  # shared outcome endpoint; both final edges point at it
-        if not _suffix_points_to(path_i, index_i[node]):
+        if not _suffix_points_to(path_i, nodes_i.index(node)):
             return False
         if not _prefix_points_to(path_j, pos_j):
             return False
@@ -626,14 +542,7 @@ def _perfect_matching_exists(candidates, n):
     return all(augment(i, set()) for i in range(n))
 
 
-def check_instrumental_set(
-    diagram,
-    instruments,
-    exposures,
-    outcome,
-    max_nodes=20,
-    max_set_size=8,
-):
+def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=20):
     """Check the graphical instrumental-set condition.
 
     Searches for an ordering of the instruments together with one unblocked
@@ -670,10 +579,10 @@ def check_instrumental_set(
             "subset (see find_instrumental_subset)"
         )
     K = len(exposures)
-    if K > max_set_size:
+    if K > MAX_SET_SIZE:
         raise CombinatorialLimitError(
             f"instrumental-set search over {K}! orderings not supported "
-            f"(max_set_size={max_set_size})"
+            f"(at most {MAX_SET_SIZE} instruments)"
         )
 
     # Condition 1: non-descendance plus existence of a compatible path
@@ -683,6 +592,7 @@ def check_instrumental_set(
         x: (x, outcome) for x in exposures if diagram.has_directed(x, outcome)
     }
     candidate_paths = {}
+    connected = set()  # instruments with an unblocked path not ending in an exposure edge
     for e in instruments:
         if e in outcome_descendants:
             return InstrumentalSetResult(
@@ -691,11 +601,10 @@ def check_instrumental_set(
         per_exposure = {x: [] for x in exposures}
         for path in enumerate_paths(diagram, e, outcome, max_nodes=max_nodes):
             final = path.final_directed_edge()
-            if final is None:
-                continue
-            x = final[0]
-            if x in exposure_edges:
-                per_exposure[x].append(path)
+            if final is not None and final[0] in exposure_edges:
+                per_exposure[final[0]].append(path)
+            else:
+                connected.add(e)
         candidate_paths[e] = per_exposure
 
     usable = [
@@ -711,10 +620,12 @@ def check_instrumental_set(
             "every exposure edge",
         )
 
-    # Condition 2: d-separation once all exposure -> outcome edges go.
-    removed = [exposure_edges[x] for x in exposure_edges]
+    # Condition 2: d-separation once all exposure -> outcome edges go.  A
+    # removed edge can only be the last edge of a path to the outcome, so an
+    # instrument stays d-connected exactly when one of its unblocked paths
+    # does not end in an exposure edge.
     for e in instruments:
-        if not d_separated(diagram, e, outcome, removed):
+        if e in connected:
             return InstrumentalSetResult(
                 False,
                 2,

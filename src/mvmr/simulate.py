@@ -511,7 +511,9 @@ class SimulationScenario:
     """Declarative description of one simulation cell, checked when built;
     what every replicate reads of it but does not draw is derived once.
     ``causal_layout`` is the ``(mask, shared_rows)`` of the causal
-    instruments (see :func:`_causal_layout`)."""
+    instruments (see :func:`_causal_layout`); a Gaussian scenario's
+    ``ld_factor`` is the Cholesky factor of its LD matrix, which also
+    serves as its positive-definiteness check."""
 
     true_effects: tuple
     n_samples: int
@@ -539,10 +541,13 @@ class SimulationScenario:
         if (self.genotypes is None) == (self.ld_matrix is None):
             raise ScenarioError("specify exactly one of genotypes (Markov) or ld_matrix (Gaussian)")
         if self.ld_matrix is not None:
-            ld, eigenvalues = check_correlation(self.ld_matrix, "ld_matrix", ScenarioError)
-            if eigenvalues[0] <= 0.0:
-                raise ScenarioError("ld_matrix must be positive definite")
+            ld, _ = check_correlation(self.ld_matrix, "ld_matrix", ScenarioError)
             object.__setattr__(self, "ld_matrix", tuple(map(tuple, ld)))
+            try:
+                factor = np.linalg.cholesky(self.reference_ld)
+            except np.linalg.LinAlgError:
+                raise ScenarioError("ld_matrix must be positive definite") from None
+            object.__setattr__(self, "ld_factor", _read_only(factor))
         L, K = self.n_instruments_total, self.n_exposures
         if self.instrument_subset is not None:
             subset = _indices(self.instrument_subset, L, "instrument_subset")
@@ -628,11 +633,6 @@ class SimulationScenario:
             return self.reference_ld
         keep = list(self.instrument_subset)
         return _read_only(self.reference_ld[np.ix_(keep, keep)])
-
-    @cached_property
-    def ld_factor(self):
-        """Cholesky factor of the Gaussian-mode reference LD."""
-        return _read_only(_cholesky(self.reference_ld))
 
 
 def select_by_ld_threshold(ld, max_r2):

@@ -26,6 +26,10 @@ def write_scenario(tmp_path, name="fig2_corr_desk.json", **overrides):
     return str(path)
 
 
+# the correlation matrix of (1, 0, 0), (.6, .8, 0), (0, .6, .8) and (.48, .64, .6)
+RANK3_LD = [[1, 0.6, 0, 0.48], [0.6, 1, 0.48, 0.8], [0, 0.48, 1, 0.864], [0.48, 0.8, 0.864, 1]]
+
+
 def reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -148,6 +152,8 @@ class TestSimulateCommand:
             ([[1, "a"], ["a", 1]], "ld_matrix must be an array of numbers"),
             ([[1, float("nan")], [float("nan"), 1]], "ld_matrix contains non-finite entries"),
             ([[2, 0.5], [0.5, 1]], "ld_matrix must have unit diagonal"),
+            # four unit vectors in R^3: smallest eigenvalue +1.4e-16, but no Cholesky factor
+            (RANK3_LD, "ld_matrix must be positive definite"),
         ],
     )
     def test_gaussian_ld_checked_where_the_scenario_is_built(self, tmp_path, capsys, ld, message):
@@ -199,6 +205,7 @@ class TestSimulateCommand:
                 {"genotypes": {"mode": "markov", "mafs": [0.3] * 11, "successive_r": [0.5] * 10}},
                 "needs 1 to 10 SNPs (MAX_MARKOV_SNPS), got 11",
             ),
+            ({"genotypes": {"mode": "pair", "correlation": -0.9}}, "SNP pair 0-1: correlation -0.9 is infeasible"),
         ],
     )
     def test_malformed_scenario_exit_2(self, tmp_path, capsys, edit, message):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -53,12 +55,6 @@ class TestDiagramValidation:
     def test_rejects_unknown_edge_node(self):
         with pytest.raises(UnknownNodeError):
             graph.CausalDiagram(["A"], [("A", "B")])
-
-    def test_sem_pattern_must_match_diagram(self):
-        diagram = graph.CausalDiagram(["A", "B"], [("A", "B")])
-        C = np.array([[0.0, 0.5], [0.3, 0.0]])  # upper entry has no edge
-        with pytest.raises(GraphStructureError):
-            graph.SemParameters(C, np.eye(2)).validate_against(diagram)
 
 
 class TestImpliedCovariance:
@@ -128,19 +124,6 @@ class TestWrightCovariance:
         with pytest.raises(StandardizationError):
             graph.wright_covariance(diagram, sem, "E", "X")
 
-    def test_root_variance_multiplier(self):
-        # non-standardized: sigma_EY = a*c*var(E)
-        diagram = graph.CausalDiagram(["E", "X", "Y"], [("E", "X"), ("X", "Y")])
-        sem = graph.sem_from_values(
-            diagram, {("E", "X"): 0.5, ("X", "Y"): 0.3}, error_var={"E": 2.0}
-        )
-        sigma = graph.implied_covariance(sem)
-        value = graph.wright_covariance(
-            diagram, sem, "E", "Y", standardized=False, root_variances={"E": 2.0}
-        )
-        assert value == pytest.approx(sigma[0, 2], abs=1e-14)
-        assert value == pytest.approx(0.3, abs=1e-14)
-
     def test_node_cap_guard(self):
         names = [f"N{i}" for i in range(25)]
         diagram = graph.CausalDiagram(names, [])
@@ -173,7 +156,15 @@ def all_unblocked_paths(diagram, a, b):
                 extend(node_seq + [nxt], edge_seq + [edge])
 
     extend([a], [])
-    return [path for path in found if not path.is_blocked]
+    return [path for path in found if not has_collider(path)]
+
+
+def has_collider(path):
+    """Whether some interior node of ``path`` has arrowheads on both sides."""
+    return any(
+        path.edges[k - 1].arrow_at(node) and path.edges[k].arrow_at(node)
+        for k, node in enumerate(path.nodes[1:-1], start=1)
+    )
 
 
 def random_mixed_diagram(rng):
@@ -323,6 +314,30 @@ class TestInstrumentalSet:
                 diagram, [instruments[i] for i in order], exposures, outcome
             )
             assert base.satisfied == shuffled.satisfied
+
+    def test_condition_two_read_off_the_paths_equals_d_separation(self):
+        # every ordering of each diagram's instruments; condition 1 is checked
+        # first, so only its passes reach condition 2
+        rng = np.random.default_rng(4004)
+        reached = failed = 0
+        for _ in range(150):
+            diagram = random_mixed_diagram(rng)
+            instruments = [n for n in diagram.nodes if n.startswith("E")]
+            exposures = [n for n in diagram.nodes if n.startswith("X")]
+            removed = [(x, "Y") for x in exposures if diagram.has_directed(x, "Y")]
+            for ordering in itertools.permutations(instruments):
+                result = graph.check_instrumental_set(diagram, ordering, exposures, "Y")
+                if result.failed_condition == 1:
+                    continue
+                reached += 1
+                connected = [e for e in ordering if not graph.d_separated(diagram, e, "Y", removed)]
+                if connected:
+                    failed += 1
+                    expected = (False, 2, None, f"instrument {connected[0]!r} stays d-connected to 'Y' after removing all exposure edges")
+                    assert (result.satisfied, result.failed_condition, result.witness, result.detail) == expected
+                else:
+                    assert result.failed_condition in (None, 3)
+        assert failed >= 100 and reached - failed >= 100  # 224 and 195
 
     def test_combinatorial_cap(self):
         K = 9

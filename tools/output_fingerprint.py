@@ -23,9 +23,15 @@ Runs, in this interpreter:
   exits 4, a rank-deficient design that exits 3, a positive definite LD
   matrix of condition number 9.0e5 that exits 0 and an LD matrix made
   indefinite by rounding that exits 4);
+* an identification run over this checkout's
+  ``perfbench/inputs.make_diagrams(seed, 240)`` for each seed in
+  ``GRAPH_SEEDS``, which writes per diagram the ``find_instrumental_subset``
+  result, the ``check_instrumental_set`` verdict (satisfied flag, failed
+  condition, detail and witness) for every square instrument subset, and
+  ``repr(wright_covariance)`` for every ordered pair of distinct nodes;
 
-and prints one ``exit <code>  <command>`` line per command followed by one
-``<sha256>  <relative path>`` line per file it wrote.  A command that ends
+and prints one ``exit <code>  <command>`` line per command or run followed
+by one ``<sha256>  <relative path>`` line per file it wrote.  A command that ends
 in an uncaught exception reads ``exit 1``, as the console script would,
 and its traceback goes to stderr.  Two source trees
 produce the same outputs exactly when their fingerprints are equal:
@@ -34,8 +40,8 @@ produce the same outputs exactly when their fingerprints are equal:
     python tools/output_fingerprint.py > after.txt
     diff before.txt after.txt
 
-``--src`` switches only the ``mvmr`` package; the generated loci input
-always comes from this checkout.  Besides the standard library this needs
+``--src`` switches only the ``mvmr`` package; the generated loci input and
+diagrams always come from this checkout.  Besides the standard library this needs
 numpy (for the input generator); BLAS runs single-threaded (unless the
 environment already says otherwise) and command output on stdout/stderr
 is discarded.
@@ -45,6 +51,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -65,6 +72,8 @@ LD_SCENARIOS = {  # name -> scenario file written and simulated as the bundled o
     "ld_outcome": {**_TWO_SAMPLE, "ld_choice": "outcome"},
     "ld_reference": {**_TWO_SAMPLE, "ld_choice": "reference", "instrument_subset": [0, 1, 3, 4]},
 }
+GRAPH_SEEDS = (1, 2)  # seeds of the generated diagrams
+GRAPH_DIAGRAMS = 240
 INDEFINITE_LD = ("rs600", "rs603", "-0.9")  # r(rs600, rs603) in the fixture LD; the MAM block of chr6:12891000 turns indefinite
 _LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
@@ -117,7 +126,6 @@ def _commands(package_dir, out_root):
         out = os.path.join(out_root, "simulate", name)
         argv = ["simulate", "--scenario", scenario, *SIMULATE_ARGS, "--out", out]
         yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
-    sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
     import inputs
 
     trio = ("eqtl.tsv", "gwas.tsv", "ld.txt")
@@ -162,6 +170,28 @@ def _commands(package_dir, out_root):
         yield f"estimate {name} --estimators ls,gmm,twmr", argv, out
 
 
+def _identify(argv):
+    """Write the identification results of ``make_diagrams(seed, GRAPH_DIAGRAMS)``
+    to the file ``out``, for ``argv = [seed, out]``."""
+    import inputs
+    from mvmr import graph
+
+    seed, out = argv
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    with open(out, "w", encoding="utf-8") as fh:
+        for d in inputs.make_diagrams(seed, GRAPH_DIAGRAMS):
+            diagram = graph.CausalDiagram(d["nodes"], [(s, t) for s, t, _ in d["edges"]], [(a, b) for a, b, _ in d["bicov"]])
+            sem = graph.calibrate_unit_variances(diagram, {(s, t): c for s, t, c in d["edges"]}, {(a, b): c for a, b, c in d["bicov"]})
+            exposures, outcome = d["exposures"], d["outcome"]
+            found = graph.find_instrumental_subset(diagram, d["instruments"], exposures, outcome)
+            fh.write(f"{d['name']} subset {found!r}\n")
+            for subset in itertools.combinations(d["instruments"], len(exposures)):
+                fh.write(f"check {list(subset)} {graph.check_instrumental_set(diagram, subset, exposures, outcome)!r}\n")
+            for a, b in itertools.permutations(d["nodes"], 2):
+                fh.write(f"wright {a} {b} {graph.wright_covariance(diagram, sem, a, b)!r}\n")
+    return 0
+
+
 def _written(out):
     """The files a command wrote to ``out``, a file or a directory tree, in a fixed order."""
     if os.path.isfile(out):
@@ -183,6 +213,11 @@ def fingerprint(out_root):
         lines.append(f"exit {_run(mvmr.cli.main, argv)}  {label}")
         for path in _written(out):
             lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
+    for seed in GRAPH_SEEDS:
+        out = os.path.join(out_root, "graph", f"diagrams{seed}.txt")
+        lines.append(f"exit {_run(_identify, [seed, out])}  identify make_diagrams({seed}, {GRAPH_DIAGRAMS})")
+        for path in _written(out):
+            lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
     return lines
 
 
@@ -194,6 +229,7 @@ def main(argv=None):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
     with tempfile.TemporaryDirectory(prefix="mvmr_fingerprint_") as work:
         for line in fingerprint(work):
             print(line)
