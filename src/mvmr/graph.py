@@ -17,9 +17,11 @@ immutable diagram, so the instrumental-set search and the path sums share
 one enumeration.  The module also provides the graphical instrumental-set
 check that underpins identification of direct effects in multivariable MR
 with correlated instruments; it reads both its path condition and its
-d-separation condition off that one enumeration.  Unconditional
-d-separation for any diagram, above the path cap too, is a separate
-ancestral-set test.
+d-separation condition off that one enumeration and memoises on the
+diagram every other fact it takes from the diagram alone; each SEM solves
+for its implied covariance once.  Both objects are immutable, so no memo
+goes stale.  Unconditional d-separation for any diagram, above the path
+cap too, is a separate ancestral-set test.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class CausalDiagram:
             raise GraphStructureError("duplicate directed edge")
         if len(set(self.bidirected_edges)) != len(self.bidirected_edges):
             raise GraphStructureError("duplicate bidirected edge")
-        self.topological_order()  # raises on cycles
+        self._topological_order  # raises on cycles
 
     @property
     def n_nodes(self):
@@ -131,8 +133,12 @@ class CausalDiagram:
         return {node: tuple(out) for node, out in steps.items()}
 
     @cached_property
-    def _path_memo(self):
-        """(a, b) -> tuple of the unblocked paths from ``a`` to ``b``."""
+    def _memo(self):
+        """Facts computed once per diagram: ``("paths", a, b)`` the unblocked
+        paths from a to b, ``("descendants", y)`` those of y, ``("screen",
+        e, y)`` :func:`_screen` of e for y, and ``("pair", id(p), id(q))``
+        :func:`_pair_ok` of paths p and q (the "paths" entries keep every
+        path alive, so the ids stay valid)."""
         return {}
 
     def index(self, node):
@@ -155,13 +161,12 @@ class CausalDiagram:
         ]
 
     def topological_order(self):
-        """Node list with every edge source before its target.
+        """Node list with every edge source before its target."""
+        return list(self._topological_order)
 
-        Raises
-        ------
-        GraphStructureError
-            If the directed part contains a cycle.
-        """
+    @cached_property
+    def _topological_order(self):
+        """Raises :class:`GraphStructureError` on a directed cycle."""
         indeg = {n: 0 for n in self.nodes}
         for _, t in self.directed_edges:
             indeg[t] += 1
@@ -176,7 +181,7 @@ class CausalDiagram:
                     frontier.append(child)
         if len(order) != len(self.nodes):
             raise GraphStructureError("directed edges contain a cycle")
-        return order
+        return tuple(order)
 
     def descendants(self, node):
         """All nodes reachable from ``node`` along directed edges, incl. itself."""
@@ -198,18 +203,21 @@ class SemParameters:
     directed edge (j -> i) in the companion diagram corresponds to a
     nonzero entry at ``[i, j]``.  ``error_cov`` is the symmetric matrix of
     error (co)variances; off-diagonal entries correspond to bidirected
-    edges.
+    edges.  Both are read-only copies and cannot be rebound, so the implied
+    covariance matrix is computed once per object.
     """
 
     def __init__(self, coefficients, error_cov):
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        self.error_cov = np.asarray(error_cov, dtype=float)
-        C, psi = self.coefficients, self.error_cov
+        C = np.array(coefficients, dtype=float)
+        psi = np.array(error_cov, dtype=float)
+        C.flags.writeable = psi.flags.writeable = False
+        object.__setattr__(self, "coefficients", C)
+        object.__setattr__(self, "error_cov", psi)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise GraphStructureError("coefficient matrix must be square")
         if psi.shape != C.shape:
             raise GraphStructureError("error covariance shape mismatch")
-        if not np.allclose(psi, psi.T, atol=1e-12):
+        if not np.all(np.abs(psi - psi.T) <= 1e-12):
             raise GraphStructureError("error covariance must be symmetric")
         if np.any(np.diag(psi) <= 0):
             raise GraphStructureError("error variances must be positive")
@@ -218,6 +226,9 @@ class SemParameters:
             raise GraphStructureError(
                 f"error covariance not positive semidefinite (min eig {eigmin:.3e})"
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SemParameters is immutable; cannot set {name!r}")
 
     @property
     def n_nodes(self):
@@ -228,6 +239,18 @@ class SemParameters:
 
     def error_covariance(self, diagram, a, b):
         return self.error_cov[diagram.index(a), diagram.index(b)]
+
+    @cached_property
+    def _implied(self):
+        p = self.n_nodes
+        try:
+            B = np.linalg.solve(np.eye(p) - self.coefficients, np.eye(p))
+        except np.linalg.LinAlgError:
+            raise GraphStructureError(
+                "(I - C) is singular; the structural system contains a cycle"
+            ) from None
+        sigma = B @ self.error_cov @ B.T
+        return (sigma + sigma.T) / 2.0
 
 
 def sem_from_values(diagram, coefficients, error_cov=None, error_var=None):
@@ -264,19 +287,11 @@ def sem_from_values(diagram, coefficients, error_cov=None, error_var=None):
 def implied_covariance(sem):
     """Model-implied covariance matrix ``(I - C)^-1 Psi (I - C^T)^-1``.
 
-    Exact closed form, no sampling.  Raises :class:`GraphStructureError`
-    if (I - C) is singular, which cannot happen for acyclic systems.
+    Exact closed form, no sampling, solved once per SEM; each call gets a
+    fresh copy.  Raises :class:`GraphStructureError` if (I - C) is
+    singular, which cannot happen for acyclic systems.
     """
-    p = sem.n_nodes
-    imc = np.eye(p) - sem.coefficients
-    try:
-        B = np.linalg.solve(imc, np.eye(p))
-    except np.linalg.LinAlgError:
-        raise GraphStructureError(
-            "(I - C) is singular; the structural system contains a cycle"
-        ) from None
-    sigma = B @ sem.error_cov @ B.T
-    return (sigma + sigma.T) / 2.0
+    return sem._implied.copy()
 
 
 def calibrate_unit_variances(diagram, coefficients, error_cov=None):
@@ -292,13 +307,16 @@ def calibrate_unit_variances(diagram, coefficients, error_cov=None):
     C = sem0.coefficients
     psi = sem0.error_cov.copy()
     B = np.linalg.solve(np.eye(p) - C, np.eye(p))
-    order = [diagram.index(n) for n in diagram.topological_order()]
+    order = [diagram.index(n) for n in diagram._topological_order]
     off = psi.copy()
     np.fill_diagonal(off, 0.0)
-    diag = np.zeros(p)
-    for i in order:
-        other = B[i] @ off @ B[i]
-        settled = sum(B[i, k] ** 2 * diag[k] for k in order[: order.index(i)])
+    diag = [0.0] * p
+    for pos, i in enumerate(order):
+        other = float(B[i] @ off @ B[i])
+        row = B[i].tolist()
+        settled = 0.0  # a plain loop: sum() of floats compensates from Python 3.12
+        for k in order[:pos]:
+            settled += row[k] * row[k] * diag[k]
         value = 1.0 - other - settled
         if value <= 0:
             raise StandardizationError(
@@ -378,10 +396,10 @@ def enumerate_paths(diagram, a, b, max_nodes=20):
     if a == b:
         raise GraphStructureError("path enumeration requires distinct endpoints")
 
-    memo = diagram._path_memo
-    paths = memo.get((a, b))
+    memo = diagram._memo
+    paths = memo.get(("paths", a, b))
     if paths is None:
-        paths = memo[(a, b)] = _unblocked_paths(diagram._adjacency, a, b)
+        paths = memo[("paths", a, b)] = _unblocked_paths(diagram._adjacency, a, b)
     return list(paths)
 
 
@@ -419,7 +437,7 @@ def wright_covariance(diagram, sem, a, b, max_nodes=20):
     """
     diagram.index(a)
     diagram.index(b)
-    variances = np.diag(implied_covariance(sem))
+    variances = np.diag(sem._implied)
     if np.max(np.abs(variances - 1.0)) > 1e-8:
         raise StandardizationError(
             "path sums require unit implied variances; "
@@ -508,10 +526,10 @@ def _prefix_points_to(path, position):
     return path.edges[position - 1].arrow_at(path.nodes[position])
 
 
-def _pair_ok(instrument_j, path_i, path_j):
+def _pair_ok(path_i, path_j):
     """Condition-3 compatibility of an earlier path with a later one."""
     nodes_i = path_i.nodes
-    if instrument_j in nodes_i:
+    if path_j.nodes[0] in nodes_i:  # the later path's instrument
         return False
     for pos_j, node in enumerate(path_j.nodes):
         if node not in nodes_i:
@@ -542,6 +560,21 @@ def _perfect_matching_exists(candidates, n):
     return all(augment(i, set()) for i in range(n))
 
 
+def _screen(diagram, instrument, outcome, max_nodes):
+    """The instrument's unblocked paths to the outcome in enumeration order,
+    grouped by x if they end in ``x -> outcome``, else under ``None``.
+    Memoised on the diagram; the path cap is enforced on every call."""
+    key = ("screen", instrument, outcome)
+    groups = diagram._memo.get(key)
+    if groups is None or diagram.n_nodes > max_nodes:
+        groups = {}
+        for path in enumerate_paths(diagram, instrument, outcome, max_nodes=max_nodes):
+            final = path.final_directed_edge()
+            groups.setdefault(final and final[0], []).append(path)
+        diagram._memo[key] = groups
+    return groups
+
+
 def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=20):
     """Check the graphical instrumental-set condition.
 
@@ -558,7 +591,10 @@ def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=2
        the outcome) and the later path's head (up to V) both point at V.
 
     Returns an :class:`InstrumentalSetResult` carrying the witness pairs on
-    success and the first violated condition otherwise.
+    success and the first violated condition otherwise.  Each instrument's
+    paths, sorted for conditions 1 and 2, and each pairwise test of
+    condition 3 are memoised on the immutable diagram, so a search over the
+    subsets of one candidate list classifies every instrument once.
     """
     instruments = list(instruments)
     exposures = list(exposures)
@@ -587,28 +623,21 @@ def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=2
 
     # Condition 1: non-descendance plus existence of a compatible path
     # assignment (instrument -> exposure edge) in the bipartite sense.
-    outcome_descendants = diagram.descendants(outcome)
-    exposure_edges = {
-        x: (x, outcome) for x in exposures if diagram.has_directed(x, outcome)
-    }
-    candidate_paths = {}
-    connected = set()  # instruments with an unblocked path not ending in an exposure edge
+    memo = diagram._memo
+    outcome_descendants = memo.get(("descendants", outcome))
+    if outcome_descendants is None:
+        outcome_descendants = frozenset(diagram.descendants(outcome))
+        memo[("descendants", outcome)] = outcome_descendants
+    candidate_paths = {}  # instrument -> its _screen
     for e in instruments:
         if e in outcome_descendants:
             return InstrumentalSetResult(
                 False, 1, None, f"instrument {e!r} is a descendant of {outcome!r}"
             )
-        per_exposure = {x: [] for x in exposures}
-        for path in enumerate_paths(diagram, e, outcome, max_nodes=max_nodes):
-            final = path.final_directed_edge()
-            if final is not None and final[0] in exposure_edges:
-                per_exposure[final[0]].append(path)
-            else:
-                connected.add(e)
-        candidate_paths[e] = per_exposure
+        candidate_paths[e] = _screen(diagram, e, outcome, max_nodes)
 
     usable = [
-        {j for j, x in enumerate(exposures) if candidate_paths[e][x]}
+        {j for j, x in enumerate(exposures) if x in candidate_paths[e]}
         for e in instruments
     ]
     if not _perfect_matching_exists(usable, K):
@@ -624,27 +653,37 @@ def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=2
     # removed edge can only be the last edge of a path to the outcome, so an
     # instrument stays d-connected exactly when one of its unblocked paths
     # does not end in an exposure edge.
-    for e in instruments:
-        if e in connected:
-            return InstrumentalSetResult(
-                False,
-                2,
-                None,
-                f"instrument {e!r} stays d-connected to {outcome!r} after "
-                "removing all exposure edges",
-            )
+    connected = [e for e in instruments if not candidate_paths[e].keys() <= set(exposures)]
+    if connected:
+        return InstrumentalSetResult(
+            False,
+            2,
+            None,
+            f"instrument {connected[0]!r} stays d-connected to {outcome!r} after "
+            "removing all exposure edges",
+        )
 
     # Condition 3: ordered witness search with pairwise path compatibility.
+    # dead: sets of chosen paths with no completion (their order is immaterial).
+    dead = set()
+
+    def compatible(earlier, path):
+        key = ("pair", id(earlier), id(path))
+        ok = memo.get(key)
+        if ok is None:
+            ok = memo[key] = _pair_ok(earlier, path)
+        return ok
+
     def search(remaining_instruments, remaining_exposures, chosen):
         if not remaining_instruments:
             return list(chosen)
+        state = frozenset(id(path) for _, path in chosen)
+        if state in dead:
+            return None
         for e in remaining_instruments:
             for x in remaining_exposures:
-                for path in candidate_paths[e][x]:
-                    if any(
-                        not _pair_ok(e, earlier_path, path)
-                        for _, earlier_path in chosen
-                    ):
+                for path in candidate_paths[e].get(x, ()):
+                    if not all(compatible(earlier, path) for _, earlier in chosen):
                         continue
                     chosen.append((e, path))
                     found = search(
@@ -655,6 +694,7 @@ def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=2
                     if found is not None:
                         return found
                     chosen.pop()
+        dead.add(state)
         return None
 
     witness = search(list(instruments), list(exposures), [])

@@ -1,4 +1,7 @@
+import collections
+import importlib.util
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -56,6 +59,12 @@ class TestDiagramValidation:
         with pytest.raises(UnknownNodeError):
             graph.CausalDiagram(["A"], [("A", "B")])
 
+    def test_rejects_error_cov_asymmetric_beyond_absolute_tolerance(self):
+        # 2e-6 apart: within numpy's default relative tolerance, far outside 1e-12
+        with pytest.raises(GraphStructureError, match="symmetric"):
+            graph.SemParameters(np.zeros((2, 2)), [[1.0, 0.3], [0.300002, 1.0]])
+        graph.SemParameters(np.zeros((2, 2)), [[1.0, 0.3], [0.3 + 1e-13, 1.0]])
+
 
 class TestImpliedCovariance:
     def test_no_edges_identity(self):
@@ -85,6 +94,95 @@ class TestImpliedCovariance:
                     assert w == pytest.approx(
                         sigma[diagram.index(a), diagram.index(b)], abs=1e-12
                     )
+
+
+def make_diagrams(seed, count):
+    """The benchmark's locus diagrams, ``perfbench/inputs.make_diagrams``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_diagrams(seed, count)
+
+
+def reference_calibrated_error_cov(diagram, coefficients, error_cov=None):
+    """Error covariance of :func:`graph.calibrate_unit_variances` by its
+    original formula: a ``sum`` of numpy scalars per node."""
+    p = diagram.n_nodes
+    sem0 = graph.sem_from_values(diagram, coefficients, error_cov)
+    psi = sem0.error_cov.copy()
+    B = np.linalg.solve(np.eye(p) - sem0.coefficients, np.eye(p))
+    order = [diagram.index(n) for n in diagram.topological_order()]
+    off = psi.copy()
+    np.fill_diagonal(off, 0.0)
+    diag = np.zeros(p)
+    for i in order:
+        other = B[i] @ off @ B[i]
+        settled = sum(B[i, k] ** 2 * diag[k] for k in order[: order.index(i)])
+        value = 1.0 - other - settled
+        if value <= 0:
+            raise StandardizationError(
+                f"cannot standardize node {diagram.nodes[i]!r}: "
+                f"required error variance {value:.4g} <= 0"
+            )
+        diag[i] = value
+    np.fill_diagonal(psi, diag)
+    graph.SemParameters(sem0.coefficients, psi)  # the same checks
+    return psi
+
+
+def outcome_of(fn, *args):
+    """``("ok", result)`` or ``(exception type, message)``."""
+    try:
+        return "ok", fn(*args)
+    except (GraphStructureError, StandardizationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSemCache:
+    def test_matrices_are_read_only_copies(self):
+        C, psi = np.zeros((2, 2)), np.eye(2)
+        sem = graph.SemParameters(C, psi)
+        with pytest.raises(ValueError):
+            sem.coefficients[1, 0] = 0.5
+        with pytest.raises(ValueError):
+            sem.error_cov[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            sem.coefficients = np.array([[0.0, 0.0], [0.5, 0.0]])
+        C[1, 0] = 0.5  # the caller's arrays stay writable and apart
+        assert sem.coefficients[1, 0] == 0.0
+        assert np.array_equal(graph.implied_covariance(sem), np.eye(2))
+
+    def test_implied_covariance_returns_a_fresh_copy(self):
+        diagram, sem = fig_2a_model()
+        first = graph.implied_covariance(sem)
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(graph.implied_covariance(sem), expected)
+        assert graph.wright_covariance(diagram, sem, "E1", "Y") == pytest.approx(0.291, abs=1e-12)
+
+    def test_calibration_bitwise_equals_the_reference_formula(self):
+        cases = []
+        for seed in (1, 2):
+            for d in make_diagrams(seed, 240):
+                diagram = graph.CausalDiagram(d["nodes"], [(s, t) for s, t, _ in d["edges"]], [(a, b) for a, b, _ in d["bicov"]])
+                cases.append((diagram, {(s, t): c for s, t, c in d["edges"]}, {(a, b): c for a, b, c in d["bicov"]}))
+        rng = np.random.default_rng(1503)
+        for _ in range(300):
+            diagram = random_mixed_diagram(rng)
+            coefficients = {edge: rng.uniform(-0.6, 0.6) for edge in diagram.directed_edges}
+            bicov = {edge: rng.uniform(-0.4, 0.4) for edge in diagram.bidirected_edges}
+            cases.append((diagram, coefficients, bicov))
+        kinds = collections.Counter()
+        for diagram, coefficients, bicov in cases:
+            kind, expected = outcome_of(reference_calibrated_error_cov, diagram, coefficients, bicov)
+            got = outcome_of(graph.calibrate_unit_variances, diagram, coefficients, bicov)
+            if kind == "ok":
+                assert got[0] == "ok" and got[1].error_cov.tobytes() == expected.tobytes()
+            else:
+                assert got == (kind, expected)
+            kinds[kind] += 1
+        assert kinds["ok"] >= 600 and len(kinds) == 3  # both error kinds reached
 
 
 class TestWrightCovariance:
@@ -258,7 +356,119 @@ class TestDSeparation:
                         checked += 1
 
 
+def reference_check(diagram, instruments, exposures, outcome, max_nodes=20):
+    """The instrumental-set check without memos: every fact is recomputed
+    for the subset at hand and condition 3 tries every ordering afresh."""
+    instruments, exposures = list(instruments), list(exposures)
+    descendants = diagram.descendants(outcome)
+    exposure_edges = {x for x in exposures if diagram.has_directed(x, outcome)}
+    candidate_paths, connected = {}, set()
+    for e in instruments:
+        if e in descendants:
+            return graph.InstrumentalSetResult(False, 1, None, f"instrument {e!r} is a descendant of {outcome!r}")
+        per_exposure = {x: [] for x in exposures}
+        for path in graph.enumerate_paths(diagram, e, outcome, max_nodes=max_nodes):
+            final = path.final_directed_edge()
+            if final is not None and final[0] in exposure_edges:
+                per_exposure[final[0]].append(path)
+            else:
+                connected.add(e)
+        candidate_paths[e] = per_exposure
+    usable = [{j for j, x in enumerate(exposures) if candidate_paths[e][x]} for e in instruments]
+    if not graph._perfect_matching_exists(usable, len(exposures)):
+        detail = "no assignment of unblocked instrument-outcome paths covers every exposure edge"
+        return graph.InstrumentalSetResult(False, 1, None, detail)
+    for e in instruments:
+        if e in connected:
+            detail = f"instrument {e!r} stays d-connected to {outcome!r} after removing all exposure edges"
+            return graph.InstrumentalSetResult(False, 2, None, detail)
+
+    def search(remaining_instruments, remaining_exposures, chosen):
+        if not remaining_instruments:
+            return list(chosen)
+        for e in remaining_instruments:
+            for x in remaining_exposures:
+                for path in candidate_paths[e][x]:
+                    if any(not graph._pair_ok(earlier, path) for _, earlier in chosen):
+                        continue
+                    chosen.append((e, path))
+                    found = search(
+                        [i for i in remaining_instruments if i != e],
+                        [j for j in remaining_exposures if j != x],
+                        chosen,
+                    )
+                    if found is not None:
+                        return found
+                    chosen.pop()
+        return None
+
+    witness = search(instruments, exposures, [])
+    if witness is None:
+        detail = "no instrument ordering and path choice satisfies the pairwise common-variable rule"
+        return graph.InstrumentalSetResult(False, 3, None, detail)
+    return graph.InstrumentalSetResult(True, None, tuple(witness), "instrumental set")
+
+
+def reference_find(diagram, candidates, exposures, outcome):
+    last = None
+    for subset in itertools.combinations(candidates, len(exposures)):
+        last = reference_check(diagram, subset, exposures, outcome)
+        if last.satisfied:
+            return list(subset), last
+    return None, last
+
+
+def verdict(result):
+    return result.satisfied, result.failed_condition, result.witness, result.detail
+
+
 class TestInstrumentalSet:
+    def test_memoised_screen_gives_the_reference_verdicts(self):
+        # several outcomes and exposure sets per diagram, so most checks read
+        # a memo that earlier questions about the diagram filled; the random
+        # diagrams fail condition 2 often, the benchmark's ones condition 3
+        rng = np.random.default_rng(1515)
+        cases = []
+        for _ in range(60):
+            diagram = random_mixed_diagram(rng)
+            es = [n for n in diagram.nodes if n.startswith("E")]
+            xs = [n for n in diagram.nodes if n.startswith("X")]
+            a, b = (str(n) for n in rng.choice(diagram.nodes, size=2, replace=False))
+            cases.append((diagram, [("Y", xs, es), ("Y", xs[1:] or xs, es), ("Y", xs[:1], None), (xs[-1], ["E1"], None), (a, [b], None)]))
+        for d in make_diagrams(1, 60):
+            diagram = graph.CausalDiagram(d["nodes"], [(s, t) for s, t, _ in d["edges"]], [(a, b) for a, b, _ in d["bicov"]])
+            cases.append((diagram, [("Y", d["exposures"], d["instruments"]), ("X1", ["E1"], None)]))
+        conditions = collections.Counter()
+        for diagram, questions in cases:
+            fresh = graph.CausalDiagram(diagram.nodes, diagram.directed_edges, diagram.bidirected_edges)
+            for outcome, exposures, candidates in questions:
+                if candidates is None:
+                    candidates = [n for n in diagram.nodes if n != outcome and n not in exposures]
+                subset, result = graph.find_instrumental_subset(diagram, candidates, exposures, outcome)
+                ref_subset, ref = reference_find(diagram, candidates, exposures, outcome)
+                assert (subset, verdict(result)) == (ref_subset, verdict(ref))
+                for instruments in itertools.combinations(candidates, len(exposures)):
+                    expected = verdict(reference_check(diagram, instruments, exposures, outcome))
+                    assert verdict(graph.check_instrumental_set(diagram, instruments, exposures, outcome)) == expected
+                    assert verdict(graph.check_instrumental_set(fresh, instruments, exposures, outcome)) == expected
+                    conditions[expected[1]] += 1
+        assert min(conditions[c] for c in (None, 1, 2, 3)) >= 20, conditions
+
+    def test_descendant_instrument_fails_condition_one_above_the_path_cap(self):
+        filler = [f"N{i}" for i in range(20)]
+        diagram = graph.CausalDiagram(
+            ["E1", "E2", "X1", "X2", "Y"] + filler,
+            [("E1", "X1"), ("E2", "X2"), ("X1", "Y"), ("X2", "Y"), ("Y", "N0")],
+        )
+        result = graph.check_instrumental_set(diagram, ["N0", "E1"], ["X1", "X2"], "Y")
+        assert verdict(result) == (False, 1, None, "instrument 'N0' is a descendant of 'Y'")
+        with pytest.raises(PathEnumerationError):  # E1's paths come first
+            graph.check_instrumental_set(diagram, ["E1", "N0"], ["X1", "X2"], "Y")
+        # a memo filled under a raised cap does not lift the default cap
+        assert graph.check_instrumental_set(diagram, ["E1", "E2"], ["X1", "X2"], "Y", max_nodes=30)
+        with pytest.raises(PathEnumerationError):
+            graph.check_instrumental_set(diagram, ["E1", "E2"], ["X1", "X2"], "Y")
+
     def test_fig1b_satisfied(self):
         diagram = graph.CausalDiagram(
             ["E1", "E2", "X1", "X2", "Y"],

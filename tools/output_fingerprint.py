@@ -29,6 +29,10 @@ Runs, in this interpreter:
   result, the ``check_instrumental_set`` verdict (satisfied flag, failed
   condition, detail and witness) for every square instrument subset, and
   ``repr(wright_covariance)`` for every ordered pair of distinct nodes;
+* the same identification run over every fourth of those diagrams with the
+  direct edge ``PLEIOTROPY_EDGE`` (instrument -> outcome) added, so that
+  condition 2 of the instrumental-set check fails, which it never does on
+  the unchanged diagrams;
 
 and prints one ``exit <code>  <command>`` line per command or run followed
 by one ``<sha256>  <relative path>`` line per file it wrote.  A command that ends
@@ -74,6 +78,8 @@ LD_SCENARIOS = {  # name -> scenario file written and simulated as the bundled o
 }
 GRAPH_SEEDS = (1, 2)  # seeds of the generated diagrams
 GRAPH_DIAGRAMS = 240
+PLEIOTROPY_EDGE = ("E1", "Y", 0.05)  # added to every PLEIOTROPY_EVERY-th diagram, from the first
+PLEIOTROPY_EVERY = 4
 INDEFINITE_LD = ("rs600", "rs603", "-0.9")  # r(rs600, rs603) in the fixture LD; the MAM block of chr6:12891000 turns indefinite
 _LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
@@ -172,14 +178,21 @@ def _commands(package_dir, out_root):
 
 def _identify(argv):
     """Write the identification results of ``make_diagrams(seed, GRAPH_DIAGRAMS)``
-    to the file ``out``, for ``argv = [seed, out]``."""
+    to the file ``out``, for ``argv = [seed, out, pleiotropy]``; with
+    ``pleiotropy`` only every ``PLEIOTROPY_EVERY``-th diagram, with
+    ``PLEIOTROPY_EDGE`` added."""
     import inputs
     from mvmr import graph
 
-    seed, out = argv
+    seed, out, pleiotropy = argv
+    diagrams = inputs.make_diagrams(seed, GRAPH_DIAGRAMS)
+    if pleiotropy:
+        diagrams = diagrams[::PLEIOTROPY_EVERY]
+        for d in diagrams:
+            d["edges"].append(list(PLEIOTROPY_EDGE))
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
-        for d in inputs.make_diagrams(seed, GRAPH_DIAGRAMS):
+        for d in diagrams:
             diagram = graph.CausalDiagram(d["nodes"], [(s, t) for s, t, _ in d["edges"]], [(a, b) for a, b, _ in d["bicov"]])
             sem = graph.calibrate_unit_variances(diagram, {(s, t): c for s, t, c in d["edges"]}, {(a, b): c for a, b, c in d["bicov"]})
             exposures, outcome = d["exposures"], d["outcome"]
@@ -215,7 +228,13 @@ def fingerprint(out_root):
             lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
     for seed in GRAPH_SEEDS:
         out = os.path.join(out_root, "graph", f"diagrams{seed}.txt")
-        lines.append(f"exit {_run(_identify, [seed, out])}  identify make_diagrams({seed}, {GRAPH_DIAGRAMS})")
+        lines.append(f"exit {_run(_identify, [seed, out, False])}  identify make_diagrams({seed}, {GRAPH_DIAGRAMS})")
+        for path in _written(out):
+            lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
+    for seed in GRAPH_SEEDS:
+        out = os.path.join(out_root, "graph", f"pleiotropy{seed}.txt")
+        label = f"identify make_diagrams({seed}, {GRAPH_DIAGRAMS})[::{PLEIOTROPY_EVERY}] + {PLEIOTROPY_EDGE[0]} -> {PLEIOTROPY_EDGE[1]}"
+        lines.append(f"exit {_run(_identify, [seed, out, True])}  {label}")
         for path in _written(out):
             lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
     return lines
