@@ -28,7 +28,6 @@ from .estimators import (
     SummaryStatistics,
     conditional_f,
     estimate,
-    gmm_estimate,
     gmm_optimal,
     identifiability_diagnostics,
     ls_estimate,

@@ -10,8 +10,9 @@ failure (any other MvmrError, such as a simulated constant column, or a
 ``simulate`` failure rate above ``--max-failure-rate``).  ``loci``
 records a locus tissue it cannot estimate as that tissue's verdict.
 
-The default output directory is taken from the MVMR_OUTPUT_DIR
-environment variable when set, else ``./mvmr_out``.
+``simulate`` takes its master seed from ``--seed``, else from the
+scenario file's ``seed`` key.  The default output directory is taken from
+the MVMR_OUTPUT_DIR environment variable when set, else ``./mvmr_out``.
 """
 
 from __future__ import annotations
@@ -92,12 +93,18 @@ def _is_names(value):
 
 
 def _seed_for(config, args):
-    seed = args.seed if args.seed is not None else config.get("seed")
+    """The master seed: ``--seed``, else the scenario file's ``seed`` key,
+    which is not a scenario field and is read only here.  A file ``seed``
+    must be a non-negative integer even when ``--seed`` overrides it."""
+    file_seed = config.get("seed")
+    if file_seed is not None:
+        check_seed(file_seed)
+    seed = file_seed if args.seed is None else check_seed(args.seed)
     if seed is None:
         raise ScenarioError(
             "a seed is required: pass --seed or set 'seed' in the scenario file"
         )
-    return check_seed(seed)
+    return seed
 
 
 def _write_cells(out_dir, seed, cells):

@@ -6,11 +6,13 @@ instrument-outcome covariance vector (L), and the instrument correlation
 
     c(Delta) = (S_EX^T Delta S_EX)^-1 S_EX^T Delta S_EY
 
-contains the plain least-squares solution (Delta = I) and, with Delta the
-inverse LD matrix, the minimum-variance weighting that coincides with
-two-stage least squares.  A shrunk variant reproduces the behaviour of a
-published transcriptome-wide MR implementation whose weight matrix is
-regularised toward the identity with a hard-coded factor.
+is implemented with exactly two weightings: Delta = I, the plain
+least-squares solution (``ls_estimate``), and Delta the inverse LD matrix,
+the minimum-variance weighting that coincides with two-stage least squares
+(``gmm_optimal``).  A shrunk variant (``twmr_shrunk_estimate``) reproduces
+the behaviour of a published transcriptome-wide MR implementation whose
+weight matrix is regularised toward the identity with the fixed factor
+``TWMR_ALPHA``.
 
 A :class:`SummaryStatistics` is immutable and factorises its design once:
 the identifiability diagnostics, the inverse LD matrix and the optimally
@@ -40,7 +42,7 @@ from .errors import (
 RANK_RTOL = 1e-10
 LD_CONDITION_LIMIT = 1e12
 BONFERRONI_DEFAULT = 3e-4  # the 0.05/150 multiple-testing threshold, as quoted
-TWMR_DEFAULT_ALPHA = 1.0 / math.sqrt(3781)
+TWMR_ALPHA = 1.0 / math.sqrt(3781)  # the published implementation's fixed shrinkage
 
 DET_PASS = 0.05
 DET_FAIL = 0.001
@@ -340,45 +342,20 @@ def _require_full_rank(stats):
     return report
 
 
-def _weight_matrix(delta):
-    """``delta`` as a float array, checked square, symmetric and positive definite."""
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    if delta.shape[0] != delta.shape[1]:
-        raise ValueError("weight matrix must be square")
-    if np.max(np.abs(delta - delta.T)) > 1e-8:
-        raise ValueError("weight matrix must be symmetric")
-    try:
-        np.linalg.cholesky(delta)
-    except np.linalg.LinAlgError:
-        raise ValueError("weight matrix must be positive definite") from None
-    return delta
-
-
-def gmm_estimate(stats, delta):
-    """Method-of-moments estimator with weighting matrix ``delta``.
-
-    ``c = (S_EX^T Delta S_EX)^-1 S_EX^T Delta S_EY``.  With the identity
-    weight this is exactly the least-squares estimator; for exactly
-    determined systems every positive definite weight gives the same
-    solution.
-    """
-    D = _weight_matrix(delta)
-    if D.shape[0] != stats.n_instruments:
-        raise ValueError("weight matrix dimension must equal instrument count")
+def ls_estimate(stats):
+    """Least-squares solution of the moment equations: ``Delta = I``."""
     report = _require_full_rank(stats)
     S = stats.sigma_EX
+    # a copied transpose takes numpy's general product, not its symmetric
+    # S.T @ S kernel, whose last bits differ: LS outputs are fixed bit for bit
+    St = S.T.copy()
     try:
-        effects = np.linalg.solve(S.T @ D @ S, S.T @ D @ stats.sigma_EY)
+        effects = np.linalg.solve(St @ S, St @ stats.sigma_EY)
     except np.linalg.LinAlgError:
         raise UnderdeterminedError(
             "weighted moment matrix is singular", diagnostics=report
         ) from None
     return EstimateResult(effects)
-
-
-def ls_estimate(stats):
-    """Least-squares solution of the moment equations (identity weighting)."""
-    return gmm_estimate(stats, np.eye(stats.n_instruments))
 
 
 def gmm_optimal(stats):
@@ -393,19 +370,18 @@ def gmm_optimal(stats):
     return EstimateResult(np.linalg.solve(M, v))
 
 
-def twmr_shrunk_estimate(stats, alpha=TWMR_DEFAULT_ALPHA):
+def twmr_shrunk_estimate(stats):
     """Optimal-weighting estimator with identity-shrunk inverse Hessian.
 
     Applies ``H_shrunk = (1 - alpha) H + alpha I`` to
     ``H = (S_EX^T Sigma_EE^-1 S_EX)^-1`` before completing the estimator,
     mimicking a published implementation whose shrinkage factor is fixed at
-    ``1/sqrt(3781)``.  The shrinkage leaves a bias that does not vanish
-    with sample size unless H is already close to the identity.
+    ``alpha = TWMR_ALPHA = 1/sqrt(3781)``.  The shrinkage leaves a bias that
+    does not vanish with sample size unless H is already close to the
+    identity.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"shrinkage alpha must lie in [0, 1], got {alpha}")
     _, v, H = stats.weighted_moments
-    H_shrunk = (1.0 - alpha) * H + alpha * np.eye(stats.n_exposures)
+    H_shrunk = (1.0 - TWMR_ALPHA) * H + TWMR_ALPHA * np.eye(stats.n_exposures)
     return EstimateResult(H_shrunk @ v)
 
 

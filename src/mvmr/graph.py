@@ -21,12 +21,13 @@ d-separation condition off that one enumeration and memoises on the
 diagram every other fact it takes from the diagram alone; each SEM solves
 for its implied covariance once.  Both objects are immutable, so no memo
 goes stale.  Unconditional d-separation for any diagram, above the path
-cap too, is a separate ancestral-set test.
+cap ``MAX_PATH_NODES`` too, is a separate ancestral-set test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,7 @@ from .errors import (
 DIRECTED = "directed"
 BIDIRECTED = "bidirected"
 MAX_SET_SIZE = 8  # largest instrumental set whose orderings the check searches
+MAX_PATH_NODES = 20  # largest diagram whose unblocked paths are enumerated
 
 
 def _normalize_pair(a, b):
@@ -196,6 +198,11 @@ class CausalDiagram:
         return seen
 
 
+def _require_finite(C, psi):
+    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(psi))):
+        raise GraphStructureError("coefficients and error covariances must be finite")
+
+
 class SemParameters:
     """Coefficients and error covariances for a linear SEM.
 
@@ -217,6 +224,7 @@ class SemParameters:
             raise GraphStructureError("coefficient matrix must be square")
         if psi.shape != C.shape:
             raise GraphStructureError("error covariance shape mismatch")
+        _require_finite(C, psi)
         if not np.all(np.abs(psi - psi.T) <= 1e-12):
             raise GraphStructureError("error covariance must be symmetric")
         if np.any(np.diag(psi) <= 0):
@@ -265,6 +273,11 @@ def sem_from_values(diagram, coefficients, error_cov=None, error_var=None):
     error_var : dict, optional
         Per-node error variances; default 1.0.
     """
+    return SemParameters(*_edge_matrices(diagram, coefficients, error_cov, error_var))
+
+
+def _edge_matrices(diagram, coefficients, error_cov=None, error_var=None):
+    """``(C, Psi)`` of :func:`sem_from_values`, filled but not yet checked."""
     p = diagram.n_nodes
     C = np.zeros((p, p))
     for (s, t), value in coefficients.items():
@@ -281,7 +294,7 @@ def sem_from_values(diagram, coefficients, error_cov=None, error_var=None):
                 raise GraphStructureError(f"no bidirected edge {a} <-> {b} in diagram")
             i, j = diagram.index(a), diagram.index(b)
             psi[i, j] = psi[j, i] = value
-    return SemParameters(C, psi)
+    return C, psi
 
 
 def implied_covariance(sem):
@@ -301,11 +314,11 @@ def calibrate_unit_variances(diagram, coefficients, error_cov=None):
     the edge coefficients and bidirected error covariances.  Raises
     :class:`StandardizationError` when the requested coefficients leave no
     room for a positive error variance (implied variance already >= 1).
+    The calibrated error covariance is checked once, by :class:`SemParameters`.
     """
     p = diagram.n_nodes
-    sem0 = sem_from_values(diagram, coefficients, error_cov)
-    C = sem0.coefficients
-    psi = sem0.error_cov.copy()
+    C, psi = _edge_matrices(diagram, coefficients, error_cov)
+    _require_finite(C, psi)  # before the solve, which reads inf as a singular (I - C)
     B = np.linalg.solve(np.eye(p) - C, np.eye(p))
     order = [diagram.index(n) for n in diagram._topological_order]
     off = psi.copy()
@@ -373,7 +386,7 @@ class Path:
         return None
 
 
-def enumerate_paths(diagram, a, b, max_nodes=20):
+def enumerate_paths(diagram, a, b):
     """All unblocked paths between ``a`` and ``b``, in depth-first order.
 
     Each node appears at most once per path.  With no conditioning set a
@@ -381,17 +394,16 @@ def enumerate_paths(diagram, a, b, max_nodes=20):
     search never steps out of a node it entered through an arrowhead along
     an edge that also points at it: every path it finishes is unblocked and
     nothing blocked is walked past its first collider.  The result is
-    memoised on the immutable diagram; each call gets a fresh list.  Guarded
-    by a diagram size cap because the number of mixed-edge paths grows
-    combinatorially.
+    memoised on the immutable diagram; each call gets a fresh list.  A
+    diagram of more than ``MAX_PATH_NODES`` nodes is refused, because the
+    number of mixed-edge paths grows combinatorially.
     """
     diagram.index(a)
     diagram.index(b)
-    if diagram.n_nodes > max_nodes:
+    if diagram.n_nodes > MAX_PATH_NODES:
         raise PathEnumerationError(
             f"diagram has {diagram.n_nodes} nodes, exceeding the path "
-            f"enumeration cap of {max_nodes}; raise max_nodes explicitly "
-            "if this is intended"
+            f"enumeration cap MAX_PATH_NODES = {MAX_PATH_NODES}"
         )
     if a == b:
         raise GraphStructureError("path enumeration requires distinct endpoints")
@@ -428,7 +440,7 @@ def _unblocked_paths(adjacency, a, b):
     return tuple(paths)
 
 
-def wright_covariance(diagram, sem, a, b, max_nodes=20):
+def wright_covariance(diagram, sem, a, b):
     """Covariance of two variables of a standardized model by summing the
     edge-parameter products of the unblocked paths between them.
 
@@ -446,7 +458,7 @@ def wright_covariance(diagram, sem, a, b, max_nodes=20):
     if a == b:
         return 1.0
     total = 0.0
-    for path in enumerate_paths(diagram, a, b, max_nodes=max_nodes):
+    for path in enumerate_paths(diagram, a, b):
         total += path.weight(diagram, sem)
     return total
 
@@ -560,22 +572,23 @@ def _perfect_matching_exists(candidates, n):
     return all(augment(i, set()) for i in range(n))
 
 
-def _screen(diagram, instrument, outcome, max_nodes):
+def _screen(diagram, instrument, outcome):
     """The instrument's unblocked paths to the outcome in enumeration order,
     grouped by x if they end in ``x -> outcome``, else under ``None``.
-    Memoised on the diagram; the path cap is enforced on every call."""
+    Memoised on the diagram; a diagram over the path cap raises before any
+    screen is stored."""
     key = ("screen", instrument, outcome)
     groups = diagram._memo.get(key)
-    if groups is None or diagram.n_nodes > max_nodes:
+    if groups is None:
         groups = {}
-        for path in enumerate_paths(diagram, instrument, outcome, max_nodes=max_nodes):
+        for path in enumerate_paths(diagram, instrument, outcome):
             final = path.final_directed_edge()
             groups.setdefault(final and final[0], []).append(path)
         diagram._memo[key] = groups
     return groups
 
 
-def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=20):
+def check_instrumental_set(diagram, instruments, exposures, outcome):
     """Check the graphical instrumental-set condition.
 
     Searches for an ordering of the instruments together with one unblocked
@@ -634,7 +647,7 @@ def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=2
             return InstrumentalSetResult(
                 False, 1, None, f"instrument {e!r} is a descendant of {outcome!r}"
             )
-        candidate_paths[e] = _screen(diagram, e, outcome, max_nodes)
+        candidate_paths[e] = _screen(diagram, e, outcome)
 
     usable = [
         {j for j, x in enumerate(exposures) if x in candidate_paths[e]}
@@ -709,7 +722,7 @@ def check_instrumental_set(diagram, instruments, exposures, outcome, max_nodes=2
     return InstrumentalSetResult(True, None, tuple(witness), "instrumental set")
 
 
-def find_instrumental_subset(diagram, candidates, exposures, outcome, **kwargs):
+def find_instrumental_subset(diagram, candidates, exposures, outcome):
     """First square subset of ``candidates`` forming an instrumental set.
 
     Returns ``(subset, result)``; ``subset`` is ``None`` when no subset of
@@ -719,7 +732,7 @@ def find_instrumental_subset(diagram, candidates, exposures, outcome, **kwargs):
     K = len(list(exposures))
     last = None
     for subset in itertools.combinations(candidates, K):
-        last = check_instrumental_set(diagram, subset, exposures, outcome, **kwargs)
+        last = check_instrumental_set(diagram, subset, exposures, outcome)
         if last.satisfied:
             return list(subset), last
     return None, last
@@ -727,6 +740,13 @@ def find_instrumental_subset(diagram, candidates, exposures, outcome, **kwargs):
 
 # ---------------------------------------------------------------------------
 # Diagram text format
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise GraphStructureError(f"non-finite value {text!r}")
+    return value
 
 
 def parse_diagram_text(text):
@@ -738,7 +758,8 @@ def parse_diagram_text(text):
         bicov A <-> B 0.25   # bidirected edge with error covariance
         var A 0.8            # error variance (default 1.0)
 
-    Duplicate declarations are rejected.  Returns ``(diagram, sem)``.
+    Duplicate declarations and non-finite values are rejected with a
+    :class:`GraphStructureError` naming the line.  Returns ``(diagram, sem)``.
     """
     nodes = []
     seen_nodes = set()
@@ -761,14 +782,14 @@ def parse_diagram_text(text):
                 key = (parts[1], parts[3])
                 if key in coefficients:
                     raise GraphStructureError(f"duplicate edge declaration {key}")
-                coefficients[key] = float(parts[4])
+                coefficients[key] = _finite_float(parts[4])
                 register(parts[1])
                 register(parts[3])
             elif parts[0] == "bicov" and len(parts) == 5 and parts[2] == "<->":
                 key = _normalize_pair(parts[1], parts[3])
                 if key in bicovs:
                     raise GraphStructureError(f"duplicate bicov declaration {key}")
-                bicovs[key] = float(parts[4])
+                bicovs[key] = _finite_float(parts[4])
                 register(parts[1])
                 register(parts[3])
             elif parts[0] == "var" and len(parts) == 3:
@@ -776,7 +797,7 @@ def parse_diagram_text(text):
                     raise GraphStructureError(
                         f"duplicate var declaration for {parts[1]!r}"
                     )
-                variances[parts[1]] = float(parts[2])
+                variances[parts[1]] = _finite_float(parts[2])
                 register(parts[1])
             else:
                 raise GraphStructureError(f"unrecognised declaration: {line!r}")

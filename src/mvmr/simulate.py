@@ -28,9 +28,10 @@ Estimates are mapped back to the generative scale (multiplying by the
 sample sd(Y)/sd(X_k) ratio) so that replicate bias is measured against the
 scenario's true effect vector.
 
-Replicates draw independent RNG streams spawned from the master seed by
-replicate index, making results bit-identical regardless of the degree of
-parallelism.
+The master seed is an argument of every runner (``run_replicates`` and
+the experiments), not a scenario field.  Replicates draw independent RNG
+streams spawned from it by replicate index, making results bit-identical
+regardless of the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -298,12 +299,13 @@ def pc1_explained_variance(r):
     return (1.0 + r) / 2.0
 
 
-def empirical_pc1_share(r, n=2000, repetitions=2000, maf=0.3, seed=0):
-    """Mean empirical PC1 variance share over repeated genotype-pair samples.
+def empirical_pc1_share(r, n=2000, repetitions=2000, seed=0):
+    """Mean empirical PC1 variance share over repeated genotype-pair samples
+    (both minor allele frequencies 0.3).
 
     Each sample's correlation matrix z^T z / n comes from its genotype counts.
     """
-    model = GenotypeModel.pair(r, maf)
+    model = GenotypeModel.pair(r)
     rng = np.random.default_rng(seed)
     shares = np.empty(repetitions)
     for rep in range(repetitions):
@@ -529,7 +531,6 @@ class SimulationScenario:
     ld_choice: str = "exposure"  # estimation LD in either design: exposure|outcome cohort's|reference
     ld_wishart_df: int | None = None  # Gaussian: each cohort from its own Wishart(df) LD around the reference
     replicates: int = 1000
-    seed: int | None = None
     name: str = "scenario"
     exposure_names: tuple | None = None
 
@@ -592,8 +593,6 @@ class SimulationScenario:
         for key, n in (("n_samples", self.n_samples), ("n_outcome", self.n_outcome)):
             if n is not None and n <= self.n_instruments:
                 raise ScenarioError(f"{key} {n} must exceed the instrument count {self.n_instruments}")
-        if self.seed is not None:
-            check_seed(self.seed)
 
     @property
     def n_exposures(self):
@@ -811,9 +810,9 @@ class ReplicateSummary:
             ]
         return out
 
-    def iter_rows(self, labels=None):
-        """Long-format rows: one per replicate, estimator and exposure."""
-        labels = labels or {}
+    def iter_rows(self, labels):
+        """Long-format rows, one per replicate, estimator and exposure, each
+        led by the ``labels`` columns."""
         names = self.exposure_labels()
         for est in self.estimator_names:
             effects = self.estimates[est]
@@ -901,24 +900,14 @@ def _replicate_summary(scenario, estimators, rows, seed, cf=None):
     )
 
 
-def run_replicates(
-    scenario,
-    estimators=("ls", "gmm"),
-    replicates=None,
-    seed=None,
-    threads=1,
-    collect_conditional_f=False,
-):
+def run_replicates(scenario, seed, estimators=("ls", "gmm"), replicates=None, threads=1, collect_conditional_f=False):
     """Replicate study of a scenario under one or more estimators.
 
-    Deterministic for a given seed regardless of ``threads``.  Estimator
+    Deterministic for a given ``seed`` regardless of ``threads``.  Estimator
     failures inside a replicate are recorded (NaN estimates) rather than
     raised; the failure rate is part of the summary.
     """
     replicates = scenario.replicates if replicates is None else replicates
-    seed = scenario.seed if seed is None else seed
-    if seed is None:
-        raise ScenarioError("a seed is required (scenario.seed or argument)")
     if replicates < 1:
         raise ScenarioError("need at least one replicate")
     _require_known(estimators)
@@ -967,36 +956,23 @@ class PleiotropyResult:
         return out
 
 
-def pleiotropy_experiment(
-    scenario,
-    hidden_exposures=None,
-    hidden_effect_grid=None,
-    estimators=("ls",),
-    replicates=None,
-    seed=None,
-    threads=1,
-):
-    """Paired correct/misspecified estimates over a hidden-effect grid.
+def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, threads=1):
+    """Paired correct/misspecified estimates over the scenario's
+    ``hidden_effect_grid``.
 
-    For each grid value the hidden exposures' true effects are set to that
-    value, one dataset per replicate is generated from the full model, and
-    both the full model and the model omitting the hidden exposures are
-    estimated on the same data.
+    For each grid value the true effects of ``scenario.hidden_exposures``
+    are set to that value, one dataset per replicate is generated from the
+    full model, and both the full model and the model omitting the hidden
+    exposures are estimated on the same data.  Grid value g runs with seed
+    ``seed + g``.
     """
-    hidden = tuple(hidden_exposures if hidden_exposures is not None else scenario.hidden_exposures)
+    hidden = scenario.hidden_exposures
     if not hidden:
         raise ScenarioError("pleiotropy experiment needs hidden exposures")
-    grid = tuple(
-        hidden_effect_grid
-        if hidden_effect_grid is not None
-        else (scenario.hidden_effect_grid or ())
-    )
+    grid = scenario.hidden_effect_grid
     if not grid:
         raise ScenarioError("pleiotropy experiment needs a hidden-effect grid")
     replicates = scenario.replicates if replicates is None else replicates
-    seed = scenario.seed if seed is None else seed
-    if seed is None:
-        raise ScenarioError("a seed is required")
     _require_known(estimators)
     keep = [k for k in range(scenario.n_exposures) if k not in hidden]
 
@@ -1009,7 +985,6 @@ def pleiotropy_experiment(
         cell = replace(
             scenario,
             true_effects=tuple(effects),
-            hidden_exposures=hidden,
             name=f"{scenario.name}[hidden={value}]",
         )
 
@@ -1045,20 +1020,13 @@ def pleiotropy_experiment(
     return PleiotropyResult(grid, correct_summaries, missp_summaries, hidden)
 
 
-def two_sample_experiment(
-    scenario,
-    n_exposure_grid,
-    n_outcome_grid,
-    estimators=("ls", "gmm"),
-    replicates=None,
-    seed=None,
-    threads=1,
-):
+def two_sample_experiment(scenario, n_exposure_grid, n_outcome_grid, seed, estimators=("ls", "gmm"), replicates=None, threads=1):
     """Replicate summaries over a grid of (exposure, outcome) sample sizes.
 
     Exposure and outcome cohorts are drawn independently per replicate; a
-    shared effect matrix links them.  Returns a dict keyed by the sample
-    size pair.
+    shared effect matrix links them.  Cell (i, j) of the grid runs with
+    seed ``seed + 1000 * i + j``.  Returns a dict keyed by the sample size
+    pair.
     """
     n_exposure_grid = list(n_exposure_grid)
     n_outcome_grid = list(n_outcome_grid)
@@ -1073,60 +1041,39 @@ def two_sample_experiment(
                 n_outcome=no,
                 name=f"{scenario.name}[n_exp={ne},n_out={no}]",
             )
-            cell_seed = (scenario.seed if seed is None else seed)
-            if cell_seed is None:
-                raise ScenarioError("a seed is required")
             out[(ne, no)] = run_replicates(
                 cell,
+                seed + 1000 * i + j,
                 estimators=estimators,
                 replicates=replicates,
-                seed=cell_seed + 1000 * i + j,
                 threads=threads,
             )
     return out
 
 
-def type1_power(
-    null_scenario,
-    alt_scenario,
-    replicates=2000,
-    alpha=0.05,
-    seed=None,
-    estimators=("ls", "gmm"),
-    exposure=None,
-    threads=1,
-):
+def type1_power(null_scenario, alt_scenario, seed, replicates=2000, alpha=0.05, estimators=("ls", "gmm"), threads=1):
     """Rejection rates under a null-effect and an alternative scenario.
 
-    ``exposure`` is the index of the tested exposure; by default the first
-    exposure whose effect is zero in the null scenario and nonzero in the
-    alternative.  Type-1 error is the fraction of null replicates with
-    p < alpha, power the same fraction under the alternative; replicates
-    whose estimator failed (no p-value) are left out of both.
+    The tested exposure is the first whose effect is zero in the null
+    scenario and nonzero in the alternative.  The null replicates run with
+    ``seed``, the alternative ones with ``seed + 7919``.  Type-1 error is
+    the fraction of null replicates with p < alpha, power the same fraction
+    under the alternative; replicates whose estimator failed (no p-value)
+    are left out of both.
     """
-    if exposure is None:
-        candidates = [
-            k
-            for k, (c0, c1) in enumerate(
-                zip(null_scenario.true_effects, alt_scenario.true_effects)
-            )
-            if c0 == 0.0 and c1 != 0.0
-        ]
-        if not candidates:
-            raise ScenarioError(
-                "no exposure has a zero null effect and nonzero alternative"
-            )
-        exposure = candidates[0]
+    pairs = zip(null_scenario.true_effects, alt_scenario.true_effects)
+    candidates = [k for k, (c0, c1) in enumerate(pairs) if c0 == 0.0 and c1 != 0.0]
+    if not candidates:
+        raise ScenarioError("no exposure has a zero null effect and nonzero alternative")
+    exposure = candidates[0]
     if _finite(alpha) is None or not 0.0 < alpha <= 1.0:
         raise ScenarioError(f"alpha must be a number in (0, 1], not {alpha!r}")
-    if null_scenario.true_effects[exposure] != 0.0:
-        raise ScenarioError("tested exposure must have zero effect in the null scenario")
 
     null_summary = run_replicates(
-        null_scenario, estimators=estimators, replicates=replicates, seed=seed, threads=threads
+        null_scenario, seed, estimators=estimators, replicates=replicates, threads=threads
     )
     alt_summary = run_replicates(
-        alt_scenario, estimators=estimators, replicates=replicates, seed=None if seed is None else seed + 7919, threads=threads
+        alt_scenario, seed + 7919, estimators=estimators, replicates=replicates, threads=threads
     )
 
     def rejection_rate(summary, est):
@@ -1251,11 +1198,12 @@ def scenario_from_dict(config):
     """Build a :class:`SimulationScenario` from a declarative mapping.
 
     Unknown keys are hard errors.  Grid-valued fields are not expanded
-    here; see :func:`expand_scenario_config`.
+    here; see :func:`expand_scenario_config`.  The runner keys, ``seed``
+    among them, are not scenario fields: the command line reads them.
     """
     _check_keys(config, _SCENARIO_KEYS, "scenario")
     cfg = dict(config)
-    for runner_key in ("kind", "estimators", "conditional_f", "alpha", "null_effects", "correlations", "pca_repetitions"):
+    for runner_key in ("kind", "seed", "estimators", "conditional_f", "alpha", "null_effects", "correlations", "pca_repetitions"):
         cfg.pop(runner_key, None)
 
     effects_cfg = cfg.pop("effects", {})
@@ -1346,32 +1294,25 @@ def load_scenario_file(path):
 # Locus-file bridge (same formats as the locus pipeline)
 
 
-def export_locus_files(
-    stats,
-    out_dir,
-    gene_names,
-    snp_names=None,
-    tissue="SIM",
-    chrom="1",
-    start_pos=1_000_000,
-    spacing=5_000,
-    gwas_n=None,
-):
+def export_locus_files(stats, out_dir, gene_names):
     """Write eQTL/GWAS/LD summary files for a set of summary statistics.
 
     Produces the three files consumed by the locus pipeline so that
-    simulated data can complete the full analysis round trip.  Returns the
-    (eqtl, gwas, ld) paths.
+    simulated data can complete the full analysis round trip.  SNP i is
+    named ``rs{900000 + i}`` and placed on chromosome 1 at 1,000,000 +
+    5,000 i bp; every eQTL is in tissue ``SIM``, and the GWAS sample size
+    is ``stats.n_outcome`` (10,000 when unset).  Returns the (eqtl, gwas,
+    ld) paths.
     """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     L, K = stats.sigma_EX.shape
-    snps = list(snp_names) if snp_names else [f"rs{900000 + i}" for i in range(L)]
+    snps = [f"rs{900000 + i}" for i in range(L)]
     genes = list(gene_names)
     if len(genes) != K:
         raise ValueError("need one gene name per exposure")
-    n_out = gwas_n or stats.n_outcome or 10000
+    n_out = stats.n_outcome or 10000
     n_exp = stats.n_exposure or n_out
 
     eqtl_path = os.path.join(out_dir, "eqtl.tsv")
@@ -1381,24 +1322,24 @@ def export_locus_files(
     with open(eqtl_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("snp\tchrom\tpos\tgene\ttissue\tbeta\tse\tmaf\tfdr\n")
         for i, snp in enumerate(snps):
-            pos = start_pos + i * spacing
+            pos = 1_000_000 + i * 5_000
             for k, gene in enumerate(genes):
                 beta = float(stats.sigma_EX[i, k])
                 se = max(1.0 / float(np.sqrt(n_exp)), 1e-6)
                 fh.write(
-                    f"{snp}\t{chrom}\t{pos}\t{gene}\t{tissue}\t{beta!r}\t{se!r}\t0.3\t0.001\n"
+                    f"{snp}\t1\t{pos}\t{gene}\tSIM\t{beta!r}\t{se!r}\t0.3\t0.001\n"
                 )
 
     with open(gwas_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("snp\tchrom\tpos\tbeta\tse\tpval\tn\n")
         for i, snp in enumerate(snps):
-            pos = start_pos + i * spacing
+            pos = 1_000_000 + i * 5_000
             beta = float(stats.sigma_EY[i])
             se = max(1.0 / float(np.sqrt(n_out)), 1e-12)
             z = beta / se
             pval = max(2.0 * _ndtr(-abs(z)), 1e-300)
             pval = min(pval, 4.9e-8)  # keep every simulated SNP genome-wide significant
-            fh.write(f"{snp}\t{chrom}\t{pos}\t{beta!r}\t{se!r}\t{pval!r}\t{n_out}\n")
+            fh.write(f"{snp}\t1\t{pos}\t{beta!r}\t{se!r}\t{pval!r}\t{n_out}\n")
 
     with open(ld_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(" ".join(snps) + "\n")

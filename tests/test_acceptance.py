@@ -164,11 +164,10 @@ def test_criterion_06_pleiotropy_bias_envelope():
     """Hidden-exposure bias stays within one correct-model sd up to a hidden
     effect of 0.15 and exceeds it at 0.4 (N=2000, 1000 replicates)."""
     start = time.monotonic()
-    cfg = scenario_config("fig2_pleiotropy")
+    cfg = {**scenario_config("fig2_pleiotropy"), "hidden_effect_grid": [0.0, 0.15, 0.4]}
     scenario = sim.scenario_from_dict(cfg)
     result = sim.pleiotropy_experiment(
         scenario,
-        hidden_effect_grid=(0.0, 0.15, 0.4),
         estimators=("ls",),
         replicates=1000,
         seed=606,
@@ -306,16 +305,10 @@ def test_criterion_11_pipeline_round_trip(tmp_path):
         n_samples=20000,
         genotypes=sim.GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"]),
         effects=sim.EffectSizes(matrix=tuple(map(tuple, A))),
-        seed=333,
     )
     data = sim.generate_dataset(scenario, 333)
     eqtl, gwas, ld = sim.export_locus_files(
-        data.statistics,
-        str(tmp_path / "files"),
-        gene_names=["SLC22A3", "LPA", "PLG"],
-        tissue="LIV",
-        chrom="6",
-        gwas_n=20000,
+        data.statistics, str(tmp_path / "files"), gene_names=["SLC22A3", "LPA", "PLG"]
     )
 
     outs = []

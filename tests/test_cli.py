@@ -132,6 +132,14 @@ class TestSimulateCommand:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True])
+    def test_malformed_file_seed_refused_under_seed_flag(self, tmp_path, capsys, seed):
+        scenario = write_scenario(tmp_path, seed=seed)
+        code = cli.main(["simulate", "--scenario", scenario, "--seed", "1", "--replicates", "2", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: seed must be a non-negative integer, not {seed!r}\n"
+        assert not (tmp_path / "x" / "replicates.csv").exists()
+
     def test_invalid_scenario_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "replicates", "bogus": 1}))
@@ -537,6 +545,16 @@ class TestEstimateCommand:
         )
         assert code == 3
         assert "non-identifiable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_diagram_value_exit_2(self, tmp_path, capsys, value):
+        path = tmp_path / "diagram.txt"
+        path.write_text(f"edge E -> X {value}\nedge X -> Y 0.3\n")
+        argv = ["estimate", "--diagram", str(path), "--instruments", "E", "--exposures", "X", "--outcome", "Y"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 1: non-finite value '{value}'\n"
+        assert captured.out == ""
 
     def test_requires_input_source(self, capsys):
         assert cli.main(["estimate"]) == 2

@@ -65,6 +65,21 @@ class TestDiagramValidation:
             graph.SemParameters(np.zeros((2, 2)), [[1.0, 0.3], [0.300002, 1.0]])
         graph.SemParameters(np.zeros((2, 2)), [[1.0, 0.3], [0.3 + 1e-13, 1.0]])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_parameters(self, value):
+        C = np.zeros((2, 2))
+        C[1, 0] = value
+        with pytest.raises(GraphStructureError, match="must be finite"):
+            graph.SemParameters(C, np.eye(2))
+        with pytest.raises(GraphStructureError, match="must be finite"):
+            graph.SemParameters(np.zeros((2, 2)), [[1.0, value], [value, 1.0]])
+        diagram = graph.CausalDiagram(["E", "X"], [("E", "X")], [("E", "X")])
+        for edges, bicov in (({("E", "X"): value}, {}), ({("E", "X"): 0.5}, {("E", "X"): value})):
+            with pytest.raises(GraphStructureError, match="must be finite"):
+                graph.calibrate_unit_variances(diagram, edges, bicov)
+            with pytest.raises(GraphStructureError, match="must be finite"):
+                graph.sem_from_values(diagram, edges, bicov)
+
 
 class TestImpliedCovariance:
     def test_no_edges_identity(self):
@@ -107,11 +122,14 @@ def make_diagrams(seed, count):
 
 def reference_calibrated_error_cov(diagram, coefficients, error_cov=None):
     """Error covariance of :func:`graph.calibrate_unit_variances` by its
-    original formula: a ``sum`` of numpy scalars per node."""
+    original formula: a ``sum`` of numpy scalars per node, checked once."""
     p = diagram.n_nodes
-    sem0 = graph.sem_from_values(diagram, coefficients, error_cov)
-    psi = sem0.error_cov.copy()
-    B = np.linalg.solve(np.eye(p) - sem0.coefficients, np.eye(p))
+    C, psi = np.zeros((p, p)), np.zeros((p, p))
+    for (s, t), value in coefficients.items():
+        C[diagram.index(t), diagram.index(s)] = value
+    for (a, b), value in (error_cov or {}).items():
+        psi[diagram.index(a), diagram.index(b)] = psi[diagram.index(b), diagram.index(a)] = value
+    B = np.linalg.solve(np.eye(p) - C, np.eye(p))
     order = [diagram.index(n) for n in diagram.topological_order()]
     off = psi.copy()
     np.fill_diagonal(off, 0.0)
@@ -127,7 +145,7 @@ def reference_calibrated_error_cov(diagram, coefficients, error_cov=None):
             )
         diag[i] = value
     np.fill_diagonal(psi, diag)
-    graph.SemParameters(sem0.coefficients, psi)  # the same checks
+    graph.SemParameters(C, psi)  # the same checks
     return psi
 
 
@@ -226,11 +244,8 @@ class TestWrightCovariance:
         names = [f"N{i}" for i in range(25)]
         diagram = graph.CausalDiagram(names, [])
         sem = graph.SemParameters(np.zeros((25, 25)), np.eye(25))
-        with pytest.raises(PathEnumerationError):
+        with pytest.raises(PathEnumerationError, match="MAX_PATH_NODES = 20"):
             graph.wright_covariance(diagram, sem, "N0", "N1")
-        assert (
-            graph.wright_covariance(diagram, sem, "N0", "N1", max_nodes=30) == 0.0
-        )
 
 
 def all_unblocked_paths(diagram, a, b):
@@ -296,15 +311,20 @@ class TestPathEnumeration:
         assert len(graph.enumerate_paths(diagram, "E1", "Y")) == 4
 
     def test_guards_run_on_memoised_pairs(self):
+        diagram, _ = fig_2a_model()
+        assert len(graph.enumerate_paths(diagram, "E1", "Y")) == 4
+        with pytest.raises(UnknownNodeError):
+            graph.enumerate_paths(diagram, "E1", "missing")
+        with pytest.raises(GraphStructureError):
+            graph.enumerate_paths(diagram, "E1", "E1")
+
+    def test_diagrams_over_the_cap_are_refused(self):
         names = [f"N{i}" for i in range(25)]
         diagram = graph.CausalDiagram(names, [("N0", "N1")])
-        assert len(graph.enumerate_paths(diagram, "N0", "N1", max_nodes=30)) == 1
-        with pytest.raises(PathEnumerationError):
+        with pytest.raises(PathEnumerationError, match="MAX_PATH_NODES = 20"):
             graph.enumerate_paths(diagram, "N0", "N1")
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(UnknownNodeError):  # unknown nodes are named first
             graph.enumerate_paths(diagram, "N0", "missing")
-        with pytest.raises(GraphStructureError):
-            graph.enumerate_paths(diagram, "N0", "N0", max_nodes=30)
 
     def test_memo_does_not_change_equality_or_hash(self):
         warm, _ = fig_2a_model()
@@ -356,7 +376,7 @@ class TestDSeparation:
                         checked += 1
 
 
-def reference_check(diagram, instruments, exposures, outcome, max_nodes=20):
+def reference_check(diagram, instruments, exposures, outcome):
     """The instrumental-set check without memos: every fact is recomputed
     for the subset at hand and condition 3 tries every ordering afresh."""
     instruments, exposures = list(instruments), list(exposures)
@@ -367,7 +387,7 @@ def reference_check(diagram, instruments, exposures, outcome, max_nodes=20):
         if e in descendants:
             return graph.InstrumentalSetResult(False, 1, None, f"instrument {e!r} is a descendant of {outcome!r}")
         per_exposure = {x: [] for x in exposures}
-        for path in graph.enumerate_paths(diagram, e, outcome, max_nodes=max_nodes):
+        for path in graph.enumerate_paths(diagram, e, outcome):
             final = path.final_directed_edge()
             if final is not None and final[0] in exposure_edges:
                 per_exposure[final[0]].append(path)
@@ -464,8 +484,6 @@ class TestInstrumentalSet:
         assert verdict(result) == (False, 1, None, "instrument 'N0' is a descendant of 'Y'")
         with pytest.raises(PathEnumerationError):  # E1's paths come first
             graph.check_instrumental_set(diagram, ["E1", "N0"], ["X1", "X2"], "Y")
-        # a memo filled under a raised cap does not lift the default cap
-        assert graph.check_instrumental_set(diagram, ["E1", "E2"], ["X1", "X2"], "Y", max_nodes=30)
         with pytest.raises(PathEnumerationError):
             graph.check_instrumental_set(diagram, ["E1", "E2"], ["X1", "X2"], "Y")
 
@@ -602,3 +620,8 @@ class TestDiagramText:
     def test_malformed_line_rejected(self):
         with pytest.raises(GraphStructureError):
             graph.parse_diagram_text("edge A => B 0.5")
+
+    @pytest.mark.parametrize("line", ["edge A -> B inf", "bicov A <-> B nan", "var A -inf", "edge A -> B 1e999"])
+    def test_non_finite_value_rejected_with_its_line(self, line):
+        with pytest.raises(GraphStructureError, match="line 2: non-finite value"):
+            graph.parse_diagram_text(f"edge A -> C 0.5\n{line}")

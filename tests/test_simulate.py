@@ -672,7 +672,6 @@ class TestRunReplicates:
             n_samples=500,
             genotypes=sim.GenotypeModel.pair(0.3, 0.3),
             effects=sim.EffectSizes(low=0.1, high=0.3, signs="random", det_min=0.05),
-            seed=5,
         )
         defaults.update(kwargs)
         return sim.SimulationScenario(**defaults)
@@ -693,11 +692,6 @@ class TestRunReplicates:
         assert np.allclose(summary.estimates["ls"][0], rescaled, atol=1e-12)
         assert np.allclose(summary.mean("ls"), rescaled, atol=1e-12)
 
-    def test_seed_required(self):
-        scenario = self._pair_scenario(seed=None)
-        with pytest.raises(ScenarioError):
-            sim.run_replicates(scenario, replicates=5)
-
     def test_failures_recorded_not_fatal(self):
         # instruments in essentially perfect LD give a singular sample LD
         # matrix: gmm fails per replicate, recorded instead of raised
@@ -706,7 +700,6 @@ class TestRunReplicates:
             n_samples=200,
             genotypes=sim.GenotypeModel((0.3, 0.3), (0.9999999,)),
             effects=sim.EffectSizes(low=0.1, high=0.3),
-            seed=3,
         )
         summary = sim.run_replicates(scenario, estimators=("gmm",), replicates=10, seed=3)
         assert summary.failure_rate("gmm") == 1.0
@@ -733,10 +726,9 @@ class TestPleiotropyExperiment:
             effects=sim.EffectSizes(low=0.1, high=0.3),
             causal_instruments=((0, 1), (4, 6), (5, 7)),
             hidden_exposures=(0,),
+            hidden_effect_grid=(0.0,),
         )
-        result = sim.pleiotropy_experiment(
-            scenario, hidden_effect_grid=(0.0,), replicates=300, seed=21
-        )
+        result = sim.pleiotropy_experiment(scenario, replicates=300, seed=21)
         missp = result.misspecified[0]
         sem = missp.sd("ls") / np.sqrt(missp.n_replicates)
         assert np.all(np.abs(missp.bias("ls")) < 4 * sem + 0.01)
@@ -754,8 +746,9 @@ class TestPleiotropyExperiment:
             )
         )
         result = sim.pleiotropy_experiment(
-            scenario, hidden_effect_grid=(0.0, 0.2), replicates=4, seed=3
+            replace(scenario, hidden_effect_grid=(0.0, 0.2)), replicates=4, seed=3
         )
+        assert result.hidden_effect_grid == (0.0, 0.2) and len(result.correct) == 2
         for summary in result.correct + result.misspecified:
             assert summary.failure_rate("ls") == 1.0
             assert [i for i, _ in summary.failures["ls"]] == [0, 1, 2, 3]
@@ -771,9 +764,7 @@ class TestPleiotropyExperiment:
             )
         )
         with pytest.raises(ScenarioError, match="unknown estimator"):
-            sim.pleiotropy_experiment(
-                scenario, estimators=("ols",), hidden_effect_grid=(0.0,), replicates=2, seed=3
-            )
+            sim.pleiotropy_experiment(scenario, estimators=("ols",), replicates=2, seed=3)
 
     def test_requires_hidden_exposures(self):
         scenario = sim.SimulationScenario(
@@ -781,9 +772,10 @@ class TestPleiotropyExperiment:
             n_samples=100,
             genotypes=sim.GenotypeModel.pair(0.3),
             effects=sim.EffectSizes(low=0.1, high=0.3),
+            hidden_effect_grid=(0.0,),
         )
-        with pytest.raises(ScenarioError):
-            sim.pleiotropy_experiment(scenario, hidden_effect_grid=(0.0,), seed=1)
+        with pytest.raises(ScenarioError, match="needs hidden exposures"):
+            sim.pleiotropy_experiment(scenario, seed=1)
 
 
 class TestTwoSampleExperiment:
@@ -870,8 +862,8 @@ class TestType1Power:
             genotypes=sim.GenotypeModel((0.3,), ()),
             effects=sim.EffectSizes(matrix=((0.5,),)),
         )
-        with pytest.raises(ScenarioError):
-            sim.type1_power(scenario, scenario, replicates=10, seed=3, exposure=0)
+        with pytest.raises(ScenarioError, match="no exposure has a zero null effect"):
+            sim.type1_power(scenario, scenario, replicates=10, seed=3)
 
 
 class TestScenarioFiles:

@@ -61,7 +61,8 @@ def _damaged(draw, rows):
 def _correlation(draw, L):
     """The correlation matrix of L drawn vectors in R^3 (singular when L = 4)."""
     vectors = np.array(draw(_matrix(L, 3, UNIT))) + np.eye(L, 3)
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # a zero vector gives a NaN row, which must exit 2
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     r = vectors @ vectors.T
     np.fill_diagonal(r, 1.0)
     return _damaged(draw, ((r + r.T) / 2.0).tolist())

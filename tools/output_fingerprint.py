@@ -23,6 +23,12 @@ Runs, in this interpreter:
   exits 4, a rank-deficient design that exits 3, a positive definite LD
   matrix of condition number 9.0e5 that exits 0 and an LD matrix made
   indefinite by rounding that exits 4);
+* ``mvmr estimate --diagram --estimators ls,gmm,twmr`` on the diagram
+  files in ``DIAGRAMS``: the three locus diagrams of
+  ``demos/01_identification.py`` (one gene, two genes with variants in
+  LD, and one variant tagging two genes, which exits 3) and an
+  over-identified diagram with ``bicov`` and ``var`` lines, so that
+  parsing, ``sem_from_values`` and ``implied_covariance`` are covered;
 * an identification run over this checkout's
   ``perfbench/inputs.make_diagrams(seed, 240)`` for each seed in
   ``GRAPH_SEEDS``, which writes per diagram the ``find_instrumental_subset``
@@ -87,6 +93,17 @@ _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
 _LD_BLOCKS = [[1.0 if i == j else (0.999996 if i // 3 == j // 3 else 0.2) for j in range(6)] for i in range(6)]
 _EX_BLOCKS = [[0.3 * row[0], 0.3 * row[3]] for row in _LD_BLOCKS]
 _R_ROUNDED = 0.89442719104  # sqrt(0.8) rounded up: SNP 3 tags the sum of SNPs 1 and 2
+_TWO_GENES = ["edge E1 -> X1 0.3", "edge E1 -> X2 0.1", "edge E2 -> X1 0.2", "edge E2 -> X2 0.25", "edge X1 -> Y 0.2", "edge X2 -> Y 0.6", "bicov E1 <-> E2 0.9"]
+DIAGRAMS = {  # name -> (diagram file lines, instruments, exposures, outcome) for ``mvmr estimate --diagram``
+    "single_gene": (["edge E -> X 0.5", "edge X -> Y 0.3", "bicov X <-> Y 0.15"], "E", "X", "Y"),
+    "two_genes": (_TWO_GENES, "E1,E2", "X1,X2", "Y"),
+    "tagging": ([line for line in _TWO_GENES if not line.startswith("edge E2")], "E1,E2", "X1,X2", "Y"),
+    "bicov_var": (
+        ["edge E1 -> X1 0.3", "edge E1 -> X2 0.1", "edge E2 -> X2 0.25", "edge E3 -> X2 0.2", "edge X1 -> Y 0.2", "edge X2 -> Y -0.4",
+         "bicov E1 <-> E2 0.6", "bicov E2 <-> E3 0.4", "bicov X1 <-> Y 0.15", "var E1 1.5", "var X1 0.8", "var X2 0.75", "var Y 0.5"],
+        "E1,E2,E3", "X1,X2", "Y",
+    ),
+}
 ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
     "exact_toy": {"sigma_EX": [[0.3, 0.1], [0.15, 0.25]], "sigma_EY": [0.12, 0.18], "sigma_EE": [[1.0, 0.6], [0.6, 1.0]], "n_outcome": 20000, "exposure_names": ["X1", "X2"]},
     "over_identified": {"sigma_EX": _EX3, "sigma_EY": [0.1, 0.17, 0.06], "sigma_EE": _LD3, "n_outcome": 50000},
@@ -174,6 +191,14 @@ def _commands(package_dir, out_root):
         out = os.path.join(out_root, "estimate", f"{name}.json")
         argv = ["estimate", "--stats", stats, "--estimators", "ls,gmm,twmr", "--out", out]
         yield f"estimate {name} --estimators ls,gmm,twmr", argv, out
+    os.makedirs(os.path.join(out_root, "inputs", "diagram"))
+    for name, (lines, instruments, exposures, outcome) in DIAGRAMS.items():
+        diagram = os.path.join(out_root, "inputs", "diagram", f"{name}.txt")
+        with open(diagram, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        out = os.path.join(out_root, "estimate", f"diagram_{name}.json")
+        argv = ["estimate", "--diagram", diagram, "--instruments", instruments, "--exposures", exposures, "--outcome", outcome, "--estimators", "ls,gmm,twmr", "--out", out]
+        yield f"estimate --diagram {name} --estimators ls,gmm,twmr", argv, out
 
 
 def _identify(argv):
