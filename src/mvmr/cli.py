@@ -8,7 +8,9 @@ input error (an unreadable file, ScenarioError, SummaryFormatError, or
 non-identifiable ``estimate`` design (UnderdeterminedError); 4 numerical
 failure (any other MvmrError, such as a simulated constant column, or a
 ``simulate`` failure rate above ``--max-failure-rate``).  ``loci``
-records a locus tissue it cannot estimate as that tissue's verdict.
+records a locus tissue it cannot estimate as that tissue's verdict, and
+``estimate --diagram`` reports an instrumental-set check it cannot run
+(too many nodes or instruments) as not checked and still estimates.
 
 ``simulate`` takes its master seed from ``--seed``, else from the
 scenario file's ``seed`` key.  The default output directory is taken from
@@ -27,7 +29,7 @@ import sys
 import numpy as np
 
 from . import graph
-from .errors import MvmrError, ScenarioError, SummaryFormatError, UnderdeterminedError
+from .errors import CombinatorialLimitError, MvmrError, PathEnumerationError, ScenarioError, SummaryFormatError, UnderdeterminedError
 from .estimators import (
     ESTIMATORS,
     SummaryStatistics,
@@ -139,21 +141,13 @@ def _run_replicates_kind(config, args, out_dir, estimators, seed):
 
 
 def _run_pleiotropy_kind(config, args, out_dir, estimators, seed):
-    scenario = scenario_from_dict(config)
-    result = pleiotropy_experiment(
-        scenario,
+    cells = pleiotropy_experiment(
+        scenario_from_dict(config),
         estimators=estimators,
         replicates=args.replicates,
         seed=seed,
         threads=args.threads,
     )
-    cells = [
-        ({"hidden_effect": value, "model": tag}, summary)
-        for value, correct, missp in zip(
-            result.hidden_effect_grid, result.correct, result.misspecified
-        )
-        for tag, summary in (("full", correct), ("misspecified", missp))
-    ]
     return _write_cells(out_dir, seed, cells)
 
 
@@ -367,7 +361,7 @@ def _stats_from_json(path):
     stats = SummaryStatistics(
         *(payload[key] for key in _STATS_REQUIRED),
         **sizes,
-        **{key: None if value is None else tuple(value) for key, value in names.items()},
+        exposure_names=None if names["exposure_names"] is None else tuple(names["exposure_names"]),
     )
     for key, count, what in (("exposure_names", stats.n_exposures, "exposures"), ("instrument_names", stats.n_instruments, "instruments")):
         if names[key] is not None and len(names[key]) != count:
@@ -389,15 +383,18 @@ def _stats_from_diagram(path, instruments, exposures, outcome):
         corr[iE, iY],
         corr[np.ix_(iE, iE)],
         exposure_names=tuple(exposures),
-        instrument_names=tuple(instruments),
     )
-    if len(instruments) == len(exposures):
-        check = graph.check_instrumental_set(diagram, instruments, exposures, outcome)
-    else:
-        subset, check = graph.find_instrumental_subset(
-            diagram, instruments, exposures, outcome
-        )
-    return stats, check
+    try:
+        if len(instruments) == len(exposures):
+            check = graph.check_instrumental_set(diagram, instruments, exposures, outcome)
+        else:
+            _, check = graph.find_instrumental_subset(
+                diagram, instruments, exposures, outcome
+            )
+    except (PathEnumerationError, CombinatorialLimitError) as exc:
+        # the estimators read only the implied covariance, so they still run
+        return stats, {"satisfied": None, "failed_condition": None, "detail": f"not checked: {exc}"}
+    return stats, {"satisfied": check.satisfied, "failed_condition": check.failed_condition, "detail": check.detail}
 
 
 def cmd_estimate(args):
@@ -432,11 +429,7 @@ def cmd_estimate(args):
         "exposures": list(stats.exposure_names or (f"X{k+1}" for k in range(stats.n_exposures))),
     }
     if check is not None:
-        payload["instrumental_set"] = {
-            "satisfied": check.satisfied,
-            "failed_condition": check.failed_condition,
-            "detail": check.detail,
-        }
+        payload["instrumental_set"] = check
     code = EXIT_OK
     try:
         for name in estimators:

@@ -94,7 +94,6 @@ class SummaryStatistics:
     n_exposure: int | None = None
     n_outcome: int | None = None
     exposure_names: tuple | None = None
-    instrument_names: tuple | None = None
 
     def __post_init__(self):
         sigma_EX = np.atleast_2d(_floats(self.sigma_EX, "sigma_EX"))
@@ -182,7 +181,6 @@ class SummaryStatistics:
             self.n_exposure,
             self.n_outcome,
             tuple(self.exposure_names[k] for k in keep) if self.exposure_names else None,
-            self.instrument_names,
         )
 
 

@@ -754,23 +754,56 @@ def _nan_reduce(reduce, values, axis, ddof=0):
     return out
 
 
-@dataclass
 class ReplicateSummary:
-    """Per-replicate estimates for each estimator plus derived summaries."""
+    """Per-replicate estimates for each estimator plus derived summaries.
 
-    scenario: SimulationScenario
-    estimator_names: tuple
-    estimates: dict
-    standard_errors: dict
-    p_values: dict
-    failures: dict
-    conditional_f: np.ndarray | None
-    seed: int
+    Built empty for ``replicates`` replicates: NaN estimates, standard
+    errors and p-values, and with ``collect_conditional_f`` a NaN (K,
+    replicates) ``conditional_f`` whose columns the caller fills.
+    :meth:`record` writes one replicate's row in place, so replicates may
+    be recorded in any order.
+    """
+
+    def __init__(self, scenario, estimators, replicates, seed, collect_conditional_f=False):
+        if replicates < 1:
+            raise ScenarioError("need at least one replicate")
+        for est in estimators:
+            if est not in ESTIMATORS:
+                raise ScenarioError(f"unknown estimator {est!r}")
+        shape = (replicates, scenario.n_exposures)
+        self.scenario = scenario
+        self.estimator_names = tuple(estimators)
+        self.n_replicates = replicates
+        self.seed = seed
+        self.estimates = {est: np.full(shape, np.nan) for est in estimators}
+        self.standard_errors = {est: np.full(shape, np.nan) for est in estimators}
+        self.p_values = {est: np.full(shape, np.nan) for est in estimators}
+        self.conditional_f = np.full(shape[::-1], np.nan) if collect_conditional_f else None
+        self._messages = {est: [None] * replicates for est in estimators}
 
     @property
-    def n_replicates(self):
-        first = self.estimates[self.estimator_names[0]]
-        return first.shape[0]
+    def failures(self):
+        """``{estimator: [(replicate, message), ...]}`` in replicate order."""
+        return {
+            est: [(i, msg) for i, msg in enumerate(messages) if msg is not None]
+            for est, messages in self._messages.items()
+        }
+
+    def record(self, index, stats, sd_x, sd_y):
+        """Estimate replicate ``index`` from ``stats`` with every estimator,
+        effects and SEs mapped back to the generative scale by ``sd_y /
+        sd_x``; an estimator that fails leaves its row NaN and records its
+        message."""
+        scale = sd_y / sd_x
+        for est in self.estimator_names:
+            try:
+                result = estimate(stats, est)
+            except MvmrError as exc:
+                self._messages[est][index] = str(exc)
+                continue
+            self.estimates[est][index] = result.effects * scale
+            self.standard_errors[est][index] = result.standard_errors * scale
+            self.p_values[est][index] = result.p_values
 
     def mean(self, estimator):
         return _nan_reduce(np.nanmean, self.estimates[estimator], axis=0)
@@ -837,67 +870,16 @@ def _replicate_rng(seed, index):
 
 
 def _run_indexed(fn, replicates, seed, threads):
-    """Evaluate ``fn(index, rng)`` for every replicate, in order, possibly
-    on a thread pool; results are merged by replicate index so parallel and
+    """Call ``fn(index, rng)`` for every replicate, possibly on a thread
+    pool.  ``fn`` writes its result by replicate index, so parallel and
     serial execution agree exactly."""
     if threads is None or threads <= 1:
-        return [fn(i, _replicate_rng(seed, i)) for i in range(replicates)]
-    results = [None] * replicates
+        for i in range(replicates):
+            fn(i, _replicate_rng(seed, i))
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(fn, i, _replicate_rng(seed, i)): i for i in range(replicates)
-        }
-        for future, index in futures.items():
-            results[index] = future.result()
-    return results
-
-
-def _require_known(estimators):
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ScenarioError(f"unknown estimator {est!r}")
-
-
-def _estimate_all(stats, estimators, sd_x, sd_y):
-    """``{estimator: (effects, ses, p)}`` for one replicate, effects and
-    SEs mapped back to the generative scale; an estimator that fails maps
-    to its error message instead."""
-    scale = sd_y / sd_x
-    out = {}
-    for est in estimators:
-        try:
-            result = estimate(stats, est)
-        except MvmrError as exc:
-            out[est] = str(exc)
-            continue
-        out[est] = (result.effects * scale, result.standard_errors * scale, result.p_values)
-    return out
-
-
-def _replicate_summary(scenario, estimators, rows, seed, cf=None):
-    """Stack per-replicate ``_estimate_all`` rows into a ReplicateSummary,
-    NaN where an estimator failed and the failure recorded by replicate."""
-    shape = (len(rows), scenario.n_exposures)
-    estimates = {est: np.full(shape, np.nan) for est in estimators}
-    ses = {est: np.full(shape, np.nan) for est in estimators}
-    pvals = {est: np.full(shape, np.nan) for est in estimators}
-    failures = {est: [] for est in estimators}
-    for i, row in enumerate(rows):
-        for est in estimators:
-            if isinstance(row[est], str):
-                failures[est].append((i, row[est]))
-            else:
-                estimates[est][i], ses[est][i], pvals[est][i] = row[est]
-    return ReplicateSummary(
-        scenario=scenario,
-        estimator_names=tuple(estimators),
-        estimates=estimates,
-        standard_errors=ses,
-        p_values=pvals,
-        failures=failures,
-        conditional_f=cf,
-        seed=seed,
-    )
+        for future in [pool.submit(fn, i, _replicate_rng(seed, i)) for i in range(replicates)]:
+            future.result()
 
 
 def run_replicates(scenario, seed, estimators=("ls", "gmm"), replicates=None, threads=1, collect_conditional_f=False):
@@ -908,52 +890,23 @@ def run_replicates(scenario, seed, estimators=("ls", "gmm"), replicates=None, th
     raised; the failure rate is part of the summary.
     """
     replicates = scenario.replicates if replicates is None else replicates
-    if replicates < 1:
-        raise ScenarioError("need at least one replicate")
-    _require_known(estimators)
-    K = scenario.n_exposures
+    summary = ReplicateSummary(scenario, estimators, replicates, seed, collect_conditional_f)
 
     def one(index, rng):
         data = generate_dataset(scenario, rng)
-        row = _estimate_all(data.statistics, estimators, data.sd_exposures, data.sd_outcome)
+        summary.record(index, data.statistics, data.sd_exposures, data.sd_outcome)
         if collect_conditional_f:
             try:
-                row["_cf"] = conditional_f(data.individual)
+                summary.conditional_f[:, index] = conditional_f(data.individual)
             except MvmrError:
-                row["_cf"] = np.full(K, np.nan)
-        return row
+                pass  # the column stays NaN
 
-    rows = _run_indexed(one, replicates, seed, threads)
-    cf = np.column_stack([row["_cf"] for row in rows]) if collect_conditional_f else None
-    return _replicate_summary(scenario, estimators, rows, seed, cf)
+    _run_indexed(one, replicates, seed, threads)
+    return summary
 
 
 # ---------------------------------------------------------------------------
 # Experiments
-
-
-@dataclass
-class PleiotropyResult:
-    """Correct-model and hidden-exposure-model summaries per grid value."""
-
-    hidden_effect_grid: tuple
-    correct: list
-    misspecified: list
-    hidden_exposures: tuple
-
-    def bias_band_check(self, estimator="ls"):
-        """Per grid value: max |misspecified bias| / correct-model sd."""
-        out = []
-        for correct, missp in zip(self.correct, self.misspecified):
-            sd = correct.sd(estimator)
-            keep = [
-                k
-                for k in range(len(correct.scenario.true_effects))
-                if k not in self.hidden_exposures
-            ]
-            ratio = np.abs(missp.bias(estimator)) / sd[keep]
-            out.append(float(np.max(ratio)))
-        return out
 
 
 def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, threads=1):
@@ -964,7 +917,9 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
     are set to that value, one dataset per replicate is generated from the
     full model, and both the full model and the model omitting the hidden
     exposures are estimated on the same data.  Grid value g runs with seed
-    ``seed + g``.
+    ``seed + g``.  Returns ``(labels, summary)`` cells in grid order, the
+    full model before the misspecified one, labelled ``{"hidden_effect":
+    value, "model": "full" | "misspecified"}``.
     """
     hidden = scenario.hidden_exposures
     if not hidden:
@@ -973,11 +928,9 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
     if not grid:
         raise ScenarioError("pleiotropy experiment needs a hidden-effect grid")
     replicates = scenario.replicates if replicates is None else replicates
-    _require_known(estimators)
     keep = [k for k in range(scenario.n_exposures) if k not in hidden]
 
-    correct_summaries = []
-    missp_summaries = []
+    cells = []
     for g, value in enumerate(grid):
         effects = list(scenario.true_effects)
         for h in hidden:
@@ -987,16 +940,6 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
             true_effects=tuple(effects),
             name=f"{scenario.name}[hidden={value}]",
         )
-
-        def one(index, rng, cell=cell):
-            data = generate_dataset(cell, rng)
-            dropped = data.statistics.drop_exposures(hidden)
-            return (
-                _estimate_all(data.statistics, estimators, data.sd_exposures, data.sd_outcome),
-                _estimate_all(dropped, estimators, data.sd_exposures[keep], data.sd_outcome),
-            )
-
-        rows = _run_indexed(one, replicates, seed + g, threads)
         causal = cell.causal_instruments
         if cell.causal_layout[1] is None:  # one causal list per exposure: the modelled ones
             causal = tuple(causal[k] for k in keep)
@@ -1010,14 +953,21 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
             else None,
             name=f"{cell.name}/misspecified",
         )
-        correct_summaries.append(
-            _replicate_summary(cell, estimators, [full for full, _ in rows], seed + g)
-        )
-        missp_summaries.append(
-            _replicate_summary(missp_scenario, estimators, [drop for _, drop in rows], seed + g)
-        )
+        full = ReplicateSummary(cell, estimators, replicates, seed + g)
+        missp = ReplicateSummary(missp_scenario, estimators, replicates, seed + g)
 
-    return PleiotropyResult(grid, correct_summaries, missp_summaries, hidden)
+        def one(index, rng, cell=cell, full=full, missp=missp):
+            data = generate_dataset(cell, rng)
+            full.record(index, data.statistics, data.sd_exposures, data.sd_outcome)
+            dropped = data.statistics.drop_exposures(hidden)
+            missp.record(index, dropped, data.sd_exposures[keep], data.sd_outcome)
+
+        _run_indexed(one, replicates, seed + g, threads)
+        cells += [
+            ({"hidden_effect": value, "model": "full"}, full),
+            ({"hidden_effect": value, "model": "misspecified"}, missp),
+        ]
+    return cells
 
 
 def two_sample_experiment(scenario, n_exposure_grid, n_outcome_grid, seed, estimators=("ls", "gmm"), replicates=None, threads=1):

@@ -103,7 +103,6 @@ def population_statistics(diagram, sem, instruments, exposures, outcome, n_outco
         sigma[np.ix_(iE, iE)],
         n_outcome=n_outcome,
         exposure_names=tuple(exposures),
-        instrument_names=tuple(instruments),
     )
 
 

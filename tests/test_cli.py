@@ -546,6 +546,36 @@ class TestEstimateCommand:
         assert code == 3
         assert "non-identifiable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines, instruments, exposures, message",
+        [
+            (  # E -> X -> Y with 19 children of Y: 22 nodes
+                ["edge E -> X 0.5", "edge X -> Y 0.3", *(f"edge Y -> C{i} 0.1" for i in range(19))],
+                "E",
+                "X",
+                "diagram has 22 nodes, exceeding the path enumeration cap MAX_PATH_NODES = 20",
+            ),
+            (  # nine exposures, each with its own instrument: 19 nodes
+                [line for k in range(1, 10) for line in (f"edge E{k} -> X{k} 0.5", f"edge X{k} -> Y 0.1")],
+                ",".join(f"E{k}" for k in range(1, 10)),
+                ",".join(f"X{k}" for k in range(1, 10)),
+                "instrumental-set search over 9! orderings not supported (at most 8 instruments)",
+            ),
+        ],
+    )
+    def test_unchecked_instrumental_set_still_estimates(self, tmp_path, capsys, lines, instruments, exposures, message):
+        path = tmp_path / "diagram.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        argv = ["estimate", "--diagram", str(path), "--instruments", instruments, "--exposures", exposures, "--outcome", "Y"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        check = payload["instrumental_set"]
+        assert check["satisfied"] is None and check["failed_condition"] is None
+        assert check["detail"].startswith("not checked: ") and message in check["detail"]
+        for name in ("ls", "gmm"):
+            effects = payload["estimates"][name]["effects"]
+            assert len(effects) == len(exposures.split(",")) and np.all(np.isfinite(effects))
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_diagram_value_exit_2(self, tmp_path, capsys, value):
         path = tmp_path / "diagram.txt"

@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import itertools
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +21,19 @@ def bundled_cell(name, n_samples):
         if scenario.n_samples == n_samples:
             return scenario
     raise LookupError(f"{name} has no cell with n_samples={n_samples}")
+
+
+def assert_same_summaries(a, b):
+    """Two replicate summaries hold the same rows, failures and conditional F."""
+    assert a.estimator_names == b.estimator_names
+    for name in a.estimator_names:
+        for rows in ("estimates", "standard_errors", "p_values"):
+            assert np.array_equal(getattr(a, rows)[name], getattr(b, rows)[name], equal_nan=True), (name, rows)
+    assert a.failures == b.failures
+    if a.conditional_f is None:
+        assert b.conditional_f is None
+    else:
+        assert np.array_equal(a.conditional_f, b.conditional_f, equal_nan=True)
 
 
 def z_mean(a, b):
@@ -676,12 +690,31 @@ class TestRunReplicates:
         defaults.update(kwargs)
         return sim.SimulationScenario(**defaults)
 
-    def test_deterministic_across_threads(self):
+    def test_deterministic_across_threads(self, monkeypatch):
+        """Everything the pool writes agrees at 1 and 3 threads, with gmm
+        failing on some replicates and not on others.  A short switch
+        interval interleaves the workers' writes into the shared summary."""
+        gmm = est.ESTIMATORS["gmm"]
+
+        def fails_on_some_replicates(stats):
+            if stats.sigma_EY[0] > 0:  # reads the replicate's data, not the call order
+                raise MvmrError(f"forced failure at {stats.sigma_EY[0]!r}")
+            return gmm(stats)
+
+        monkeypatch.setitem(est.ESTIMATORS, "gmm", fails_on_some_replicates)
         scenario = self._pair_scenario()
-        serial = sim.run_replicates(scenario, estimators=("ls",), replicates=40, seed=9, threads=1)
-        parallel = sim.run_replicates(scenario, estimators=("ls",), replicates=40, seed=9, threads=4)
-        assert np.array_equal(serial.estimates["ls"], parallel.estimates["ls"])
-        assert np.array_equal(serial.p_values["ls"], parallel.p_values["ls"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial, parallel = (
+                sim.run_replicates(scenario, estimators=("ls", "gmm"), replicates=40, seed=9, threads=threads, collect_conditional_f=True)
+                for threads in (1, 3)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_summaries(serial, parallel)
+        assert 0 < len(serial.failures["gmm"]) < 40 and not serial.failures["ls"]
+        assert np.isfinite(serial.conditional_f).all()
 
     def test_single_replicate_matches_direct_estimate(self):
         scenario = self._pair_scenario()
@@ -717,6 +750,11 @@ class TestRunReplicates:
 
 
 class TestPleiotropyExperiment:
+    @staticmethod
+    def _fig2():
+        text = resources.files("mvmr").joinpath("data", "scenarios", "fig2_pleiotropy.json").read_text(encoding="utf-8")
+        return sim.scenario_from_dict(json.loads(text))
+
     def test_zero_hidden_effect_unbiased(self):
         fixture = sim.load_fixture("slc22a3_lpa_plg")
         scenario = sim.SimulationScenario(
@@ -728,8 +766,9 @@ class TestPleiotropyExperiment:
             hidden_exposures=(0,),
             hidden_effect_grid=(0.0,),
         )
-        result = sim.pleiotropy_experiment(scenario, replicates=300, seed=21)
-        missp = result.misspecified[0]
+        cells = sim.pleiotropy_experiment(scenario, replicates=300, seed=21)
+        labels, missp = cells[1]
+        assert labels == {"hidden_effect": 0.0, "model": "misspecified"}
         sem = missp.sd("ls") / np.sqrt(missp.n_replicates)
         assert np.all(np.abs(missp.bias("ls")) < 4 * sem + 0.01)
 
@@ -738,31 +777,35 @@ class TestPleiotropyExperiment:
             raise UnderdeterminedError("forced failure")
 
         monkeypatch.setitem(est.ESTIMATORS, "ls", underdetermined)
-        scenario = sim.scenario_from_dict(
-            json.loads(
-                resources.files("mvmr")
-                .joinpath("data", "scenarios", "fig2_pleiotropy.json")
-                .read_text(encoding="utf-8")
-            )
-        )
-        result = sim.pleiotropy_experiment(
+        scenario = self._fig2()
+        cells = sim.pleiotropy_experiment(
             replace(scenario, hidden_effect_grid=(0.0, 0.2)), replicates=4, seed=3
         )
-        assert result.hidden_effect_grid == (0.0, 0.2) and len(result.correct) == 2
-        for summary in result.correct + result.misspecified:
+        assert [labels for labels, _ in cells] == [
+            {"hidden_effect": value, "model": model} for value in (0.0, 0.2) for model in ("full", "misspecified")
+        ]
+        for _, summary in cells:
             assert summary.failure_rate("ls") == 1.0
             assert [i for i, _ in summary.failures["ls"]] == [0, 1, 2, 3]
             assert all(msg == "forced failure" for _, msg in summary.failures["ls"])
             assert np.all(np.isnan(summary.estimates["ls"]))
 
-    def test_unknown_estimator_rejected(self):
-        scenario = sim.scenario_from_dict(
-            json.loads(
-                resources.files("mvmr")
-                .joinpath("data", "scenarios", "fig2_pleiotropy.json")
-                .read_text(encoding="utf-8")
-            )
+    def test_deterministic_across_threads(self):
+        scenario = replace(self._fig2(), hidden_effect_grid=(0.0, 0.3))
+        serial, parallel = (
+            sim.pleiotropy_experiment(scenario, estimators=("ls", "gmm"), replicates=12, seed=5, threads=threads)
+            for threads in (1, 3)
         )
+        assert [labels for labels, _ in serial] == [labels for labels, _ in parallel]
+        for (_, a), (_, b) in zip(serial, parallel):
+            assert_same_summaries(a, b)
+
+    def test_needs_a_replicate(self):
+        with pytest.raises(ScenarioError, match="need at least one replicate"):
+            sim.pleiotropy_experiment(self._fig2(), replicates=0, seed=3)
+
+    def test_unknown_estimator_rejected(self):
+        scenario = self._fig2()
         with pytest.raises(ScenarioError, match="unknown estimator"):
             sim.pleiotropy_experiment(scenario, estimators=("ols",), replicates=2, seed=3)
 

@@ -7,6 +7,9 @@ Runs, in this interpreter:
   Gaussian two-sample scenarios in ``LD_SCENARIOS``, which estimate with
   the outcome cohort's LD and with the reference LD on an instrument
   subset (no bundled scenario takes either path);
+* the same command with ``--threads 3`` on the bundled scenarios in
+  ``THREAD_SCENARIOS``, whose files must hash as their ``--threads 1``
+  counterparts do;
 * ``mvmr loci --estimator E`` for E in ls, gmm and twmr on the bundled
   eQTL/GWAS/LD fixture trio, and again on a 60-block input written by
   this checkout's ``perfbench/inputs.write_loci_inputs(dir, 5, 60)``
@@ -28,7 +31,10 @@ Runs, in this interpreter:
   ``demos/01_identification.py`` (one gene, two genes with variants in
   LD, and one variant tagging two genes, which exits 3) and an
   over-identified diagram with ``bicov`` and ``var`` lines, so that
-  parsing, ``sem_from_values`` and ``implied_covariance`` are covered;
+  parsing, ``sem_from_values`` and ``implied_covariance`` are covered,
+  and a diagram of 22 nodes, over the path enumeration cap, whose
+  instrumental-set check is reported as not checked while the estimators
+  still run;
 * an identification run over this checkout's
   ``perfbench/inputs.make_diagrams(seed, 240)`` for each seed in
   ``GRAPH_SEEDS``, which writes per diagram the ``find_instrumental_subset``
@@ -82,6 +88,7 @@ LD_SCENARIOS = {  # name -> scenario file written and simulated as the bundled o
     "ld_outcome": {**_TWO_SAMPLE, "ld_choice": "outcome"},
     "ld_reference": {**_TWO_SAMPLE, "ld_choice": "reference", "instrument_subset": [0, 1, 3, 4]},
 }
+THREAD_SCENARIOS = ("fig2_pleiotropy", "s3_conditional_f_strong")  # bundled scenarios simulated again with --threads 3
 GRAPH_SEEDS = (1, 2)  # seeds of the generated diagrams
 GRAPH_DIAGRAMS = 240
 PLEIOTROPY_EDGE = ("E1", "Y", 0.05)  # added to every PLEIOTROPY_EVERY-th diagram, from the first
@@ -103,6 +110,7 @@ DIAGRAMS = {  # name -> (diagram file lines, instruments, exposures, outcome) fo
          "bicov E1 <-> E2 0.6", "bicov E2 <-> E3 0.4", "bicov X1 <-> Y 0.15", "var E1 1.5", "var X1 0.8", "var X2 0.75", "var Y 0.5"],
         "E1,E2,E3", "X1,X2", "Y",
     ),
+    "over_path_cap": (["edge E -> X 0.5", "edge X -> Y 0.3", *(f"edge Y -> C{i} 0.1" for i in range(19))], "E", "X", "Y"),
 }
 ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
     "exact_toy": {"sigma_EX": [[0.3, 0.1], [0.15, 0.25]], "sigma_EY": [0.12, 0.18], "sigma_EE": [[1.0, 0.6], [0.6, 1.0]], "n_outcome": 20000, "exposure_names": ["X1", "X2"]},
@@ -149,6 +157,10 @@ def _commands(package_dir, out_root):
         out = os.path.join(out_root, "simulate", name)
         argv = ["simulate", "--scenario", scenario, *SIMULATE_ARGS, "--out", out]
         yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
+    for name in THREAD_SCENARIOS:
+        out = os.path.join(out_root, "simulate_threads3", name)
+        argv = ["simulate", "--scenario", os.path.join(scenarios, f"{name}.json"), *SIMULATE_ARGS, "--threads", "3", "--out", out]
+        yield f"simulate {name}.json {' '.join(SIMULATE_ARGS)} --threads 3", argv, out
     import inputs
 
     trio = ("eqtl.tsv", "gwas.tsv", "ld.txt")
