@@ -13,7 +13,11 @@ records a locus tissue it cannot estimate as that tissue's verdict, and
 (too many nodes or instruments) as not checked and still estimates.
 
 ``simulate`` takes its master seed from ``--seed``, else from the
-scenario file's ``seed`` key.  The default output directory is taken from
+scenario file's ``seed`` key; its estimators from ``--estimators``, else
+from the file's ``estimators`` list, else ls and gmm; and its replicate
+count from ``--replicates``, else from the file's ``replicates`` key (a
+pca scenario's ``pca_repetitions``).  A file value must be valid even when
+its flag overrides it.  The default output directory is taken from
 the MVMR_OUTPUT_DIR environment variable when set, else ``./mvmr_out``.
 """
 
@@ -38,6 +42,8 @@ from .estimators import (
 from .jsonio import dumps, write_json
 from .loci import PipelineConfig, run_pipeline
 from .simulate import (
+    REPLICATE_FIELDS,
+    check_replicates,
     check_seed,
     empirical_pc1_share,
     expand_scenario_config,
@@ -55,27 +61,16 @@ EXIT_USAGE = 2
 EXIT_NON_IDENTIFIABLE = 3
 EXIT_NUMERICAL = 4
 
-REPLICATE_FIELDS = ["replicate", "estimator", "exposure", "true_effect", "estimate", "se", "p_value"]
-
 
 def _default_out():
     return os.environ.get("MVMR_OUTPUT_DIR", "mvmr_out")
-
-
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
 
 
 def _write_rows(path, fieldnames, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+        writer.writerows(rows)
 
 
 def _parse_estimators(text):
@@ -109,103 +104,108 @@ def _seed_for(config, args):
     return seed
 
 
+def _estimators_for(config, args):
+    """``--estimators``, else the scenario file's ``estimators`` list, else
+    ls and gmm.  A file list must name known estimators even when
+    ``--estimators`` overrides it."""
+    listed = config.get("estimators")
+    if listed is not None and not _is_names(listed):
+        raise ScenarioError(
+            f"scenario key 'estimators' must be a list of estimator names, not {json.dumps(listed)}"
+        )
+    from_file = _parse_estimators(",".join(listed or ("ls", "gmm")))
+    return from_file if args.estimators is None else _parse_estimators(args.estimators)
+
+
+def _pca_count(config, key):
+    """A pca scenario's ``key`` (default 2000), a positive integer."""
+    value = config.get(key, 2000)
+    if not _is_count(value):
+        raise ScenarioError(f"pca scenario key {key!r} must be a positive integer, not {json.dumps(value)}")
+    return value
+
+
+def _with_replicates(kind, config, args):
+    """``config`` with ``--replicates`` as its replicate count, a pca
+    scenario's ``pca_repetitions``.  The file's count is checked first, as
+    a file ``seed`` is under ``--seed``; the scenario, or the pca runner,
+    checks the flag's."""
+    if args.replicates is None:
+        return config
+    if kind == "pca":
+        _pca_count(config, "pca_repetitions")
+        return {**config, "pca_repetitions": args.replicates}
+    if "replicates" in config:
+        check_replicates(config["replicates"])
+    return {**config, "replicates": args.replicates}
+
+
+def _write_replicates(out_dir, cells):
+    """Write ``replicates.csv`` for ``(labels, summary)`` cells, the sorted
+    label columns leading every row."""
+    label_fields = sorted({k for labels, _ in cells for k in labels})
+    with open(os.path.join(out_dir, "replicates.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(label_fields + REPLICATE_FIELDS)
+        for labels, summary in cells:
+            writer.writerows(summary.iter_rows([labels[k] for k in label_fields]))
+
+
 def _write_cells(out_dir, seed, cells):
     """Write ``replicates.csv`` and ``summary.json`` for ``(labels, summary)``
-    cells, the sorted label columns leading every CSV row; returns the
-    summary cells."""
-    label_fields = sorted({k for labels, _ in cells for k in labels})
-    _write_rows(
-        os.path.join(out_dir, "replicates.csv"),
-        label_fields + REPLICATE_FIELDS,
-        (row for labels, summary in cells for row in summary.iter_rows(labels)),
-    )
+    cells; returns the summary cells."""
+    _write_replicates(out_dir, cells)
     summaries = [{"labels": labels, **summary.summary_dict()} for labels, summary in cells]
     write_json(os.path.join(out_dir, "summary.json"), {"cells": summaries, "seed": seed})
     return summaries
 
 
 def _run_replicates_kind(config, args, out_dir, estimators, seed):
-    collect_f = bool(config.get("conditional_f", False))
-    cells = []
-    for index, (labels, scenario) in enumerate(expand_scenario_config(config)):
-        summary = run_replicates(
-            scenario,
-            estimators=estimators,
-            replicates=args.replicates,
-            seed=seed + index,
-            threads=args.threads,
-            collect_conditional_f=collect_f,
-        )
-        cells.append((labels, summary))
+    collect_f = config.get("conditional_f", False)
+    if not isinstance(collect_f, bool):
+        raise ScenarioError(f"scenario key 'conditional_f' must be true or false, not {json.dumps(collect_f)}")
+    cells = [
+        (labels, run_replicates(scenario, seed + index, estimators, threads=args.threads, collect_conditional_f=collect_f))
+        for index, (labels, scenario) in enumerate(expand_scenario_config(config))
+    ]
     return _write_cells(out_dir, seed, cells)
 
 
 def _run_pleiotropy_kind(config, args, out_dir, estimators, seed):
-    cells = pleiotropy_experiment(
-        scenario_from_dict(config),
-        estimators=estimators,
-        replicates=args.replicates,
-        seed=seed,
-        threads=args.threads,
-    )
+    cells = pleiotropy_experiment(scenario_from_dict(config), seed, estimators, threads=args.threads)
     return _write_cells(out_dir, seed, cells)
 
 
 def _run_two_sample_kind(config, args, out_dir, estimators, seed):
-    config = dict(config)
     missing = [key for key in ("n_samples", "n_outcome") if key not in config]
     if missing:
         raise ScenarioError(f"two_sample scenarios need {missing}")
-    n_exposure_grid = config.pop("n_samples")
-    n_outcome_grid = config.pop("n_outcome")
-    if not isinstance(n_exposure_grid, (list, tuple)):
-        n_exposure_grid = [n_exposure_grid]
-    if not isinstance(n_outcome_grid, (list, tuple)):
-        n_outcome_grid = [n_outcome_grid]
-    if not n_exposure_grid or not n_outcome_grid:
-        raise ScenarioError("two-sample grids must be nonempty")
-    scenario = scenario_from_dict({**config, "n_samples": n_exposure_grid[0]})
-    results = two_sample_experiment(
-        scenario,
-        n_exposure_grid,
-        n_outcome_grid,
-        estimators=estimators,
-        replicates=args.replicates,
-        seed=seed,
-        threads=args.threads,
+    n_exposure_grid, n_outcome_grid = (
+        value if isinstance(value, (list, tuple)) else [value]
+        for value in (config["n_samples"], config["n_outcome"])
     )
-    cells = [({"n_exposure": ne, "n_outcome": no}, summary) for (ne, no), summary in results.items()]
+    # every cell sets both sizes; an empty grid, which has no size to build
+    # the template from, is refused by two_sample_experiment unread
+    template = None
+    if n_exposure_grid:
+        template = scenario_from_dict({**config, "n_samples": n_exposure_grid[0], "n_outcome": None})
+    cells = two_sample_experiment(template, n_exposure_grid, n_outcome_grid, seed, estimators, threads=args.threads)
     return _write_cells(out_dir, seed, cells)
 
 
 def _run_type1_power_kind(config, args, out_dir, estimators, seed):
-    config = dict(config)
-    alpha = config.pop("alpha", 0.05)
-    null_effects = config.pop("null_effects", None)
+    null_effects = config.get("null_effects")
     if null_effects is None:
         raise ScenarioError("type1_power scenarios need 'null_effects'")
     alt = scenario_from_dict(config)
     null = scenario_from_dict({**config, "true_effects": null_effects})
-    replicates = args.replicates or alt.replicates
-    outcome = type1_power(
-        null,
-        alt,
-        replicates=replicates,
-        alpha=alpha,
-        seed=seed,
-        estimators=estimators,
-        threads=args.threads,
-    )
-    rows = []
-    for tag, summary in (("null", outcome["null"]), ("alternative", outcome["alternative"])):
-        rows.extend(summary.iter_rows({"scenario": tag}))
-    _write_rows(
-        os.path.join(out_dir, "replicates.csv"), ["scenario"] + REPLICATE_FIELDS, rows
-    )
+    alpha = config.get("alpha", 0.05)
+    outcome = type1_power(null, alt, seed, estimators, alpha=alpha, threads=args.threads)
+    _write_replicates(out_dir, [({"scenario": tag}, outcome[tag]) for tag in ("null", "alternative")])
     payload = {
         "alpha": float(alpha),
         "tested_exposure": outcome["exposure"],
-        "replicates": outcome["replicates"],
+        "replicates": alt.replicates,
         "rates": outcome["rates"],
         "seed": seed,
     }
@@ -214,17 +214,11 @@ def _run_type1_power_kind(config, args, out_dir, estimators, seed):
 
 
 def _run_pca_kind(config, args, out_dir, estimators, seed):
-    config = dict(config)
-    correlations = config.pop("correlations", None)
+    correlations = config.get("correlations")
     if not isinstance(correlations, list):
         raise ScenarioError("pca scenarios need 'correlations', a list of numbers")
-    repetitions = config.pop("pca_repetitions", 2000)
-    n = config.get("n_samples", 2000)
-    for key, value in (("pca_repetitions", repetitions), ("n_samples", n)):
-        if not _is_count(value):
-            raise ScenarioError(f"pca scenario key {key!r} must be a positive integer, not {json.dumps(value)}")
-    if args.replicates:
-        repetitions = args.replicates
+    repetitions = _pca_count(config, "pca_repetitions")
+    n = _pca_count(config, "n_samples")
     rows = []
     for i, r in enumerate(correlations):
         expected = pc1_explained_variance(r)
@@ -262,15 +256,8 @@ def cmd_simulate(args):
     try:
         kind, config = load_scenario_file(args.scenario)
         seed = _seed_for(config, args)
-        listed = config.get("estimators")
-        if listed is not None and not _is_names(listed):
-            raise ScenarioError(
-                f"scenario key 'estimators' must be a list of estimator names, not {json.dumps(listed)}"
-            )
-        names = args.estimators
-        if names is None:  # no --estimators: the scenario's list, else ls,gmm
-            names = ",".join(listed or ("ls", "gmm"))
-        estimators = _parse_estimators(names)
+        estimators = _estimators_for(config, args)
+        config = _with_replicates(kind, config, args)
         out_dir = args.out or _default_out()
         os.makedirs(out_dir, exist_ok=True)
         cells = _KIND_RUNNERS[kind](config, args, out_dir, estimators, seed)
@@ -558,7 +545,7 @@ def build_parser():
     )
     sim.add_argument("--scenario", required=True, help="scenario JSON file")
     sim.add_argument("--seed", type=int, default=None, help="master RNG seed (required unless the scenario file carries one)")
-    sim.add_argument("--replicates", type=int, default=None, help="override the scenario replicate count")
+    sim.add_argument("--replicates", type=int, default=None, help="override the scenario's replicate count (a pca scenario's pca_repetitions)")
     sim.add_argument("--threads", type=int, default=1, help="worker threads; results are identical for any value")
     sim.add_argument("--out", default=None, help="output directory (default $MVMR_OUTPUT_DIR or ./mvmr_out)")
     sim.add_argument("--estimators", default=None, help="comma list from: ls, gmm, twmr (default: the scenario's 'estimators', else ls,gmm)")
@@ -594,7 +581,7 @@ def build_parser():
     fig = sub.add_parser("figures", help="batch-run every bundled scenario (figure-ready CSV per scenario)")
     fig.add_argument("--out", default=None, help="output root (default $MVMR_OUTPUT_DIR or ./mvmr_out)")
     fig.add_argument("--seed", type=int, default=None, help="master seed applied to every scenario")
-    fig.add_argument("--replicates", type=int, default=None, help="override replicate counts (quick runs)")
+    fig.add_argument("--replicates", type=int, default=None, help="override every scenario's replicate count, and pca_repetitions (quick runs)")
     fig.add_argument("--threads", type=int, default=1)
     fig.add_argument("--estimators", default=None, help="comma list from: ls, gmm, twmr (default: each scenario's 'estimators', else ls,gmm)")
     fig.add_argument("--only", default=None, help="comma list of scenario names to run")

@@ -28,16 +28,18 @@ Estimates are mapped back to the generative scale (multiplying by the
 sample sd(Y)/sd(X_k) ratio) so that replicate bias is measured against the
 scenario's true effect vector.
 
-The master seed is an argument of every runner (``run_replicates`` and
-the experiments), not a scenario field.  Replicates draw independent RNG
-streams spawned from it by replicate index, making results bit-identical
-regardless of the degree of parallelism.
+The master seed and the estimators are arguments of every runner
+(``run_replicates`` and the experiments); the replicate count is the
+scenario's ``replicates`` field, which every runner reads.  Replicates
+draw independent RNG streams spawned from the seed by replicate index,
+making results bit-identical regardless of the degree of parallelism.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -364,6 +366,14 @@ def check_seed(seed):
     return seed
 
 
+def check_replicates(n):
+    """Refuse ``n`` unless it is a replicate count, an integer of at least 1."""
+    if not _is_int(n):
+        raise ScenarioError(f"replicates must be an integer, not {n!r}")
+    if n < 1:
+        raise ScenarioError("need at least one replicate")
+
+
 def _causal_layout(causal_rows, n_instruments, n_exposures):
     """The causal instruments checked, as ``(rows, mask, shared_rows)``.
 
@@ -584,12 +594,13 @@ class SimulationScenario:
                 )
             if not _is_int(self.ld_wishart_df) or self.ld_wishart_df < L:
                 raise ScenarioError(f"ld_wishart_df must be an integer of at least {L}, the instrument count, not {self.ld_wishart_df!r}")
-        for key in ("n_samples", "n_outcome", "replicates"):
+        for key in ("n_samples", "n_outcome"):
             n = getattr(self, key)
             if key == "n_outcome" and n is None:
                 continue
             if not _is_int(n):
                 raise ScenarioError(f"{key} must be an integer, not {n!r}")
+        check_replicates(self.replicates)
         for key, n in (("n_samples", self.n_samples), ("n_outcome", self.n_outcome)):
             if n is not None and n <= self.n_instruments:
                 raise ScenarioError(f"{key} {n} must exceed the instrument count {self.n_instruments}")
@@ -738,48 +749,43 @@ def generate_dataset(scenario, seed):
 # Replicate harness
 
 
-def _nan_reduce(reduce, values, axis, ddof=0):
-    """``reduce`` (np.nanmean, np.nanstd or np.nanmedian) along ``axis`` of
-    a 2-D array, giving NaN without numpy's RuntimeWarning where a slice
-    holds no more than ``ddof`` non-NaN values, as when every replicate of
-    a cell failed."""
-    kwargs = {"ddof": ddof} if ddof else {}
-    enough = np.sum(~np.isnan(values), axis=axis) > ddof
-    if enough.all():
+def _nan_reduce(reduce, values, axis, **kwargs):
+    """``reduce`` (np.nanmean, np.nanstd or np.nanmedian) along ``axis``,
+    giving NaN without numpy's RuntimeWarning where a slice holds too few
+    non-NaN values, as when every replicate of a cell failed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         return reduce(values, axis=axis, **kwargs)
-    out = np.full(enough.shape, np.nan)
-    if enough.any():
-        kept = np.compress(enough, values, axis=1 - axis)
-        out[enough] = reduce(kept, axis=axis, **kwargs)
-    return out
+
+
+# the columns of a replicates.csv row after its label columns, in the order
+# ReplicateSummary.iter_rows writes them
+REPLICATE_FIELDS = ["replicate", "estimator", "exposure", "true_effect", "estimate", "se", "p_value"]
 
 
 class ReplicateSummary:
     """Per-replicate estimates for each estimator plus derived summaries.
 
-    Built empty for ``replicates`` replicates: NaN estimates, standard
-    errors and p-values, and with ``collect_conditional_f`` a NaN (K,
-    replicates) ``conditional_f`` whose columns the caller fills.
-    :meth:`record` writes one replicate's row in place, so replicates may
-    be recorded in any order.
+    Built empty for the scenario's ``replicates`` replicates: NaN
+    estimates, standard errors and p-values, and with
+    ``collect_conditional_f`` a NaN (K, replicates) ``conditional_f`` whose
+    columns the caller fills.  :meth:`record` writes one replicate's row in
+    place, so replicates may be recorded in any order.
     """
 
-    def __init__(self, scenario, estimators, replicates, seed, collect_conditional_f=False):
-        if replicates < 1:
-            raise ScenarioError("need at least one replicate")
+    def __init__(self, scenario, estimators, seed, collect_conditional_f=False):
         for est in estimators:
             if est not in ESTIMATORS:
                 raise ScenarioError(f"unknown estimator {est!r}")
-        shape = (replicates, scenario.n_exposures)
+        shape = (scenario.replicates, scenario.n_exposures)
         self.scenario = scenario
         self.estimator_names = tuple(estimators)
-        self.n_replicates = replicates
         self.seed = seed
         self.estimates = {est: np.full(shape, np.nan) for est in estimators}
         self.standard_errors = {est: np.full(shape, np.nan) for est in estimators}
         self.p_values = {est: np.full(shape, np.nan) for est in estimators}
         self.conditional_f = np.full(shape[::-1], np.nan) if collect_conditional_f else None
-        self._messages = {est: [None] * replicates for est in estimators}
+        self._messages = {est: [None] * scenario.replicates for est in estimators}
 
     @property
     def failures(self):
@@ -815,7 +821,7 @@ class ReplicateSummary:
         return self.mean(estimator) - np.asarray(self.scenario.true_effects)
 
     def failure_rate(self, estimator):
-        return len(self.failures[estimator]) / self.n_replicates
+        return len(self.failures[estimator]) / self.scenario.replicates
 
     def exposure_labels(self):
         if self.scenario.exposure_names:
@@ -826,7 +832,7 @@ class ReplicateSummary:
         out = {
             "scenario": self.scenario.name,
             "seed": self.seed,
-            "replicates": self.n_replicates,
+            "replicates": self.scenario.replicates,
             "true_effects": list(self.scenario.true_effects),
             "estimators": {},
         }
@@ -843,26 +849,15 @@ class ReplicateSummary:
             ]
         return out
 
-    def iter_rows(self, labels):
-        """Long-format rows, one per replicate, estimator and exposure, each
-        led by the ``labels`` columns."""
+    def iter_rows(self, lead):
+        """Long-format rows, by estimator, then replicate, then exposure:
+        the ``lead`` values followed by the ``REPLICATE_FIELDS`` columns."""
         names = self.exposure_labels()
         for est in self.estimator_names:
-            effects = self.estimates[est]
-            ses = self.standard_errors[est]
-            pvals = self.p_values[est]
-            for rep in range(effects.shape[0]):
-                for k, exposure in enumerate(names):
-                    yield {
-                        **labels,
-                        "replicate": rep,
-                        "estimator": est,
-                        "exposure": exposure,
-                        "true_effect": self.scenario.true_effects[k],
-                        "estimate": effects[rep, k],
-                        "se": ses[rep, k],
-                        "p_value": pvals[rep, k],
-                    }
+            columns = (self.estimates[est], self.standard_errors[est], self.p_values[est])
+            for rep, values in enumerate(zip(*(c.tolist() for c in columns))):
+                for row in zip(names, self.scenario.true_effects, *values):
+                    yield [*lead, rep, est, *row]
 
 
 def _replicate_rng(seed, index):
@@ -882,15 +877,15 @@ def _run_indexed(fn, replicates, seed, threads):
             future.result()
 
 
-def run_replicates(scenario, seed, estimators=("ls", "gmm"), replicates=None, threads=1, collect_conditional_f=False):
-    """Replicate study of a scenario under one or more estimators.
+def run_replicates(scenario, seed, estimators, threads=1, collect_conditional_f=False):
+    """Replicate study of a scenario, ``scenario.replicates`` replicates,
+    under one or more estimators.
 
     Deterministic for a given ``seed`` regardless of ``threads``.  Estimator
     failures inside a replicate are recorded (NaN estimates) rather than
     raised; the failure rate is part of the summary.
     """
-    replicates = scenario.replicates if replicates is None else replicates
-    summary = ReplicateSummary(scenario, estimators, replicates, seed, collect_conditional_f)
+    summary = ReplicateSummary(scenario, estimators, seed, collect_conditional_f)
 
     def one(index, rng):
         data = generate_dataset(scenario, rng)
@@ -901,7 +896,7 @@ def run_replicates(scenario, seed, estimators=("ls", "gmm"), replicates=None, th
             except MvmrError:
                 pass  # the column stays NaN
 
-    _run_indexed(one, replicates, seed, threads)
+    _run_indexed(one, scenario.replicates, seed, threads)
     return summary
 
 
@@ -909,17 +904,17 @@ def run_replicates(scenario, seed, estimators=("ls", "gmm"), replicates=None, th
 # Experiments
 
 
-def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, threads=1):
+def pleiotropy_experiment(scenario, seed, estimators, threads=1):
     """Paired correct/misspecified estimates over the scenario's
     ``hidden_effect_grid``.
 
     For each grid value the true effects of ``scenario.hidden_exposures``
-    are set to that value, one dataset per replicate is generated from the
-    full model, and both the full model and the model omitting the hidden
-    exposures are estimated on the same data.  Grid value g runs with seed
-    ``seed + g``.  Returns ``(labels, summary)`` cells in grid order, the
-    full model before the misspecified one, labelled ``{"hidden_effect":
-    value, "model": "full" | "misspecified"}``.
+    are set to that value, ``scenario.replicates`` datasets are generated
+    from the full model, and both the full model and the model omitting
+    the hidden exposures are estimated on each.  Grid value g runs with
+    seed ``seed + g``.  Returns ``(labels, summary)`` cells in grid order,
+    the full model before the misspecified one, labelled
+    ``{"hidden_effect": value, "model": "full" | "misspecified"}``.
     """
     hidden = scenario.hidden_exposures
     if not hidden:
@@ -927,7 +922,6 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
     grid = scenario.hidden_effect_grid
     if not grid:
         raise ScenarioError("pleiotropy experiment needs a hidden-effect grid")
-    replicates = scenario.replicates if replicates is None else replicates
     keep = [k for k in range(scenario.n_exposures) if k not in hidden]
 
     cells = []
@@ -953,8 +947,8 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
             else None,
             name=f"{cell.name}/misspecified",
         )
-        full = ReplicateSummary(cell, estimators, replicates, seed + g)
-        missp = ReplicateSummary(missp_scenario, estimators, replicates, seed + g)
+        full = ReplicateSummary(cell, estimators, seed + g)
+        missp = ReplicateSummary(missp_scenario, estimators, seed + g)
 
         def one(index, rng, cell=cell, full=full, missp=missp):
             data = generate_dataset(cell, rng)
@@ -962,7 +956,7 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
             dropped = data.statistics.drop_exposures(hidden)
             missp.record(index, dropped, data.sd_exposures[keep], data.sd_outcome)
 
-        _run_indexed(one, replicates, seed + g, threads)
+        _run_indexed(one, scenario.replicates, seed + g, threads)
         cells += [
             ({"hidden_effect": value, "model": "full"}, full),
             ({"hidden_effect": value, "model": "misspecified"}, missp),
@@ -970,19 +964,19 @@ def pleiotropy_experiment(scenario, seed, estimators=("ls",), replicates=None, t
     return cells
 
 
-def two_sample_experiment(scenario, n_exposure_grid, n_outcome_grid, seed, estimators=("ls", "gmm"), replicates=None, threads=1):
+def two_sample_experiment(scenario, n_exposure_grid, n_outcome_grid, seed, estimators, threads=1):
     """Replicate summaries over a grid of (exposure, outcome) sample sizes.
 
     Exposure and outcome cohorts are drawn independently per replicate; a
-    shared effect matrix links them.  Cell (i, j) of the grid runs with
-    seed ``seed + 1000 * i + j``.  Returns a dict keyed by the sample size
-    pair.
+    shared effect matrix links them.  Every cell replaces both sizes of
+    ``scenario``, and an empty grid is refused before ``scenario`` is read.
+    Cell (i, j) of the grid runs ``scenario.replicates`` replicates with
+    seed ``seed + 1000 * i + j``.  Returns ``(labels, summary)`` cells in
+    grid order, labelled ``{"n_exposure": size, "n_outcome": size}``.
     """
-    n_exposure_grid = list(n_exposure_grid)
-    n_outcome_grid = list(n_outcome_grid)
     if not n_exposure_grid or not n_outcome_grid:
         raise ScenarioError("two-sample grids must be nonempty")
-    out = {}
+    cells = []
     for i, ne in enumerate(n_exposure_grid):
         for j, no in enumerate(n_outcome_grid):
             cell = replace(
@@ -991,18 +985,14 @@ def two_sample_experiment(scenario, n_exposure_grid, n_outcome_grid, seed, estim
                 n_outcome=no,
                 name=f"{scenario.name}[n_exp={ne},n_out={no}]",
             )
-            out[(ne, no)] = run_replicates(
-                cell,
-                seed + 1000 * i + j,
-                estimators=estimators,
-                replicates=replicates,
-                threads=threads,
-            )
-    return out
+            summary = run_replicates(cell, seed + 1000 * i + j, estimators, threads=threads)
+            cells.append(({"n_exposure": ne, "n_outcome": no}, summary))
+    return cells
 
 
-def type1_power(null_scenario, alt_scenario, seed, replicates=2000, alpha=0.05, estimators=("ls", "gmm"), threads=1):
-    """Rejection rates under a null-effect and an alternative scenario.
+def type1_power(null_scenario, alt_scenario, seed, estimators, alpha=0.05, threads=1):
+    """Rejection rates under a null-effect and an alternative scenario,
+    each run for its own ``replicates``.
 
     The tested exposure is the first whose effect is zero in the null
     scenario and nonzero in the alternative.  The null replicates run with
@@ -1019,12 +1009,8 @@ def type1_power(null_scenario, alt_scenario, seed, replicates=2000, alpha=0.05, 
     if _finite(alpha) is None or not 0.0 < alpha <= 1.0:
         raise ScenarioError(f"alpha must be a number in (0, 1], not {alpha!r}")
 
-    null_summary = run_replicates(
-        null_scenario, seed, estimators=estimators, replicates=replicates, threads=threads
-    )
-    alt_summary = run_replicates(
-        alt_scenario, seed + 7919, estimators=estimators, replicates=replicates, threads=threads
-    )
+    null_summary = run_replicates(null_scenario, seed, estimators, threads=threads)
+    alt_summary = run_replicates(alt_scenario, seed + 7919, estimators, threads=threads)
 
     def rejection_rate(summary, est):
         """Share of the replicates with a finite p-value that reject."""
@@ -1040,9 +1026,7 @@ def type1_power(null_scenario, alt_scenario, seed, replicates=2000, alpha=0.05, 
         for est in estimators
     }
     return {
-        "alpha": alpha,
         "exposure": exposure,
-        "replicates": replicates,
         "rates": rates,
         "null": null_summary,
         "alternative": alt_summary,

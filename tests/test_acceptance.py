@@ -86,7 +86,7 @@ def test_criterion_03_correlated_instruments_desk_scale():
     config = scenario_config("fig2_corr_desk")
     cells = {
         labels["correlation"]: sim.run_replicates(
-            scenario, estimators=("ls",), replicates=1000, seed=42 + i
+            replace(scenario, replicates=1000), seed=42 + i, estimators=("ls",)
         )
         for i, (labels, scenario) in enumerate(sim.expand_scenario_config(config))
     }
@@ -115,10 +115,10 @@ def test_criterion_04_weak_instruments():
     strong_cfg = {**scenario_config("fig2_strong"), "n_samples": 500}
     weak_cfg = {**scenario_config("fig2_weak"), "n_samples": 500}
     strong = sim.run_replicates(
-        sim.scenario_from_dict(strong_cfg), estimators=("ls",), replicates=600, seed=404
+        replace(sim.scenario_from_dict(strong_cfg), replicates=600), seed=404, estimators=("ls",)
     )
     weak = sim.run_replicates(
-        sim.scenario_from_dict(weak_cfg), estimators=("ls",), replicates=600, seed=405
+        replace(sim.scenario_from_dict(weak_cfg), replicates=600), seed=405, estimators=("ls",)
     )
     sd_ratio = (weak.sd("ls") / strong.sd("ls")).min()
 
@@ -126,10 +126,9 @@ def test_criterion_04_weak_instruments():
     for name, seed in (("s3_conditional_f_strong", 406), ("s3_conditional_f_weak", 407)):
         cfg = scenario_config(name)
         summary = sim.run_replicates(
-            sim.scenario_from_dict(cfg),
-            estimators=("gmm",),
-            replicates=800,
+            replace(sim.scenario_from_dict(cfg), replicates=800),
             seed=seed,
+            estimators=("gmm",),
             collect_conditional_f=True,
         )
         f_medians[name] = np.nanmedian(summary.conditional_f, axis=1)
@@ -152,7 +151,7 @@ def test_criterion_05_ls_gmm_variance_equivalence():
     cfg = {**scenario_config("fig3_ls_vs_gmm"), "n_samples": 2000}
     scenario = sim.scenario_from_dict(cfg)
     summary = sim.run_replicates(
-        scenario, estimators=("ls", "gmm"), replicates=10_000, seed=505
+        replace(scenario, replicates=10_000), seed=505, estimators=("ls", "gmm")
     )
     v_ls = summary.sd("ls") ** 2
     v_gmm = summary.sd("gmm") ** 2
@@ -167,10 +166,9 @@ def test_criterion_06_pleiotropy_bias_envelope():
     cfg = {**scenario_config("fig2_pleiotropy"), "hidden_effect_grid": [0.0, 0.15, 0.4]}
     scenario = sim.scenario_from_dict(cfg)
     cells = sim.pleiotropy_experiment(
-        scenario,
-        estimators=("ls",),
-        replicates=1000,
+        replace(scenario, replicates=1000),
         seed=606,
+        estimators=("ls",),
     )
     full, missp = ([s for labels, s in cells if labels["model"] == model] for model in ("full", "misspecified"))
     keep = [k for k in range(scenario.n_exposures) if k not in scenario.hidden_exposures]
@@ -190,8 +188,8 @@ def test_criterion_07_ld_perturbation_bias():
     the optimally weighted estimator using the reference LD."""
     reference = sim.scenario_from_dict(scenario_config("fig3_ld_reference"))
     perturbed = sim.scenario_from_dict(scenario_config("fig3_ld_perturb"))
-    ref = sim.run_replicates(reference, estimators=("gmm",), replicates=1000, seed=707)
-    pert = sim.run_replicates(perturbed, estimators=("gmm",), replicates=1000, seed=707)
+    ref = sim.run_replicates(replace(reference, replicates=1000), seed=707, estimators=("gmm",))
+    pert = sim.run_replicates(replace(perturbed, replicates=1000), seed=707, estimators=("gmm",))
     added = np.abs(pert.bias("gmm") - ref.bias("gmm"))
     report(7, bool(np.all(added < 0.02)), f"added |bias| {np.round(added, 4)} (< 0.02)")
 
@@ -203,14 +201,10 @@ def test_criterion_08_two_sample_convergence():
     cfg = dict(scenario_config("fig3_two_sample"))
     cfg.pop("n_samples")
     cfg.pop("n_outcome")
-    scenario = sim.scenario_from_dict({**cfg, "n_samples": 300})
+    scenario = replace(sim.scenario_from_dict({**cfg, "n_samples": 300}), replicates=200)
     assert scenario.true_effects == (0.208, -0.294)
-    small = sim.two_sample_experiment(
-        scenario, [300], [10000], estimators=("ls",), replicates=200, seed=808
-    )[(300, 10000)]
-    large = sim.two_sample_experiment(
-        scenario, [4000], [140000], estimators=("ls",), replicates=200, seed=808
-    )[(4000, 140000)]
+    [(_, small)] = sim.two_sample_experiment(scenario, [300], [10000], seed=808, estimators=("ls",))
+    [(_, large)] = sim.two_sample_experiment(scenario, [4000], [140000], seed=808, estimators=("ls",))
     b_small = float(np.linalg.norm(small.bias("ls")))
     b_large = float(np.linalg.norm(large.bias("ls")))
     elapsed = time.monotonic() - start
@@ -254,10 +248,9 @@ def test_criterion_09_twmr_shrinkage_bias():
     deviations = {}
     for n in (2000, 50000):
         summary = sim.run_replicates(
-            replace(scenario, n_samples=n),
-            estimators=("gmm", "twmr"),
-            replicates=300,
+            replace(scenario, n_samples=n, replicates=300),
             seed=909,
+            estimators=("gmm", "twmr"),
         )
         paired = summary.estimates["twmr"] - summary.estimates["gmm"]
         deviations[n] = float(np.max(np.abs(np.nanmean(paired, axis=0))))

@@ -214,6 +214,8 @@ class TestSimulateCommand:
                 "needs 1 to 10 SNPs (MAX_MARKOV_SNPS), got 11",
             ),
             ({"genotypes": {"mode": "pair", "correlation": -0.9}}, "SNP pair 0-1: correlation -0.9 is infeasible"),
+            ({"conditional_f": "no"}, "scenario key 'conditional_f' must be true or false, not \"no\""),
+            ({"replicates": 0}, "need at least one replicate"),
         ],
     )
     def test_malformed_scenario_exit_2(self, tmp_path, capsys, edit, message):
@@ -250,6 +252,55 @@ class TestSimulateCommand:
             assert code == 2
             assert err.startswith("error: scenario key 'estimators' must be a list")
             assert "Traceback" not in err
+
+    def test_file_estimators_checked_under_flag(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, estimators=["ols"])
+        for extra in ([], ["--estimators", "ls"]):
+            argv = ["simulate", "--scenario", scenario, "--seed", "1", "--replicates", "2", "--out", str(tmp_path / "out")]
+            code = cli.main(argv + extra)
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: unknown estimator 'ols'")
+
+    @pytest.mark.parametrize("name", ["s9_type1_power.json", "s8_pca.json", "fig2_corr_desk.json"])
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_replicates_flag_below_one_exit_2(self, tmp_path, capsys, name, replicates):
+        """``--replicates`` is checked alike for every kind; pca reads it as
+        its repetition count."""
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--scenario", str(SCENARIOS.joinpath(name)), "--seed", "1", "--replicates", replicates, "--out", str(out)])
+        err = capsys.readouterr().err
+        message = "'pca_repetitions' must be a positive integer" if name == "s8_pca.json" else "need at least one replicate"
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert list(out.iterdir()) == []
+
+    def test_failed_replicate_rows_read_nan(self, tmp_path, monkeypatch):
+        """A replicate whose estimator failed writes ``nan`` for its
+        estimate, standard error and p-value, on every exposure's row."""
+        gmm = ESTIMATORS["gmm"]
+
+        def fails_on_some_replicates(stats):
+            if int(stats.sigma_EY[0] * 1e6) % 2:  # reads the replicate's data, not the call order
+                raise UnderdeterminedError("forced failure")
+            return gmm(stats)
+
+        monkeypatch.setitem(ESTIMATORS, "gmm", fails_on_some_replicates)
+        scenario = write_scenario(tmp_path)
+        argv = ["simulate", "--scenario", scenario, "--seed", "4", "--replicates", "8", "--estimators", "ls,gmm"]
+        assert cli.main(argv + ["--max-failure-rate", "1", "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "replicates.csv").read_bytes().decode("ascii").splitlines()
+        assert lines[0] == "correlation,replicate,estimator,exposure,true_effect,estimate,se,p_value"
+        rows = [line.split(",") for line in lines[1:]]
+        failed = {(r[0], r[1]) for r in rows if r[2] == "gmm" and r[5] == "nan"}
+        assert 0 < len(failed) < 16
+        for r in rows:
+            if r[2] == "gmm" and (r[0], r[1]) in failed:
+                assert r[5:] == ["nan", "nan", "nan"]
+            else:
+                assert "nan" not in r
+        for cell in json.loads((tmp_path / "out" / "summary.json").read_text())["cells"]:
+            failed_here = sum(c == str(cell["labels"]["correlation"]) for c, _ in failed)
+            assert cell["estimators"]["gmm"]["failure_rate"] == failed_here / 8
 
     # a 3-SNP Markov scenario with two exposures; each edit below once ended
     # in a traceback, ran on a wrong reading of the file, or ran every

@@ -407,10 +407,9 @@ class TestConditionalF:
             causal_instruments=(0, 2, 4),
         )
         summary = sim.run_replicates(
-            scenario,
-            estimators=("ls",),
-            replicates=replicates,
+            dataclasses.replace(scenario, replicates=replicates),
             seed=seed,
+            estimators=("ls",),
             collect_conditional_f=True,
         )
         return np.nanmedian(summary.conditional_f, axis=1)

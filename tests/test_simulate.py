@@ -239,7 +239,7 @@ class TestMarkovDrawMatchesArraySampler:
             return crosses[-1]
 
         monkeypatch.setattr(sim, "_markov_cross", recording)
-        summary = sim.run_replicates(scenario, estimators=("ls", "gmm"), replicates=self.REPLICATES, seed=2024)
+        summary = sim.run_replicates(replace(scenario, replicates=self.REPLICATES), seed=2024, estimators=("ls", "gmm"))
         upper = np.triu_indices(crosses[0].shape[0])
         return np.array([cross[upper] for cross in crosses]), summary
 
@@ -707,7 +707,7 @@ class TestRunReplicates:
         sys.setswitchinterval(1e-6)
         try:
             serial, parallel = (
-                sim.run_replicates(scenario, estimators=("ls", "gmm"), replicates=40, seed=9, threads=threads, collect_conditional_f=True)
+                sim.run_replicates(replace(scenario, replicates=40), seed=9, estimators=("ls", "gmm"), threads=threads, collect_conditional_f=True)
                 for threads in (1, 3)
             )
         finally:
@@ -718,7 +718,7 @@ class TestRunReplicates:
 
     def test_single_replicate_matches_direct_estimate(self):
         scenario = self._pair_scenario()
-        summary = sim.run_replicates(scenario, estimators=("ls",), replicates=1, seed=13)
+        summary = sim.run_replicates(replace(scenario, replicates=1), seed=13, estimators=("ls",))
         data = sim.generate_dataset(scenario, np.random.default_rng(np.random.SeedSequence(13, spawn_key=(0,))))
         result = est.ls_estimate(data.statistics)
         rescaled = result.effects * data.sd_outcome / data.sd_exposures
@@ -734,7 +734,7 @@ class TestRunReplicates:
             genotypes=sim.GenotypeModel((0.3, 0.3), (0.9999999,)),
             effects=sim.EffectSizes(low=0.1, high=0.3),
         )
-        summary = sim.run_replicates(scenario, estimators=("gmm",), replicates=10, seed=3)
+        summary = sim.run_replicates(replace(scenario, replicates=10), seed=3, estimators=("gmm",))
         assert summary.failure_rate("gmm") == 1.0
         assert np.all(np.isnan(summary.estimates["gmm"]))
         assert all("LD" in msg or "rank" in msg for _, msg in summary.failures["gmm"])
@@ -743,7 +743,7 @@ class TestRunReplicates:
         biases = []
         for n in (500, 10000):
             scenario = self._pair_scenario(n_samples=n)
-            summary = sim.run_replicates(scenario, estimators=("ls",), replicates=300, seed=17)
+            summary = sim.run_replicates(replace(scenario, replicates=300), seed=17, estimators=("ls",))
             biases.append(np.abs(summary.bias("ls")).max())
         assert biases[1] < biases[0]
         assert biases[1] < 0.01
@@ -766,10 +766,10 @@ class TestPleiotropyExperiment:
             hidden_exposures=(0,),
             hidden_effect_grid=(0.0,),
         )
-        cells = sim.pleiotropy_experiment(scenario, replicates=300, seed=21)
+        cells = sim.pleiotropy_experiment(replace(scenario, replicates=300), seed=21, estimators=("ls",))
         labels, missp = cells[1]
         assert labels == {"hidden_effect": 0.0, "model": "misspecified"}
-        sem = missp.sd("ls") / np.sqrt(missp.n_replicates)
+        sem = missp.sd("ls") / np.sqrt(missp.scenario.replicates)
         assert np.all(np.abs(missp.bias("ls")) < 4 * sem + 0.01)
 
     def test_estimator_failures_are_counted(self, monkeypatch):
@@ -779,7 +779,7 @@ class TestPleiotropyExperiment:
         monkeypatch.setitem(est.ESTIMATORS, "ls", underdetermined)
         scenario = self._fig2()
         cells = sim.pleiotropy_experiment(
-            replace(scenario, hidden_effect_grid=(0.0, 0.2)), replicates=4, seed=3
+            replace(scenario, hidden_effect_grid=(0.0, 0.2), replicates=4), seed=3, estimators=("ls",)
         )
         assert [labels for labels, _ in cells] == [
             {"hidden_effect": value, "model": model} for value in (0.0, 0.2) for model in ("full", "misspecified")
@@ -791,9 +791,9 @@ class TestPleiotropyExperiment:
             assert np.all(np.isnan(summary.estimates["ls"]))
 
     def test_deterministic_across_threads(self):
-        scenario = replace(self._fig2(), hidden_effect_grid=(0.0, 0.3))
+        scenario = replace(self._fig2(), hidden_effect_grid=(0.0, 0.3), replicates=12)
         serial, parallel = (
-            sim.pleiotropy_experiment(scenario, estimators=("ls", "gmm"), replicates=12, seed=5, threads=threads)
+            sim.pleiotropy_experiment(scenario, seed=5, estimators=("ls", "gmm"), threads=threads)
             for threads in (1, 3)
         )
         assert [labels for labels, _ in serial] == [labels for labels, _ in parallel]
@@ -802,12 +802,12 @@ class TestPleiotropyExperiment:
 
     def test_needs_a_replicate(self):
         with pytest.raises(ScenarioError, match="need at least one replicate"):
-            sim.pleiotropy_experiment(self._fig2(), replicates=0, seed=3)
+            replace(self._fig2(), replicates=0)
 
     def test_unknown_estimator_rejected(self):
         scenario = self._fig2()
         with pytest.raises(ScenarioError, match="unknown estimator"):
-            sim.pleiotropy_experiment(scenario, estimators=("ols",), replicates=2, seed=3)
+            sim.pleiotropy_experiment(replace(scenario, replicates=2), seed=3, estimators=("ols",))
 
     def test_requires_hidden_exposures(self):
         scenario = sim.SimulationScenario(
@@ -818,7 +818,7 @@ class TestPleiotropyExperiment:
             hidden_effect_grid=(0.0,),
         )
         with pytest.raises(ScenarioError, match="needs hidden exposures"):
-            sim.pleiotropy_experiment(scenario, seed=1)
+            sim.pleiotropy_experiment(scenario, seed=1, estimators=("ls",))
 
 
 class TestTwoSampleExperiment:
@@ -829,11 +829,10 @@ class TestTwoSampleExperiment:
             genotypes=sim.GenotypeModel((0.3,), ()),
             effects=sim.EffectSizes(matrix=((0.5,),)),
         )
-        direct = sim.run_replicates(scenario, estimators=("ls",), replicates=50, seed=31)
-        grid = sim.two_sample_experiment(
-            scenario, [300], [None], estimators=("ls",), replicates=50, seed=31 - 0
-        )
-        summary = grid[(300, None)]
+        scenario = replace(scenario, replicates=50)
+        direct = sim.run_replicates(scenario, seed=31, estimators=("ls",))
+        [(labels, summary)] = sim.two_sample_experiment(scenario, [300], [None], seed=31, estimators=("ls",))
+        assert labels == {"n_exposure": 300, "n_outcome": None}
         assert np.array_equal(direct.estimates["ls"], summary.estimates["ls"])
 
     def test_empty_grid_rejected(self):
@@ -844,7 +843,7 @@ class TestTwoSampleExperiment:
             effects=sim.EffectSizes(matrix=((0.5,),)),
         )
         with pytest.raises(ScenarioError):
-            sim.two_sample_experiment(scenario, [], [100], seed=1)
+            sim.two_sample_experiment(scenario, [], [100], seed=1, estimators=("ls",))
 
 
 class TestType1Power:
@@ -855,20 +854,20 @@ class TestType1Power:
             genotypes=sim.GenotypeModel((0.3,), ()),
             effects=sim.EffectSizes(matrix=((0.5,),)),
         )
-        alt = replace(scenario, true_effects=(0.27,))
-        out = sim.type1_power(scenario, alt, replicates=30, alpha=1.0, seed=2, estimators=("ls",))
+        null, alt = (replace(scenario, true_effects=effects, replicates=30) for effects in ((0.0,), (0.27,)))
+        out = sim.type1_power(null, alt, alpha=1.0, seed=2, estimators=("ls",))
         assert out["rates"]["ls"]["type1"] == 1.0
         assert out["rates"]["ls"]["power"] == 1.0
 
     @staticmethod
-    def _s9_scenarios():
+    def _s9_scenarios(replicates):
         path = resources.files("mvmr").joinpath("data", "scenarios", "s9_type1_power.json")
         config = json.loads(path.read_text(encoding="utf-8"))
         config.pop("alpha")
         null_effects = config.pop("null_effects")
         return (
-            sim.scenario_from_dict({**config, "true_effects": null_effects}),
-            sim.scenario_from_dict(config),
+            replace(sim.scenario_from_dict({**config, "true_effects": null_effects}), replicates=replicates),
+            replace(sim.scenario_from_dict(config), replicates=replicates),
         )
 
     def test_failed_replicates_left_out_of_rates(self, monkeypatch):
@@ -881,8 +880,8 @@ class TestType1Power:
             return ls(stats)
 
         monkeypatch.setitem(sim.ESTIMATORS, "ls", every_other_call_fails)
-        null, alt = self._s9_scenarios()
-        out = sim.type1_power(null, alt, replicates=20, alpha=1.0, seed=3, estimators=("ls",))
+        null, alt = self._s9_scenarios(20)
+        out = sim.type1_power(null, alt, alpha=1.0, seed=3, estimators=("ls",))
         assert len(out["null"].failures["ls"]) == 10
         assert out["rates"]["ls"] == {"type1": 1.0, "power": 1.0}
 
@@ -891,10 +890,10 @@ class TestType1Power:
             raise MvmrError("forced failure")
 
         monkeypatch.setitem(sim.ESTIMATORS, "ls", always_fails)
-        null, alt = self._s9_scenarios()
+        null, alt = self._s9_scenarios(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = sim.type1_power(null, alt, replicates=4, alpha=0.05, seed=3, estimators=("ls",))
+            out = sim.type1_power(null, alt, alpha=0.05, seed=3, estimators=("ls",))
         assert np.isnan(out["rates"]["ls"]["type1"])
         assert np.isnan(out["rates"]["ls"]["power"])
 
@@ -906,7 +905,7 @@ class TestType1Power:
             effects=sim.EffectSizes(matrix=((0.5,),)),
         )
         with pytest.raises(ScenarioError, match="no exposure has a zero null effect"):
-            sim.type1_power(scenario, scenario, replicates=10, seed=3)
+            sim.type1_power(scenario, scenario, seed=3, estimators=("ls",))
 
 
 class TestScenarioFiles:
