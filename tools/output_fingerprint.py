@@ -7,7 +7,11 @@ Runs, in this interpreter:
   Gaussian two-sample scenarios in ``LD_SCENARIOS``, which estimate with
   the outcome cohort's LD and with the reference LD on an instrument
   subset (no bundled scenario takes either path);
-* the same command with ``--threads 3`` on the bundled scenarios in
+* the same command on ``near_perfect_ld`` (``FAILING_SCENARIOS``): two
+  Gaussian instruments at correlation 0.999999999998, whose sample LD
+  condition number straddles ``LD_CONDITION_LIMIT``, so that ls, gmm and
+  twmr each fail on some replicates (7 of 12) and not on others;
+* the same command with ``--threads 3`` on the scenarios in
   ``THREAD_SCENARIOS``, whose files must hash as their ``--threads 1``
   counterparts do;
 * ``mvmr loci --estimator E`` for E in ls, gmm and twmr on the bundled
@@ -88,7 +92,10 @@ LD_SCENARIOS = {  # name -> scenario file written and simulated as the bundled o
     "ld_outcome": {**_TWO_SAMPLE, "ld_choice": "outcome"},
     "ld_reference": {**_TWO_SAMPLE, "ld_choice": "reference", "instrument_subset": [0, 1, 3, 4]},
 }
-THREAD_SCENARIOS = ("fig2_pleiotropy", "s3_conditional_f_strong")  # bundled scenarios simulated again with --threads 3
+FAILING_SCENARIOS = {  # name -> scenario file whose cells fail on some replicates only
+    "near_perfect_ld": {"kind": "replicates", "true_effects": [0.2], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998}, "effects": {"low": 0.2, "high": 0.4}},
+}
+THREAD_SCENARIOS = ("fig2_pleiotropy", "s3_conditional_f_strong", "near_perfect_ld")  # simulated again with --threads 3
 GRAPH_SEEDS = (1, 2)  # seeds of the generated diagrams
 GRAPH_DIAGRAMS = 240
 PLEIOTROPY_EDGE = ("E1", "Y", 0.05)  # added to every PLEIOTROPY_EVERY-th diagram, from the first
@@ -150,8 +157,9 @@ def _commands(package_dir, out_root):
             argv = ["simulate", "--scenario", os.path.join(scenarios, name), *SIMULATE_ARGS, "--out", out]
             yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
     os.makedirs(os.path.join(out_root, "inputs", "scenarios"))
-    for name, payload in LD_SCENARIOS.items():
-        scenario = os.path.join(out_root, "inputs", "scenarios", f"{name}.json")
+    written = {}
+    for name, payload in {**LD_SCENARIOS, **FAILING_SCENARIOS}.items():
+        written[name] = scenario = os.path.join(out_root, "inputs", "scenarios", f"{name}.json")
         with open(scenario, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         out = os.path.join(out_root, "simulate", name)
@@ -159,8 +167,10 @@ def _commands(package_dir, out_root):
         yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
     for name in THREAD_SCENARIOS:
         out = os.path.join(out_root, "simulate_threads3", name)
-        argv = ["simulate", "--scenario", os.path.join(scenarios, f"{name}.json"), *SIMULATE_ARGS, "--threads", "3", "--out", out]
-        yield f"simulate {name}.json {' '.join(SIMULATE_ARGS)} --threads 3", argv, out
+        scenario = written.get(name) or os.path.join(scenarios, f"{name}.json")
+        label = name if name in written else f"{name}.json"
+        argv = ["simulate", "--scenario", scenario, *SIMULATE_ARGS, "--threads", "3", "--out", out]
+        yield f"simulate {label} {' '.join(SIMULATE_ARGS)} --threads 3", argv, out
     import inputs
 
     trio = ("eqtl.tsv", "gwas.tsv", "ld.txt")
