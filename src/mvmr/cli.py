@@ -75,6 +75,8 @@ def _write_rows(path, fieldnames, rows):
 
 def _parse_estimators(text):
     names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise ScenarioError("need at least one estimator")
     for n in names:
         if n not in ESTIMATORS:
             raise ScenarioError(f"unknown estimator {n!r}; choose from {sorted(ESTIMATORS)}")
@@ -113,7 +115,7 @@ def _estimators_for(config, args):
         raise ScenarioError(
             f"scenario key 'estimators' must be a list of estimator names, not {json.dumps(listed)}"
         )
-    from_file = _parse_estimators(",".join(listed or ("ls", "gmm")))
+    from_file = _parse_estimators(",".join(("ls", "gmm") if listed is None else listed))
     return from_file if args.estimators is None else _parse_estimators(args.estimators)
 
 

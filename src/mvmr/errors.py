@@ -2,7 +2,13 @@
 
 
 class MvmrError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``replicate`` is the index of the replicate whose refusal this is, when
+    a check over a stack of replicates raised it; 0 otherwise.
+    """
+
+    replicate = 0
 
 
 class GraphStructureError(MvmrError, ValueError):

@@ -22,6 +22,19 @@ the one check of the LD matrix and ``weighted_moments`` the one check of
 the weighted moment matrix; the estimators solve what they cached.
 :func:`estimate` returns one complete :class:`EstimateResult`, effects
 plus inference, or raises an ``MvmrError``.
+
+Every kernel runs on arrays with a leading replicate axis.  Built with
+``stacked=True``, :class:`IndividualData` and :class:`SummaryStatistics`
+hold a cell of R replicates (a cross-product stack of shape (R, d, d),
+``sigma_EX`` of shape (R, L, K)), and the checks, factorisations,
+estimators, standard errors, p-values and conditional F run once for the
+cell; numpy's stacked ``solve``, ``inv``, ``eigvalsh``, ``svd`` and ``det``
+call the same LAPACK routine per matrix, so each replicate's numbers are
+bitwise those of its own single object.  A single object is the R = 1
+case of the same code, without the leading axis.  Construction refuses a
+stack with the refusal of its lowest refused replicate.  An estimator
+records a stacked replicate's refusal in ``EstimateResult.refusals`` and
+leaves its rows NaN, where on a single object it raises it.
 """
 
 from __future__ import annotations
@@ -60,19 +73,91 @@ def _floats(value, name, error=InvalidStatisticsError):
         raise error(f"{name} must be an array of numbers") from None
 
 
-def check_correlation(matrix, name, error=InvalidStatisticsError):
+def _T(matrices):
+    """Each matrix of a stack (or one matrix) transposed."""
+    return np.swapaxes(matrices, -1, -2)
+
+
+def _at(values, replicate):
+    """Replicate ``replicate``'s entry of per-replicate ``values`` as a Python
+    scalar; a single object's value is its replicate 0."""
+    return np.reshape(values, -1)[replicate].item()
+
+
+def _refusals(checks, refusals=None):
+    """``{replicate: MvmrError}``: each replicate refused by a check gets the
+    first refusing check's ``make(replicate)``, checks taken in order after
+    the ``refusals`` already made.  ``checks`` are ``(mask, make)`` pairs, a
+    mask holding one numpy flag per replicate (a 0-d flag for a single
+    object)."""
+    refusals = {} if refusals is None else dict(refusals)
+    for mask, make in checks:
+        for i in np.flatnonzero(mask).tolist() if mask.ndim else [0] if mask else []:
+            if i not in refusals:
+                refusals[i] = make(i)
+    return refusals
+
+
+def _refuse_lowest(checks):
+    """Raise the refusal of the lowest replicate that ``checks`` refuse (see
+    :func:`_refusals`), its index as the exception's ``replicate``."""
+    refusals = _refusals(checks)
+    if refusals:
+        replicate = min(refusals)
+        exc = refusals[replicate]
+        exc.replicate = replicate
+        raise exc
+
+
+def _without(matrices, replicates):
+    """``matrices`` with the matrices of ``replicates`` replaced by the
+    identity, so that a LAPACK call on the stack cannot fail on them."""
+    if not replicates:
+        return matrices
+    out = np.array(matrices)
+    out.reshape(-1, *out.shape[-2:])[list(replicates)] = np.eye(out.shape[-1])
+    return out
+
+
+def _per_matrix(fn, matrices, *rest):
+    """``fn(matrices, *rest)`` on the whole stack, and the flags of the
+    matrices on which numpy raised ``LinAlgError``.  One such matrix fails a
+    stacked call, so then each matrix is tried alone and a failed one's
+    result is NaN."""
+    batch = matrices.shape[:-2]
+    try:
+        return fn(matrices, *rest), np.zeros(batch, dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    failed = np.zeros(batch, dtype=bool)
+    out = np.full((rest[0] if rest else matrices).shape, np.nan)  # the shape of solve's, inv's and cholesky's results
+    for index in np.ndindex(batch):
+        try:
+            out[index] = fn(matrices[index], *(r[index] for r in rest))
+        except np.linalg.LinAlgError:
+            failed[index] = True
+    return out, failed
+
+
+def check_correlation(matrix, name, error=InvalidStatisticsError, stacked=False):
     """``matrix`` as a float array and its eigenvalues in ascending order;
     ``error`` refuses a matrix that is not square, finite, symmetric and
-    unit-diagonal.  Definiteness is left to the caller."""
-    r = np.atleast_2d(_floats(matrix, name, error))
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+    unit-diagonal.  Definiteness is left to the caller.  With ``stacked``,
+    ``matrix`` is a stack of such matrices."""
+    r = _floats(matrix, name, error)
+    if not stacked:
+        r = np.atleast_2d(r)
+    if r.ndim != 2 + stacked or r.shape[-1] != r.shape[-2] or r.size == 0:
         raise error(f"{name} must be a square matrix")
-    if not np.all(np.isfinite(r)):
-        raise error(f"{name} contains non-finite entries")
-    if np.max(np.abs(r - r.T)) > 1e-8:
-        raise error(f"{name} must be symmetric")
-    if np.max(np.abs(np.diag(r) - 1.0)) > 1e-8:
-        raise error(f"{name} must have unit diagonal (standardized scale)")
+    with np.errstate(invalid="ignore"):
+        _refuse_lowest([
+            (~np.isfinite(r).all(axis=(-2, -1)), lambda i: error(f"{name} contains non-finite entries")),
+            (np.abs(r - _T(r)).max(axis=(-2, -1)) > 1e-8, lambda i: error(f"{name} must be symmetric")),
+            (
+                np.abs(np.diagonal(r, axis1=-2, axis2=-1) - 1.0).max(axis=-1) > 1e-8,
+                lambda i: error(f"{name} must have unit diagonal (standardized scale)"),
+            ),
+        ])
     return r, np.linalg.eigvalsh(r)
 
 
@@ -85,7 +170,8 @@ class SummaryStatistics:
     ``ld_inverse``, ``weighted_moments``) always describes these
     statistics.  Derive changed statistics with ``drop_exposures`` or a
     new instance; each starts with an empty cache.  Inputs no estimator
-    can read raise :class:`InvalidStatisticsError`.
+    can read raise :class:`InvalidStatisticsError`.  With ``stacked`` the
+    three arrays carry a leading replicate axis: one cell of replicates.
     """
 
     sigma_EX: np.ndarray
@@ -94,24 +180,31 @@ class SummaryStatistics:
     n_exposure: int | None = None
     n_outcome: int | None = None
     exposure_names: tuple | None = None
+    stacked: bool = False
 
     def __post_init__(self):
-        sigma_EX = np.atleast_2d(_floats(self.sigma_EX, "sigma_EX"))
-        sigma_EY = _floats(self.sigma_EY, "sigma_EY").reshape(-1)
-        if sigma_EX.ndim != 2:
+        sigma_EX = _floats(self.sigma_EX, "sigma_EX")
+        sigma_EY = _floats(self.sigma_EY, "sigma_EY")
+        if not self.stacked:
+            sigma_EX, sigma_EY = np.atleast_2d(sigma_EX), sigma_EY.reshape(-1)
+        if sigma_EX.ndim != 2 + self.stacked:
             raise InvalidStatisticsError("sigma_EX must be an instruments x exposures matrix")
-        L, K = sigma_EX.shape
+        *batch, L, K = sigma_EX.shape
         if K < 1 or L < K:
             raise InvalidStatisticsError(f"need L >= K >= 1 instruments/exposures, got L={L}, K={K}")
-        if sigma_EY.shape != (L,):
+        if sigma_EY.shape != (*batch, L):
             raise InvalidStatisticsError("sigma_EY length must match instrument count")
-        if not (np.all(np.isfinite(sigma_EX)) and np.all(np.isfinite(sigma_EY))):
-            raise InvalidStatisticsError("summary statistics contain non-finite entries")
-        sigma_EE, eigenvalues = check_correlation(self.sigma_EE, "sigma_EE")
-        if sigma_EE.shape != (L, L):
+        finite = np.isfinite(sigma_EX).all(axis=(-2, -1)) & np.isfinite(sigma_EY).all(axis=-1)
+        _refuse_lowest([(~finite, lambda i: InvalidStatisticsError("summary statistics contain non-finite entries"))])
+        sigma_EE, eigenvalues = check_correlation(self.sigma_EE, "sigma_EE", stacked=self.stacked)
+        if sigma_EE.shape != (*batch, L, L):
             raise InvalidStatisticsError("sigma_EE must have one row per instrument")
-        if eigenvalues[0] < -1e-10:
-            raise InvalidStatisticsError("sigma_EE must be positive definite within tolerance")
+        _refuse_lowest([
+            (
+                eigenvalues[..., 0] < -1e-10,
+                lambda i: InvalidStatisticsError("sigma_EE must be positive definite within tolerance"),
+            )
+        ])
         # ``ld_inverse`` refuses the rounding-indefinite matrices let through here
         object.__setattr__(self, "_ld_eigenvalues", _read_only(eigenvalues))
         object.__setattr__(self, "sigma_EX", _read_only(sigma_EX))
@@ -120,11 +213,11 @@ class SummaryStatistics:
 
     @property
     def n_instruments(self):
-        return self.sigma_EX.shape[0]
+        return self.sigma_EX.shape[-2]
 
     @property
     def n_exposures(self):
-        return self.sigma_EX.shape[1]
+        return self.sigma_EX.shape[-1]
 
     @cached_property
     def diagnostics(self):
@@ -132,24 +225,60 @@ class SummaryStatistics:
         return identifiability_diagnostics(self)
 
     @cached_property
+    def _ld(self):
+        """``(Sigma_EE^-1, refusals)``: a replicate whose LD matrix is too
+        ill-conditioned or not positive definite is refused, and its
+        inverse is that of the identity."""
+        cond = self.diagnostics.condition_EE
+        smallest = self._ld_eigenvalues[..., 0]
+        refusals = _refusals([
+            (
+                ~np.isfinite(cond) | (cond > LD_CONDITION_LIMIT),
+                lambda i: IllConditionedLdError(
+                    f"LD matrix condition number {_at(cond, i):.3e} exceeds {LD_CONDITION_LIMIT:.0e}; "
+                    "prune near-identical instruments (r^2 >= 0.95) before estimating"
+                ),
+            ),
+            (
+                smallest <= 0.0,
+                lambda i: IllConditionedLdError(
+                    f"LD matrix is not positive definite (smallest eigenvalue "
+                    f"{_at(smallest, i):.3e}); prune near-identical instruments "
+                    "(r^2 >= 0.95) before estimating"
+                ),
+            ),
+        ])
+        return _read_only(np.linalg.inv(_without(self.sigma_EE, refusals))), refusals
+
+    @cached_property
+    def _moments(self):
+        """``(M, v, M^-1, refusals)`` of the optimally weighted moment
+        equations, for every replicate; see :attr:`weighted_moments`.  A
+        refused replicate's ``M`` and ``M^-1`` are the identity."""
+        ld_inverse, refusals = self._ld
+        W = _T(self.sigma_EX) @ ld_inverse
+        report = self.diagnostics
+        refusals = _refusals([_rank_check(self)], refusals)
+        M = _without(W @ self.sigma_EX, refusals)
+        M_inv, failed = _per_matrix(np.linalg.inv, M)
+        singular = failed | ~np.isfinite(M_inv).all(axis=(-2, -1))  # singular at float precision
+        refusals = _refusals(
+            [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
+            refusals,
+        )
+        M, M_inv = _without(M, refusals), _without(M_inv, refusals)
+        v = (W @ self.sigma_EY[..., None])[..., 0]
+        return _read_only(M), _read_only(v), _read_only(M_inv), refusals
+
+    @property
     def ld_inverse(self):
         """``Sigma_EE^-1``, refused when the LD matrix is too ill-conditioned
         or not positive definite."""
-        cond = self.diagnostics.condition_EE
-        if not np.isfinite(cond) or cond > LD_CONDITION_LIMIT:
-            raise IllConditionedLdError(
-                f"LD matrix condition number {cond:.3e} exceeds {LD_CONDITION_LIMIT:.0e}; "
-                "prune near-identical instruments (r^2 >= 0.95) before estimating"
-            )
-        if self._ld_eigenvalues[0] <= 0.0:
-            raise IllConditionedLdError(
-                f"LD matrix is not positive definite (smallest eigenvalue "
-                f"{self._ld_eigenvalues[0]:.3e}); prune near-identical instruments "
-                "(r^2 >= 0.95) before estimating"
-            )
-        return _read_only(np.linalg.inv(self.sigma_EE))
+        inverse, refusals = self._ld
+        _raise_single(self, refusals)
+        return inverse
 
-    @cached_property
+    @property
     def weighted_moments(self):
         """``(M, v, M^-1)`` of the optimally weighted moment equations.
 
@@ -159,29 +288,48 @@ class SummaryStatistics:
         matrix is checked, a rank-deficient design or a numerically
         singular ``M`` raises :class:`UnderdeterminedError`.
         """
-        W = self.sigma_EX.T @ self.ld_inverse
-        report = _require_full_rank(self)
-        M = W @ self.sigma_EX
-        try:
-            M_inv = np.linalg.inv(M)
-            if not np.isfinite(M_inv).all():  # singular at float precision
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            raise UnderdeterminedError(
-                "weighted moment matrix is singular", diagnostics=report
-            ) from None
-        return _read_only(M), _read_only(W @ self.sigma_EY), _read_only(M_inv)
+        *moments, refusals = self._moments
+        _raise_single(self, refusals)
+        return tuple(moments)
 
     def drop_exposures(self, indices):
         keep = [k for k in range(self.n_exposures) if k not in set(indices)]
         return SummaryStatistics(
-            self.sigma_EX[:, keep],
+            self.sigma_EX[..., keep],
             self.sigma_EY,
             self.sigma_EE,
             self.n_exposure,
             self.n_outcome,
             tuple(self.exposure_names[k] for k in keep) if self.exposure_names else None,
+            self.stacked,
         )
+
+
+def _raise_single(stats, refusals):
+    """Raise a single object's refusal; a stack's stay recorded."""
+    if refusals and not stats.stacked:
+        raise refusals[0]
+
+
+def centred_cross(genotypes, exposures, outcome):
+    """The centred cross-product matrix of Z = [E | X | Y] for genotypes
+    (N x L), exposures (N x K) and outcome (N), by one centring pass and
+    one cross product."""
+    e = np.atleast_2d(np.asarray(genotypes, dtype=float))
+    x = np.atleast_2d(np.asarray(exposures, dtype=float))
+    y = np.asarray(outcome, dtype=float).reshape(-1)
+    n, L = e.shape
+    K = x.shape[1]
+    if x.shape[0] != n or y.shape[0] != n:
+        raise InvalidStatisticsError("genotypes, exposures and outcome disagree on N")
+    z = np.empty((n, L + K + 1))
+    z[:, :L] = e
+    z[:, L:-1] = x
+    z[:, -1] = y
+    # column means by one matrix-vector product: a reduction down the
+    # columns of this row-major buffer takes several times longer
+    z -= np.ones(n) @ z / n
+    return z.T @ z
 
 
 @dataclass
@@ -194,56 +342,46 @@ class IndividualData:
     (ddof 0) and the correlation matrix ``corr`` of Z are all the summary
     statistics and the conditional F-statistic read.  A simulated cohort
     draws the matrix itself; :meth:`from_arrays` reduces N-row arrays.
+    With ``stacked``, ``cross`` is a stack of R such matrices, cohorts of
+    N each, and ``sds`` and ``corr`` carry the leading replicate axis.
     """
 
     n_observations: int
     n_instruments: int
     cross: InitVar[np.ndarray]
+    stacked: bool = False
     sds: np.ndarray = field(init=False)
     corr: np.ndarray = field(init=False)
 
     def __post_init__(self, cross):
         cross = _floats(cross, "cross-product matrix")
         L = self.n_instruments
-        if cross.ndim != 2 or cross.shape[0] != cross.shape[1] or cross.shape[0] < L + 2:
+        if cross.ndim != 2 + self.stacked or cross.shape[-1] != cross.shape[-2] or cross.shape[-1] < L + 2:
             raise InvalidStatisticsError(
                 f"cross-product matrix must be square with more than {L + 1} columns"
             )
         if self.n_observations <= L:
             raise InvalidStatisticsError("need more observations than instruments")
-        if not np.all(np.isfinite(cross)):
-            raise InvalidStatisticsError("individual-level data contain non-finite values")
-        diagonal = np.diag(cross)
-        if np.any(diagonal <= 0):
-            raise InvalidStatisticsError("degenerate (constant) column in individual-level data")
+        diagonal = np.diagonal(cross, axis1=-2, axis2=-1)
+        _refuse_lowest([
+            (~np.isfinite(cross).all(axis=(-2, -1)), lambda i: InvalidStatisticsError("individual-level data contain non-finite values")),
+            ((diagonal <= 0).any(axis=-1), lambda i: InvalidStatisticsError("degenerate (constant) column in individual-level data")),
+        ])
         scale = np.sqrt(diagonal)
         self.sds = scale / np.sqrt(self.n_observations)
-        self.corr = cross / np.outer(scale, scale)
+        self.corr = cross / (scale[..., :, None] * scale[..., None, :])
 
     @classmethod
     def from_arrays(cls, genotypes, exposures, outcome):
-        """Reduce genotypes (N x L), exposures (N x K) and outcome (N) by one
-        centring pass and one cross product; the arrays are not kept."""
-        e = np.atleast_2d(np.asarray(genotypes, dtype=float))
-        x = np.atleast_2d(np.asarray(exposures, dtype=float))
-        y = np.asarray(outcome, dtype=float).reshape(-1)
-        n, L = e.shape
-        K = x.shape[1]
-        if x.shape[0] != n or y.shape[0] != n:
-            raise InvalidStatisticsError("genotypes, exposures and outcome disagree on N")
-        z = np.empty((n, L + K + 1))
-        z[:, :L] = e
-        z[:, L:-1] = x
-        z[:, -1] = y
-        # column means by one matrix-vector product: a reduction down the
-        # columns of this row-major buffer takes several times longer
-        z -= np.ones(n) @ z / n
-        return cls(n, L, z.T @ z)
+        """Reduce genotypes (N x L), exposures (N x K) and outcome (N) by
+        :func:`centred_cross`; the arrays are not kept."""
+        n, L = np.atleast_2d(np.asarray(genotypes, dtype=float)).shape
+        return cls(n, L, centred_cross(genotypes, exposures, outcome))
 
     @property
     def ld(self):
         """The instruments' correlation matrix, with an exactly-unit diagonal."""
-        return _unit_diagonal(self.corr[: self.n_instruments, : self.n_instruments])
+        return _unit_diagonal(self.corr[..., : self.n_instruments, : self.n_instruments])
 
     def summary_statistics(self, outcome=None, ld=None):
         """``Sigma_EX`` of this cohort, ``Sigma_EY`` of the ``outcome`` cohort
@@ -252,35 +390,48 @@ class IndividualData:
         outcome = self if outcome is None else outcome
         L = self.n_instruments
         return SummaryStatistics(
-            sigma_EX=self.corr[:L, L:-1],
-            sigma_EY=outcome.corr[:L, -1],
+            sigma_EX=self.corr[..., :L, L:-1],
+            sigma_EY=outcome.corr[..., :L, -1],
             sigma_EE=self.ld if ld is None else ld,
             n_exposure=self.n_observations,
             n_outcome=outcome.n_observations,
+            stacked=self.stacked,
         )
 
 
 def _unit_diagonal(matrix):
-    """Force an exactly-unit diagonal on a near-correlation matrix."""
+    """Force an exactly-unit diagonal on a near-correlation matrix (or on
+    each matrix of a stack)."""
     out = np.array(matrix, dtype=float)
-    d = np.sqrt(np.clip(np.diag(out), 1e-300, None))
-    out /= np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return (out + out.T) / 2.0
+    d = np.sqrt(np.clip(np.diagonal(out, axis1=-2, axis2=-1), 1e-300, None))
+    out /= d[..., :, None] * d[..., None, :]
+    diagonal = np.arange(out.shape[-1])
+    out[..., diagonal, diagonal] = 1.0
+    return (out + _T(out)) / 2.0
 
 
 @dataclass
 class EstimateResult:
-    """Per-exposure causal-effect estimates with their inference."""
+    """Per-exposure causal-effect estimates with their inference.
+
+    On a stack every array has a leading replicate axis, and ``refusals``
+    maps each refused replicate to its ``MvmrError``; that replicate's
+    rows are NaN (its flags False).
+    """
 
     effects: np.ndarray
     standard_errors: np.ndarray | None = None
     p_values: np.ndarray | None = None
     bonferroni_significant: np.ndarray | None = None
+    refusals: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class IdentifiabilityReport:
+    """The fields are Python scalars for single statistics and arrays over
+    the replicates for a stack; ``n_exposures`` and ``n_instruments`` are
+    the same for every replicate."""
+
     det_normalized_gram: float
     rank_EX: int
     n_exposures: int
@@ -288,6 +439,17 @@ class IdentifiabilityReport:
     condition_EX: float
     condition_EE: float  # max|lambda| / min|lambda| over the eigenvalues of Sigma_EE
     verdict: str  # "pass" | "warn" | "fail"
+
+
+def _report_at(report, replicate):
+    """Replicate ``replicate``'s report, with Python scalar fields; a single
+    object's report is its own."""
+    if not isinstance(report.rank_EX, np.ndarray):
+        return report
+    return IdentifiabilityReport(**{
+        name: _at(value, replicate) if isinstance(value, np.ndarray) else value
+        for name, value in vars(report).items()
+    })
 
 
 def identifiability_diagnostics(stats):
@@ -301,59 +463,74 @@ def identifiability_diagnostics(stats):
     between.  ``stats.diagnostics`` holds this report, computed once.
     """
     S = stats.sigma_EX
-    norms = np.linalg.norm(S, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    G = (S / safe).T @ (S / safe)
-    det_gram = float(np.linalg.det(G)) if np.all(norms > 0) else 0.0
+    norms = np.linalg.norm(S, axis=-2)
+    positive = norms > 0
+    safe = np.where(positive, norms, 1.0)[..., None, :]
+    G = _T(S / safe) @ (S / safe)
     svals = np.linalg.svd(S, compute_uv=False)
-    rank = int(np.sum(svals > svals[0] * RANK_RTOL)) if svals[0] > 0 else 0
-    cond_EX = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
+    top, bottom = svals[..., 0], svals[..., -1]
+    rank = (svals > top[..., None] * RANK_RTOL).sum(axis=-1)  # 0 when every singular value is
     magnitudes = np.abs(stats._ld_eigenvalues)
-    cond_EE = float(magnitudes.max() / magnitudes.min()) if magnitudes.min() > 0 else np.inf
+    smallest = magnitudes.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det_gram = np.where(positive.all(axis=-1), np.linalg.det(G), 0.0)
+        cond_EX = np.where(bottom > 0, top / bottom, np.inf)
+        cond_EE = np.where(smallest > 0, magnitudes.max(axis=-1) / smallest, np.inf)
+    K, L = stats.n_exposures, stats.n_instruments
+    if not stats.stacked:
+        det_gram = float(det_gram)
+        return IdentifiabilityReport(det_gram, int(rank), K, L, float(cond_EX), float(cond_EE), _verdict(det_gram))
+    verdict = np.array([_verdict(d) for d in det_gram.tolist()])
+    return IdentifiabilityReport(det_gram, rank, K, L, cond_EX, cond_EE, verdict)
+
+
+def _verdict(det_gram):
     if det_gram > DET_PASS:
-        verdict = "pass"
-    elif det_gram < DET_FAIL:
-        verdict = "fail"
-    else:
-        verdict = "warn"
-    return IdentifiabilityReport(
-        det_normalized_gram=det_gram,
-        rank_EX=rank,
-        n_exposures=stats.n_exposures,
-        n_instruments=stats.n_instruments,
-        condition_EX=cond_EX,
-        condition_EE=cond_EE,
-        verdict=verdict,
-    )
+        return "pass"
+    return "fail" if det_gram < DET_FAIL else "warn"
 
 
-def _require_full_rank(stats):
+def _rank_check(stats):
+    """The ``(mask, make)`` check refusing a rank-deficient design."""
     report = stats.diagnostics
-    if report.rank_EX < stats.n_exposures:
-        raise UnderdeterminedError(
+    K = stats.n_exposures
+
+    def refusal(i):
+        return UnderdeterminedError(
             "instrument-exposure covariance matrix is rank deficient "
-            f"(rank {report.rank_EX} < {stats.n_exposures} exposures): causal "
+            f"(rank {_at(report.rank_EX, i)} < {K} exposures): causal "
             "effects are not identifiable; inspect the determinant/rank "
             "diagnostics",
-            diagnostics=report,
+            diagnostics=_report_at(report, i),
         )
-    return report
+
+    return np.asarray(report.rank_EX) < K, refusal
+
+
+def _estimated(stats, effects, refusals):
+    """The :class:`EstimateResult` of ``effects``; a single object raises its
+    refusal, a stack NaNs its refused replicates' rows."""
+    _raise_single(stats, refusals)
+    if refusals:
+        effects = np.array(effects)
+        effects[list(refusals)] = np.nan
+    return EstimateResult(effects, refusals=dict(refusals))
 
 
 def ls_estimate(stats):
     """Least-squares solution of the moment equations: ``Delta = I``."""
-    report = _require_full_rank(stats)
+    refusals = _refusals([_rank_check(stats)])
     S = stats.sigma_EX
     # a copied transpose takes numpy's general product, not its symmetric
     # S.T @ S kernel, whose last bits differ: LS outputs are fixed bit for bit
-    St = S.T.copy()
-    try:
-        effects = np.linalg.solve(St @ S, St @ stats.sigma_EY)
-    except np.linalg.LinAlgError:
-        raise UnderdeterminedError(
-            "weighted moment matrix is singular", diagnostics=report
-        ) from None
-    return EstimateResult(effects)
+    St = _T(S).copy()
+    effects, singular = _per_matrix(np.linalg.solve, _without(St @ S, refusals), St @ stats.sigma_EY[..., None])
+    report = stats.diagnostics
+    refusals = _refusals(
+        [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
+        refusals,
+    )
+    return _estimated(stats, effects[..., 0], refusals)
 
 
 def gmm_optimal(stats):
@@ -364,8 +541,8 @@ def gmm_optimal(stats):
     two-stage least squares on standardized data.  Solves the cached
     ``stats.weighted_moments``.
     """
-    M, v, _ = stats.weighted_moments
-    return EstimateResult(np.linalg.solve(M, v))
+    M, v, _, refusals = stats._moments
+    return _estimated(stats, np.linalg.solve(M, v[..., None])[..., 0], refusals)
 
 
 def twmr_shrunk_estimate(stats):
@@ -378,9 +555,9 @@ def twmr_shrunk_estimate(stats):
     does not vanish with sample size unless H is already close to the
     identity.
     """
-    _, v, H = stats.weighted_moments
+    _, v, H, refusals = stats._moments
     H_shrunk = (1.0 - TWMR_ALPHA) * H + TWMR_ALPHA * np.eye(stats.n_exposures)
-    return EstimateResult(H_shrunk @ v)
+    return _estimated(stats, (H_shrunk @ v[..., None])[..., 0], refusals)
 
 
 def standard_errors(result, stats):
@@ -391,16 +568,17 @@ def standard_errors(result, stats):
     the standardized scale as ``max(0, 1 - c^T S_EX^T Sigma_EE^-1 S_EY)``
     (conservative fallback to 1 when non-finite).  The sandwich and
     ``S_EX^T Sigma_EE^-1 S_EY`` come from ``stats.weighted_moments``.
-    Returns the array of standard errors; ``result`` is not modified.
+    Returns the array of standard errors; ``result`` is not modified.  On
+    a stack, the rows of replicates the moments refuse are meaningless.
     """
     if stats.n_outcome is None:
         raise ValueError("summary-mode standard errors require n_outcome")
-    _, v, sandwich = stats.weighted_moments
-    sigma_u2 = 1.0 - float(result.effects @ v)
-    if not np.isfinite(sigma_u2):
-        sigma_u2 = 1.0
-    sigma_u2 = max(0.0, sigma_u2)
-    return np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / stats.n_outcome, 0.0, None))
+    _, v, sandwich, refusals = stats._moments
+    _raise_single(stats, refusals)
+    sigma_u2 = 1.0 - (result.effects[..., None, :] @ v[..., :, None])[..., 0, 0]
+    sigma_u2 = np.maximum(0.0, np.where(np.isfinite(sigma_u2), sigma_u2, 1.0))
+    variances = np.diagonal(sandwich, axis1=-2, axis2=-1) * sigma_u2[..., None] / stats.n_outcome
+    return np.sqrt(np.clip(variances, 0.0, None))
 
 
 # The standard normal CDF, ported from S. L. Moshier's Cephes ``ndtr``,
@@ -526,40 +704,55 @@ def conditional_f(individual):
     the instruments are orthonormal, so exposure k's fitted column ``t``
     gives ``rss1 = N (1 - |t|^2)`` and ``rss0 - rss1`` is N times the
     squared residual of ``t`` regressed on the other fitted columns.
+
+    Returns the K statistics of a single cohort, or raises its refusal;
+    for a stack, ``(values, refusals)`` with one row per replicate, a
+    refused replicate's row NaN.  numpy has no stacked least squares, so
+    each replicate's regression is solved on its own.
     """
     n, L, corr = individual.n_observations, individual.n_instruments, individual.corr
-    K = corr.shape[0] - L - 1
+    *batch, d, _ = corr.shape
+    K = d - L - 1
+    values = np.full((*batch, K), np.nan)
     if n <= L + K:
-        raise InvalidStatisticsError("conditional F requires N > L + K")
-    try:
-        chol = np.linalg.cholesky(corr[:L, :L])
-    except np.linalg.LinAlgError:
-        raise InvalidStatisticsError("conditional F needs a positive definite LD matrix") from None
-    fitted = np.linalg.solve(chol, corr[:L, L:-1])
-    stats_out = np.empty(K)
+        refusals = _refusals([(np.ones(batch, dtype=bool), lambda i: InvalidStatisticsError("conditional F requires N > L + K"))])
+        return _conditional_f_result(individual, values, refusals)
+    chol, failed = _per_matrix(np.linalg.cholesky, corr[..., :L, :L])
+    refusals = _refusals([(failed, lambda i: InvalidStatisticsError("conditional F needs a positive definite LD matrix"))])
+    fitted = np.linalg.solve(_without(chol, refusals), corr[..., :L, L:-1])
+    df_num = L - K + 1
+    df_den = n - L
     for k in range(K):
-        target = fitted[:, k]
-        others = np.delete(fitted, k, axis=1)
-        if others.shape[1]:
+        target = fitted[..., k]
+        others = np.delete(fitted, k, axis=-1)
+        if others.shape[-1]:
             svals = np.linalg.svd(others, compute_uv=False)
-            if svals[-1] <= svals[0] * RANK_RTOL:
-                raise CollinearExposuresError(
-                    "instrument-fitted exposures are collinear; conditional "
-                    "F is undefined"
-                )
-            coef, *_ = np.linalg.lstsq(others, target, rcond=None)
-            resid = target - others @ coef
+            refusals = _refusals(
+                [(
+                    svals[..., -1] <= svals[..., 0] * RANK_RTOL,
+                    lambda i: CollinearExposuresError("instrument-fitted exposures are collinear; conditional F is undefined"),
+                )],
+                refusals,
+            )
+            coef = np.empty((*batch, K - 1))
+            for index in np.ndindex(*batch):
+                coef[index], *_ = np.linalg.lstsq(others[index], target[index], rcond=None)
+            resid = target - (others @ coef[..., None])[..., 0]
         else:
             resid = target
-        explained = n * float(resid @ resid)
-        rss1 = n * (1.0 - float(target @ target))
-        df_num = L - K + 1
-        df_den = n - L
-        if rss1 <= 0:
-            stats_out[k] = np.inf
-        else:
-            stats_out[k] = (explained / df_num) / (rss1 / df_den)
-    return stats_out
+        explained = n * (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
+        rss1 = n * (1.0 - (target[..., None, :] @ target[..., :, None])[..., 0, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values[..., k] = np.where(rss1 <= 0, np.inf, (explained / df_num) / (rss1 / df_den))
+    return _conditional_f_result(individual, values, refusals)
+
+
+def _conditional_f_result(individual, values, refusals):
+    if not individual.stacked:
+        _raise_single(individual, refusals)
+        return values
+    values[list(refusals)] = np.nan
+    return values, refusals
 
 
 ESTIMATORS = {
@@ -576,7 +769,9 @@ def estimate(stats, method="ls", bonferroni_threshold=BONFERRONI_DEFAULT):
     standard errors, p-values and Bonferroni flags at
     ``bonferroni_threshold``; otherwise it holds the effects only.  Every
     step reads the factorisation cached on ``stats``, and a numerical
-    refusal is an ``MvmrError``.
+    refusal is an ``MvmrError``: raised for single statistics, and for a
+    stack recorded per replicate, each replicate refused by the first step
+    that refuses it, with NaN rows.
     """
     try:
         fn = ESTIMATORS[method]
@@ -586,7 +781,14 @@ def estimate(stats, method="ls", bonferroni_threshold=BONFERRONI_DEFAULT):
         ) from None
     result = fn(stats)
     if stats.n_outcome is None:
-        return result
+        return _estimated(stats, result.effects, result.refusals)
     se = standard_errors(result, stats)
     p, significant = p_values(result.effects, se, bonferroni_threshold)
+    refusals = {**stats._moments[3], **result.refusals}
+    if refusals:
+        rows = list(refusals)
+        effects, se, p = (np.array(a) for a in (result.effects, se, p))
+        effects[rows] = se[rows] = p[rows] = np.nan
+        significant[rows] = False
+        return EstimateResult(effects, se, p, significant, refusals)
     return EstimateResult(result.effects, se, p, significant)

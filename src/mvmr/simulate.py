@@ -24,6 +24,8 @@ does not grow with N: the N genotype vectors are one multinomial draw of
 counts over the model's table of 3^L possible vectors, and the noise cross
 products follow exactly given the genotypes.  A Gaussian cohort draws its
 N-row arrays and reduces them by one centring pass and one cross product.
+A replicate cell stacks its replicates' cross-product matrices and derives
+statistics, estimates and inference once, on the stack.
 Estimates are mapped back to the generative scale (multiplying by the
 sample sd(Y)/sd(X_k) ratio) so that replicate bias is measured against the
 scenario's true effect vector.
@@ -57,6 +59,7 @@ from .estimators import (
     ESTIMATORS,
     IndividualData,
     SummaryStatistics,
+    centred_cross,
     check_correlation,
     conditional_f,
     estimate,
@@ -666,7 +669,8 @@ def select_by_ld_threshold(ld, max_r2):
 
 @dataclass
 class GeneratedDataset:
-    """One simulated dataset: sufficient statistics plus generative scales."""
+    """One simulated dataset: sufficient statistics plus generative scales.
+    A cell's datasets stacked carry a leading replicate axis on each."""
 
     individual: IndividualData
     statistics: SummaryStatistics
@@ -702,14 +706,15 @@ def _markov_cross(scenario, A, n, rng):
 
 
 def _draw_cohort(scenario, A, n, rng):
-    """One cohort of n, as :class:`IndividualData` on the analysed instruments."""
+    """One cohort of n: the centred cross-product matrix of [E | X | Y] on
+    the analysed instruments."""
     subset = scenario.instrument_subset
     if scenario.genotypes is not None:
         cross = _markov_cross(scenario, A, n, rng)
         if subset is not None:
             keep = [*subset, *range(scenario.n_instruments_total, cross.shape[0])]
             cross = cross[np.ix_(keep, keep)]
-        return IndividualData(n, scenario.n_instruments, cross)
+        return cross
     if scenario.ld_wishart_df is None:
         factor = scenario.ld_factor
     else:
@@ -717,17 +722,54 @@ def _draw_cohort(scenario, A, n, rng):
     e_raw, x, y = _generate_arrays(scenario, A, n, rng, factor)
     if subset is not None:
         e_raw = e_raw[:, list(subset)]
-    return IndividualData.from_arrays(e_raw, x, y)
+    return centred_cross(e_raw, x, y)
+
+
+def _draw(scenario, rng):
+    """One replicate's draws: its effect matrix, then the cross-product
+    matrices of its exposure cohort and, in a two-sample design, of its
+    outcome cohort (else None)."""
+    A = scenario.effects.realize(rng, scenario)
+    exposure = _draw_cohort(scenario, A, scenario.n_samples, rng)
+    if scenario.n_outcome is None:
+        return exposure, None
+    return exposure, _draw_cohort(scenario, A, scenario.n_outcome, rng)
 
 
 def _estimation_ld(scenario, exposure, outcome):
-    """The LD matrix that ``scenario.ld_choice`` picks."""
+    """The LD matrix that ``scenario.ld_choice`` picks, one per replicate of
+    a stack."""
     if scenario.ld_choice == "reference":
-        return scenario.analysed_reference_ld
+        ld = scenario.analysed_reference_ld
+        return np.broadcast_to(ld, exposure.corr.shape[:-2] + ld.shape)
     return (exposure if scenario.ld_choice == "exposure" else outcome).ld
 
 
-def generate_dataset(scenario, seed):
+def _dataset(scenario, exposure_cross, outcome_cross, stacked):
+    """The :class:`GeneratedDataset` of drawn cross-product matrices, one
+    cohort's or a stack of them."""
+    L = scenario.n_instruments
+    exposure = IndividualData(scenario.n_samples, L, exposure_cross, stacked)
+    outcome = exposure if outcome_cross is None else IndividualData(scenario.n_outcome, L, outcome_cross, stacked)
+    stats = exposure.summary_statistics(outcome, _estimation_ld(scenario, exposure, outcome))
+    return GeneratedDataset(exposure, stats, exposure.sds[..., L:-1], outcome.sds[..., -1])
+
+
+def _stacked_dataset(scenario, draws):
+    """The stacked :class:`GeneratedDataset` of ``draws``.  A refusal is
+    that of the lowest replicate any construction step refuses, as if each
+    replicate were built in turn."""
+    if not draws:
+        return None
+    exposure, outcome = zip(*draws)
+    try:
+        return _dataset(scenario, np.stack(exposure), None if outcome[0] is None else np.stack(outcome), True)
+    except MvmrError as exc:
+        _stacked_dataset(scenario, draws[: exc.replicate])  # raises an earlier replicate's refusal, if any
+        raise
+
+
+def generate_dataset(scenario, seed, stacked=False, threads=1):
     """Simulate one dataset and its one :class:`SummaryStatistics`.
 
     Returns a :class:`GeneratedDataset`.  Two-sample scenarios
@@ -735,14 +777,26 @@ def generate_dataset(scenario, seed):
     ``IndividualData.summary_statistics`` mixes the first's
     instrument-exposure block with the second's instrument-outcome
     correlations; see :func:`_estimation_ld` for the LD matrix.
+
+    With ``stacked``, the dataset is a cell of ``scenario.replicates``
+    replicates, replicate i drawn from its own stream ``_replicate_rng(seed,
+    i)`` (on ``threads`` threads) and stacked on a leading replicate axis.
+    It refuses with the refusal of its lowest refused replicate, whether a
+    draw or a construction step refused it.
     """
-    rng = np.random.default_rng(seed)
-    A = scenario.effects.realize(rng, scenario)
-    exposure = _draw_cohort(scenario, A, scenario.n_samples, rng)
-    outcome = exposure if scenario.n_outcome is None else _draw_cohort(scenario, A, scenario.n_outcome, rng)
-    stats = exposure.summary_statistics(outcome, _estimation_ld(scenario, exposure, outcome))
-    L = exposure.n_instruments
-    return GeneratedDataset(exposure, stats, exposure.sds[L:-1], float(outcome.sds[-1]))
+    if not stacked:
+        return _dataset(scenario, *_draw(scenario, np.random.default_rng(seed)), False)
+    draws = [None] * scenario.replicates
+
+    def one(index, rng):
+        draws[index] = _draw(scenario, rng)
+
+    try:
+        _run_indexed(one, scenario.replicates, seed, threads)
+    except MvmrError:
+        _stacked_dataset(scenario, draws[: draws.index(None)])  # the replicates drawn before the refused one
+        raise
+    return _stacked_dataset(scenario, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +822,9 @@ class ReplicateSummary:
 
     Built empty for the scenario's ``replicates`` replicates: NaN
     estimates, standard errors and p-values, and with
-    ``collect_conditional_f`` a NaN (K, replicates) ``conditional_f`` whose
-    columns the caller fills.  :meth:`record` writes one replicate's row in
-    place, so replicates may be recorded in any order.
+    ``collect_conditional_f`` a NaN (K, replicates) ``conditional_f`` which
+    the caller fills.  :meth:`fill` writes the whole cell from its stacked
+    statistics.
     """
 
     def __init__(self, scenario, estimators, seed, collect_conditional_f=False):
@@ -795,21 +849,19 @@ class ReplicateSummary:
             for est, messages in self._messages.items()
         }
 
-    def record(self, index, stats, sd_x, sd_y):
-        """Estimate replicate ``index`` from ``stats`` with every estimator,
-        effects and SEs mapped back to the generative scale by ``sd_y /
-        sd_x``; an estimator that fails leaves its row NaN and records its
-        message."""
-        scale = sd_y / sd_x
+    def fill(self, stats, sd_x, sd_y):
+        """Estimate every replicate of the stacked ``stats`` with every
+        estimator, effects and SEs mapped back to the generative scale by
+        ``sd_y / sd_x`` (per replicate); a replicate an estimator refuses
+        keeps its NaN row and records the message."""
+        scale = sd_y[:, None] / sd_x
         for est in self.estimator_names:
-            try:
-                result = estimate(stats, est)
-            except MvmrError as exc:
+            result = estimate(stats, est)
+            self.estimates[est][:] = result.effects * scale
+            self.standard_errors[est][:] = result.standard_errors * scale
+            self.p_values[est][:] = result.p_values
+            for index, exc in result.refusals.items():
                 self._messages[est][index] = str(exc)
-                continue
-            self.estimates[est][index] = result.effects * scale
-            self.standard_errors[est][index] = result.standard_errors * scale
-            self.p_values[est][index] = result.p_values
 
     def mean(self, estimator):
         return _nan_reduce(np.nanmean, self.estimates[estimator], axis=0)
@@ -881,22 +933,18 @@ def run_replicates(scenario, seed, estimators, threads=1, collect_conditional_f=
     """Replicate study of a scenario, ``scenario.replicates`` replicates,
     under one or more estimators.
 
-    Deterministic for a given ``seed`` regardless of ``threads``.  Estimator
-    failures inside a replicate are recorded (NaN estimates) rather than
-    raised; the failure rate is part of the summary.
+    Each replicate is drawn on its own stream (:func:`generate_dataset`
+    with ``stacked``), and the cell is estimated once, on the stacked
+    statistics.  Deterministic for a given ``seed`` regardless of
+    ``threads``.  Estimator failures inside a replicate are recorded (NaN
+    estimates) rather than raised; the failure rate is part of the summary.
+    A replicate whose conditional F is refused keeps a NaN column.
     """
     summary = ReplicateSummary(scenario, estimators, seed, collect_conditional_f)
-
-    def one(index, rng):
-        data = generate_dataset(scenario, rng)
-        summary.record(index, data.statistics, data.sd_exposures, data.sd_outcome)
-        if collect_conditional_f:
-            try:
-                summary.conditional_f[:, index] = conditional_f(data.individual)
-            except MvmrError:
-                pass  # the column stays NaN
-
-    _run_indexed(one, scenario.replicates, seed, threads)
+    data = generate_dataset(scenario, seed, stacked=True, threads=threads)
+    summary.fill(data.statistics, data.sd_exposures, data.sd_outcome)
+    if collect_conditional_f:
+        summary.conditional_f[:] = conditional_f(data.individual)[0].T
     return summary
 
 
@@ -949,14 +997,9 @@ def pleiotropy_experiment(scenario, seed, estimators, threads=1):
         )
         full = ReplicateSummary(cell, estimators, seed + g)
         missp = ReplicateSummary(missp_scenario, estimators, seed + g)
-
-        def one(index, rng, cell=cell, full=full, missp=missp):
-            data = generate_dataset(cell, rng)
-            full.record(index, data.statistics, data.sd_exposures, data.sd_outcome)
-            dropped = data.statistics.drop_exposures(hidden)
-            missp.record(index, dropped, data.sd_exposures[keep], data.sd_outcome)
-
-        _run_indexed(one, scenario.replicates, seed + g, threads)
+        data = generate_dataset(cell, seed + g, stacked=True, threads=threads)
+        full.fill(data.statistics, data.sd_exposures, data.sd_outcome)
+        missp.fill(data.statistics.drop_exposures(hidden), data.sd_exposures[:, keep], data.sd_outcome)
         cells += [
             ({"hidden_effect": value, "model": "full"}, full),
             ({"hidden_effect": value, "model": "misspecified"}, missp),
@@ -1183,6 +1226,9 @@ def expand_scenario_config(config):
     for key in ("n_samples", "n_outcome", "ld_prune_r2"):
         if isinstance(config.get(key), (list, tuple)):
             grids.append((key, list(config[key])))
+    for key, values in grids:
+        if not values:
+            raise ScenarioError(f"scenario grids must be nonempty: {key!r} is []")
 
     if not grids:
         return [({}, scenario_from_dict(config))]

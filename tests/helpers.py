@@ -160,3 +160,20 @@ def reference_markov_cross(scenario, A, n, rng):
     z = np.column_stack([e, x, y])
     z -= z.mean(axis=0)
     return z.T @ z
+
+
+def refuse_replicates(estimator, chosen, error):
+    """The stacked ``estimator`` with the replicates ``chosen(stats)`` names
+    refused by ``error(stats, replicate)``, ahead of any refusal of its own,
+    as if they had failed before it ran."""
+
+    def refusing(stats):
+        result = estimator(stats)
+        result.refusals.update({i: error(stats, i) for i in chosen(stats)})
+        return result
+
+    return refusing
+
+
+def every_replicate(stats):
+    return range(len(stats.sigma_EX))

@@ -9,7 +9,7 @@ import pytest
 from mvmr import cli, graph, simulate
 from mvmr.errors import UnderdeterminedError
 from mvmr.estimators import ESTIMATORS
-from helpers import near_singular_ld_payload, rounding_indefinite_ld_payload
+from helpers import every_replicate, near_singular_ld_payload, refuse_replicates, rounding_indefinite_ld_payload
 
 SCENARIOS = resources.files("mvmr").joinpath("data", "scenarios")
 FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
@@ -216,6 +216,12 @@ class TestSimulateCommand:
             ({"genotypes": {"mode": "pair", "correlation": -0.9}}, "SNP pair 0-1: correlation -0.9 is infeasible"),
             ({"conditional_f": "no"}, "scenario key 'conditional_f' must be true or false, not \"no\""),
             ({"replicates": 0}, "need at least one replicate"),
+            ({"estimators": [""]}, "need at least one estimator"),
+            ({"estimators": []}, "need at least one estimator"),
+            ({"n_samples": []}, "scenario grids must be nonempty: 'n_samples' is []"),
+            ({"n_outcome": []}, "scenario grids must be nonempty: 'n_outcome' is []"),
+            ({"ld_prune_r2": []}, "scenario grids must be nonempty: 'ld_prune_r2' is []"),
+            ({"genotypes": {"mode": "pair", "correlation": []}}, "scenario grids must be nonempty: 'correlation' is []"),
         ],
     )
     def test_malformed_scenario_exit_2(self, tmp_path, capsys, edit, message):
@@ -224,6 +230,15 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("flag", [",", " , ", ""])
+    def test_empty_estimators_flag_exit_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--scenario", write_scenario(tmp_path), "--seed", "1", "--replicates", "2", "--estimators", flag, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: need at least one estimator\n"
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["n_samples", "n_outcome"])
     @pytest.mark.parametrize("value, message", [(None, "two_sample scenarios need"), ([], "two-sample grids must be nonempty")])
@@ -277,13 +292,11 @@ class TestSimulateCommand:
     def test_failed_replicate_rows_read_nan(self, tmp_path, monkeypatch):
         """A replicate whose estimator failed writes ``nan`` for its
         estimate, standard error and p-value, on every exposure's row."""
-        gmm = ESTIMATORS["gmm"]
-
-        def fails_on_some_replicates(stats):
-            if int(stats.sigma_EY[0] * 1e6) % 2:  # reads the replicate's data, not the call order
-                raise UnderdeterminedError("forced failure")
-            return gmm(stats)
-
+        fails_on_some_replicates = refuse_replicates(
+            ESTIMATORS["gmm"],
+            lambda stats: np.flatnonzero((stats.sigma_EY[:, 0] * 1e6).astype(int) % 2).tolist(),  # reads the replicates' data, not the call order
+            lambda stats, i: UnderdeterminedError("forced failure"),
+        )
         monkeypatch.setitem(ESTIMATORS, "gmm", fails_on_some_replicates)
         scenario = write_scenario(tmp_path)
         argv = ["simulate", "--scenario", scenario, "--seed", "4", "--replicates", "8", "--estimators", "ls,gmm"]
@@ -389,9 +402,7 @@ class TestSimulateCommand:
 
 
     def test_pleiotropy_failures_trip_failure_cap(self, tmp_path, monkeypatch, capsys):
-        def underdetermined(stats):
-            raise UnderdeterminedError("forced failure")
-
+        underdetermined = refuse_replicates(ESTIMATORS["ls"], every_replicate, lambda stats, i: UnderdeterminedError("forced failure"))
         monkeypatch.setitem(ESTIMATORS, "ls", underdetermined)
         scenario = write_scenario(
             tmp_path, "fig2_pleiotropy.json", hidden_effect_grid=[0.0], n_samples=500
@@ -418,14 +429,16 @@ class TestSimulateCommand:
         assert rates == [1.0, 1.0]
 
     def test_all_failed_cell_writes_strict_json(self, tmp_path, monkeypatch, capsys):
-        def fail(*args):
-            raise UnderdeterminedError("forced failure")
+        def no_conditional_f(individual):
+            values, _ = conditional_f(individual)
+            return np.full_like(values, np.nan), {i: UnderdeterminedError("forced failure") for i in range(len(values))}
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        monkeypatch.setitem(ESTIMATORS, "ls", fail)
-        monkeypatch.setattr(simulate, "conditional_f", fail)
+        conditional_f = simulate.conditional_f
+        monkeypatch.setitem(ESTIMATORS, "ls", refuse_replicates(ESTIMATORS["ls"], every_replicate, lambda stats, i: UnderdeterminedError("forced failure")))
+        monkeypatch.setattr(simulate, "conditional_f", no_conditional_f)
         scenario = write_scenario(tmp_path, conditional_f=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

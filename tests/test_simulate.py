@@ -1,5 +1,4 @@
 import importlib.resources as resources
-import itertools
 import json
 import sys
 import warnings
@@ -12,7 +11,7 @@ from mvmr import estimators as est
 from mvmr import simulate as sim
 from mvmr.errors import FeasibilityError, InvalidStatisticsError, MvmrError, ScenarioError, UnderdeterminedError
 
-from helpers import reference_markov_cross
+from helpers import every_replicate, reference_markov_cross, refuse_replicates
 
 
 def bundled_cell(name, n_samples):
@@ -694,13 +693,11 @@ class TestRunReplicates:
         """Everything the pool writes agrees at 1 and 3 threads, with gmm
         failing on some replicates and not on others.  A short switch
         interval interleaves the workers' writes into the shared summary."""
-        gmm = est.ESTIMATORS["gmm"]
-
-        def fails_on_some_replicates(stats):
-            if stats.sigma_EY[0] > 0:  # reads the replicate's data, not the call order
-                raise MvmrError(f"forced failure at {stats.sigma_EY[0]!r}")
-            return gmm(stats)
-
+        fails_on_some_replicates = refuse_replicates(
+            est.ESTIMATORS["gmm"],
+            lambda stats: np.flatnonzero(stats.sigma_EY[:, 0] > 0).tolist(),  # reads the replicates' data, not the call order
+            lambda stats, i: MvmrError(f"forced failure at {stats.sigma_EY[i, 0]!r}"),
+        )
         monkeypatch.setitem(est.ESTIMATORS, "gmm", fails_on_some_replicates)
         scenario = self._pair_scenario()
         interval = sys.getswitchinterval()
@@ -773,9 +770,7 @@ class TestPleiotropyExperiment:
         assert np.all(np.abs(missp.bias("ls")) < 4 * sem + 0.01)
 
     def test_estimator_failures_are_counted(self, monkeypatch):
-        def underdetermined(stats):
-            raise UnderdeterminedError("forced failure")
-
+        underdetermined = refuse_replicates(est.ESTIMATORS["ls"], every_replicate, lambda stats, i: UnderdeterminedError("forced failure"))
         monkeypatch.setitem(est.ESTIMATORS, "ls", underdetermined)
         scenario = self._fig2()
         cells = sim.pleiotropy_experiment(
@@ -871,24 +866,17 @@ class TestType1Power:
         )
 
     def test_failed_replicates_left_out_of_rates(self, monkeypatch):
-        calls = itertools.count()
-        ls = sim.ESTIMATORS["ls"]
-
-        def every_other_call_fails(stats):
-            if next(calls) % 2:
-                raise MvmrError("forced failure")
-            return ls(stats)
-
-        monkeypatch.setitem(sim.ESTIMATORS, "ls", every_other_call_fails)
+        every_other_replicate_fails = refuse_replicates(
+            sim.ESTIMATORS["ls"], lambda stats: range(1, len(stats.sigma_EX), 2), lambda stats, i: MvmrError("forced failure")
+        )
+        monkeypatch.setitem(sim.ESTIMATORS, "ls", every_other_replicate_fails)
         null, alt = self._s9_scenarios(20)
         out = sim.type1_power(null, alt, alpha=1.0, seed=3, estimators=("ls",))
         assert len(out["null"].failures["ls"]) == 10
         assert out["rates"]["ls"] == {"type1": 1.0, "power": 1.0}
 
     def test_all_failed_rates_are_nan_without_warning(self, monkeypatch):
-        def always_fails(stats):
-            raise MvmrError("forced failure")
-
+        always_fails = refuse_replicates(sim.ESTIMATORS["ls"], every_replicate, lambda stats, i: MvmrError("forced failure"))
         monkeypatch.setitem(sim.ESTIMATORS, "ls", always_fails)
         null, alt = self._s9_scenarios(4)
         with warnings.catch_warnings():
