@@ -39,6 +39,7 @@ leaves its rows NaN, where on a single object it raises it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -104,9 +105,10 @@ def _refuse_lowest(checks):
     refusals = _refusals(checks)
     if refusals:
         replicate = min(refusals)
-        exc = refusals[replicate]
-        exc.replicate = replicate
-        raise exc
+        refusals[replicate].replicate = replicate
+        # raised without a local name: this frame, kept by the traceback,
+        # must not refer back to the exception
+        raise refusals.pop(replicate)
 
 
 def _without(matrices, replicates):
@@ -306,9 +308,11 @@ class SummaryStatistics:
 
 
 def _raise_single(stats, refusals):
-    """Raise a single object's refusal; a stack's stay recorded."""
+    """Raise a single object's refusal; a stack's stay recorded.  A copy is
+    raised: the traceback of the cached original would hold frames that
+    refer to ``stats``, a reference cycle only the garbage collector frees."""
     if refusals and not stats.stacked:
-        raise refusals[0]
+        raise copy.copy(refusals[0])
 
 
 def centred_cross(genotypes, exposures, outcome):

@@ -677,6 +677,152 @@ class TestGenerateDataset:
             )
 
 
+def _mras_two_sample(**kwargs):
+    return sim.scenario_from_dict({
+        "true_effects": [0.208, -0.294], "n_samples": 300, "n_outcome": 1000, "genotypes": {"mode": "gaussian", "fixture": "mras_esyt3"},
+        "effects": {"low": 0.05, "high": 0.15}, "causal_instruments": [[0, 1], [3, 4]], **kwargs,
+    })
+
+
+class TestStackedCellMatchesSingleReplicates:
+    """A stacked cell is the R = 1 code on a leading replicate axis: every
+    replicate's statistics, estimates, inference and conditional F equal,
+    bit for bit, those of ``generate_dataset`` on that replicate's own
+    stream, and every refusal has the same type and message."""
+
+    SEED = 11
+    CELLS = {
+        "markov": lambda: bundled_cell("fig3_ls_vs_gmm", 500),
+        "markov_conditional_f": lambda: bundled_cell("s3_conditional_f_strong", 2000),
+        "gaussian_one_sample": lambda: bundled_cell("fig2_corr_desk", 2000),
+        "two_sample_outcome_ld": lambda: _mras_two_sample(ld_choice="outcome"),
+        "two_sample_reference_ld": lambda: _mras_two_sample(ld_choice="reference", instrument_subset=[0, 1, 3, 4]),
+        "markov_instrument_subset": lambda: bundled_cell("fig3_ld_accuracy", 2000),
+        "gaussian_wishart_reference_ld": lambda: bundled_cell("fig3_ld_perturb", 2000),
+        "near_perfect_ld": lambda: sim.scenario_from_dict({
+            "true_effects": [0.2], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998},
+            "effects": {"low": 0.2, "high": 0.4},
+        }),
+        "singular_markov_ld": lambda: sim.SimulationScenario(
+            true_effects=(0.2, 0.6), n_samples=200, genotypes=sim.GenotypeModel((0.3, 0.3), (0.999,)), effects=sim.EffectSizes(low=0.1, high=0.3)
+        ),
+        "collinear_exposures": lambda: sim.SimulationScenario(
+            true_effects=(0.2, 0.3, -0.1), n_samples=300, ld_matrix=((1.0, 0.3, 0.1), (0.3, 1.0, 0.3), (0.1, 0.3, 1.0)),
+            effects=sim.EffectSizes(matrix=((0.3, 0.2, 0.2), (0.1, 0.25, 0.25), (0.2, 0.05, 0.05))), noise_variance=0.0,
+        ),
+    }
+
+    @staticmethod
+    def _same(got, want):
+        """Bitwise equality of arrays, or of refusals by type and message."""
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            want = np.asarray(want, dtype=float)
+            assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+
+    def _singles(self, scenario):
+        return [sim.generate_dataset(scenario, sim._replicate_rng(self.SEED, i)) for i in range(scenario.replicates)]
+
+    def _check(self, stacked, singles, derive):
+        """``derive`` maps a dataset to ``(statistics, individual)``."""
+        stats, individual = derive(stacked)
+        refused = {}
+        for est_name in sim.ESTIMATORS:
+            result = est.estimate(stats, est_name)
+            for i, single in enumerate(singles):
+                try:
+                    want = est.estimate(derive(single)[0], est_name)
+                except MvmrError as exc:
+                    self._same(result.refusals[i], exc)
+                    assert np.isnan(result.effects[i]).all() and np.isnan(result.standard_errors[i]).all()
+                    assert np.isnan(result.p_values[i]).all() and not result.bonferroni_significant[i].any()
+                    refused.setdefault(est_name, []).append(i)
+                    continue
+                assert i not in result.refusals
+                for field in ("effects", "standard_errors", "p_values", "bonferroni_significant"):
+                    self._same(getattr(result, field)[i], getattr(want, field))
+        values, refusals = est.conditional_f(individual)
+        for i, single in enumerate(singles):
+            try:
+                want = est.conditional_f(derive(single)[1])
+            except MvmrError as exc:
+                self._same(refusals[i], exc)
+                assert np.isnan(values[i]).all()
+                refused.setdefault("conditional_f", []).append(i)
+                continue
+            assert i not in refusals
+            self._same(values[i], want)
+        return refused
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_every_replicate_matches(self, cell):
+        scenario = replace(self.CELLS[cell](), replicates=12)
+        stacked = sim.generate_dataset(scenario, self.SEED, stacked=True)
+        singles = self._singles(scenario)
+        for i, single in enumerate(singles):
+            for name in ("sigma_EX", "sigma_EY", "sigma_EE"):
+                self._same(getattr(stacked.statistics, name)[i], getattr(single.statistics, name))
+            self._same(stacked.individual.corr[i], single.individual.corr)
+            self._same(stacked.sd_exposures[i], single.sd_exposures)
+            self._same(stacked.sd_outcome[i], single.sd_outcome)
+        refused = self._check(stacked, singles, lambda data: (data.statistics, data.individual))
+        expected = {
+            "near_perfect_ld": {"ls": 7, "gmm": 7, "twmr": 7},
+            "singular_markov_ld": {"ls": 10, "gmm": 10, "twmr": 10, "conditional_f": 10},
+            "collinear_exposures": {"ls": 12, "gmm": 12, "twmr": 12, "conditional_f": 12},
+        }.get(cell, {})
+        assert {key: len(indices) for key, indices in refused.items()} == expected
+
+    def test_pleiotropy_misspecified_cell(self):
+        scenario = replace(TestPleiotropyExperiment._fig2(), replicates=12)
+        scenario = replace(scenario, true_effects=tuple(0.3 if k in scenario.hidden_exposures else c for k, c in enumerate(scenario.true_effects)))
+        stacked = sim.generate_dataset(scenario, self.SEED, stacked=True)
+        dropped = lambda data: (data.statistics.drop_exposures(scenario.hidden_exposures), data.individual)
+        assert self._check(stacked, self._singles(scenario), dropped) == {}
+
+    def test_summary_rows_are_the_single_estimates_rescaled(self):
+        scenario = replace(self.CELLS["near_perfect_ld"](), replicates=12)
+        summary = sim.run_replicates(scenario, self.SEED, ("ls", "gmm", "twmr"), collect_conditional_f=True)
+        for i, single in enumerate(self._singles(scenario)):
+            scale = single.sd_outcome / single.sd_exposures
+            for est_name in summary.estimator_names:
+                try:
+                    want = est.estimate(single.statistics, est_name)
+                except MvmrError as exc:
+                    assert (i, str(exc)) in summary.failures[est_name]
+                    assert np.isnan(summary.estimates[est_name][i]).all()
+                    continue
+                self._same(summary.estimates[est_name][i], want.effects * scale)
+                self._same(summary.standard_errors[est_name][i], want.standard_errors * scale)
+                self._same(summary.p_values[est_name][i], want.p_values)
+            self._same(summary.conditional_f[:, i], est.conditional_f(single.individual))
+        assert summary.failure_rate("gmm") == 7 / 12
+
+    def test_construction_refusal_names_the_lowest_replicate(self, monkeypatch):
+        """A refusal that aborts a cell is that of its lowest refused
+        replicate, whichever construction step refuses it."""
+        scenario = replace(self.CELLS["gaussian_one_sample"](), replicates=6)
+        draw = sim._draw
+
+        def spoiled(scenario, rng):
+            exposure, outcome = draw(scenario, rng)
+            index = spoiled.calls
+            spoiled.calls += 1
+            if index == 4:  # a constant column: refused by IndividualData
+                exposure[:, 0] = exposure[0, :] = 0.0
+            if index == 2:  # an indefinite LD matrix: refused later, by SummaryStatistics
+                L = scenario.n_instruments
+                exposure[:L, :L] = np.diag(np.sqrt(np.diag(exposure)[:L])) @ [[1.0, 1.5], [1.5, 1.0]] @ np.diag(np.sqrt(np.diag(exposure)[:L]))
+            return exposure, outcome
+
+        spoiled.calls = 0
+        monkeypatch.setattr(sim, "_draw", spoiled)
+        with pytest.raises(InvalidStatisticsError, match="sigma_EE must be positive definite") as info:
+            sim.generate_dataset(scenario, self.SEED, stacked=True)
+        assert info.value.replicate == 2
+
+
 class TestRunReplicates:
     @staticmethod
     def _pair_scenario(**kwargs):
