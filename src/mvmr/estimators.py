@@ -307,11 +307,12 @@ class SummaryStatistics:
         )
 
 
-def _raise_single(stats, refusals):
-    """Raise a single object's refusal; a stack's stay recorded.  A copy is
-    raised: the traceback of the cached original would hold frames that
-    refer to ``stats``, a reference cycle only the garbage collector frees."""
-    if refusals and not stats.stacked:
+def _raise_single(data, refusals):
+    """Raise the refusal of ``data``, single statistics or a single cohort;
+    a stack's stay recorded.  A copy is raised: the traceback of the cached
+    original would hold frames that refer to ``data``, a reference cycle
+    only the garbage collector frees."""
+    if refusals and not data.stacked:
         raise copy.copy(refusals[0])
 
 
@@ -717,12 +718,12 @@ def conditional_f(individual):
     n, L, corr = individual.n_observations, individual.n_instruments, individual.corr
     *batch, d, _ = corr.shape
     K = d - L - 1
-    values = np.full((*batch, K), np.nan)
-    if n <= L + K:
-        refusals = _refusals([(np.ones(batch, dtype=bool), lambda i: InvalidStatisticsError("conditional F requires N > L + K"))])
-        return _conditional_f_result(individual, values, refusals)
+    values = np.empty((*batch, K))
     chol, failed = _per_matrix(np.linalg.cholesky, corr[..., :L, :L])
-    refusals = _refusals([(failed, lambda i: InvalidStatisticsError("conditional F needs a positive definite LD matrix"))])
+    refusals = _refusals([
+        (np.full(batch, n <= L + K), lambda i: InvalidStatisticsError("conditional F requires N > L + K")),
+        (failed, lambda i: InvalidStatisticsError("conditional F needs a positive definite LD matrix")),
+    ])
     fitted = np.linalg.solve(_without(chol, refusals), corr[..., :L, L:-1])
     df_num = L - K + 1
     df_den = n - L
@@ -748,15 +749,9 @@ def conditional_f(individual):
         rss1 = n * (1.0 - (target[..., None, :] @ target[..., :, None])[..., 0, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             values[..., k] = np.where(rss1 <= 0, np.inf, (explained / df_num) / (rss1 / df_den))
-    return _conditional_f_result(individual, values, refusals)
-
-
-def _conditional_f_result(individual, values, refusals):
-    if not individual.stacked:
-        _raise_single(individual, refusals)
-        return values
+    _raise_single(individual, refusals)
     values[list(refusals)] = np.nan
-    return values, refusals
+    return (values, refusals) if individual.stacked else values
 
 
 ESTIMATORS = {

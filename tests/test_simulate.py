@@ -706,6 +706,9 @@ class TestStackedCellMatchesSingleReplicates:
         "singular_markov_ld": lambda: sim.SimulationScenario(
             true_effects=(0.2, 0.6), n_samples=200, genotypes=sim.GenotypeModel((0.3, 0.3), (0.999,)), effects=sim.EffectSizes(low=0.1, high=0.3)
         ),
+        "too_few_observations_for_conditional_f": lambda: sim.SimulationScenario(
+            true_effects=(0.2, 0.1), n_samples=4, ld_matrix=((1.0, 0.3), (0.3, 1.0)), effects=sim.EffectSizes(low=0.2, high=0.4)
+        ),
         "collinear_exposures": lambda: sim.SimulationScenario(
             true_effects=(0.2, 0.3, -0.1), n_samples=300, ld_matrix=((1.0, 0.3, 0.1), (0.3, 1.0, 0.3), (0.1, 0.3, 1.0)),
             effects=sim.EffectSizes(matrix=((0.3, 0.2, 0.2), (0.1, 0.25, 0.25), (0.2, 0.05, 0.05))), noise_variance=0.0,
@@ -771,6 +774,7 @@ class TestStackedCellMatchesSingleReplicates:
             "near_perfect_ld": {"ls": 7, "gmm": 7, "twmr": 7},
             "singular_markov_ld": {"ls": 10, "gmm": 10, "twmr": 10, "conditional_f": 10},
             "collinear_exposures": {"ls": 12, "gmm": 12, "twmr": 12, "conditional_f": 12},
+            "too_few_observations_for_conditional_f": {"conditional_f": 12},
         }.get(cell, {})
         assert {key: len(indices) for key, indices in refused.items()} == expected
 
