@@ -76,7 +76,7 @@ def _floats(value, name, error=InvalidStatisticsError):
 
 def _T(matrices):
     """Each matrix of a stack (or one matrix) transposed."""
-    return np.swapaxes(matrices, -1, -2)
+    return matrices.swapaxes(-1, -2)
 
 
 def _at(values, replicate):
@@ -156,7 +156,7 @@ def check_correlation(matrix, name, error=InvalidStatisticsError, stacked=False)
             (~np.isfinite(r).all(axis=(-2, -1)), lambda i: error(f"{name} contains non-finite entries")),
             (np.abs(r - _T(r)).max(axis=(-2, -1)) > 1e-8, lambda i: error(f"{name} must be symmetric")),
             (
-                np.abs(np.diagonal(r, axis1=-2, axis2=-1) - 1.0).max(axis=-1) > 1e-8,
+                np.abs(r.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1) > 1e-8,
                 lambda i: error(f"{name} must have unit diagonal (standardized scale)"),
             ),
         ])
@@ -227,6 +227,23 @@ class SummaryStatistics:
         return identifiability_diagnostics(self)
 
     @cached_property
+    def _rank_refusals(self):
+        """``{replicate: UnderdeterminedError}`` of the rank-deficient designs."""
+        report = self.diagnostics
+        K = self.n_exposures
+
+        def refusal(i):
+            return UnderdeterminedError(
+                "instrument-exposure covariance matrix is rank deficient "
+                f"(rank {_at(report.rank_EX, i)} < {K} exposures): causal "
+                "effects are not identifiable; inspect the determinant/rank "
+                "diagnostics",
+                diagnostics=_report_at(report, i),
+            )
+
+        return _refusals([(np.asarray(report.rank_EX) < K, refusal)])
+
+    @cached_property
     def _ld(self):
         """``(Sigma_EE^-1, refusals)``: a replicate whose LD matrix is too
         ill-conditioned or not positive definite is refused, and its
@@ -235,7 +252,7 @@ class SummaryStatistics:
         smallest = self._ld_eigenvalues[..., 0]
         refusals = _refusals([
             (
-                ~np.isfinite(cond) | (cond > LD_CONDITION_LIMIT),
+                np.logical_not(cond <= LD_CONDITION_LIMIT),  # or not finite
                 lambda i: IllConditionedLdError(
                     f"LD matrix condition number {_at(cond, i):.3e} exceeds {LD_CONDITION_LIMIT:.0e}; "
                     "prune near-identical instruments (r^2 >= 0.95) before estimating"
@@ -260,7 +277,7 @@ class SummaryStatistics:
         ld_inverse, refusals = self._ld
         W = _T(self.sigma_EX) @ ld_inverse
         report = self.diagnostics
-        refusals = _refusals([_rank_check(self)], refusals)
+        refusals = {**self._rank_refusals, **refusals}  # an LD refusal comes first
         M = _without(W @ self.sigma_EX, refusals)
         M_inv, failed = _per_matrix(np.linalg.inv, M)
         singular = failed | ~np.isfinite(M_inv).all(axis=(-2, -1))  # singular at float precision
@@ -367,7 +384,7 @@ class IndividualData:
             )
         if self.n_observations <= L:
             raise InvalidStatisticsError("need more observations than instruments")
-        diagonal = np.diagonal(cross, axis1=-2, axis2=-1)
+        diagonal = cross.diagonal(axis1=-2, axis2=-1)
         _refuse_lowest([
             (~np.isfinite(cross).all(axis=(-2, -1)), lambda i: InvalidStatisticsError("individual-level data contain non-finite values")),
             ((diagonal <= 0).any(axis=-1), lambda i: InvalidStatisticsError("degenerate (constant) column in individual-level data")),
@@ -408,7 +425,7 @@ def _unit_diagonal(matrix):
     """Force an exactly-unit diagonal on a near-correlation matrix (or on
     each matrix of a stack)."""
     out = np.array(matrix, dtype=float)
-    d = np.sqrt(np.clip(np.diagonal(out, axis1=-2, axis2=-1), 1e-300, None))
+    d = np.sqrt(out.diagonal(axis1=-2, axis2=-1).clip(1e-300, None))
     out /= d[..., :, None] * d[..., None, :]
     diagonal = np.arange(out.shape[-1])
     out[..., diagonal, diagonal] = 1.0
@@ -478,7 +495,7 @@ def identifiability_diagnostics(stats):
     magnitudes = np.abs(stats._ld_eigenvalues)
     smallest = magnitudes.min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        det_gram = np.where(positive.all(axis=-1), np.linalg.det(G), 0.0)
+        det_gram = np.linalg.det(G) * positive.all(axis=-1)  # a zero column makes det(G) exactly 0
         cond_EX = np.where(bottom > 0, top / bottom, np.inf)
         cond_EE = np.where(smallest > 0, magnitudes.max(axis=-1) / smallest, np.inf)
     K, L = stats.n_exposures, stats.n_instruments
@@ -495,23 +512,6 @@ def _verdict(det_gram):
     return "fail" if det_gram < DET_FAIL else "warn"
 
 
-def _rank_check(stats):
-    """The ``(mask, make)`` check refusing a rank-deficient design."""
-    report = stats.diagnostics
-    K = stats.n_exposures
-
-    def refusal(i):
-        return UnderdeterminedError(
-            "instrument-exposure covariance matrix is rank deficient "
-            f"(rank {_at(report.rank_EX, i)} < {K} exposures): causal "
-            "effects are not identifiable; inspect the determinant/rank "
-            "diagnostics",
-            diagnostics=_report_at(report, i),
-        )
-
-    return np.asarray(report.rank_EX) < K, refusal
-
-
 def _estimated(stats, effects, refusals):
     """The :class:`EstimateResult` of ``effects``; a single object raises its
     refusal, a stack NaNs its refused replicates' rows."""
@@ -524,7 +524,7 @@ def _estimated(stats, effects, refusals):
 
 def ls_estimate(stats):
     """Least-squares solution of the moment equations: ``Delta = I``."""
-    refusals = _refusals([_rank_check(stats)])
+    refusals = stats._rank_refusals
     S = stats.sigma_EX
     # a copied transpose takes numpy's general product, not its symmetric
     # S.T @ S kernel, whose last bits differ: LS outputs are fixed bit for bit
@@ -580,10 +580,10 @@ def standard_errors(result, stats):
         raise ValueError("summary-mode standard errors require n_outcome")
     _, v, sandwich, refusals = stats._moments
     _raise_single(stats, refusals)
-    sigma_u2 = 1.0 - (result.effects[..., None, :] @ v[..., :, None])[..., 0, 0]
-    sigma_u2 = np.maximum(0.0, np.where(np.isfinite(sigma_u2), sigma_u2, 1.0))
-    variances = np.diagonal(sandwich, axis1=-2, axis2=-1) * sigma_u2[..., None] / stats.n_outcome
-    return np.sqrt(np.clip(variances, 0.0, None))
+    fitted = (result.effects[..., None, :] @ v[..., :, None])[..., 0]
+    sigma_u2 = np.maximum(0.0, np.where(np.isfinite(fitted), 1.0 - fitted, 1.0))
+    variances = sandwich.diagonal(axis1=-2, axis2=-1) * sigma_u2 / stats.n_outcome
+    return np.sqrt(variances.clip(0.0, None))
 
 
 # The standard normal CDF, ported from S. L. Moshier's Cephes ``ndtr``,
