@@ -491,7 +491,7 @@ def identifiability_diagnostics(stats):
     G = _T(S / safe) @ (S / safe)
     svals = np.linalg.svd(S, compute_uv=False)
     top, bottom = svals[..., 0], svals[..., -1]
-    rank = (svals > top[..., None] * RANK_RTOL).sum(axis=-1)  # 0 when every singular value is
+    rank = (svals > top[..., None] * RANK_RTOL).sum(axis=-1)  # 0 when every singular value is 0
     magnitudes = np.abs(stats._ld_eigenvalues)
     smallest = magnitudes.min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
