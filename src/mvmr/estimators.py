@@ -247,7 +247,8 @@ class SummaryStatistics:
     def _ld(self):
         """``(Sigma_EE^-1, refusals)``: a replicate whose LD matrix is too
         ill-conditioned or not positive definite is refused, and its
-        inverse is that of the identity."""
+        inverse is that of the identity.  A single object raises its
+        refusal instead."""
         cond = self.diagnostics.condition_EE
         smallest = self._ld_eigenvalues[..., 0]
         refusals = _refusals([
@@ -267,17 +268,20 @@ class SummaryStatistics:
                 ),
             ),
         ])
+        _raise_single(self, refusals)
         return _read_only(np.linalg.inv(_without(self.sigma_EE, refusals))), refusals
 
     @cached_property
     def _moments(self):
         """``(M, v, M^-1, refusals)`` of the optimally weighted moment
         equations, for every replicate; see :attr:`weighted_moments`.  A
-        refused replicate's ``M`` and ``M^-1`` are the identity."""
+        refused replicate's ``M`` and ``M^-1`` are the identity; a single
+        object raises its refusal instead."""
         ld_inverse, refusals = self._ld
         W = _T(self.sigma_EX) @ ld_inverse
         report = self.diagnostics
         refusals = {**self._rank_refusals, **refusals}  # an LD refusal comes first
+        _raise_single(self, refusals)
         M = _without(W @ self.sigma_EX, refusals)
         M_inv, failed = _per_matrix(np.linalg.inv, M)
         singular = failed | ~np.isfinite(M_inv).all(axis=(-2, -1))  # singular at float precision
@@ -285,6 +289,7 @@ class SummaryStatistics:
             [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
             refusals,
         )
+        _raise_single(self, refusals)
         M, M_inv = _without(M, refusals), _without(M_inv, refusals)
         v = (W @ self.sigma_EY[..., None])[..., 0]
         return _read_only(M), _read_only(v), _read_only(M_inv), refusals
@@ -293,9 +298,7 @@ class SummaryStatistics:
     def ld_inverse(self):
         """``Sigma_EE^-1``, refused when the LD matrix is too ill-conditioned
         or not positive definite."""
-        inverse, refusals = self._ld
-        _raise_single(self, refusals)
-        return inverse
+        return self._ld[0]
 
     @property
     def weighted_moments(self):
@@ -307,9 +310,7 @@ class SummaryStatistics:
         matrix is checked, a rank-deficient design or a numerically
         singular ``M`` raises :class:`UnderdeterminedError`.
         """
-        *moments, refusals = self._moments
-        _raise_single(self, refusals)
-        return tuple(moments)
+        return self._moments[:3]
 
     def drop_exposures(self, indices):
         keep = [k for k in range(self.n_exposures) if k not in set(indices)]
@@ -494,10 +495,10 @@ def identifiability_diagnostics(stats):
     rank = (svals > top[..., None] * RANK_RTOL).sum(axis=-1)  # 0 when every singular value is 0
     magnitudes = np.abs(stats._ld_eigenvalues)
     smallest = magnitudes.min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         det_gram = np.linalg.det(G) * positive.all(axis=-1)  # a zero column makes det(G) exactly 0
-        cond_EX = np.where(bottom > 0, top / bottom, np.inf)
-        cond_EE = np.where(smallest > 0, magnitudes.max(axis=-1) / smallest, np.inf)
+    cond_EX = np.divide(top, bottom, out=np.full_like(top, np.inf), where=bottom > 0)
+    cond_EE = np.divide(magnitudes.max(axis=-1), smallest, out=np.full_like(smallest, np.inf), where=smallest > 0)
     K, L = stats.n_exposures, stats.n_instruments
     if not stats.stacked:
         det_gram = float(det_gram)
@@ -578,8 +579,7 @@ def standard_errors(result, stats):
     """
     if stats.n_outcome is None:
         raise ValueError("summary-mode standard errors require n_outcome")
-    _, v, sandwich, refusals = stats._moments
-    _raise_single(stats, refusals)
+    _, v, sandwich, _ = stats._moments
     fitted = (result.effects[..., None, :] @ v[..., :, None])[..., 0]
     sigma_u2 = np.maximum(0.0, np.where(np.isfinite(fitted), 1.0 - fitted, 1.0))
     variances = sandwich.diagonal(axis1=-2, axis2=-1) * sigma_u2 / stats.n_outcome
