@@ -227,23 +227,6 @@ class SummaryStatistics:
         return identifiability_diagnostics(self)
 
     @cached_property
-    def _rank_refusals(self):
-        """``{replicate: UnderdeterminedError}`` of the rank-deficient designs."""
-        report = self.diagnostics
-        K = self.n_exposures
-
-        def refusal(i):
-            return UnderdeterminedError(
-                "instrument-exposure covariance matrix is rank deficient "
-                f"(rank {_at(report.rank_EX, i)} < {K} exposures): causal "
-                "effects are not identifiable; inspect the determinant/rank "
-                "diagnostics",
-                diagnostics=_report_at(report, i),
-            )
-
-        return _refusals([(np.asarray(report.rank_EX) < K, refusal)])
-
-    @cached_property
     def _ld(self):
         """``(Sigma_EE^-1, refusals)``: a replicate whose LD matrix is too
         ill-conditioned or not positive definite is refused, and its
@@ -280,7 +263,7 @@ class SummaryStatistics:
         ld_inverse, refusals = self._ld
         W = _T(self.sigma_EX) @ ld_inverse
         report = self.diagnostics
-        refusals = {**self._rank_refusals, **refusals}  # an LD refusal comes first
+        refusals = {**_rank_refusals(self), **refusals}  # an LD refusal comes first
         _raise_single(self, refusals)
         M = _without(W @ self.sigma_EX, refusals)
         M_inv, failed = _per_matrix(np.linalg.inv, M)
@@ -497,8 +480,9 @@ def identifiability_diagnostics(stats):
     smallest = magnitudes.min(axis=-1)
     with np.errstate(divide="ignore"):
         det_gram = np.linalg.det(G) * positive.all(axis=-1)  # a zero column makes det(G) exactly 0
-    cond_EX = np.divide(top, bottom, out=np.full_like(top, np.inf), where=bottom > 0)
-    cond_EE = np.divide(magnitudes.max(axis=-1), smallest, out=np.full_like(smallest, np.inf), where=smallest > 0)
+        # x / 0 with x > 0 reads inf; the added 1 makes 0 / 0 read inf too
+        cond_EX = (top + (bottom == 0)) / bottom
+        cond_EE = (magnitudes.max(axis=-1) + (smallest == 0)) / smallest
     K, L = stats.n_exposures, stats.n_instruments
     if not stats.stacked:
         det_gram = float(det_gram)
@@ -513,6 +497,23 @@ def _verdict(det_gram):
     return "fail" if det_gram < DET_FAIL else "warn"
 
 
+def _rank_refusals(stats):
+    """``{replicate: UnderdeterminedError}`` of the rank-deficient designs."""
+    report = stats.diagnostics
+    K = stats.n_exposures
+
+    def refusal(i):
+        return UnderdeterminedError(
+            "instrument-exposure covariance matrix is rank deficient "
+            f"(rank {_at(report.rank_EX, i)} < {K} exposures): causal "
+            "effects are not identifiable; inspect the determinant/rank "
+            "diagnostics",
+            diagnostics=_report_at(report, i),
+        )
+
+    return _refusals([(np.asarray(report.rank_EX) < K, refusal)])
+
+
 def _estimated(stats, effects, refusals):
     """The :class:`EstimateResult` of ``effects``; a single object raises its
     refusal, a stack NaNs its refused replicates' rows."""
@@ -525,7 +526,7 @@ def _estimated(stats, effects, refusals):
 
 def ls_estimate(stats):
     """Least-squares solution of the moment equations: ``Delta = I``."""
-    refusals = stats._rank_refusals
+    refusals = _rank_refusals(stats)
     S = stats.sigma_EX
     # a copied transpose takes numpy's general product, not its symmetric
     # S.T @ S kernel, whose last bits differ: LS outputs are fixed bit for bit
