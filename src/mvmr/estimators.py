@@ -151,15 +151,16 @@ def check_correlation(matrix, name, error=InvalidStatisticsError, stacked=False)
         r = np.atleast_2d(r)
     if r.ndim != 2 + stacked or r.shape[-1] != r.shape[-2] or r.size == 0:
         raise error(f"{name} must be a square matrix")
-    with np.errstate(invalid="ignore"):
-        _refuse_lowest([
-            (~np.isfinite(r).all(axis=(-2, -1)), lambda i: error(f"{name} contains non-finite entries")),
-            (np.abs(r - _T(r)).max(axis=(-2, -1)) > 1e-8, lambda i: error(f"{name} must be symmetric")),
-            (
-                np.abs(r.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1) > 1e-8,
-                lambda i: error(f"{name} must have unit diagonal (standardized scale)"),
-            ),
-        ])
+    finite = np.isfinite(r).all(axis=(-2, -1))
+    shape = np.where(finite[..., None, None], r, 0.0)  # a refused non-finite matrix is zeros here: no inf - inf
+    _refuse_lowest([
+        (~finite, lambda i: error(f"{name} contains non-finite entries")),
+        (np.abs(shape - _T(shape)).max(axis=(-2, -1)) > 1e-8, lambda i: error(f"{name} must be symmetric")),
+        (
+            np.abs(shape.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1) > 1e-8,
+            lambda i: error(f"{name} must have unit diagonal (standardized scale)"),
+        ),
+    ])
     return r, np.linalg.eigvalsh(r)
 
 
@@ -266,8 +267,8 @@ class SummaryStatistics:
         refusals = {**_rank_refusals(self), **refusals}  # an LD refusal comes first
         _raise_single(self, refusals)
         M = _without(W @ self.sigma_EX, refusals)
-        M_inv, failed = _per_matrix(np.linalg.inv, M)
-        singular = failed | ~np.isfinite(M_inv).all(axis=(-2, -1))  # singular at float precision
+        M_inv, _ = _per_matrix(np.linalg.inv, M)
+        singular = ~np.isfinite(M_inv).all(axis=(-2, -1))  # a failed inverse reads NaN; or singular at float precision
         refusals = _refusals(
             [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
             refusals,
@@ -501,6 +502,9 @@ def _rank_refusals(stats):
     """``{replicate: UnderdeterminedError}`` of the rank-deficient designs."""
     report = stats.diagnostics
     K = stats.n_exposures
+    deficient = np.less(report.rank_EX, K)
+    if not deficient.any():
+        return {}
 
     def refusal(i):
         return UnderdeterminedError(
@@ -511,7 +515,7 @@ def _rank_refusals(stats):
             diagnostics=_report_at(report, i),
         )
 
-    return _refusals([(np.asarray(report.rank_EX) < K, refusal)])
+    return _refusals([(deficient, refusal)])
 
 
 def _estimated(stats, effects, refusals):
