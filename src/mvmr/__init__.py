@@ -16,6 +16,7 @@ from .errors import (
     InvalidStatisticsError,
     MvmrError,
     PathEnumerationError,
+    PipelineConfigError,
     ScenarioError,
     StandardizationError,
     SummaryFormatError,

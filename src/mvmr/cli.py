@@ -1,10 +1,12 @@
 """Command-line front end: simulate, estimate, loci, figures.
 
 Every subcommand is side-effect-free outside its output directory and
-deterministic for a fixed seed and thread count (thread counts do not
-change results, only wall time).  Exit codes: 0 success; 2 usage or
-input error (an unreadable file, ScenarioError, SummaryFormatError, or
-``estimate`` statistics refused with InvalidStatisticsError); 3
+deterministic for a fixed seed.  Thread counts apply to ``simulate`` and
+``figures`` only, and change wall time, not results; ``loci`` runs one
+serial pass.  Exit codes: 0 success; 2 usage or input error (an
+unreadable file, ScenarioError, SummaryFormatError, a ``loci`` setting
+refused with PipelineConfigError, a ``--max-failure-rate`` outside
+[0, 1], or ``estimate`` statistics refused with InvalidStatisticsError); 3
 non-identifiable ``estimate`` design (UnderdeterminedError); 4 numerical
 failure (any other MvmrError, such as a simulated constant column, or a
 ``simulate`` failure rate above ``--max-failure-rate``).  ``loci``
@@ -33,7 +35,7 @@ import sys
 import numpy as np
 
 from . import graph
-from .errors import CombinatorialLimitError, MvmrError, PathEnumerationError, ScenarioError, SummaryFormatError, UnderdeterminedError
+from .errors import CombinatorialLimitError, MvmrError, PathEnumerationError, PipelineConfigError, ScenarioError, SummaryFormatError, UnderdeterminedError
 from .estimators import (
     ESTIMATORS,
     SummaryStatistics,
@@ -255,6 +257,9 @@ _KIND_RUNNERS = {
 
 
 def cmd_simulate(args):
+    if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails too
+        print(f"error: --max-failure-rate must be a finite number in [0, 1], not {args.max_failure_rate}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         kind, config = load_scenario_file(args.scenario)
         seed = _seed_for(config, args)
@@ -451,25 +456,23 @@ def cmd_estimate(args):
 
 
 def cmd_loci(args):
-    config = PipelineConfig(
-        radius=args.radius,
-        gwas_p=args.gwas_p,
-        nonzero_ld=args.nonzero_ld,
-        perfect_ld_r2=args.perfect_ld_r2,
-        prune_r2=args.prune_r2,
-        causal_threshold=args.causal_threshold,
-        bonferroni=args.bonferroni,
-        estimator=args.estimator,
-    )
     out_dir = args.out or _default_out()
     try:
-        summary = run_pipeline(
-            args.eqtl, args.gwas, args.ld, out_dir, config, threads=args.threads
+        config = PipelineConfig(
+            radius=args.radius,
+            gwas_p=args.gwas_p,
+            nonzero_ld=args.nonzero_ld,
+            perfect_ld_r2=args.perfect_ld_r2,
+            prune_r2=args.prune_r2,
+            causal_threshold=args.causal_threshold,
+            bonferroni=args.bonferroni,
+            estimator=args.estimator,
         )
+        summary = run_pipeline(args.eqtl, args.gwas, args.ld, out_dir, config)
     except SummaryFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (PipelineConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MvmrError as exc:
@@ -569,7 +572,7 @@ def build_parser():
     loc.add_argument("--gwas", required=True, help="GWAS TSV (snp chrom pos beta se pval n)")
     loc.add_argument("--ld", required=True, help="LD file: SNP id line + square r matrix")
     loc.add_argument("--out", default=None, help="output directory (default $MVMR_OUTPUT_DIR or ./mvmr_out)")
-    loc.add_argument("--threads", type=int, default=1, help="per-locus worker threads")
+    loc.add_argument("--threads", type=int, default=1, help="has no effect: the pipeline runs one serial pass")
     loc.add_argument("--radius", type=int, default=500_000, help="locus radius around the lead SNP in bp")
     loc.add_argument("--gwas-p", type=float, default=5e-8, help="genome-wide significance threshold")
     loc.add_argument("--nonzero-ld", type=float, default=0.01, help="|r| above this counts as linked to the lead")

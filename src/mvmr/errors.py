@@ -65,6 +65,11 @@ class FeasibilityError(ScenarioError):
     [0, 1])."""
 
 
+class PipelineConfigError(MvmrError, ValueError):
+    """A locus pipeline setting out of its range: a negative or non-integer
+    radius, a non-finite threshold, or an r^2 or p threshold outside [0, 1]."""
+
+
 class SummaryFormatError(MvmrError, ValueError):
     """Malformed eQTL/GWAS/LD summary file."""
 

@@ -17,9 +17,9 @@ weight matrix is regularised toward the identity with the fixed factor
 A :class:`SummaryStatistics` is immutable and factorises its design once:
 the identifiability diagnostics, the inverse LD matrix and the optimally
 weighted normal equations are computed on first use and shared by the
-diagnostics, every estimator and the standard errors.  ``ld_inverse`` is
-the one check of the LD matrix and ``weighted_moments`` the one check of
-the weighted moment matrix; the estimators solve what they cached.
+diagnostics, every estimator and the standard errors.  ``_ld`` is the one
+check of the LD matrix Sigma_EE and ``_moments`` the one check of the
+weighted moment matrix; the estimators solve what they cached.
 :func:`estimate` returns one complete :class:`EstimateResult`, effects
 plus inference, or raises an ``MvmrError``.
 
@@ -169,12 +169,12 @@ class SummaryStatistics:
     """Summary-level inputs: Sigma_EX (L x K), Sigma_EY (L), Sigma_EE (L x L).
 
     Frozen, and the three arrays are read-only copies of the inputs, so
-    the factorisation cached on first use (``diagnostics``,
-    ``ld_inverse``, ``weighted_moments``) always describes these
-    statistics.  Derive changed statistics with ``drop_exposures`` or a
-    new instance; each starts with an empty cache.  Inputs no estimator
-    can read raise :class:`InvalidStatisticsError`.  With ``stacked`` the
-    three arrays carry a leading replicate axis: one cell of replicates.
+    the factorisation cached on first use (``diagnostics``, ``_ld``,
+    ``_moments``) always describes these statistics.  Derive changed
+    statistics with ``drop_exposures`` or a new instance; each starts with
+    an empty cache.  Inputs no estimator can read raise
+    :class:`InvalidStatisticsError`.  With ``stacked`` the three arrays
+    carry a leading replicate axis: one cell of replicates.
     """
 
     sigma_EX: np.ndarray
@@ -208,7 +208,7 @@ class SummaryStatistics:
                 lambda i: InvalidStatisticsError("sigma_EE must be positive definite within tolerance"),
             )
         ])
-        # ``ld_inverse`` refuses the rounding-indefinite matrices let through here
+        # ``_ld`` refuses the rounding-indefinite matrices let through here
         object.__setattr__(self, "_ld_eigenvalues", _read_only(eigenvalues))
         object.__setattr__(self, "sigma_EX", _read_only(sigma_EX))
         object.__setattr__(self, "sigma_EY", _read_only(sigma_EY))
@@ -258,9 +258,15 @@ class SummaryStatistics:
     @cached_property
     def _moments(self):
         """``(M, v, M^-1, refusals)`` of the optimally weighted moment
-        equations, for every replicate; see :attr:`weighted_moments`.  A
-        refused replicate's ``M`` and ``M^-1`` are the identity; a single
-        object raises its refusal instead."""
+        equations, for every replicate.
+
+        ``M = S_EX^T Sigma_EE^-1 S_EX`` and ``v = S_EX^T Sigma_EE^-1 S_EY``:
+        optimal GMM solves ``M c = v``, TWMR shrinks ``M^-1`` and every
+        standard error reads ``M^-1`` as its sandwich.  After the LD matrix
+        is checked, a rank-deficient design or a numerically singular ``M``
+        is refused with :class:`UnderdeterminedError`.  A refused
+        replicate's ``M`` and ``M^-1`` are the identity; a single object
+        raises its refusal instead."""
         ld_inverse, refusals = self._ld
         W = _T(self.sigma_EX) @ ld_inverse
         report = self.diagnostics
@@ -277,24 +283,6 @@ class SummaryStatistics:
         M, M_inv = _without(M, refusals), _without(M_inv, refusals)
         v = (W @ self.sigma_EY[..., None])[..., 0]
         return _read_only(M), _read_only(v), _read_only(M_inv), refusals
-
-    @property
-    def ld_inverse(self):
-        """``Sigma_EE^-1``, refused when the LD matrix is too ill-conditioned
-        or not positive definite."""
-        return self._ld[0]
-
-    @property
-    def weighted_moments(self):
-        """``(M, v, M^-1)`` of the optimally weighted moment equations.
-
-        ``M = S_EX^T Sigma_EE^-1 S_EX`` and ``v = S_EX^T Sigma_EE^-1 S_EY``:
-        optimal GMM solves ``M c = v``, TWMR shrinks ``M^-1`` and every
-        standard error reads ``M^-1`` as its sandwich.  After the LD
-        matrix is checked, a rank-deficient design or a numerically
-        singular ``M`` raises :class:`UnderdeterminedError`.
-        """
-        return self._moments[:3]
 
     def drop_exposures(self, indices):
         keep = [k for k in range(self.n_exposures) if k not in set(indices)]
@@ -550,7 +538,7 @@ def gmm_optimal(stats):
     The homoskedastic error variance enters the optimal weight only as a
     scalar and cancels in the estimator, so it is omitted.  Equivalent to
     two-stage least squares on standardized data.  Solves the cached
-    ``stats.weighted_moments``.
+    ``stats._moments``.
     """
     M, v, _, refusals = stats._moments
     return _estimated(stats, np.linalg.solve(M, v[..., None])[..., 0], refusals)
@@ -578,7 +566,7 @@ def standard_errors(result, stats):
     the outcome sample size, with the residual variance approximated on
     the standardized scale as ``max(0, 1 - c^T S_EX^T Sigma_EE^-1 S_EY)``
     (conservative fallback to 1 when non-finite).  The sandwich and
-    ``S_EX^T Sigma_EE^-1 S_EY`` come from ``stats.weighted_moments``.
+    ``S_EX^T Sigma_EE^-1 S_EY`` come from ``stats._moments``.
     Returns the array of standard errors; ``result`` is not modified.  On
     a stack, the rows of replicates the moments refuse are meaningless.
     """

@@ -428,6 +428,21 @@ class TestSimulateCommand:
         rates = [cell["estimators"]["ls"]["failure_rate"] for cell in summary["cells"]]
         assert rates == [1.0, 1.0]
 
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize("command", ["simulate", "figures"])
+    def test_failure_cap_outside_unit_interval_exit_2(self, tmp_path, capsys, command, cap):
+        """A cap that is not a finite number in [0, 1] would switch the
+        failure check off (NaN) or make it meaningless: refused before any
+        replicate is drawn."""
+        source = ["--scenario", write_scenario(tmp_path)] if command == "simulate" else ["--only", "fig2_corr_desk"]
+        out = tmp_path / "out"
+        code = cli.main([command, *source, "--seed", "11", "--replicates", "2", "--max-failure-rate", cap, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --max-failure-rate must be a finite number in [0, 1]")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(out.rglob("replicates.csv"))
+
     def test_all_failed_cell_writes_strict_json(self, tmp_path, monkeypatch, capsys):
         def no_conditional_f(individual):
             values, _ = conditional_f(individual)
@@ -738,6 +753,44 @@ class TestLociCommand:
         assert code == 0
         assert "analysed 3 loci" in capsys.readouterr().out
         assert (tmp_path / "out" / "causal_gene_calls.csv").exists()
+
+    def test_thread_flag_has_no_effect(self, tmp_path):
+        """``--threads`` is still accepted and leaves every output byte as
+        the default run writes it."""
+        argv = ["loci", "--eqtl", str(FIXTURES / "eqtl.tsv"), "--gwas", str(FIXTURES / "gwas.tsv"), "--ld", str(FIXTURES / "ld.txt")]
+        assert cli.main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert cli.main(argv + ["--threads", "4", "--out", str(tmp_path / "t4")]) == 0
+        names = sorted(os.listdir(tmp_path / "default"))
+        assert names == sorted(os.listdir(tmp_path / "t4"))
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--radius", "-1", "radius must be a non-negative integer"),
+            ("--bonferroni", "nan", "bonferroni must be finite"),
+            ("--gwas-p", "nan", "gwas_p must be finite"),
+            ("--prune-r2", "nan", "prune_r2 must be finite"),
+            ("--nonzero-ld", "nan", "nonzero_ld must be finite"),
+            ("--causal-threshold", "nan", "causal_threshold must be finite"),
+            ("--causal-threshold", "-inf", "causal_threshold must be finite"),
+            ("--perfect-ld-r2", "-1", "perfect_ld_r2 must lie in [0, 1]"),
+            ("--prune-r2", "1.5", "prune_r2 must lie in [0, 1]"),
+            ("--gwas-p", "2", "gwas_p must lie in [0, 1]"),
+            ("--bonferroni", "-0.01", "bonferroni must lie in [0, 1]"),
+        ],
+    )
+    def test_bad_setting_exit_2(self, tmp_path, capsys, flag, value, message):
+        """A setting that would hang the locus build or silently change the
+        calls exits 2 with one line, before any file is read or written."""
+        out = tmp_path / "out"
+        argv = ["loci", "--eqtl", str(FIXTURES / "eqtl.tsv"), "--gwas", str(FIXTURES / "gwas.tsv"), "--ld", str(FIXTURES / "ld.txt")]
+        assert cli.main(argv + [f"{flag}={value}", "--out", str(out)]) == 2  # "=" lets a value start with "-"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_tsv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "eqtl.tsv"

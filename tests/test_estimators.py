@@ -31,7 +31,7 @@ def individual_standard_errors(result, stats, individual):
     sigma_XY = individual.corr[L:-1, -1]
     rss = n * max(0.0, 1.0 - 2.0 * float(c @ sigma_XY) + float(c @ sigma_XX @ c))
     sigma_u2 = rss / max(n - stats.n_exposures, 1)
-    sandwich = stats.weighted_moments[2]
+    sandwich = stats._moments[2]
     return np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / n, 0.0, None))
 
 
@@ -264,8 +264,8 @@ class TestSharedFactorisation:
         permuted = est.SummaryStatistics(
             stats.sigma_EX[order], stats.sigma_EY[order], stats.sigma_EE[np.ix_(order, order)], n_outcome=stats.n_outcome
         )
-        assert permuted.ld_inverse is not stats.ld_inverse
-        np.testing.assert_allclose(permuted.ld_inverse, stats.ld_inverse[np.ix_(order, order)], rtol=1e-12, atol=1e-12)
+        assert permuted._ld[0] is not stats._ld[0]
+        np.testing.assert_allclose(permuted._ld[0], stats._ld[0][np.ix_(order, order)], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(est.estimate(permuted, method).effects, est.estimate(stats, method).effects, rtol=1e-10)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -306,9 +306,8 @@ class TestErrorOrder:
 
 
 class TestLdGate:
-    """``ld_inverse`` is the one check of Sigma_EE and ``weighted_moments``
-    the one check of the weighted moment matrix; the estimators solve what
-    they cached."""
+    """``_ld`` is the one check of Sigma_EE and ``_moments`` the one check
+    of the weighted moment matrix; the estimators solve what they cached."""
 
     def test_near_singular_positive_definite_ld_is_estimated(self):
         stats = est.SummaryStatistics(**near_singular_ld_payload())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvmr import loci
-from mvmr.errors import SummaryFormatError
+from mvmr.errors import PipelineConfigError, SummaryFormatError
 
 FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
 
@@ -427,6 +427,12 @@ class TestMultiTissue:
         calls, _, verdict = loci.multi_tissue_analysis(locus, too_many, gwas, ld)
         assert verdict == "non_identifiable"
 
+    def test_repeated_pair_refused(self, built, loaded):
+        _, gwas, ld, _ = loaded
+        locus = [l for l in built if l.locus_id == "chr15:79135000"][0]
+        with pytest.raises(ValueError, match=r"duplicate \(gene, tissue\) pair \('ADAMTS7', 'AOR'\)"):
+            loci.multi_tissue_analysis(locus, [("ADAMTS7", "AOR")] * 2, gwas, ld)
+
     def test_no_pairs_is_no_data(self, built, loaded):
         _, gwas, ld, _ = loaded
         assert loci.multi_tissue_analysis(built[0], [], gwas, ld) == ([], {}, "no_data")
@@ -441,12 +447,35 @@ class TestMultiTissue:
                 ), (locus.locus_id, tissue)
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("radius", -1),  # would collect no lead, so build_loci would never end
+            ("radius", 1.5),
+            ("radius", True),
+            ("gwas_p", float("nan")),
+            ("nonzero_ld", float("inf")),
+            ("perfect_ld_r2", -1.0),
+            ("prune_r2", 1.01),
+            ("causal_threshold", float("nan")),
+            ("bonferroni", float("nan")),
+        ],
+    )
+    def test_out_of_range_setting_raises(self, field, value):
+        with pytest.raises(PipelineConfigError, match=field):
+            loci.PipelineConfig(**{field: value})
+
+    def test_range_ends_accepted(self):
+        loci.PipelineConfig(radius=0, gwas_p=1.0, perfect_ld_r2=0.0, prune_r2=1.0, bonferroni=0.0, causal_threshold=-1.0)
+
+
 class TestPipeline:
     def test_deterministic_output_bytes(self, fixture_paths, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        loci.run_pipeline(*fixture_paths, str(out1), threads=1)
-        loci.run_pipeline(*fixture_paths, str(out2), threads=3)
+        loci.run_pipeline(*fixture_paths, str(out1))
+        loci.run_pipeline(*fixture_paths, str(out2))
         for name in sorted(os.listdir(out1)):
             a = (out1 / name).read_bytes()
             b = (out2 / name).read_bytes()
