@@ -502,6 +502,21 @@ def bundled_scenarios():
 
 
 def cmd_figures(args):
+    # the run's own settings are checked before any scenario is copied, so
+    # that a refused run leaves no output behind
+    if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails too
+        print(f"error: --max-failure-rate must be a finite number in [0, 1], not {args.max_failure_rate}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        if args.seed is not None:
+            check_seed(args.seed)
+        if args.replicates is not None:
+            check_replicates(args.replicates)
+        if args.estimators is not None:
+            _parse_estimators(args.estimators)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     only = {n.strip() for n in args.only.split(",")} if args.only else None
     out_root = args.out or _default_out()
     ran = []

@@ -67,7 +67,8 @@ class FeasibilityError(ScenarioError):
 
 class PipelineConfigError(MvmrError, ValueError):
     """A locus pipeline setting out of its range: a negative or non-integer
-    radius, a non-finite threshold, or an r^2 or p threshold outside [0, 1]."""
+    radius, a non-finite threshold, an r^2 or p threshold outside [0, 1],
+    or an unknown estimator."""
 
 
 class SummaryFormatError(MvmrError, ValueError):

@@ -174,7 +174,9 @@ class SummaryStatistics:
     statistics with ``drop_exposures`` or a new instance; each starts with
     an empty cache.  Inputs no estimator can read raise
     :class:`InvalidStatisticsError`.  With ``stacked`` the three arrays
-    carry a leading replicate axis: one cell of replicates.
+    carry a leading replicate axis: one cell of replicates, or one design
+    per replicate, when ``n_outcome`` may be an (R, 1) integer array of
+    per-design outcome sample sizes.
     """
 
     sigma_EX: np.ndarray
@@ -568,7 +570,8 @@ def standard_errors(result, stats):
     (conservative fallback to 1 when non-finite).  The sandwich and
     ``S_EX^T Sigma_EE^-1 S_EY`` come from ``stats._moments``.
     Returns the array of standard errors; ``result`` is not modified.  On
-    a stack, the rows of replicates the moments refuse are meaningless.
+    a stack, ``stats.n_outcome`` is one size or an (R, 1) array of sizes,
+    and the rows of replicates the moments refuse are meaningless.
     """
     if stats.n_outcome is None:
         raise ValueError("summary-mode standard errors require n_outcome")

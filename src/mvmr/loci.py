@@ -8,7 +8,11 @@ Every locus analysis is MVMR on a list of (gene, tissue) exposures: the
 per-tissue analysis takes the genes of one tissue, the multi-tissue one
 any distinct gene-tissue pairs.  :func:`run_pipeline` analyses the loci in
 one serial pass, in (chromosome, position) order; it takes no thread
-count.
+count.  It estimates every (locus, tissue) design of a run as one stacked
+:class:`SummaryStatistics` per (L, K) shape, instruments by exposures,
+and each design's results are bitwise those of the design alone; a
+single analysis (:func:`analyze_locus`, :func:`multi_tissue_analysis`) is
+a one-design stack.
 
 An eQTL row is a significant instrument-gene association when its FDR is
 below ``EQTL_FDR`` (0.05).  Only :func:`build_loci` applies that rule: each
@@ -41,13 +45,14 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MvmrError, PipelineConfigError, SummaryFormatError, UnderdeterminedError
 from .estimators import (
     BONFERRONI_DEFAULT,
+    ESTIMATORS,
     SummaryStatistics,
     estimate,
 )
@@ -142,9 +147,10 @@ class PipelineConfig:
     estimator: str = "ls"
 
     def __post_init__(self):
-        """Refuse a setting that would hang :func:`build_loci` or silently
-        change every call: a negative or non-integer radius, a non-finite
-        threshold, or an r^2 or p threshold outside [0, 1]."""
+        """Refuse a setting that would hang :func:`build_loci`, silently
+        change every call or fail only after every file is parsed: a
+        negative or non-integer radius, a non-finite threshold, an r^2 or p
+        threshold outside [0, 1], or an estimator not in ``ESTIMATORS``."""
         if not isinstance(self.radius, numbers.Integral) or isinstance(self.radius, bool) or self.radius < 0:
             raise PipelineConfigError(f"radius must be a non-negative integer, not {self.radius!r}")
         for name in ("gwas_p", "nonzero_ld", "perfect_ld_r2", "prune_r2", "causal_threshold", "bonferroni"):
@@ -153,6 +159,8 @@ class PipelineConfig:
                 raise PipelineConfigError(f"{name} must be finite, not {value!r}")
             if name in ("gwas_p", "perfect_ld_r2", "prune_r2", "bonferroni") and not 0.0 <= value <= 1.0:
                 raise PipelineConfigError(f"{name} must lie in [0, 1], not {value!r}")
+        if not isinstance(self.estimator, str) or self.estimator not in ESTIMATORS:
+            raise PipelineConfigError(f"estimator must be one of {sorted(ESTIMATORS)}, not {self.estimator!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +470,10 @@ def verify_closure(locus):
 # Per-locus analysis
 
 
-def _analyze(locus, exposures, gwas_by_snp, ld, config):
-    """MVMR of one locus on ``exposures``, a list of distinct (gene, tissue) pairs.
+def _analyze(analyses, gwas_by_snp, ld, config):
+    """``(calls, diagnostics, verdict)`` of each ``(locus, exposures)`` of
+    ``analyses``, in order: MVMR of the locus on ``exposures``, a list of
+    distinct (gene, tissue) pairs.
 
     The instruments are the member SNPs, in order, that carry a
     significant row (``locus.eqtls``) of at least one exposure; an
@@ -471,82 +481,115 @@ def _analyze(locus, exposures, gwas_by_snp, ld, config):
     yields ``'no_data'``; fewer instruments than exposures, or a
     rank-deficient or fail-verdict design, ``'non_identifiable'``; any
     other MvmrError, such as an indefinite LD block, ``'failed'`` with
-    the error.  Each comes with no calls rather than an exception.
+    the error.  Each comes with no calls rather than an exception.  The
+    designs of one (L, K) shape are estimated as one stack.
     """
-    if not exposures:
-        return [], {}, "no_data"
-    column = {exposure: k for k, exposure in enumerate(exposures)}
-    sigma_EX_rows = {}  # snp -> its row of Sigma_EX
-    for r in locus.eqtls:
-        k = column.get((r.gene, r.tissue))
-        if k is not None:
-            sigma_EX_rows.setdefault(r.snp, [0.0] * len(exposures))[k] = r.beta
-    snps = [s for s in locus.member_snps if s in sigma_EX_rows]
-    if len(snps) < len(exposures):
-        return [], {"n_instruments": len(snps), "n_exposures": len(exposures)}, "non_identifiable"
-    diagnostics = {}
-    try:
-        stats = SummaryStatistics(
-            [sigma_EX_rows[s] for s in snps],
-            [gwas_by_snp[s].beta for s in snps],
-            ld.submatrix(snps),
-            n_outcome=int(np.median([gwas_by_snp[s].n for s in snps])),
-        )
-        report = stats.diagnostics
-        diagnostics = asdict(report)
-        if report.rank_EX < stats.n_exposures or report.verdict == "fail":
-            return [], diagnostics, "non_identifiable"
-        result = estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
-    except UnderdeterminedError as exc:
-        return [], {**diagnostics, "error": str(exc)}, "non_identifiable"
-    except MvmrError as exc:
-        return [], {**diagnostics, "error": str(exc)}, "failed"
-    calls = []
-    for k, (gene, tissue) in enumerate(exposures):
-        calls.append(
-            CausalGeneCall(
-                locus_id=locus.locus_id,
-                gene=gene,
-                tissue=tissue,
-                effect=float(result.effects[k]),
-                se=float(result.standard_errors[k]),
-                p=float(result.p_values[k]),
-                causal=bool(abs(result.effects[k]) >= config.causal_threshold),
-                bonferroni=bool(result.bonferroni_significant[k]),
+    results = [None] * len(analyses)
+    shapes = {}  # (L, K) -> [(index, locus, exposures, snps, Sigma_EX)]
+    for i, (locus, exposures) in enumerate(analyses):
+        if not exposures:
+            results[i] = [], {}, "no_data"
+            continue
+        column = {exposure: k for k, exposure in enumerate(exposures)}
+        sigma_EX_rows = {}  # snp -> its row of Sigma_EX
+        for r in locus.eqtls:
+            k = column.get((r.gene, r.tissue))
+            if k is not None:
+                sigma_EX_rows.setdefault(r.snp, [0.0] * len(exposures))[k] = r.beta
+        snps = [s for s in locus.member_snps if s in sigma_EX_rows]
+        if len(snps) < len(exposures):
+            results[i] = [], {"n_instruments": len(snps), "n_exposures": len(exposures)}, "non_identifiable"
+            continue
+        design = (i, locus, exposures, snps, [sigma_EX_rows[s] for s in snps])
+        shapes.setdefault((len(snps), len(exposures)), []).append(design)
+    for designs in shapes.values():
+        _analyze_stack(designs, results, gwas_by_snp, ld, config)
+    return results
+
+
+def _analyze_stack(designs, results, gwas_by_snp, ld, config):
+    """Fill ``results`` for ``designs`` of one (L, K) shape from one stacked
+    :class:`SummaryStatistics`, each design's numbers bitwise those of its
+    own.  A design refused while the stack is built reads ``'failed'`` and
+    the stack is built again without it."""
+    stats = None
+    while designs and stats is None:
+        try:
+            stats = SummaryStatistics(
+                [sigma_EX for *_, sigma_EX in designs],
+                [[gwas_by_snp[s].beta for s in snps] for *_, snps, _ in designs],
+                [ld.submatrix(snps) for *_, snps, _ in designs],
+                n_outcome=np.array([[int(np.median([gwas_by_snp[s].n for s in snps]))] for *_, snps, _ in designs]),
+                stacked=True,
             )
-        )
-    return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"
+        except MvmrError as exc:
+            results[designs.pop(exc.replicate)[0]] = [], {"error": str(exc)}, "failed"
+    if stats is None:
+        return
+    columns = {
+        name: value.tolist() if isinstance(value, np.ndarray) else [value] * len(designs)
+        for name, value in vars(stats.diagnostics).items()
+    }
+    result = estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
+    estimates = zip(*(a.tolist() for a in (result.effects, result.standard_errors, result.p_values, result.bonferroni_significant)))
+    for r, ((i, locus, exposures, _, _), values, rows) in enumerate(zip(designs, zip(*columns.values()), estimates)):
+        diagnostics = dict(zip(columns, values))
+        refusal = result.refusals.get(r)
+        if diagnostics["rank_EX"] < len(exposures) or diagnostics["verdict"] == "fail":
+            results[i] = [], diagnostics, "non_identifiable"
+        elif refusal is not None:
+            verdict = "non_identifiable" if isinstance(refusal, UnderdeterminedError) else "failed"
+            results[i] = [], {**diagnostics, "error": str(refusal)}, verdict
+        else:
+            calls = [
+                # bool(): a numpy threshold would make the comparison a numpy bool
+                CausalGeneCall(locus.locus_id, gene, tissue, effect, se, p, bool(abs(effect) >= config.causal_threshold), flag)
+                for (gene, tissue), effect, se, p, flag in zip(exposures, *rows)
+            ]
+            results[i] = calls, diagnostics, "ok" if diagnostics["verdict"] == "pass" else "warn"
 
 
-def analyze_locus(locus, tissue, gwas_by_snp, ld, config=PipelineConfig()):
+def _exposures(locus, tissue):
+    """The (gene, tissue) exposures of the genes of ``tissue`` in ``locus``."""
+    return [(g, tissue) for g in locus.genes_by_tissue.get(tissue, ())]
+
+
+def analyze_locus(locus, tissue, gwas_by_snp, ld, config=PipelineConfig(), estimated=None):
     """Tissue-specific MVMR: the gene-tissue-pair MVMR on the genes of the
     locus's significant rows in ``tissue``.  Returns ``(calls,
     diagnostics, verdict)``; a tissue with no genes is ``'no_data'``.
+
+    Alone, this estimates the one design as a one-design stack.
+    :func:`run_pipeline` estimates every design of a run at once and
+    passes this tissue's result as ``estimated``, which is returned.
     """
-    genes = locus.genes_by_tissue.get(tissue, ())
-    return _analyze(locus, [(g, tissue) for g in genes], gwas_by_snp, ld, config)
+    if estimated is not None:
+        return estimated
+    return _analyze([(locus, _exposures(locus, tissue))], gwas_by_snp, ld, config)[0]
 
 
 def multi_tissue_analysis(locus, pairs, gwas_by_snp, ld, config=PipelineConfig()):
     """MVMR with gene-tissue pairs, a sequence of distinct (gene, tissue),
-    as exposures.  Returns ``(calls, diagnostics, verdict)``; a repeated
-    pair raises ``ValueError``."""
+    as exposures, estimated as a one-design stack.  Returns ``(calls,
+    diagnostics, verdict)``; a repeated pair raises ``ValueError``."""
     exposures = [tuple(p) for p in pairs]
     for k, pair in enumerate(exposures):
         if pair in exposures[:k]:
             raise ValueError(f"duplicate (gene, tissue) pair {pair}")
-    return _analyze(locus, exposures, gwas_by_snp, ld, config)
+    return _analyze([(locus, exposures)], gwas_by_snp, ld, config)[0]
 
 
 # ---------------------------------------------------------------------------
 # Whole-pipeline driver with deterministic reports
 
 
-def _locus_report(locus, gwas_by_snp, ld, config):
+def _locus_report(locus, analyses, gwas_by_snp, ld, config):
+    """The report and calls of ``locus``, its tissues' results taken in
+    order from the iterator ``analyses``."""
     tissues = {}
     calls_out = []
     for tissue in locus.tissues():
-        calls, diagnostics, verdict = analyze_locus(locus, tissue, gwas_by_snp, ld, config)
+        calls, diagnostics, verdict = analyze_locus(locus, tissue, gwas_by_snp, ld, config, estimated=next(analyses))
         tissues[tissue] = {
             "verdict": verdict,
             "genes": list(locus.genes_by_tissue.get(tissue, ())),
@@ -583,7 +626,9 @@ def _locus_report(locus, gwas_by_snp, ld, config):
 def run_pipeline(eqtl_path, gwas_path, ld_path, out_dir, config=PipelineConfig()):
     """Full analysis: load, build loci, analyse every locus/tissue in one
     serial pass, then write one strict JSON report per locus (non-finite
-    numbers as null) plus a flat calls CSV.
+    numbers as null) plus a flat calls CSV.  Every (locus, tissue) design
+    of the run is estimated as one stack per (L, K) shape; each tissue's
+    result then passes through :func:`analyze_locus`, in report order.
 
     Output bytes are deterministic for identical inputs and configuration:
     loci are analysed and written in (chromosome, position) order.
@@ -592,7 +637,10 @@ def run_pipeline(eqtl_path, gwas_path, ld_path, out_dir, config=PipelineConfig()
     loci = build_loci(eqtls, gwas_by_snp, ld, config)
     # every locus is analysed before any report is written: writing each
     # report between analyses measured about 7% slower on 60 LD blocks
-    results = [_locus_report(locus, gwas_by_snp, ld, config) for locus in loci]
+    analyses = iter(
+        _analyze([(locus, _exposures(locus, t)) for locus in loci for t in locus.tissues()], gwas_by_snp, ld, config)
+    )
+    results = [_locus_report(locus, analyses, gwas_by_snp, ld, config) for locus in loci]
 
     os.makedirs(out_dir, exist_ok=True)
     all_calls = []

@@ -938,6 +938,20 @@ class TestFiguresCommand:
         assert code == 0
         assert (tmp_path / "figs" / "s8_pca" / "pc1_explained_variance.csv").exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [["--max-failure-rate", "nan"], ["--seed", "-1"], ["--replicates", "0"], ["--estimators", "ols"]],
+    )
+    def test_refused_setting_leaves_no_output(self, tmp_path, capsys, setting):
+        """A run refused for its own settings copies no scenario first."""
+        out = tmp_path / "figs"
+        argv = ["figures", "--only", "fig2_corr_desk", "--seed", "1", "--replicates", "2", *setting, "--out", str(out)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_scenario_rejected(self, tmp_path, capsys):
         code = cli.main(
             ["figures", "--only", "nope", "--seed", "1", "--out", str(tmp_path / "f")]

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from mvmr import loci
-from mvmr.errors import PipelineConfigError, SummaryFormatError
+from mvmr import estimators, loci
+from mvmr.errors import MvmrError, PipelineConfigError, SummaryFormatError, UnderdeterminedError
+from mvmr.jsonio import dumps
 
 FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
 
@@ -30,6 +31,92 @@ def loaded(fixture_paths):
 def built(loaded):
     eqtls, gwas, ld, _ = loaded
     return loci.build_loci(eqtls, gwas, ld)
+
+
+# LD blocks of three SNPs, as (r12, r13, r23); no pair is pruned at the defaults
+STACK_BLOCKS = {
+    "plain": ("0.3", "0.2", "0.1"),
+    "indefinite": ("0.6", "0.9", "0.9"),  # smallest eigenvalue -0.0077: refused while the stack is built
+    "ill_conditioned": ("0.6", "0.8944271909999", "0.8944271909999"),  # condition number 1.2e14
+}
+# one locus per chromosome, in order: (LD block, second gene's betas or None for a rank-deficient design)
+STACK_LOCI = (
+    ("plain", (0.1, 0.3, 0.25)),
+    ("indefinite", (0.1, 0.3, 0.25)),
+    ("plain", None),
+    ("ill_conditioned", (0.1, 0.3, 0.25)),
+    ("plain", (-0.2, 0.15, 0.3)),
+    ("indefinite", (0.2, 0.1, -0.3)),
+)
+
+
+def write_stack_trio(tmp_path):
+    """An eQTL/GWAS/LD trio of six three-SNP loci whose tissue T designs
+    share the shape (3, 2); the first locus's tissue U has a (3, 1) design.
+    Paths in ``load_summaries`` order."""
+    eqtl = ["snp\tchrom\tpos\tgene\ttissue\tbeta\tse\tmaf\tfdr"]
+    gwas = ["snp\tchrom\tpos\tbeta\tse\tpval\tn"]
+    snps, blocks = [], []
+    first = (0.4, 0.1, 0.2)
+    for i, (block, second) in enumerate(STACK_LOCI):
+        chrom = str(i + 1)
+        second = second or tuple(2 * b for b in first)
+        names = [f"rs{chrom}{j}" for j in range(3)]
+        for j, snp in enumerate(names):
+            pos = 1000 * (j + 1)
+            eqtl.append(f"{snp}\t{chrom}\t{pos}\tG{chrom}A\tT\t{first[j]}\t0.01\t0.3\t0.001")
+            eqtl.append(f"{snp}\t{chrom}\t{pos}\tG{chrom}B\tT\t{second[j]}\t0.01\t0.3\t0.001")
+            if i == 0:
+                eqtl.append(f"{snp}\t{chrom}\t{pos}\tG{chrom}C\tU\t{0.3 - 0.1 * j}\t0.01\t0.3\t0.001")
+            beta = 0.2 * first[j] - 0.1 * second[j] + 0.01 * (j - i)
+            gwas.append(f"{snp}\t{chrom}\t{pos}\t{beta}\t0.004\t1e-{12 - j}\t{10000 + 1000 * i + 100 * j}")
+        snps.extend(names)
+        blocks.append(STACK_BLOCKS[block])
+    rows = [["1.0" if a == b else "0" for b in range(len(snps))] for a in range(len(snps))]
+    for k, (r12, r13, r23) in enumerate(blocks):
+        for (a, b), r in zip(((0, 1), (0, 2), (1, 2)), (r12, r13, r23)):
+            rows[3 * k + a][3 * k + b] = rows[3 * k + b][3 * k + a] = r
+    paths = [tmp_path / name for name in ("eqtl.tsv", "gwas.tsv", "ld.txt")]
+    paths[0].write_text("\n".join(eqtl) + "\n")
+    paths[1].write_text("\n".join(gwas) + "\n")
+    paths[2].write_text(" ".join(snps) + "\n" + "".join(" ".join(row) + "\n" for row in rows))
+    return [str(p) for p in paths]
+
+
+def unstacked_analysis(locus, exposures, gwas, ld, config):
+    """Reference: ``(calls, diagnostics, verdict)`` of one design from its own
+    unstacked ``SummaryStatistics``, as the pipeline analysed each design
+    before designs were stacked."""
+    column = {exposure: k for k, exposure in enumerate(exposures)}
+    rows = {}
+    for r in locus.eqtls:
+        if (r.gene, r.tissue) in column:
+            rows.setdefault(r.snp, [0.0] * len(exposures))[column[(r.gene, r.tissue)]] = r.beta
+    snps = [s for s in locus.member_snps if s in rows]
+    diagnostics = {}
+    try:
+        stats = estimators.SummaryStatistics(
+            [rows[s] for s in snps],
+            [gwas[s].beta for s in snps],
+            ld.submatrix(snps),
+            n_outcome=int(np.median([gwas[s].n for s in snps])),
+        )
+        diagnostics = dataclasses.asdict(stats.diagnostics)
+        if stats.diagnostics.rank_EX < len(exposures) or stats.diagnostics.verdict == "fail":
+            return [], diagnostics, "non_identifiable"
+        result = estimators.estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
+    except UnderdeterminedError as exc:
+        return [], {**diagnostics, "error": str(exc)}, "non_identifiable"
+    except MvmrError as exc:
+        return [], {**diagnostics, "error": str(exc)}, "failed"
+    calls = [
+        loci.CausalGeneCall(
+            locus.locus_id, gene, tissue, float(result.effects[k]), float(result.standard_errors[k]), float(result.p_values[k]),
+            bool(abs(result.effects[k]) >= config.causal_threshold), bool(result.bonferroni_significant[k]),
+        )
+        for k, (gene, tissue) in enumerate(exposures)
+    ]
+    return calls, diagnostics, "ok" if stats.diagnostics.verdict == "pass" else "warn"
 
 
 def full_table_rows(locus, eqtls):
@@ -466,6 +553,12 @@ class TestPipelineConfig:
         with pytest.raises(PipelineConfigError, match=field):
             loci.PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["ols", "LS", None])
+    def test_unknown_estimator_names_the_choices(self, value):
+        """Refused here, not after every file is parsed and every locus built."""
+        with pytest.raises(PipelineConfigError, match=r"estimator must be one of \['gmm', 'ls', 'twmr'\]"):
+            loci.PipelineConfig(estimator=value)
+
     def test_range_ends_accepted(self):
         loci.PipelineConfig(radius=0, gwas_p=1.0, perfect_ld_r2=0.0, prune_r2=1.0, bonferroni=0.0, causal_threshold=-1.0)
 
@@ -499,3 +592,54 @@ class TestPipeline:
         csv_text = (out / "causal_gene_calls.csv").read_text().splitlines()
         assert csv_text[0].startswith("locus_id,gene,tissue,effect")
         assert len(csv_text) == 1 + summary["n_calls"]
+
+
+class TestStackedPipeline:
+    """``run_pipeline`` estimates every design of a run as one stack per
+    (L, K) shape; each design reads as it does alone, and as its own
+    unstacked statistics do."""
+
+    @pytest.mark.parametrize("estimator", sorted(estimators.ESTIMATORS))
+    def test_every_tissue_reads_as_its_design_alone(self, tmp_path, estimator):
+        paths = write_stack_trio(tmp_path)
+        config = loci.PipelineConfig(estimator=estimator)
+        loci.run_pipeline(*paths, str(tmp_path / "out"), config)
+        eqtls, gwas, ld, _ = loci.load_summaries(*paths)
+        verdicts, errors = [], {}
+        for locus in loci.build_loci(eqtls, gwas, ld, config):
+            report = json.loads((tmp_path / "out" / f"locus_{locus.chrom}_{locus.lead_pos}.json").read_text())
+            for tissue in locus.tissues():
+                calls, diagnostics, verdict = loci.analyze_locus(locus, tissue, gwas, ld, config)
+                exposures = [(g, tissue) for g in locus.genes_by_tissue[tissue]]
+                assert unstacked_analysis(locus, exposures, gwas, ld, config) == (calls, diagnostics, verdict)
+                alone = {
+                    "verdict": verdict,
+                    "diagnostics": diagnostics,
+                    "calls": [
+                        {"gene": c.gene, "effect": c.effect, "se": c.se, "p": c.p, "causal": c.causal, "bonferroni": c.bonferroni}
+                        for c in calls
+                    ],
+                }
+                written = report["tissues"][tissue]
+                assert {key: written[key] for key in alone} == json.loads(dumps(alone)), (locus.locus_id, tissue)
+                verdicts.append(verdict)
+                if "error" in diagnostics:
+                    errors[locus.chrom] = diagnostics["error"]
+        assert verdicts == ["ok", "ok", "failed", "non_identifiable", "failed", "ok", "failed"]
+        assert errors["2"] == errors["6"] == "sigma_EE must be positive definite within tolerance"
+        assert errors["4"].startswith("LD matrix condition number 1.188e+14 exceeds 1e+12")
+
+    def test_one_stack_per_shape(self, tmp_path, monkeypatch):
+        built = []
+        validate = estimators.SummaryStatistics.__post_init__
+
+        def counting(stats):
+            built.append(stats)
+            validate(stats)
+
+        monkeypatch.setattr(estimators.SummaryStatistics, "__post_init__", counting)
+        summary = loci.run_pipeline(*write_stack_trio(tmp_path), str(tmp_path / "out"))
+        assert summary["n_loci"] == 6
+        # shapes (3, 2) and (3, 1), and a rebuild after each of the two indefinite LD blocks
+        assert len(built) == 2 + 2
+        assert all(stats.stacked for stats in built)

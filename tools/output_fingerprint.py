@@ -18,6 +18,9 @@ Runs, in this interpreter:
   eQTL/GWAS/LD fixture trio, and again on a 60-block input written by
   this checkout's ``perfbench/inputs.write_loci_inputs(dir, 5, 60)``
   (every verdict, both prune reasons, dropped SNPs and a warning);
+* ``mvmr loci --estimator ls`` on ``LOCI_BENCHMARK``, the benchmark's own
+  loci_blocks input ``write_loci_inputs(dir, 1, 60)``, whose calls include
+  rows with a zero standard error;
 * ``mvmr loci --estimator ls`` on the fixture trio with ``FDR_ROWS``
   added to the eQTL table: rows at FDR 0.05 and 0.2, which the
   ``fdr < EQTL_FDR`` rule (0.05) leaves out;
@@ -83,6 +86,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SIMULATE_ARGS = ["--seed", "11", "--replicates", "12", "--estimators", "ls,gmm,twmr", "--max-failure-rate", "1"]
 LOCI_ESTIMATORS = ("ls", "gmm", "twmr")
 LOCI_BLOCKS = ("blocks60", 5, 60)  # (label, seed, blocks) of the generated loci input
+LOCI_BENCHMARK = ("blocks60_seed1", 1, 60)  # the same, for the loci_blocks benchmark input
 FDR_ROWS = (  # eQTL rows at and above the significance threshold, for locus 15
     "rs1501\t15\t79139000\tCTSH\tAOR\t0.2\t0.03\t0.3\t0.05\n",
     "rs1503\t15\t79147000\tCTSH\tAOR\t-0.25\t0.03\t0.3\t0.2\n",
@@ -185,6 +189,11 @@ def _commands(package_dir, out_root):
             out = os.path.join(out_dir, estimator)
             argv = ["loci", "--eqtl", eqtl, "--gwas", gwas, "--ld", ld, "--estimator", estimator, "--out", out]
             yield f"loci {name} --estimator {estimator}", argv, out
+    label, seed, blocks = LOCI_BENCHMARK
+    generated = inputs.write_loci_inputs(os.path.join(out_root, "inputs", label), seed, blocks)
+    out = os.path.join(out_root, "loci", label, "ls")
+    argv = ["loci", "--eqtl", generated["eqtl.tsv"], "--gwas", generated["gwas.tsv"], "--ld", generated["ld.txt"], "--estimator", "ls", "--out", out]
+    yield f"loci {label} --estimator ls", argv, out
     eqtl = os.path.join(out_root, "inputs", "fdr", "eqtl.tsv")
     os.makedirs(os.path.dirname(eqtl))
     with open(os.path.join(fixtures, "eqtl.tsv"), encoding="utf-8") as src, open(eqtl, "w", encoding="utf-8") as dst:
