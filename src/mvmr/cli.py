@@ -40,6 +40,8 @@ from .estimators import (
     ESTIMATORS,
     SummaryStatistics,
     estimate,
+    one_design,
+    _report_at,
 )
 from .jsonio import dumps, write_json
 from .loci import PipelineConfig, run_pipeline
@@ -353,7 +355,9 @@ def _stats_from_json(path):
     sizes = {key: _stats_optional(payload, key, _is_count, "a positive integer") for key in ("n_exposure", "n_outcome")}
     names = {key: _stats_optional(payload, key, _is_names, "a list of strings") for key in ("exposure_names", "instrument_names")}
     stats = SummaryStatistics(
-        *(payload[key] for key in _STATS_REQUIRED),
+        one_design(payload["sigma_EX"]),
+        one_design(payload["sigma_EY"], vector=True),
+        one_design(payload["sigma_EE"]),
         **sizes,
         exposure_names=None if names["exposure_names"] is None else tuple(names["exposure_names"]),
     )
@@ -373,9 +377,9 @@ def _stats_from_diagram(path, instruments, exposures, outcome):
     iX = [diagram.index(x) for x in exposures]
     iY = diagram.index(outcome)
     stats = SummaryStatistics(
-        corr[np.ix_(iE, iX)],
-        corr[iE, iY],
-        corr[np.ix_(iE, iE)],
+        one_design(corr[np.ix_(iE, iX)]),
+        one_design(corr[iE, iY], vector=True),
+        one_design(corr[np.ix_(iE, iE)]),
         exposure_names=tuple(exposures),
     )
     try:
@@ -417,8 +421,9 @@ def cmd_estimate(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # the statistics are the one-design stack: row 0 is the design
     payload = {
-        "diagnostics": dataclasses.asdict(stats.diagnostics),
+        "diagnostics": dataclasses.asdict(_report_at(stats.diagnostics, 0)),
         "estimates": {},
         "exposures": list(stats.exposure_names or (f"X{k+1}" for k in range(stats.n_exposures))),
     }
@@ -428,12 +433,14 @@ def cmd_estimate(args):
     try:
         for name in estimators:
             result = estimate(stats, name)
-            block = {"effects": [float(v) for v in result.effects]}
+            if result.refusals:
+                raise result.refusals[0]
+            block = {"effects": [float(v) for v in result.effects[0]]}
             if result.standard_errors is not None:
-                block["standard_errors"] = [float(v) for v in result.standard_errors]
-                block["p_values"] = [float(v) for v in result.p_values]
+                block["standard_errors"] = [float(v) for v in result.standard_errors[0]]
+                block["p_values"] = [float(v) for v in result.p_values[0]]
                 block["bonferroni_significant"] = [
-                    bool(v) for v in result.bonferroni_significant
+                    bool(v) for v in result.bonferroni_significant[0]
                 ]
             payload["estimates"][name] = block
     except UnderdeterminedError as exc:

@@ -21,25 +21,24 @@ diagnostics, every estimator and the standard errors.  ``_ld`` is the one
 check of the LD matrix Sigma_EE and ``_moments`` the one check of the
 weighted moment matrix; the estimators solve what they cached.
 :func:`estimate` returns one complete :class:`EstimateResult`, effects
-plus inference, or raises an ``MvmrError``.
+plus inference.
 
-Every kernel runs on arrays with a leading replicate axis.  Built with
-``stacked=True``, :class:`IndividualData` and :class:`SummaryStatistics`
-hold a cell of R replicates (a cross-product stack of shape (R, d, d),
-``sigma_EX`` of shape (R, L, K)), and the checks, factorisations,
-estimators, standard errors, p-values and conditional F run once for the
-cell; numpy's stacked ``solve``, ``inv``, ``eigvalsh``, ``svd`` and ``det``
-call the same LAPACK routine per matrix, so each replicate's numbers are
-bitwise those of its own single object.  A single object is the R = 1
-case of the same code, without the leading axis.  Construction refuses a
-stack with the refusal of its lowest refused replicate.  An estimator
-records a stacked replicate's refusal in ``EstimateResult.refusals`` and
-leaves its rows NaN, where on a single object it raises it.
+Every array has a leading design axis: :class:`IndividualData` and
+:class:`SummaryStatistics` hold a stack of R designs, the replicates of a
+simulated cell or the designs of a locus run (a cross-product stack of
+shape (R, d, d), ``sigma_EX`` of shape (R, L, K)), and the checks,
+factorisations, estimators, standard errors, p-values and conditional F
+run once for the stack; numpy's stacked ``solve``, ``inv``, ``eigvalsh``,
+``svd`` and ``det`` call the same LAPACK routine per matrix, so each
+design's numbers are bitwise those of the design alone.  A single design
+is the one-design stack (:func:`one_design`).  Construction refuses a
+stack with the refusal of its lowest refused design.  An estimator
+records each refused design's refusal in ``EstimateResult.refusals`` and
+leaves its rows NaN.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -74,26 +73,37 @@ def _floats(value, name, error=InvalidStatisticsError):
         raise error(f"{name} must be an array of numbers") from None
 
 
+def one_design(value, vector=False):
+    """``value``, an array of a single design, as the one-design stack: a
+    matrix, a scalar or vector read as its one row, or with ``vector`` the
+    vector of all its entries.  A value that is no array of numbers is
+    passed on, for the check of the stack to refuse in its turn."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return [value]
+    return array.reshape(1, -1) if vector else np.atleast_2d(array)[None]
+
+
 def _T(matrices):
-    """Each matrix of a stack (or one matrix) transposed."""
+    """Each matrix of a stack transposed."""
     return matrices.swapaxes(-1, -2)
 
 
 def _at(values, replicate):
     """Replicate ``replicate``'s entry of per-replicate ``values`` as a Python
-    scalar; a single object's value is its replicate 0."""
-    return np.reshape(values, -1)[replicate].item()
+    scalar."""
+    return values[replicate].item()
 
 
 def _refusals(checks, refusals=None):
     """``{replicate: MvmrError}``: each replicate refused by a check gets the
     first refusing check's ``make(replicate)``, checks taken in order after
     the ``refusals`` already made.  ``checks`` are ``(mask, make)`` pairs, a
-    mask holding one numpy flag per replicate (a 0-d flag for a single
-    object)."""
+    mask holding one numpy flag per replicate."""
     refusals = {} if refusals is None else dict(refusals)
     for mask, make in checks:
-        for i in np.flatnonzero(mask).tolist() if mask.ndim else [0] if mask else []:
+        for i in np.flatnonzero(mask).tolist():
             if i not in refusals:
                 refusals[i] = make(i)
     return refusals
@@ -117,7 +127,7 @@ def _without(matrices, replicates):
     if not replicates:
         return matrices
     out = np.array(matrices)
-    out.reshape(-1, *out.shape[-2:])[list(replicates)] = np.eye(out.shape[-1])
+    out[list(replicates)] = np.eye(out.shape[-1])
     return out
 
 
@@ -126,30 +136,28 @@ def _per_matrix(fn, matrices, *rest):
     matrices on which numpy raised ``LinAlgError``.  One such matrix fails a
     stacked call, so then each matrix is tried alone and a failed one's
     result is NaN."""
-    batch = matrices.shape[:-2]
+    R = len(matrices)
     try:
-        return fn(matrices, *rest), np.zeros(batch, dtype=bool)
+        return fn(matrices, *rest), np.zeros(R, dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    failed = np.zeros(batch, dtype=bool)
+    failed = np.zeros(R, dtype=bool)
     out = np.full((rest[0] if rest else matrices).shape, np.nan)  # the shape of solve's, inv's and cholesky's results
-    for index in np.ndindex(batch):
+    for i in range(R):
         try:
-            out[index] = fn(matrices[index], *(r[index] for r in rest))
+            out[i] = fn(matrices[i], *(r[i] for r in rest))
         except np.linalg.LinAlgError:
-            failed[index] = True
+            failed[i] = True
     return out, failed
 
 
-def check_correlation(matrix, name, error=InvalidStatisticsError, stacked=False):
-    """``matrix`` as a float array and its eigenvalues in ascending order;
-    ``error`` refuses a matrix that is not square, finite, symmetric and
-    unit-diagonal.  Definiteness is left to the caller.  With ``stacked``,
-    ``matrix`` is a stack of such matrices."""
+def check_correlation(matrix, name, error=InvalidStatisticsError):
+    """``matrix``, a stack of matrices, as a float array and the eigenvalues
+    of each in ascending order; ``error`` refuses a stack holding a matrix
+    that is not square, finite, symmetric and unit-diagonal.  Definiteness
+    is left to the caller."""
     r = _floats(matrix, name, error)
-    if not stacked:
-        r = np.atleast_2d(r)
-    if r.ndim != 2 + stacked or r.shape[-1] != r.shape[-2] or r.size == 0:
+    if r.ndim != 3 or r.shape[-1] != r.shape[-2] or r.size == 0:
         raise error(f"{name} must be a square matrix")
     finite = np.isfinite(r).all(axis=(-2, -1))
     shape = np.where(finite[..., None, None], r, 0.0)  # a refused non-finite matrix is zeros here: no inf - inf
@@ -166,17 +174,16 @@ def check_correlation(matrix, name, error=InvalidStatisticsError, stacked=False)
 
 @dataclass(frozen=True, eq=False)
 class SummaryStatistics:
-    """Summary-level inputs: Sigma_EX (L x K), Sigma_EY (L), Sigma_EE (L x L).
+    """Summary-level inputs of R designs: Sigma_EX (R x L x K), Sigma_EY
+    (R x L), Sigma_EE (R x L x L).
 
     Frozen, and the three arrays are read-only copies of the inputs, so
     the factorisation cached on first use (``diagnostics``, ``_ld``,
     ``_moments``) always describes these statistics.  Derive changed
     statistics with ``drop_exposures`` or a new instance; each starts with
     an empty cache.  Inputs no estimator can read raise
-    :class:`InvalidStatisticsError`.  With ``stacked`` the three arrays
-    carry a leading replicate axis: one cell of replicates, or one design
-    per replicate, when ``n_outcome`` may be an (R, 1) integer array of
-    per-design outcome sample sizes.
+    :class:`InvalidStatisticsError`.  ``n_outcome`` is one sample size or
+    an (R, 1) integer array of per-design sizes.
     """
 
     sigma_EX: np.ndarray
@@ -185,24 +192,21 @@ class SummaryStatistics:
     n_exposure: int | None = None
     n_outcome: int | None = None
     exposure_names: tuple | None = None
-    stacked: bool = False
 
     def __post_init__(self):
         sigma_EX = _floats(self.sigma_EX, "sigma_EX")
         sigma_EY = _floats(self.sigma_EY, "sigma_EY")
-        if not self.stacked:
-            sigma_EX, sigma_EY = np.atleast_2d(sigma_EX), sigma_EY.reshape(-1)
-        if sigma_EX.ndim != 2 + self.stacked:
+        if sigma_EX.ndim != 3:
             raise InvalidStatisticsError("sigma_EX must be an instruments x exposures matrix")
-        *batch, L, K = sigma_EX.shape
+        R, L, K = sigma_EX.shape
         if K < 1 or L < K:
             raise InvalidStatisticsError(f"need L >= K >= 1 instruments/exposures, got L={L}, K={K}")
-        if sigma_EY.shape != (*batch, L):
+        if sigma_EY.shape != (R, L):
             raise InvalidStatisticsError("sigma_EY length must match instrument count")
         finite = np.isfinite(sigma_EX).all(axis=(-2, -1)) & np.isfinite(sigma_EY).all(axis=-1)
         _refuse_lowest([(~finite, lambda i: InvalidStatisticsError("summary statistics contain non-finite entries"))])
-        sigma_EE, eigenvalues = check_correlation(self.sigma_EE, "sigma_EE", stacked=self.stacked)
-        if sigma_EE.shape != (*batch, L, L):
+        sigma_EE, eigenvalues = check_correlation(self.sigma_EE, "sigma_EE")
+        if sigma_EE.shape != (R, L, L):
             raise InvalidStatisticsError("sigma_EE must have one row per instrument")
         _refuse_lowest([
             (
@@ -233,8 +237,7 @@ class SummaryStatistics:
     def _ld(self):
         """``(Sigma_EE^-1, refusals)``: a replicate whose LD matrix is too
         ill-conditioned or not positive definite is refused, and its
-        inverse is that of the identity.  A single object raises its
-        refusal instead."""
+        inverse is that of the identity."""
         cond = self.diagnostics.condition_EE
         smallest = self._ld_eigenvalues[..., 0]
         refusals = _refusals([
@@ -254,7 +257,6 @@ class SummaryStatistics:
                 ),
             ),
         ])
-        _raise_single(self, refusals)
         return _read_only(np.linalg.inv(_without(self.sigma_EE, refusals))), refusals
 
     @cached_property
@@ -267,13 +269,11 @@ class SummaryStatistics:
         standard error reads ``M^-1`` as its sandwich.  After the LD matrix
         is checked, a rank-deficient design or a numerically singular ``M``
         is refused with :class:`UnderdeterminedError`.  A refused
-        replicate's ``M`` and ``M^-1`` are the identity; a single object
-        raises its refusal instead."""
+        replicate's ``M`` and ``M^-1`` are the identity."""
         ld_inverse, refusals = self._ld
         W = _T(self.sigma_EX) @ ld_inverse
         report = self.diagnostics
         refusals = {**_rank_refusals(self), **refusals}  # an LD refusal comes first
-        _raise_single(self, refusals)
         M = _without(W @ self.sigma_EX, refusals)
         M_inv, _ = _per_matrix(np.linalg.inv, M)
         singular = ~np.isfinite(M_inv).all(axis=(-2, -1))  # a failed inverse reads NaN; or singular at float precision
@@ -281,7 +281,6 @@ class SummaryStatistics:
             [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
             refusals,
         )
-        _raise_single(self, refusals)
         M, M_inv = _without(M, refusals), _without(M_inv, refusals)
         v = (W @ self.sigma_EY[..., None])[..., 0]
         return _read_only(M), _read_only(v), _read_only(M_inv), refusals
@@ -295,17 +294,7 @@ class SummaryStatistics:
             self.n_exposure,
             self.n_outcome,
             tuple(self.exposure_names[k] for k in keep) if self.exposure_names else None,
-            self.stacked,
         )
-
-
-def _raise_single(data, refusals):
-    """Raise the refusal of ``data``, single statistics or a single cohort;
-    a stack's stay recorded.  A copy is raised: the traceback of the cached
-    original would hold frames that refer to ``data``, a reference cycle
-    only the garbage collector frees."""
-    if refusals and not data.stacked:
-        raise copy.copy(refusals[0])
 
 
 def centred_cross(genotypes, exposures, outcome):
@@ -337,23 +326,23 @@ class IndividualData:
     cross-product matrix of Z = [E | X | Y] (genotypes, exposures, outcome;
     L + K + 1 columns, any scale): the column standard deviations ``sds``
     (ddof 0) and the correlation matrix ``corr`` of Z are all the summary
-    statistics and the conditional F-statistic read.  A simulated cohort
-    draws the matrix itself; :meth:`from_arrays` reduces N-row arrays.
-    With ``stacked``, ``cross`` is a stack of R such matrices, cohorts of
-    N each, and ``sds`` and ``corr`` carry the leading replicate axis.
+    statistics and the conditional F-statistic read.  ``cross`` is a
+    stack of R such matrices, cohorts of N each, and ``sds`` and ``corr``
+    carry the leading replicate axis.  A simulated cohort draws the
+    matrices itself; :meth:`from_arrays` reduces the N-row arrays of one
+    cohort.
     """
 
     n_observations: int
     n_instruments: int
     cross: InitVar[np.ndarray]
-    stacked: bool = False
     sds: np.ndarray = field(init=False)
     corr: np.ndarray = field(init=False)
 
     def __post_init__(self, cross):
         cross = _floats(cross, "cross-product matrix")
         L = self.n_instruments
-        if cross.ndim != 2 + self.stacked or cross.shape[-1] != cross.shape[-2] or cross.shape[-1] < L + 2:
+        if cross.ndim != 3 or cross.shape[-1] != cross.shape[-2] or cross.shape[-1] < L + 2:
             raise InvalidStatisticsError(
                 f"cross-product matrix must be square with more than {L + 1} columns"
             )
@@ -370,10 +359,11 @@ class IndividualData:
 
     @classmethod
     def from_arrays(cls, genotypes, exposures, outcome):
-        """Reduce genotypes (N x L), exposures (N x K) and outcome (N) by
-        :func:`centred_cross`; the arrays are not kept."""
+        """The one-cohort stack of genotypes (N x L), exposures (N x K) and
+        outcome (N), reduced by :func:`centred_cross`; the arrays are not
+        kept."""
         n, L = np.atleast_2d(np.asarray(genotypes, dtype=float)).shape
-        return cls(n, L, centred_cross(genotypes, exposures, outcome))
+        return cls(n, L, centred_cross(genotypes, exposures, outcome)[None])
 
     @property
     def ld(self):
@@ -392,7 +382,6 @@ class IndividualData:
             sigma_EE=self.ld if ld is None else ld,
             n_exposure=self.n_observations,
             n_outcome=outcome.n_observations,
-            stacked=self.stacked,
         )
 
 
@@ -411,9 +400,9 @@ def _unit_diagonal(matrix):
 class EstimateResult:
     """Per-exposure causal-effect estimates with their inference.
 
-    On a stack every array has a leading replicate axis, and ``refusals``
-    maps each refused replicate to its ``MvmrError``; that replicate's
-    rows are NaN (its flags False).
+    Every array has a leading replicate axis, and ``refusals`` maps each
+    refused replicate to its ``MvmrError``; that replicate's rows are NaN
+    (its flags False).
     """
 
     effects: np.ndarray
@@ -425,9 +414,9 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class IdentifiabilityReport:
-    """The fields are Python scalars for single statistics and arrays over
-    the replicates for a stack; ``n_exposures`` and ``n_instruments`` are
-    the same for every replicate."""
+    """The fields are arrays over the replicates, except ``n_exposures`` and
+    ``n_instruments``, which every replicate shares.  The report a refusal
+    carries is its replicate's, with Python scalar fields."""
 
     det_normalized_gram: float
     rank_EX: int
@@ -439,10 +428,7 @@ class IdentifiabilityReport:
 
 
 def _report_at(report, replicate):
-    """Replicate ``replicate``'s report, with Python scalar fields; a single
-    object's report is its own."""
-    if not isinstance(report.rank_EX, np.ndarray):
-        return report
+    """Replicate ``replicate``'s report, with Python scalar fields."""
     return IdentifiabilityReport(**{
         name: _at(value, replicate) if isinstance(value, np.ndarray) else value
         for name, value in vars(report).items()
@@ -474,12 +460,8 @@ def identifiability_diagnostics(stats):
         # x / 0 with x > 0 reads inf; the added 1 makes 0 / 0 read inf too
         cond_EX = (top + (bottom == 0)) / bottom
         cond_EE = (magnitudes.max(axis=-1) + (smallest == 0)) / smallest
-    K, L = stats.n_exposures, stats.n_instruments
-    if not stats.stacked:
-        det_gram = float(det_gram)
-        return IdentifiabilityReport(det_gram, int(rank), K, L, float(cond_EX), float(cond_EE), _verdict(det_gram))
     verdict = np.array([_verdict(d) for d in det_gram.tolist()])
-    return IdentifiabilityReport(det_gram, rank, K, L, cond_EX, cond_EE, verdict)
+    return IdentifiabilityReport(det_gram, rank, stats.n_exposures, stats.n_instruments, cond_EX, cond_EE, verdict)
 
 
 def _verdict(det_gram):
@@ -508,10 +490,9 @@ def _rank_refusals(stats):
     return _refusals([(deficient, refusal)])
 
 
-def _estimated(stats, effects, refusals):
-    """The :class:`EstimateResult` of ``effects``; a single object raises its
-    refusal, a stack NaNs its refused replicates' rows."""
-    _raise_single(stats, refusals)
+def _estimated(effects, refusals):
+    """The :class:`EstimateResult` of ``effects``, the rows of the refused
+    replicates NaN."""
     if refusals:
         effects = np.array(effects)
         effects[list(refusals)] = np.nan
@@ -531,7 +512,7 @@ def ls_estimate(stats):
         [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
         refusals,
     )
-    return _estimated(stats, effects[..., 0], refusals)
+    return _estimated(effects[..., 0], refusals)
 
 
 def gmm_optimal(stats):
@@ -543,7 +524,7 @@ def gmm_optimal(stats):
     ``stats._moments``.
     """
     M, v, _, refusals = stats._moments
-    return _estimated(stats, np.linalg.solve(M, v[..., None])[..., 0], refusals)
+    return _estimated(np.linalg.solve(M, v[..., None])[..., 0], refusals)
 
 
 def twmr_shrunk_estimate(stats):
@@ -558,7 +539,7 @@ def twmr_shrunk_estimate(stats):
     """
     _, v, H, refusals = stats._moments
     H_shrunk = (1.0 - TWMR_ALPHA) * H + TWMR_ALPHA * np.eye(stats.n_exposures)
-    return _estimated(stats, (H_shrunk @ v[..., None])[..., 0], refusals)
+    return _estimated((H_shrunk @ v[..., None])[..., 0], refusals)
 
 
 def standard_errors(result, stats):
@@ -569,9 +550,9 @@ def standard_errors(result, stats):
     the standardized scale as ``max(0, 1 - c^T S_EX^T Sigma_EE^-1 S_EY)``
     (conservative fallback to 1 when non-finite).  The sandwich and
     ``S_EX^T Sigma_EE^-1 S_EY`` come from ``stats._moments``.
-    Returns the array of standard errors; ``result`` is not modified.  On
-    a stack, ``stats.n_outcome`` is one size or an (R, 1) array of sizes,
-    and the rows of replicates the moments refuse are meaningless.
+    Returns the array of standard errors; ``result`` is not modified.
+    ``stats.n_outcome`` is one size or an (R, 1) array of sizes, and the
+    rows of replicates the moments refuse are meaningless.
     """
     if stats.n_outcome is None:
         raise ValueError("summary-mode standard errors require n_outcome")
@@ -706,18 +687,17 @@ def conditional_f(individual):
     gives ``rss1 = N (1 - |t|^2)`` and ``rss0 - rss1`` is N times the
     squared residual of ``t`` regressed on the other fitted columns.
 
-    Returns the K statistics of a single cohort, or raises its refusal;
-    for a stack, ``(values, refusals)`` with one row per replicate, a
+    Returns ``(values, refusals)``: the K statistics of each replicate, a
     refused replicate's row NaN.  numpy has no stacked least squares, so
     each replicate's regression is solved on its own.
     """
     n, L, corr = individual.n_observations, individual.n_instruments, individual.corr
-    *batch, d, _ = corr.shape
+    R, d, _ = corr.shape
     K = d - L - 1
-    values = np.empty((*batch, K))
+    values = np.empty((R, K))
     chol, failed = _per_matrix(np.linalg.cholesky, corr[..., :L, :L])
     refusals = _refusals([
-        (np.full(batch, n <= L + K), lambda i: InvalidStatisticsError("conditional F requires N > L + K")),
+        (np.full(R, n <= L + K), lambda i: InvalidStatisticsError("conditional F requires N > L + K")),
         (failed, lambda i: InvalidStatisticsError("conditional F needs a positive definite LD matrix")),
     ])
     fitted = np.linalg.solve(_without(chol, refusals), corr[..., :L, L:-1])
@@ -735,9 +715,9 @@ def conditional_f(individual):
                 )],
                 refusals,
             )
-            coef = np.empty((*batch, K - 1))
-            for index in np.ndindex(*batch):
-                coef[index], *_ = np.linalg.lstsq(others[index], target[index], rcond=None)
+            coef = np.empty((R, K - 1))
+            for i in range(R):
+                coef[i], *_ = np.linalg.lstsq(others[i], target[i], rcond=None)
             resid = target - (others @ coef[..., None])[..., 0]
         else:
             resid = target
@@ -745,9 +725,8 @@ def conditional_f(individual):
         rss1 = n * (1.0 - (target[..., None, :] @ target[..., :, None])[..., 0, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             values[..., k] = np.where(rss1 <= 0, np.inf, (explained / df_num) / (rss1 / df_den))
-    _raise_single(individual, refusals)
     values[list(refusals)] = np.nan
-    return (values, refusals) if individual.stacked else values
+    return values, refusals
 
 
 ESTIMATORS = {
@@ -764,9 +743,8 @@ def estimate(stats, method="ls", bonferroni_threshold=BONFERRONI_DEFAULT):
     standard errors, p-values and Bonferroni flags at
     ``bonferroni_threshold``; otherwise it holds the effects only.  Every
     step reads the factorisation cached on ``stats``, and a numerical
-    refusal is an ``MvmrError``: raised for single statistics, and for a
-    stack recorded per replicate, each replicate refused by the first step
-    that refuses it, with NaN rows.
+    refusal is an ``MvmrError`` recorded per replicate: each replicate
+    refused by the first step that refuses it, with NaN rows.
     """
     try:
         fn = ESTIMATORS[method]
@@ -776,7 +754,7 @@ def estimate(stats, method="ls", bonferroni_threshold=BONFERRONI_DEFAULT):
         ) from None
     result = fn(stats)
     if stats.n_outcome is None:
-        return _estimated(stats, result.effects, result.refusals)
+        return result
     se = standard_errors(result, stats)
     p, significant = p_values(result.effects, se, bonferroni_threshold)
     refusals = {**stats._moments[3], **result.refusals}

@@ -8,11 +8,11 @@ Every locus analysis is MVMR on a list of (gene, tissue) exposures: the
 per-tissue analysis takes the genes of one tissue, the multi-tissue one
 any distinct gene-tissue pairs.  :func:`run_pipeline` analyses the loci in
 one serial pass, in (chromosome, position) order; it takes no thread
-count.  It estimates every (locus, tissue) design of a run as one stacked
-:class:`SummaryStatistics` per (L, K) shape, instruments by exposures,
-and each design's results are bitwise those of the design alone; a
-single analysis (:func:`analyze_locus`, :func:`multi_tissue_analysis`) is
-a one-design stack.
+count.  It estimates every (locus, tissue) design of a run in one
+:class:`SummaryStatistics` stack per (L, K) shape, instruments by
+exposures, and each design's results are bitwise those of the design
+alone, the one-design stack that a single analysis
+(:func:`analyze_locus`, :func:`multi_tissue_analysis`) estimates.
 
 An eQTL row is a significant instrument-gene association when its FDR is
 below ``EQTL_FDR`` (0.05).  Only :func:`build_loci` applies that rule: each
@@ -520,7 +520,6 @@ def _analyze_stack(designs, results, gwas_by_snp, ld, config):
                 [[gwas_by_snp[s].beta for s in snps] for *_, snps, _ in designs],
                 [ld.submatrix(snps) for *_, snps, _ in designs],
                 n_outcome=np.array([[int(np.median([gwas_by_snp[s].n for s in snps]))] for *_, snps, _ in designs]),
-                stacked=True,
             )
         except MvmrError as exc:
             results[designs.pop(exc.replicate)[0]] = [], {"error": str(exc)}, "failed"

@@ -63,8 +63,8 @@ from .estimators import (
     check_correlation,
     conditional_f,
     estimate,
+    one_design,
     _floats,
-    _ndtr,
     _read_only,
     _unit_diagonal,
 )
@@ -555,8 +555,8 @@ class SimulationScenario:
         if (self.genotypes is None) == (self.ld_matrix is None):
             raise ScenarioError("specify exactly one of genotypes (Markov) or ld_matrix (Gaussian)")
         if self.ld_matrix is not None:
-            ld, _ = check_correlation(self.ld_matrix, "ld_matrix", ScenarioError)
-            object.__setattr__(self, "ld_matrix", tuple(map(tuple, ld)))
+            ld, _ = check_correlation(one_design(self.ld_matrix), "ld_matrix", ScenarioError)
+            object.__setattr__(self, "ld_matrix", tuple(map(tuple, ld[0])))
             try:
                 factor = np.linalg.cholesky(self.reference_ld)
             except np.linalg.LinAlgError:
@@ -669,13 +669,13 @@ def select_by_ld_threshold(ld, max_r2):
 
 @dataclass
 class GeneratedDataset:
-    """One simulated dataset: sufficient statistics plus generative scales.
-    A cell's datasets stacked carry a leading replicate axis on each."""
+    """The simulated datasets of a cell: sufficient statistics plus
+    generative scales, each with a leading replicate axis."""
 
     individual: IndividualData
     statistics: SummaryStatistics
     sd_exposures: np.ndarray
-    sd_outcome: float
+    sd_outcome: np.ndarray
 
 
 def _cholesky(ld):
@@ -745,47 +745,38 @@ def _estimation_ld(scenario, exposure, outcome):
     return (exposure if scenario.ld_choice == "exposure" else outcome).ld
 
 
-def _dataset(scenario, exposure_cross, outcome_cross, stacked):
-    """The :class:`GeneratedDataset` of drawn cross-product matrices, one
-    cohort's or a stack of them."""
-    L = scenario.n_instruments
-    exposure = IndividualData(scenario.n_samples, L, exposure_cross, stacked)
-    outcome = exposure if outcome_cross is None else IndividualData(scenario.n_outcome, L, outcome_cross, stacked)
-    stats = exposure.summary_statistics(outcome, _estimation_ld(scenario, exposure, outcome))
-    return GeneratedDataset(exposure, stats, exposure.sds[..., L:-1], outcome.sds[..., -1])
-
-
 def _stacked_dataset(scenario, draws):
-    """The stacked :class:`GeneratedDataset` of ``draws``.  A refusal is
+    """The :class:`GeneratedDataset` of ``draws``, stacked.  A refusal is
     that of the lowest replicate any construction step refuses, as if each
     replicate were built in turn."""
     if not draws:
         return None
-    exposure, outcome = zip(*draws)
+    exposure_cross, outcome_cross = zip(*draws)
+    L = scenario.n_instruments
     try:
-        return _dataset(scenario, np.stack(exposure), None if outcome[0] is None else np.stack(outcome), True)
+        exposure = IndividualData(scenario.n_samples, L, np.stack(exposure_cross))
+        outcome = exposure if outcome_cross[0] is None else IndividualData(scenario.n_outcome, L, np.stack(outcome_cross))
+        stats = exposure.summary_statistics(outcome, _estimation_ld(scenario, exposure, outcome))
     except MvmrError as exc:
         _stacked_dataset(scenario, draws[: exc.replicate])  # raises an earlier replicate's refusal, if any
         raise
+    return GeneratedDataset(exposure, stats, exposure.sds[..., L:-1], outcome.sds[..., -1])
 
 
-def generate_dataset(scenario, seed, stacked=False, threads=1):
-    """Simulate one dataset and its one :class:`SummaryStatistics`.
+def generate_dataset(scenario, seed, threads=1):
+    """Simulate a cell of ``scenario.replicates`` datasets and their one
+    :class:`SummaryStatistics`.
 
-    Returns a :class:`GeneratedDataset`.  Two-sample scenarios
+    Returns a :class:`GeneratedDataset`, replicate i drawn from its own
+    stream ``_replicate_rng(seed, i)`` (on ``threads`` threads) and
+    stacked on a leading replicate axis.  Two-sample scenarios
     (``n_outcome`` set) draw independent exposure and outcome cohorts, and
     ``IndividualData.summary_statistics`` mixes the first's
     instrument-exposure block with the second's instrument-outcome
-    correlations; see :func:`_estimation_ld` for the LD matrix.
-
-    With ``stacked``, the dataset is a cell of ``scenario.replicates``
-    replicates, replicate i drawn from its own stream ``_replicate_rng(seed,
-    i)`` (on ``threads`` threads) and stacked on a leading replicate axis.
-    It refuses with the refusal of its lowest refused replicate, whether a
+    correlations; see :func:`_estimation_ld` for the LD matrix.  The cell
+    refuses with the refusal of its lowest refused replicate, whether a
     draw or a construction step refused it.
     """
-    if not stacked:
-        return _dataset(scenario, *_draw(scenario, np.random.default_rng(seed)), False)
     draws = [None] * scenario.replicates
 
     def one(index, rng):
@@ -933,15 +924,15 @@ def run_replicates(scenario, seed, estimators, threads=1, collect_conditional_f=
     """Replicate study of a scenario, ``scenario.replicates`` replicates,
     under one or more estimators.
 
-    Each replicate is drawn on its own stream (:func:`generate_dataset`
-    with ``stacked``), and the cell is estimated once, on the stacked
-    statistics.  Deterministic for a given ``seed`` regardless of
-    ``threads``.  Estimator failures inside a replicate are recorded (NaN
-    estimates) rather than raised; the failure rate is part of the summary.
-    A replicate whose conditional F is refused keeps a NaN column.
+    Each replicate is drawn on its own stream (:func:`generate_dataset`),
+    and the cell is estimated once, on the stacked statistics.
+    Deterministic for a given ``seed`` regardless of ``threads``.
+    Estimator failures inside a replicate are recorded (NaN estimates)
+    rather than raised; the failure rate is part of the summary.  A
+    replicate whose conditional F is refused keeps a NaN column.
     """
     summary = ReplicateSummary(scenario, estimators, seed, collect_conditional_f)
-    data = generate_dataset(scenario, seed, stacked=True, threads=threads)
+    data = generate_dataset(scenario, seed, threads=threads)
     summary.fill(data.statistics, data.sd_exposures, data.sd_outcome)
     if collect_conditional_f:
         summary.conditional_f[:] = conditional_f(data.individual)[0].T
@@ -997,7 +988,7 @@ def pleiotropy_experiment(scenario, seed, estimators, threads=1):
         )
         full = ReplicateSummary(cell, estimators, seed + g)
         missp = ReplicateSummary(missp_scenario, estimators, seed + g)
-        data = generate_dataset(cell, seed + g, stacked=True, threads=threads)
+        data = generate_dataset(cell, seed + g, threads=threads)
         full.fill(data.statistics, data.sd_exposures, data.sd_outcome)
         missp.fill(data.statistics.drop_exposures(hidden), data.sd_exposures[:, keep], data.sd_outcome)
         cells += [
@@ -1269,61 +1260,3 @@ def load_scenario_file(path):
         raise ScenarioError(f"unknown scenario kind {kind!r}")
     return kind, config
 
-
-# ---------------------------------------------------------------------------
-# Locus-file bridge (same formats as the locus pipeline)
-
-
-def export_locus_files(stats, out_dir, gene_names):
-    """Write eQTL/GWAS/LD summary files for a set of summary statistics.
-
-    Produces the three files consumed by the locus pipeline so that
-    simulated data can complete the full analysis round trip.  SNP i is
-    named ``rs{900000 + i}`` and placed on chromosome 1 at 1,000,000 +
-    5,000 i bp; every eQTL is in tissue ``SIM``, and the GWAS sample size
-    is ``stats.n_outcome`` (10,000 when unset).  Returns the (eqtl, gwas,
-    ld) paths.
-    """
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    L, K = stats.sigma_EX.shape
-    snps = [f"rs{900000 + i}" for i in range(L)]
-    genes = list(gene_names)
-    if len(genes) != K:
-        raise ValueError("need one gene name per exposure")
-    n_out = stats.n_outcome or 10000
-    n_exp = stats.n_exposure or n_out
-
-    eqtl_path = os.path.join(out_dir, "eqtl.tsv")
-    gwas_path = os.path.join(out_dir, "gwas.tsv")
-    ld_path = os.path.join(out_dir, "ld.txt")
-
-    with open(eqtl_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("snp\tchrom\tpos\tgene\ttissue\tbeta\tse\tmaf\tfdr\n")
-        for i, snp in enumerate(snps):
-            pos = 1_000_000 + i * 5_000
-            for k, gene in enumerate(genes):
-                beta = float(stats.sigma_EX[i, k])
-                se = max(1.0 / float(np.sqrt(n_exp)), 1e-6)
-                fh.write(
-                    f"{snp}\t1\t{pos}\t{gene}\tSIM\t{beta!r}\t{se!r}\t0.3\t0.001\n"
-                )
-
-    with open(gwas_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("snp\tchrom\tpos\tbeta\tse\tpval\tn\n")
-        for i, snp in enumerate(snps):
-            pos = 1_000_000 + i * 5_000
-            beta = float(stats.sigma_EY[i])
-            se = max(1.0 / float(np.sqrt(n_out)), 1e-12)
-            z = beta / se
-            pval = max(2.0 * _ndtr(-abs(z)), 1e-300)
-            pval = min(pval, 4.9e-8)  # keep every simulated SNP genome-wide significant
-            fh.write(f"{snp}\t1\t{pos}\t{beta!r}\t{se!r}\t{pval!r}\t{n_out}\n")
-
-    with open(ld_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(" ".join(snps) + "\n")
-        for i in range(L):
-            fh.write(" ".join(repr(float(v)) for v in stats.sigma_EE[i]) + "\n")
-
-    return eqtl_path, gwas_path, ld_path

@@ -1,10 +1,43 @@
-"""Random model generators and reference samplers shared across the test modules."""
+"""Random model generators, reference samplers and single-design helpers
+shared across the test modules."""
+
+import os
 
 import numpy as np
 
 from mvmr import graph
+from mvmr import simulate as sim
 from mvmr.errors import GraphStructureError, StandardizationError
+from mvmr.estimators import EstimateResult, SummaryStatistics, _ndtr, one_design
 from mvmr.simulate import _conditional_allele_probs
+
+
+def single_design(sigma_EX, sigma_EY, sigma_EE, **kwargs):
+    """The statistics of one design as the one-design stack, its arrays
+    read as ``mvmr estimate`` reads a statistics file."""
+    return SummaryStatistics(one_design(sigma_EX), one_design(sigma_EY, vector=True), one_design(sigma_EE), **kwargs)
+
+
+def design(outcome):
+    """Row 0 of ``outcome`` on a one-design stack, an ``EstimateResult`` or
+    the ``(values, refusals)`` of ``conditional_f``; the design's first
+    refusal is raised instead."""
+    if isinstance(outcome, EstimateResult):
+        refusals = outcome.refusals
+        arrays = (outcome.effects, outcome.standard_errors, outcome.p_values, outcome.bonferroni_significant)
+        row = EstimateResult(*(None if a is None else a[0] for a in arrays))
+    else:
+        values, refusals = outcome
+        row = values[0]
+    if refusals:
+        raise refusals[0]
+    return row
+
+
+def single_dataset(scenario, seed):
+    """The one-replicate dataset drawn from ``np.random.default_rng(seed)``
+    (a seed, a ``SeedSequence`` or a ``Generator``, which is drawn from)."""
+    return sim._stacked_dataset(scenario, [sim._draw(scenario, np.random.default_rng(seed))])
 
 
 def random_standardized_sem(rng, n_nodes=6, edge_prob=0.35, bicov_prob=0.15):
@@ -90,14 +123,12 @@ def random_mvmr_graph(rng, n_exposures=2, cross_prob=0.5, sabotage=None):
 
 
 def population_statistics(diagram, sem, instruments, exposures, outcome, n_outcome=None):
-    """SummaryStatistics built from the SEM's implied covariance matrix."""
-    from mvmr.estimators import SummaryStatistics
-
+    """The one-design statistics of the SEM's implied covariance matrix."""
     sigma = graph.implied_covariance(sem)
     iE = [diagram.index(e) for e in instruments]
     iX = [diagram.index(x) for x in exposures]
     iY = diagram.index(outcome)
-    return SummaryStatistics(
+    return single_design(
         sigma[np.ix_(iE, iX)],
         sigma[iE, iY],
         sigma[np.ix_(iE, iE)],
@@ -177,3 +208,57 @@ def refuse_replicates(estimator, chosen, error):
 
 def every_replicate(stats):
     return range(len(stats.sigma_EX))
+
+
+def export_locus_files(stats, out_dir, gene_names):
+    """Write eQTL/GWAS/LD summary files for the one-design ``stats``.
+
+    Produces the three files consumed by the locus pipeline so that
+    simulated data can complete the full analysis round trip.  SNP i is
+    named ``rs{900000 + i}`` and placed on chromosome 1 at 1,000,000 +
+    5,000 i bp; every eQTL is in tissue ``SIM``, and the GWAS sample size
+    is ``stats.n_outcome`` (10,000 when unset).  Returns the (eqtl, gwas,
+    ld) paths.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    sigma_EX, sigma_EY, sigma_EE = stats.sigma_EX[0], stats.sigma_EY[0], stats.sigma_EE[0]
+    L, K = sigma_EX.shape
+    snps = [f"rs{900000 + i}" for i in range(L)]
+    genes = list(gene_names)
+    if len(genes) != K:
+        raise ValueError("need one gene name per exposure")
+    n_out = stats.n_outcome or 10000
+    n_exp = stats.n_exposure or n_out
+
+    eqtl_path = os.path.join(out_dir, "eqtl.tsv")
+    gwas_path = os.path.join(out_dir, "gwas.tsv")
+    ld_path = os.path.join(out_dir, "ld.txt")
+
+    with open(eqtl_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("snp\tchrom\tpos\tgene\ttissue\tbeta\tse\tmaf\tfdr\n")
+        for i, snp in enumerate(snps):
+            pos = 1_000_000 + i * 5_000
+            for k, gene in enumerate(genes):
+                beta = float(sigma_EX[i, k])
+                se = max(1.0 / float(np.sqrt(n_exp)), 1e-6)
+                fh.write(
+                    f"{snp}\t1\t{pos}\t{gene}\tSIM\t{beta!r}\t{se!r}\t0.3\t0.001\n"
+                )
+
+    with open(gwas_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("snp\tchrom\tpos\tbeta\tse\tpval\tn\n")
+        for i, snp in enumerate(snps):
+            pos = 1_000_000 + i * 5_000
+            beta = float(sigma_EY[i])
+            se = max(1.0 / float(np.sqrt(n_out)), 1e-12)
+            z = beta / se
+            pval = max(2.0 * _ndtr(-abs(z)), 1e-300)
+            pval = min(pval, 4.9e-8)  # keep every simulated SNP genome-wide significant
+            fh.write(f"{snp}\t1\t{pos}\t{beta!r}\t{se!r}\t{pval!r}\t{n_out}\n")
+
+    with open(ld_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(" ".join(snps) + "\n")
+        for i in range(L):
+            fh.write(" ".join(repr(float(v)) for v in sigma_EE[i]) + "\n")
+
+    return eqtl_path, gwas_path, ld_path

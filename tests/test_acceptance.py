@@ -15,7 +15,15 @@ from mvmr import estimators as est
 from mvmr import graph
 from mvmr import loci
 from mvmr import simulate as sim
-from helpers import population_statistics, random_mvmr_graph, random_standardized_sem
+from helpers import (
+    design,
+    export_locus_files,
+    population_statistics,
+    random_mvmr_graph,
+    random_standardized_sem,
+    single_dataset,
+    single_design,
+)
 
 SCENARIOS = resources.files("mvmr").joinpath("data", "scenarios")
 
@@ -48,7 +56,7 @@ def test_criterion_01_oracle_identification():
         accepted += 1
         stats = population_statistics(diagram, sem, instruments, exposures, outcome)
         truth = np.array([sem.coefficient(diagram, x, outcome) for x in exposures])
-        effects = est.ls_estimate(stats).effects
+        effects = design(est.ls_estimate(stats)).effects
         worst = max(worst, float(np.max(np.abs(effects - truth))))
     elapsed = time.monotonic() - start
     report(
@@ -241,8 +249,8 @@ def test_criterion_09_twmr_shrinkage_bias():
     c_std = np.asarray(scenario.true_effects) * sd_x
     sigma_xx = (A.T @ cov_E @ A + np.eye(3)) / np.outer(sd_x, sd_x)
     sd_y = np.sqrt(float(c_std @ sigma_xx @ c_std) + 1.0)
-    pop = est.SummaryStatistics(S, S @ (c_std / sd_y), np.asarray(fixture["ld"]))
-    dev_pop = est.twmr_shrunk_estimate(pop).effects - est.gmm_optimal(pop).effects
+    pop = single_design(S, S @ (c_std / sd_y), np.asarray(fixture["ld"]))
+    dev_pop = design(est.twmr_shrunk_estimate(pop)).effects - design(est.gmm_optimal(pop)).effects
     pop_scale = float(np.max(np.abs(dev_pop)))
 
     deviations = {}
@@ -301,8 +309,8 @@ def test_criterion_11_pipeline_round_trip(tmp_path):
         genotypes=sim.GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"]),
         effects=sim.EffectSizes(matrix=tuple(map(tuple, A))),
     )
-    data = sim.generate_dataset(scenario, 333)
-    eqtl, gwas, ld = sim.export_locus_files(
+    data = single_dataset(scenario, 333)
+    eqtl, gwas, ld = export_locus_files(
         data.statistics, str(tmp_path / "files"), gene_names=["SLC22A3", "LPA", "PLG"]
     )
 

@@ -699,6 +699,11 @@ class TestEstimateCommand:
                 4,
                 "numerical failure",
             ),
+            (  # full rank, but the weighted moment matrix underflows to zero: non-identifiable
+                {"sigma_EX": [[1e-170, 0.0], [0.0, 1e-170]], "sigma_EY": [0.1, 0.2], "sigma_EE": [[1.0, 0.0], [0.0, 1.0]], "n_outcome": 100},
+                3,
+                "non-identifiable: weighted moment matrix is singular",
+            ),
         ],
     )
     def test_failure_writes_its_payload_to_out(self, tmp_path, capsys, payload, exit_code, message):

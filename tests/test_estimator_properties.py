@@ -1,9 +1,9 @@
 """Property tests for ``estimate`` on summary statistics.
 
-Whatever statistics the ``SummaryStatistics`` constructor accepts, each
-estimator either returns an ``EstimateResult`` or raises an ``MvmrError``,
-which the command line reports with exit code 3 or 4; no other exception
-escapes.  The LD matrices drawn include near-singular ones (condition
+Whatever one-design statistics the ``SummaryStatistics`` constructor
+accepts, each estimator either estimates the design or refuses it with an
+``MvmrError``, which the command line reports with exit code 3 or 4; no
+other exception escapes.  The LD matrices drawn include near-singular ones (condition
 numbers up to 1e14) and ones made indefinite by rounding (smallest
 eigenvalue down to -1e-10, the constructor's tolerance); the instrument-
 exposure covariances include zero columns, proportional columns and
@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from mvmr import estimators as est
 from mvmr.errors import IllConditionedLdError, InvalidStatisticsError, MvmrError
+
+from helpers import design, single_design
 
 PROPERTY = settings(
     max_examples=100,
@@ -85,7 +87,7 @@ def _statistics(draw, kinds=LD_KINDS, n_outcome=N_OUTCOME):
             sigma_EX[:, k] = draw(UNIT) * sigma_EX[:, 0]
     sigma_EY = _matrix(draw, L, 1).ravel()
     try:
-        return est.SummaryStatistics(sigma_EX, sigma_EY, draw(_ld(L, kinds)), n_outcome=draw(n_outcome))
+        return single_design(sigma_EX, sigma_EY, draw(_ld(L, kinds)), n_outcome=draw(n_outcome))
     except InvalidStatisticsError:
         reject()
 
@@ -95,7 +97,7 @@ def _statistics(draw, kinds=LD_KINDS, n_outcome=N_OUTCOME):
 @given(stats=_statistics())
 def test_estimate_returns_or_raises_a_typed_error(method, stats):
     try:
-        result = est.estimate(stats, method)
+        result = design(est.estimate(stats, method))
     except MvmrError:
         return
     assert isinstance(result, est.EstimateResult)
@@ -115,6 +117,6 @@ def test_estimate_returns_or_raises_a_typed_error(method, stats):
 def test_no_inference_on_an_ld_matrix_that_is_not_positive_definite(method, stats):
     assume(np.linalg.eigvalsh(stats.sigma_EE).min() <= 0.0)
     with pytest.raises(MvmrError) as raised:
-        est.estimate(stats, method)
+        design(est.estimate(stats, method))
     if method != "ls":  # LS checks the design before it reads Sigma_EE^-1
         assert raised.type is IllConditionedLdError

@@ -12,26 +12,30 @@ from mvmr.errors import (
     UnderdeterminedError,
 )
 from helpers import (
+    design,
     near_singular_ld_payload,
     population_statistics,
     random_mvmr_graph,
     rounding_indefinite_ld_payload,
+    single_dataset,
+    single_design,
 )
 from test_graph import fig_2a_model
 
 
 def individual_standard_errors(result, stats, individual):
-    """Individual-level standard errors of ``result``: the summary-mode
-    sandwich with the empirical residual variance of ``y - x c`` on the
-    standardized scale, read from the correlations as
-    ``N (1 - 2 c^T S_XY + c^T S_XX c)``, over the observation count."""
+    """Individual-level standard errors of ``result``, the estimate of a
+    one-design stack's design: the summary-mode sandwich with the empirical
+    residual variance of ``y - x c`` on the standardized scale, read from
+    the correlations as ``N (1 - 2 c^T S_XY + c^T S_XX c)``, over the
+    observation count."""
     c = result.effects
     L, n = individual.n_instruments, individual.n_observations
-    sigma_XX = individual.corr[L:-1, L:-1]
-    sigma_XY = individual.corr[L:-1, -1]
+    sigma_XX = individual.corr[0, L:-1, L:-1]
+    sigma_XY = individual.corr[0, L:-1, -1]
     rss = n * max(0.0, 1.0 - 2.0 * float(c @ sigma_XY) + float(c @ sigma_XX @ c))
     sigma_u2 = rss / max(n - stats.n_exposures, 1)
-    sandwich = stats._moments[2]
+    sandwich = stats._moments[2][0]
     return np.sqrt(np.clip(np.diag(sandwich) * sigma_u2 / n, 0.0, None))
 
 
@@ -45,34 +49,34 @@ def fig_2a_statistics(n_outcome=None):
 class TestSummaryStatistics:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            est.SummaryStatistics(np.ones((2, 3)), np.ones(2), np.eye(2))
+            single_design(np.ones((2, 3)), np.ones(2), np.eye(2))
 
     def test_requires_unit_diagonal_ld(self):
         with pytest.raises(ValueError):
-            est.SummaryStatistics(np.eye(2), [0.1, 0.2], 2.0 * np.eye(2))
+            single_design(np.eye(2), [0.1, 0.2], 2.0 * np.eye(2))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            est.SummaryStatistics(
+            single_design(
                 np.array([[np.nan], [0.1]]), [0.1, 0.2], np.eye(2)
             )
 
 
 class TestLsEstimate:
     def test_identity_design(self):
-        stats = est.SummaryStatistics(np.eye(2), [0.2, 0.6], np.eye(2))
-        assert np.allclose(est.ls_estimate(stats).effects, [0.2, 0.6], atol=1e-15)
+        stats = single_design(np.eye(2), [0.2, 0.6], np.eye(2))
+        assert np.allclose(design(est.ls_estimate(stats)).effects, [0.2, 0.6], atol=1e-15)
 
     def test_population_fig2a_recovery(self):
-        result = est.ls_estimate(fig_2a_statistics())
+        result = design(est.ls_estimate(fig_2a_statistics()))
         assert np.allclose(result.effects, [0.2, 0.6], atol=1e-10)
 
     def test_proportional_columns_underdetermined(self):
-        stats = est.SummaryStatistics(
+        stats = single_design(
             np.array([[0.3, 0.6], [0.2, 0.4]]), [0.1, 0.2], np.eye(2)
         )
         with pytest.raises(UnderdeterminedError) as info:
-            est.ls_estimate(stats)
+            design(est.ls_estimate(stats))
         assert info.value.diagnostics.rank_EX == 1
 
 
@@ -85,19 +89,19 @@ class TestLsEstimate:
             for K in range(1, L + 1):
                 for _ in range(20):
                     S, s_y = rng.normal(size=(L, K)), rng.normal(size=L)
-                    stats = est.SummaryStatistics(S, s_y, np.eye(L))
+                    stats = single_design(S, s_y, np.eye(L))
                     identity = np.eye(L)
-                    SI = stats.sigma_EX.T @ identity
-                    expected = np.linalg.solve(SI @ stats.sigma_EX, SI @ stats.sigma_EY)
-                    assert est.ls_estimate(stats).effects.tobytes() == expected.tobytes()
+                    SI = stats.sigma_EX[0].T @ identity
+                    expected = np.linalg.solve(SI @ stats.sigma_EX[0], SI @ stats.sigma_EY[0])
+                    assert design(est.ls_estimate(stats)).effects.tobytes() == expected.tobytes()
 
 
 class TestGmm:
     def test_exactly_determined_weighting_free(self):
         # with one instrument per exposure both weightings solve the same equations
         stats = fig_2a_statistics()
-        a = est.gmm_optimal(stats).effects
-        assert np.allclose(a, est.ls_estimate(stats).effects, atol=1e-10)
+        a = design(est.gmm_optimal(stats)).effects
+        assert np.allclose(a, design(est.ls_estimate(stats)).effects, atol=1e-10)
 
     def test_overdetermined_population_recovery(self):
         # 3 exposures, 7 instruments: optimal weighting recovers the truth
@@ -114,33 +118,33 @@ class TestGmm:
         c_std = c * sd_x
         var_y = float(c_std @ sigma_XX @ c_std) + 1.0
         sigma_EY = sigma_EX @ (c_std / np.sqrt(var_y))
-        stats = est.SummaryStatistics(sigma_EX, sigma_EY, R)
-        result = est.gmm_optimal(stats)
+        stats = single_design(sigma_EX, sigma_EY, R)
+        result = design(est.gmm_optimal(stats))
         assert np.allclose(result.effects, c_std / np.sqrt(var_y), atol=1e-10)
 
     def test_perfect_ld_rejected(self):
         R = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises((IllConditionedLdError, ValueError)):
-            stats = est.SummaryStatistics(
+            stats = single_design(
                 np.array([[0.3, 0.1], [0.2, 0.25]]), [0.1, 0.2], R
             )
-            est.gmm_optimal(stats)
+            design(est.gmm_optimal(stats))
 
 
 class TestTwmrShrunk:
     def test_shrinks_the_optimal_inverse_hessian_by_the_fixed_factor(self):
         stats = fig_2a_statistics()
-        W = stats.sigma_EX.T @ np.linalg.inv(stats.sigma_EE)
-        H = np.linalg.inv(W @ stats.sigma_EX)
+        W = stats.sigma_EX[0].T @ np.linalg.inv(stats.sigma_EE[0])
+        H = np.linalg.inv(W @ stats.sigma_EX[0])
         alpha = 1.0 / np.sqrt(3781)
-        expected = ((1.0 - alpha) * H + alpha * np.eye(2)) @ W @ stats.sigma_EY
+        expected = ((1.0 - alpha) * H + alpha * np.eye(2)) @ W @ stats.sigma_EY[0]
         assert est.TWMR_ALPHA == alpha
-        assert np.allclose(est.twmr_shrunk_estimate(stats).effects, expected, atol=1e-12)
+        assert np.allclose(design(est.twmr_shrunk_estimate(stats)).effects, expected, atol=1e-12)
 
     def test_default_alpha_biased_on_population(self):
         stats = fig_2a_statistics()
-        shrunk = est.twmr_shrunk_estimate(stats).effects
-        exact = est.gmm_optimal(stats).effects
+        shrunk = design(est.twmr_shrunk_estimate(stats)).effects
+        exact = design(est.gmm_optimal(stats)).effects
         gap = np.abs(shrunk - exact)
         assert gap.max() > 1e-4  # nonzero deviation from the exact solution
 
@@ -172,7 +176,7 @@ class TestStandardErrors:
         y = (y - y.mean()) / y.std()
         data = est.IndividualData.from_arrays(e, x, y)
         stats = data.summary_statistics()
-        result = est.ls_estimate(stats)
+        result = design(est.ls_estimate(stats))
         se = individual_standard_errors(result, stats, data)
         assert np.allclose(se, 0.0, atol=1e-6)
 
@@ -191,10 +195,10 @@ class TestStandardErrors:
         rng_root = np.random.SeedSequence(2024)
         ratios = []
         for rep, child in enumerate(rng_root.spawn(2000)):
-            data = sim.generate_dataset(scenario, np.random.default_rng(child))
+            data = single_dataset(scenario, child)
             result = est.gmm_optimal(data.statistics)
-            summary = est.standard_errors(result, data.statistics)
-            individual = individual_standard_errors(result, data.statistics, data.individual)
+            summary = est.standard_errors(result, data.statistics)[0]
+            individual = individual_standard_errors(design(result), data.statistics, data.individual)
             ratios.append(summary / individual)
         ratios = np.array(ratios)
         median_gap = np.median(np.abs(ratios - 1.0), axis=0)
@@ -205,7 +209,7 @@ def overidentified_statistics(n_outcome=2000):
     """L = 5 correlated instruments, K = 3 exposures."""
     rng = np.random.default_rng(4)
     R = np.array([[0.4 ** abs(i - j) for j in range(5)] for i in range(5)])
-    return est.SummaryStatistics(
+    return single_design(
         rng.uniform(-0.3, 0.3, size=(5, 3)),
         rng.uniform(-0.1, 0.1, size=5),
         R,
@@ -235,16 +239,16 @@ class TestSharedFactorisation:
     def test_statistics_are_immutable(self):
         sigma_EX = np.array([[0.3, 0.1], [0.1, 0.4], [0.2, 0.2]])
         sigma_EE = np.eye(3)
-        stats = est.SummaryStatistics(sigma_EX, [0.1, 0.2, 0.1], sigma_EE, n_outcome=500)
+        stats = single_design(sigma_EX, [0.1, 0.2, 0.1], sigma_EE, n_outcome=500)
         with pytest.raises(dataclasses.FrozenInstanceError):
             stats.n_outcome = 10
         with pytest.raises(ValueError):
-            stats.sigma_EE[0, 1] = 0.5
+            stats.sigma_EE[0, 0, 1] = 0.5
         before = est.estimate(stats, "gmm")
         sigma_EX[0, 0] = 5.0
         sigma_EE[0, 1] = sigma_EE[1, 0] = 0.5
-        assert stats.sigma_EX[0, 0] == 0.3
-        assert stats.sigma_EE[0, 1] == 0.0
+        assert stats.sigma_EX[0, 0, 0] == 0.3
+        assert stats.sigma_EE[0, 0, 1] == 0.0
         after = est.estimate(stats, "gmm")
         assert np.array_equal(after.effects, before.effects)
         assert np.array_equal(after.standard_errors, before.standard_errors)
@@ -254,18 +258,18 @@ class TestSharedFactorisation:
         stats = overidentified_statistics()
         est.estimate(stats, method)  # fill the cache of the source statistics
         got = stats.drop_exposures([1])
-        direct = est.SummaryStatistics(stats.sigma_EX[:, [0, 2]], stats.sigma_EY, stats.sigma_EE, n_outcome=stats.n_outcome)
+        direct = est.SummaryStatistics(stats.sigma_EX[..., [0, 2]], stats.sigma_EY, stats.sigma_EE, n_outcome=stats.n_outcome)
         a, b = est.estimate(got, method), est.estimate(direct, method)
         assert np.array_equal(a.effects, b.effects)
         assert np.array_equal(a.standard_errors, b.standard_errors)
         assert got.diagnostics == direct.diagnostics
         # statistics built from permuted arrays start with their own cache
         order = [3, 0, 4, 1, 2]
-        permuted = est.SummaryStatistics(
-            stats.sigma_EX[order], stats.sigma_EY[order], stats.sigma_EE[np.ix_(order, order)], n_outcome=stats.n_outcome
+        permuted = single_design(
+            stats.sigma_EX[0][order], stats.sigma_EY[0][order], stats.sigma_EE[0][np.ix_(order, order)], n_outcome=stats.n_outcome
         )
         assert permuted._ld[0] is not stats._ld[0]
-        np.testing.assert_allclose(permuted._ld[0], stats._ld[0][np.ix_(order, order)], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(permuted._ld[0][0], stats._ld[0][0][np.ix_(order, order)], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(est.estimate(permuted, method).effects, est.estimate(stats, method).effects, rtol=1e-10)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -296,13 +300,13 @@ class TestErrorOrder:
     @pytest.mark.parametrize("method", ["gmm", "twmr"])
     def test_ill_conditioned_ld_before_rank_check(self, method):
         R = np.array([[1.0, 1.0 - 1e-14, 0.0], [1.0 - 1e-14, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        stats = est.SummaryStatistics(
+        stats = single_design(
             np.array([[0.3, 0.6], [0.2, 0.4], [0.1, 0.2]]), [0.1, 0.2, 0.1], R, n_outcome=1000
         )
         with pytest.raises(IllConditionedLdError):
-            est.estimate(stats, method)
+            design(est.estimate(stats, method))
         with pytest.raises(UnderdeterminedError):
-            est.estimate(stats, "ls")
+            design(est.estimate(stats, "ls"))
 
 
 class TestLdGate:
@@ -310,30 +314,30 @@ class TestLdGate:
     of the weighted moment matrix; the estimators solve what they cached."""
 
     def test_near_singular_positive_definite_ld_is_estimated(self):
-        stats = est.SummaryStatistics(**near_singular_ld_payload())
-        assert 5e5 < stats.diagnostics.condition_EE < 2e6
+        stats = single_design(**near_singular_ld_payload())
+        assert 5e5 < stats.diagnostics.condition_EE[0] < 2e6
         for method in METHODS:
-            result = est.estimate(stats, method)
+            result = design(est.estimate(stats, method))
             assert np.all(np.isfinite(result.effects))
             assert np.all(result.standard_errors > 0)
-        np.testing.assert_allclose(est.gmm_optimal(stats).effects, [0.2, -0.1], atol=1e-9)
+        np.testing.assert_allclose(design(est.gmm_optimal(stats)).effects, [0.2, -0.1], atol=1e-9)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_rounding_indefinite_ld_refused(self, method):
-        stats = est.SummaryStatistics(**rounding_indefinite_ld_payload())
-        assert stats.diagnostics.condition_EE < est.LD_CONDITION_LIMIT
+        stats = single_design(**rounding_indefinite_ld_payload())
+        assert stats.diagnostics.condition_EE[0] < est.LD_CONDITION_LIMIT
         with pytest.raises(IllConditionedLdError, match="not positive definite"):
-            est.estimate(stats, method)
+            design(est.estimate(stats, method))
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("scale", [1e-170, 1e-160])
     def test_singular_moment_matrix_is_underdetermined(self, method, scale):
         # full rank, but M = S^T S underflows to zero (1e-170) or to a
         # subnormal whose inverse overflows (1e-160)
-        stats = est.SummaryStatistics(scale * np.eye(2), [0.1, 0.2], np.eye(2), n_outcome=100)
-        assert stats.diagnostics.rank_EX == 2
+        stats = single_design(scale * np.eye(2), [0.1, 0.2], np.eye(2), n_outcome=100)
+        assert stats.diagnostics.rank_EX[0] == 2
         with pytest.raises(UnderdeterminedError, match="singular"):
-            est.estimate(stats, method)
+            design(est.estimate(stats, method))
 
 
 class TestPValues:
@@ -431,7 +435,7 @@ class TestConditionalF:
         xs = ((x - x.mean()) / x.std()).reshape(-1, 1)
         ys = (y - y.mean()) / y.std()
         data = est.IndividualData.from_arrays(e, xs, ys)
-        f = est.conditional_f(data)[0]
+        f = design(est.conditional_f(data))[0]
         # ordinary first-stage F of x on the instruments
         proj, *_ = np.linalg.lstsq(e, xs[:, 0], rcond=None)
         rss1 = float(np.sum((xs[:, 0] - e @ proj) ** 2))
@@ -453,7 +457,7 @@ class TestConditionalF:
         y = (y - y.mean()) / y.std()
         data = est.IndividualData.from_arrays(e, x, y)
         with pytest.raises(CollinearExposuresError):
-            est.conditional_f(data)
+            design(est.conditional_f(data))
 
 
 def standardized(a):
@@ -480,10 +484,11 @@ def reference_conditional_f(e, x):
 
 
 def triangular_solve_conditional_f(individual):
-    """Conditional F with the fitted exposures from scipy's triangular solve."""
+    """Conditional F of a one-cohort stack, with the fitted exposures from
+    scipy's triangular solve."""
     from scipy.linalg import solve_triangular
 
-    n, L, corr = individual.n_observations, individual.n_instruments, individual.corr
+    n, L, corr = individual.n_observations, individual.n_instruments, individual.corr[0]
     K = corr.shape[0] - L - 1
     fitted = solve_triangular(np.linalg.cholesky(corr[:L, :L]), corr[:L, L:-1], lower=True)
     out = np.empty(K)
@@ -511,9 +516,9 @@ class TestConditionalFSolve:
             causal_instruments=(0, 3, 5)[:K],
         )
         for seed in range(20):
-            individual = sim.generate_dataset(scenario, seed).individual
+            individual = single_dataset(scenario, seed).individual
             np.testing.assert_allclose(
-                est.conditional_f(individual),
+                design(est.conditional_f(individual)),
                 triangular_solve_conditional_f(individual),
                 rtol=1e-12,
                 atol=0,
@@ -545,23 +550,23 @@ class TestIndividualDataSufficientStatistics:
 
         stats = data.summary_statistics()
         close = dict(rtol=1e-10, atol=0)
-        np.testing.assert_allclose(stats.sigma_EX, es.T @ xs / n, **close)
-        np.testing.assert_allclose(stats.sigma_EY, es.T @ ys / n, **close)
-        np.testing.assert_allclose(stats.sigma_EE, es.T @ es / n, **close)
-        np.testing.assert_allclose(data.sds[L:-1], x.std(axis=0), **close)
-        np.testing.assert_allclose(data.sds[-1], y.std(), **close)
+        np.testing.assert_allclose(stats.sigma_EX[0], es.T @ xs / n, **close)
+        np.testing.assert_allclose(stats.sigma_EY[0], es.T @ ys / n, **close)
+        np.testing.assert_allclose(stats.sigma_EE[0], es.T @ es / n, **close)
+        np.testing.assert_allclose(data.sds[0, L:-1], x.std(axis=0), **close)
+        np.testing.assert_allclose(data.sds[0, -1], y.std(), **close)
 
-        result = est.ls_estimate(stats)
+        result = design(est.ls_estimate(stats))
         se = individual_standard_errors(result, stats, data)
         resid = ys - xs @ result.effects
         sandwich = np.linalg.inv(
-            stats.sigma_EX.T @ np.linalg.inv(stats.sigma_EE) @ stats.sigma_EX
+            stats.sigma_EX[0].T @ np.linalg.inv(stats.sigma_EE[0]) @ stats.sigma_EX[0]
         )
         expected = np.sqrt(np.diag(sandwich) * float(resid @ resid) / (n - K) / n)
         np.testing.assert_allclose(se, expected, **close)
 
         np.testing.assert_allclose(
-            est.conditional_f(data), reference_conditional_f(es, xs), **close
+            design(est.conditional_f(data)), reference_conditional_f(es, xs), **close
         )
 
     def test_mismatched_n_rejected(self):
@@ -583,11 +588,11 @@ class TestIndividualDataSufficientStatistics:
         e, x, y = self.draw(rng, 40, 2, 1)
         cross = est.IndividualData.from_arrays(e, x, y).corr.copy()
         est.IndividualData(40, 2, cross)
-        cross[entry] = value
+        cross[0][entry] = value
         with pytest.raises(InvalidStatisticsError, match=message):
             est.IndividualData(40, 2, cross)
         with pytest.raises(InvalidStatisticsError, match="square"):
-            est.IndividualData(40, 3, np.eye(4)[:, :3])
+            est.IndividualData(40, 3, np.eye(4)[None, :, :3])
 
     def test_constant_generated_column_is_invalid_statistics(self):
         scenario = sim.SimulationScenario(
@@ -598,30 +603,30 @@ class TestIndividualDataSufficientStatistics:
             noise_variance=0.0,
         )
         with pytest.raises(InvalidStatisticsError, match="constant"):
-            sim.generate_dataset(scenario, 3)
+            single_dataset(scenario, 3)
 
 
 class TestIdentifiabilityDiagnostics:
     def test_pass_verdict(self):
-        stats = est.SummaryStatistics(
+        stats = single_design(
             np.array([[0.5, 0.1], [0.1, 0.5]]), [0.1, 0.2], np.eye(2)
         )
-        report = est.identifiability_diagnostics(stats)
+        report = est._report_at(est.identifiability_diagnostics(stats), 0)
         assert report.verdict == "pass"
         assert report.det_normalized_gram > 0.05
 
     def test_fail_verdict_near_singular(self):
-        stats = est.SummaryStatistics(
+        stats = single_design(
             np.array([[0.5, 0.5001], [0.3, 0.30001]]), [0.1, 0.2], np.eye(2)
         )
-        report = est.identifiability_diagnostics(stats)
+        report = est._report_at(est.identifiability_diagnostics(stats), 0)
         assert report.verdict == "fail"
 
     def test_rank_zero_det_for_proportional_columns(self):
-        stats = est.SummaryStatistics(
+        stats = single_design(
             np.array([[0.4, 0.8], [0.2, 0.4]]), [0.1, 0.2], np.eye(2)
         )
-        report = est.identifiability_diagnostics(stats)
+        report = est._report_at(est.identifiability_diagnostics(stats), 0)
         assert report.rank_EX == 1
         assert report.det_normalized_gram == pytest.approx(0.0, abs=1e-12)
         assert report.verdict == "fail"
@@ -650,7 +655,7 @@ class TestInvariants:
             )
             for method in ("ls", "gmm"):
                 assert np.allclose(
-                    est.estimate(stats, method).effects, truth, atol=1e-10
+                    design(est.estimate(stats, method)).effects, truth, atol=1e-10
                 )
 
     def test_instrument_reordering_invariance(self):
@@ -660,10 +665,10 @@ class TestInvariants:
         )
         stats = population_statistics(diagram, sem, instruments, exposures, outcome)
         order = [2, 0, 1]
-        shuffled = est.SummaryStatistics(
-            stats.sigma_EX[order], stats.sigma_EY[order], stats.sigma_EE[np.ix_(order, order)]
+        shuffled = single_design(
+            stats.sigma_EX[0][order], stats.sigma_EY[0][order], stats.sigma_EE[0][np.ix_(order, order)]
         )
         for method in ("ls", "gmm"):
-            a = est.estimate(stats, method).effects
-            b = est.estimate(shuffled, method).effects
+            a = design(est.estimate(stats, method)).effects
+            b = design(est.estimate(shuffled, method)).effects
             assert np.allclose(a, b, atol=1e-12)

@@ -64,11 +64,12 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     code = f"""
 import sys
 sys.modules["scipy"] = None  # every import of scipy or a scipy submodule now fails
-from mvmr import cli, simulate
-from mvmr.estimators import SummaryStatistics
+sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+from mvmr import cli
+from helpers import export_locus_files, single_design
 codes = [cli.main(argv) for argv in {commands!r}]
-stats = SummaryStatistics([[0.3], [0.2]], [0.06, 0.04], [[1.0, 0.4], [0.4, 1.0]], n_outcome=1000)
-simulate.export_locus_files(stats, {str(tmp_path / "export")!r}, ["G1"])
+stats = single_design([[0.3], [0.2]], [0.06, 0.04], [[1.0, 0.4], [0.4, 1.0]], n_outcome=1000)
+export_locus_files(stats, {str(tmp_path / "export")!r}, ["G1"])
 print(codes)
 """
     completed = _python(code)

@@ -10,6 +10,8 @@ from mvmr import estimators, loci
 from mvmr.errors import MvmrError, PipelineConfigError, SummaryFormatError, UnderdeterminedError
 from mvmr.jsonio import dumps
 
+from helpers import design, single_design
+
 FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
 
 
@@ -83,10 +85,10 @@ def write_stack_trio(tmp_path):
     return [str(p) for p in paths]
 
 
-def unstacked_analysis(locus, exposures, gwas, ld, config):
+def single_analysis(locus, exposures, gwas, ld, config):
     """Reference: ``(calls, diagnostics, verdict)`` of one design from its own
-    unstacked ``SummaryStatistics``, as the pipeline analysed each design
-    before designs were stacked."""
+    one-design ``SummaryStatistics``, with its first refusal raised, as the
+    pipeline analysed each design before designs were stacked."""
     column = {exposure: k for k, exposure in enumerate(exposures)}
     rows = {}
     for r in locus.eqtls:
@@ -95,16 +97,17 @@ def unstacked_analysis(locus, exposures, gwas, ld, config):
     snps = [s for s in locus.member_snps if s in rows]
     diagnostics = {}
     try:
-        stats = estimators.SummaryStatistics(
+        stats = single_design(
             [rows[s] for s in snps],
             [gwas[s].beta for s in snps],
             ld.submatrix(snps),
             n_outcome=int(np.median([gwas[s].n for s in snps])),
         )
-        diagnostics = dataclasses.asdict(stats.diagnostics)
-        if stats.diagnostics.rank_EX < len(exposures) or stats.diagnostics.verdict == "fail":
+        report = estimators._report_at(stats.diagnostics, 0)
+        diagnostics = dataclasses.asdict(report)
+        if report.rank_EX < len(exposures) or report.verdict == "fail":
             return [], diagnostics, "non_identifiable"
-        result = estimators.estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
+        result = design(estimators.estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni))
     except UnderdeterminedError as exc:
         return [], {**diagnostics, "error": str(exc)}, "non_identifiable"
     except MvmrError as exc:
@@ -116,7 +119,7 @@ def unstacked_analysis(locus, exposures, gwas, ld, config):
         )
         for k, (gene, tissue) in enumerate(exposures)
     ]
-    return calls, diagnostics, "ok" if stats.diagnostics.verdict == "pass" else "warn"
+    return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"
 
 
 def full_table_rows(locus, eqtls):
@@ -597,7 +600,7 @@ class TestPipeline:
 class TestStackedPipeline:
     """``run_pipeline`` estimates every design of a run as one stack per
     (L, K) shape; each design reads as it does alone, and as its own
-    unstacked statistics do."""
+    one-design statistics do."""
 
     @pytest.mark.parametrize("estimator", sorted(estimators.ESTIMATORS))
     def test_every_tissue_reads_as_its_design_alone(self, tmp_path, estimator):
@@ -611,7 +614,7 @@ class TestStackedPipeline:
             for tissue in locus.tissues():
                 calls, diagnostics, verdict = loci.analyze_locus(locus, tissue, gwas, ld, config)
                 exposures = [(g, tissue) for g in locus.genes_by_tissue[tissue]]
-                assert unstacked_analysis(locus, exposures, gwas, ld, config) == (calls, diagnostics, verdict)
+                assert single_analysis(locus, exposures, gwas, ld, config) == (calls, diagnostics, verdict)
                 alone = {
                     "verdict": verdict,
                     "diagnostics": diagnostics,
@@ -642,4 +645,5 @@ class TestStackedPipeline:
         assert summary["n_loci"] == 6
         # shapes (3, 2) and (3, 1), and a rebuild after each of the two indefinite LD blocks
         assert len(built) == 2 + 2
-        assert all(stats.stacked for stats in built)
+        # the leading axis: six (3, 2) designs, less one after each rebuild, and one (3, 1) design
+        assert [len(stats.sigma_EX) for stats in built] == [6, 5, 4, 1]

@@ -11,7 +11,7 @@ from mvmr import estimators as est
 from mvmr import simulate as sim
 from mvmr.errors import FeasibilityError, InvalidStatisticsError, MvmrError, ScenarioError, UnderdeterminedError
 
-from helpers import every_replicate, reference_markov_cross, refuse_replicates
+from helpers import design, every_replicate, reference_markov_cross, refuse_replicates, single_dataset
 
 
 def bundled_cell(name, n_samples):
@@ -484,16 +484,16 @@ class TestGenerateDataset:
             ld_matrix=((1.0, 0.7), (0.7, 1.0)),
             effects=sim.EffectSizes(matrix=((0.3, 0.1), (0.2, 0.25))),
         )
-        data = sim.generate_dataset(scenario, 5)
-        assert np.allclose(np.diag(data.individual.corr), 1.0, rtol=0, atol=1e-12)
-        assert np.allclose(np.diag(data.statistics.sigma_EE), 1.0)
+        data = single_dataset(scenario, 5)
+        assert np.allclose(np.diag(data.individual.corr[0]), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(np.diag(data.statistics.sigma_EE[0]), 1.0)
         # the same draws, standardized explicitly as columns of N rows
         A = np.asarray(scenario.effects.matrix)
         e, x, y = sim._generate_arrays(scenario, A, 500, np.random.default_rng(5), scenario.ld_factor)
         e, x, y = ((a - a.mean(axis=0)) / a.std(axis=0) for a in (e, x, y))
-        assert np.allclose(data.statistics.sigma_EX, e.T @ x / 500, rtol=0, atol=1e-12)
-        assert np.allclose(data.statistics.sigma_EY, e.T @ y / 500, rtol=0, atol=1e-12)
-        assert np.allclose(data.statistics.sigma_EE, e.T @ e / 500, rtol=0, atol=1e-12)
+        assert np.allclose(data.statistics.sigma_EX[0], e.T @ x / 500, rtol=0, atol=1e-12)
+        assert np.allclose(data.statistics.sigma_EY[0], e.T @ y / 500, rtol=0, atol=1e-12)
+        assert np.allclose(data.statistics.sigma_EE[0], e.T @ e / 500, rtol=0, atol=1e-12)
 
     def test_noiseless_exact_recovery(self):
         scenario = sim.SimulationScenario(
@@ -503,9 +503,9 @@ class TestGenerateDataset:
             effects=sim.EffectSizes(matrix=((0.3, 0.1), (0.2, 0.25))),
             noise_variance=0.0,
         )
-        data = sim.generate_dataset(scenario, 9)
-        result = est.ls_estimate(data.statistics)
-        rescaled = result.effects * data.sd_outcome / data.sd_exposures
+        data = single_dataset(scenario, 9)
+        result = design(est.ls_estimate(data.statistics))
+        rescaled = result.effects * data.sd_outcome[0] / data.sd_exposures[0]
         assert np.allclose(rescaled, (0.2, 0.6), atol=1e-10)
 
     def test_instrument_subset_restricts_stats(self):
@@ -518,8 +518,8 @@ class TestGenerateDataset:
             causal_instruments=(0, 3, 5),
             instrument_subset=(0, 3, 5, 6),
         )
-        data = sim.generate_dataset(scenario, 3)
-        assert data.statistics.sigma_EX.shape == (4, 3)
+        data = single_dataset(scenario, 3)
+        assert data.statistics.sigma_EX.shape == (1, 4, 3)
 
     def test_instrument_subset_slices_the_cross_product(self, monkeypatch):
         """A Markov cohort's subset statistics equal those of the subset
@@ -545,7 +545,7 @@ class TestGenerateDataset:
             return z.T @ z
 
         monkeypatch.setattr(sim, "_markov_cross", arrays_cross)
-        got = sim.generate_dataset(scenario, 3).statistics
+        got = single_dataset(scenario, 3).statistics
         e, x, y = drawn[0]
         want = est.IndividualData.from_arrays(e[:, list(scenario.instrument_subset)], x, y).summary_statistics()
         for name in ("sigma_EX", "sigma_EY", "sigma_EE"):
@@ -559,7 +559,7 @@ class TestGenerateDataset:
             effects=sim.EffectSizes(matrix=((0.5,),)),
             n_outcome=900,
         )
-        data = sim.generate_dataset(scenario, 4)
+        data = single_dataset(scenario, 4)
         assert data.statistics.n_exposure == 400
         assert data.statistics.n_outcome == 900
 
@@ -589,11 +589,11 @@ class TestGenerateDataset:
     @staticmethod
     def _statistics_assembled_per_cohort(scenario, seed):
         """Statistics built as each cohort's own statistics and then mixed,
-        from the same draws as ``generate_dataset``."""
+        from the same draws as ``single_dataset``."""
         rng = np.random.default_rng(seed)
         A = scenario.effects.realize(rng, scenario)
         keep = list(scenario.instrument_subset)
-        reference = np.asarray(scenario.ld_matrix)[np.ix_(keep, keep)]
+        reference = np.asarray(scenario.ld_matrix)[np.ix_(keep, keep)][None]
 
         def cohort_statistics(n):
             ld = np.asarray(scenario.ld_matrix)
@@ -630,13 +630,13 @@ class TestGenerateDataset:
             validate(stats)
 
         monkeypatch.setattr(est.SummaryStatistics, "__post_init__", counting)
-        data = sim.generate_dataset(scenario, 21)
+        data = single_dataset(scenario, 21)
         assert built == [data.statistics]
 
     @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
     def test_statistics_match_per_cohort_assembly(self, case):
         scenario = self._assembly_scenario(**self.ASSEMBLY_CASES[case])
-        got = sim.generate_dataset(scenario, 21).statistics
+        got = single_dataset(scenario, 21).statistics
         want = self._statistics_assembled_per_cohort(scenario, 21)
         for name in ("sigma_EX", "sigma_EY", "sigma_EE"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -645,7 +645,7 @@ class TestGenerateDataset:
     def test_ld_sources_differ(self):
         """The five cases do not collapse onto one LD matrix."""
         ld = {
-            case: sim.generate_dataset(self._assembly_scenario(**kwargs), 21).statistics.sigma_EE
+            case: single_dataset(self._assembly_scenario(**kwargs), 21).statistics.sigma_EE
             for case, kwargs in self.ASSEMBLY_CASES.items()
         }
         assert not np.array_equal(ld["two_sample_exposure_ld"], ld["two_sample_outcome_ld"])
@@ -663,7 +663,7 @@ class TestGenerateDataset:
         )
         perturb, perturbed = sim.perturb_ld, []
         monkeypatch.setattr(sim, "perturb_ld", lambda *args: perturbed.append(perturb(*args)) or perturbed[-1])
-        sim.generate_dataset(scenario, 5)
+        single_dataset(scenario, 5)
         assert len(perturbed) == (1 if n_outcome is None else 2)
         assert not any(np.array_equal(ld, scenario.reference_ld) for ld in perturbed)
 
@@ -685,9 +685,9 @@ def _mras_two_sample(**kwargs):
 
 
 class TestStackedCellMatchesSingleReplicates:
-    """A stacked cell is the R = 1 code on a leading replicate axis: every
-    replicate's statistics, estimates, inference and conditional F equal,
-    bit for bit, those of ``generate_dataset`` on that replicate's own
+    """Every replicate of a stacked cell reads as the replicate alone: its
+    statistics, estimates, inference and conditional F equal, bit for bit,
+    those of the one-replicate stack drawn from that replicate's own
     stream, and every refusal has the same type and message."""
 
     SEED = 11
@@ -725,7 +725,7 @@ class TestStackedCellMatchesSingleReplicates:
             assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
 
     def _singles(self, scenario):
-        return [sim.generate_dataset(scenario, sim._replicate_rng(self.SEED, i)) for i in range(scenario.replicates)]
+        return [single_dataset(scenario, sim._replicate_rng(self.SEED, i)) for i in range(scenario.replicates)]
 
     def _check(self, stacked, singles, derive):
         """``derive`` maps a dataset to ``(statistics, individual)``."""
@@ -735,7 +735,7 @@ class TestStackedCellMatchesSingleReplicates:
             result = est.estimate(stats, est_name)
             for i, single in enumerate(singles):
                 try:
-                    want = est.estimate(derive(single)[0], est_name)
+                    want = design(est.estimate(derive(single)[0], est_name))
                 except MvmrError as exc:
                     self._same(result.refusals[i], exc)
                     assert np.isnan(result.effects[i]).all() and np.isnan(result.standard_errors[i]).all()
@@ -748,7 +748,7 @@ class TestStackedCellMatchesSingleReplicates:
         values, refusals = est.conditional_f(individual)
         for i, single in enumerate(singles):
             try:
-                want = est.conditional_f(derive(single)[1])
+                want = design(est.conditional_f(derive(single)[1]))
             except MvmrError as exc:
                 self._same(refusals[i], exc)
                 assert np.isnan(values[i]).all()
@@ -761,14 +761,14 @@ class TestStackedCellMatchesSingleReplicates:
     @pytest.mark.parametrize("cell", sorted(CELLS))
     def test_every_replicate_matches(self, cell):
         scenario = replace(self.CELLS[cell](), replicates=12)
-        stacked = sim.generate_dataset(scenario, self.SEED, stacked=True)
+        stacked = sim.generate_dataset(scenario, self.SEED)
         singles = self._singles(scenario)
         for i, single in enumerate(singles):
             for name in ("sigma_EX", "sigma_EY", "sigma_EE"):
-                self._same(getattr(stacked.statistics, name)[i], getattr(single.statistics, name))
-            self._same(stacked.individual.corr[i], single.individual.corr)
-            self._same(stacked.sd_exposures[i], single.sd_exposures)
-            self._same(stacked.sd_outcome[i], single.sd_outcome)
+                self._same(getattr(stacked.statistics, name)[i], getattr(single.statistics, name)[0])
+            self._same(stacked.individual.corr[i], single.individual.corr[0])
+            self._same(stacked.sd_exposures[i], single.sd_exposures[0])
+            self._same(stacked.sd_outcome[i], single.sd_outcome[0])
         refused = self._check(stacked, singles, lambda data: (data.statistics, data.individual))
         expected = {
             "near_perfect_ld": {"ls": 7, "gmm": 7, "twmr": 7},
@@ -781,7 +781,7 @@ class TestStackedCellMatchesSingleReplicates:
     def test_pleiotropy_misspecified_cell(self):
         scenario = replace(TestPleiotropyExperiment._fig2(), replicates=12)
         scenario = replace(scenario, true_effects=tuple(0.3 if k in scenario.hidden_exposures else c for k, c in enumerate(scenario.true_effects)))
-        stacked = sim.generate_dataset(scenario, self.SEED, stacked=True)
+        stacked = sim.generate_dataset(scenario, self.SEED)
         dropped = lambda data: (data.statistics.drop_exposures(scenario.hidden_exposures), data.individual)
         assert self._check(stacked, self._singles(scenario), dropped) == {}
 
@@ -789,10 +789,10 @@ class TestStackedCellMatchesSingleReplicates:
         scenario = replace(self.CELLS["near_perfect_ld"](), replicates=12)
         summary = sim.run_replicates(scenario, self.SEED, ("ls", "gmm", "twmr"), collect_conditional_f=True)
         for i, single in enumerate(self._singles(scenario)):
-            scale = single.sd_outcome / single.sd_exposures
+            scale = single.sd_outcome[0] / single.sd_exposures[0]
             for est_name in summary.estimator_names:
                 try:
-                    want = est.estimate(single.statistics, est_name)
+                    want = design(est.estimate(single.statistics, est_name))
                 except MvmrError as exc:
                     assert (i, str(exc)) in summary.failures[est_name]
                     assert np.isnan(summary.estimates[est_name][i]).all()
@@ -800,7 +800,7 @@ class TestStackedCellMatchesSingleReplicates:
                 self._same(summary.estimates[est_name][i], want.effects * scale)
                 self._same(summary.standard_errors[est_name][i], want.standard_errors * scale)
                 self._same(summary.p_values[est_name][i], want.p_values)
-            self._same(summary.conditional_f[:, i], est.conditional_f(single.individual))
+            self._same(summary.conditional_f[:, i], design(est.conditional_f(single.individual)))
         assert summary.failure_rate("gmm") == 7 / 12
 
     def test_construction_refusal_names_the_lowest_replicate(self, monkeypatch):
@@ -823,7 +823,7 @@ class TestStackedCellMatchesSingleReplicates:
         spoiled.calls = 0
         monkeypatch.setattr(sim, "_draw", spoiled)
         with pytest.raises(InvalidStatisticsError, match="sigma_EE must be positive definite") as info:
-            sim.generate_dataset(scenario, self.SEED, stacked=True)
+            sim.generate_dataset(scenario, self.SEED)
         assert info.value.replicate == 2
 
 
@@ -866,9 +866,9 @@ class TestRunReplicates:
     def test_single_replicate_matches_direct_estimate(self):
         scenario = self._pair_scenario()
         summary = sim.run_replicates(replace(scenario, replicates=1), seed=13, estimators=("ls",))
-        data = sim.generate_dataset(scenario, np.random.default_rng(np.random.SeedSequence(13, spawn_key=(0,))))
-        result = est.ls_estimate(data.statistics)
-        rescaled = result.effects * data.sd_outcome / data.sd_exposures
+        data = single_dataset(scenario, np.random.default_rng(np.random.SeedSequence(13, spawn_key=(0,))))
+        result = design(est.ls_estimate(data.statistics))
+        rescaled = result.effects * data.sd_outcome[0] / data.sd_exposures[0]
         assert np.allclose(summary.estimates["ls"][0], rescaled, atol=1e-12)
         assert np.allclose(summary.mean("ls"), rescaled, atol=1e-12)
 

@@ -31,8 +31,9 @@ Runs, in this interpreter:
   ``ESTIMATE_STATS`` (exactly and over-identified, with and without
   ``n_outcome``, a zero standard error, an ill-conditioned LD matrix that
   exits 4, a rank-deficient design that exits 3, a positive definite LD
-  matrix of condition number 9.0e5 that exits 0 and an LD matrix made
-  indefinite by rounding that exits 4);
+  matrix of condition number 9.0e5 that exits 0, an LD matrix made
+  indefinite by rounding that exits 4 and a full-rank design whose
+  weighted moment matrix is singular at float precision, which exits 3);
 * ``mvmr estimate --diagram --estimators ls,gmm,twmr`` on the diagram
   files in ``DIAGRAMS``: the three locus diagrams of
   ``demos/01_identification.py`` (one gene, two genes with variants in
@@ -132,6 +133,8 @@ ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
     "rank_deficient": {"sigma_EX": [[0.3, 0.0], [0.2, 0.0]], "sigma_EY": [0.1, 0.05], "sigma_EE": [[1.0, 0.2], [0.2, 1.0]], "n_outcome": 1000},
     "near_singular_ld": {"sigma_EX": _EX_BLOCKS, "sigma_EY": [0.2 * a - 0.1 * b for a, b in _EX_BLOCKS], "sigma_EE": _LD_BLOCKS, "n_outcome": 10000},
     "rounding_indefinite_ld": {"sigma_EX": [[0.3, 0.1], [0.1, 0.3], [0.2236, 0.2236]], "sigma_EY": [0.1, 0.12, 0.15], "sigma_EE": [[1.0, 0.6, _R_ROUNDED], [0.6, 1.0, _R_ROUNDED], [_R_ROUNDED, _R_ROUNDED, 1.0]], "n_outcome": 10000},
+    # full rank, but the weighted moment matrix S^T S underflows to zero
+    "singular_moment_matrix": {"sigma_EX": [[1e-170, 0.0], [0.0, 1e-170]], "sigma_EY": [0.1, 0.2], "sigma_EE": [[1.0, 0.0], [0.0, 1.0]], "n_outcome": 100},
 }
 
 
