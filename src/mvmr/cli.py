@@ -9,7 +9,8 @@ refused with PipelineConfigError, a ``--max-failure-rate`` outside
 [0, 1], or ``estimate`` statistics refused with InvalidStatisticsError); 3
 non-identifiable ``estimate`` design (UnderdeterminedError); 4 numerical
 failure (any other MvmrError, such as a simulated constant column, or a
-``simulate`` failure rate above ``--max-failure-rate``).  ``loci``
+``simulate`` failure rate above ``--max-failure-rate`` in any cell of any
+replicate kind: replicates, pleiotropy, two_sample or type1_power).  ``loci``
 records a locus tissue it cannot estimate as that tissue's verdict, and
 ``estimate --diagram`` reports an instrumental-set check it cannot run
 (too many nodes or instruments) as not checked and still estimates.
@@ -146,43 +147,42 @@ def _with_replicates(kind, config, args):
     return {**config, "replicates": args.replicates}
 
 
-def _write_replicates(out_dir, cells):
-    """Write ``replicates.csv`` for ``(labels, summary)`` cells, the sorted
-    label columns leading every row."""
+def _write_cells(out_dir, seed, cells, extra):
+    """Write ``replicates.csv`` (the sorted label columns, then
+    ``REPLICATE_FIELDS``) and ``summary.json`` (the summary cells, the seed
+    and the ``extra`` keys) for ``(labels, summary)`` cells; returns the
+    summary cells."""
     label_fields = sorted({k for labels, _ in cells for k in labels})
     with open(os.path.join(out_dir, "replicates.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(label_fields + REPLICATE_FIELDS)
         for labels, summary in cells:
             writer.writerows(summary.iter_rows([labels[k] for k in label_fields]))
-
-
-def _write_cells(out_dir, seed, cells):
-    """Write ``replicates.csv`` and ``summary.json`` for ``(labels, summary)``
-    cells; returns the summary cells."""
-    _write_replicates(out_dir, cells)
     summaries = [{"labels": labels, **summary.summary_dict()} for labels, summary in cells]
-    write_json(os.path.join(out_dir, "summary.json"), {"cells": summaries, "seed": seed})
+    write_json(os.path.join(out_dir, "summary.json"), {"cells": summaries, "seed": seed, **extra})
     return summaries
 
 
-def _run_replicates_kind(config, args, out_dir, estimators, seed):
+# A replicate kind's runner returns its (labels, summary) cells and the keys
+# it adds to summary.json, and does no I/O.
+
+
+def _run_replicates_kind(config, estimators, seed, threads):
     collect_f = config.get("conditional_f", False)
     if not isinstance(collect_f, bool):
         raise ScenarioError(f"scenario key 'conditional_f' must be true or false, not {json.dumps(collect_f)}")
     cells = [
-        (labels, run_replicates(scenario, seed + index, estimators, threads=args.threads, collect_conditional_f=collect_f))
+        (labels, run_replicates(scenario, seed + index, estimators, threads=threads, collect_conditional_f=collect_f))
         for index, (labels, scenario) in enumerate(expand_scenario_config(config))
     ]
-    return _write_cells(out_dir, seed, cells)
+    return cells, {}
 
 
-def _run_pleiotropy_kind(config, args, out_dir, estimators, seed):
-    cells = pleiotropy_experiment(scenario_from_dict(config), seed, estimators, threads=args.threads)
-    return _write_cells(out_dir, seed, cells)
+def _run_pleiotropy_kind(config, estimators, seed, threads):
+    return pleiotropy_experiment(scenario_from_dict(config), seed, estimators, threads=threads), {}
 
 
-def _run_two_sample_kind(config, args, out_dir, estimators, seed):
+def _run_two_sample_kind(config, estimators, seed, threads):
     missing = [key for key in ("n_samples", "n_outcome") if key not in config]
     if missing:
         raise ScenarioError(f"two_sample scenarios need {missing}")
@@ -190,36 +190,33 @@ def _run_two_sample_kind(config, args, out_dir, estimators, seed):
         value if isinstance(value, (list, tuple)) else [value]
         for value in (config["n_samples"], config["n_outcome"])
     )
-    # every cell sets both sizes; an empty grid, which has no size to build
-    # the template from, is refused by two_sample_experiment unread
+    # every cell sets both sizes, so a null one (a null n_outcome would run
+    # the one-sample design) is refused here; an empty grid, which has no
+    # size to build the template from, is refused by two_sample_experiment
+    for key, grid in (("n_samples", n_exposure_grid), ("n_outcome", n_outcome_grid)):
+        if None in grid:
+            raise ScenarioError(f"two_sample scenario key {key!r} must hold sample sizes, not null")
     template = None
     if n_exposure_grid:
         template = scenario_from_dict({**config, "n_samples": n_exposure_grid[0], "n_outcome": None})
-    cells = two_sample_experiment(template, n_exposure_grid, n_outcome_grid, seed, estimators, threads=args.threads)
-    return _write_cells(out_dir, seed, cells)
+    cells = two_sample_experiment(template, n_exposure_grid, n_outcome_grid, seed, estimators, threads=threads)
+    return cells, {}
 
 
-def _run_type1_power_kind(config, args, out_dir, estimators, seed):
+def _run_type1_power_kind(config, estimators, seed, threads):
     null_effects = config.get("null_effects")
     if null_effects is None:
         raise ScenarioError("type1_power scenarios need 'null_effects'")
     alt = scenario_from_dict(config)
     null = scenario_from_dict({**config, "true_effects": null_effects})
     alpha = config.get("alpha", 0.05)
-    outcome = type1_power(null, alt, seed, estimators, alpha=alpha, threads=args.threads)
-    _write_replicates(out_dir, [({"scenario": tag}, outcome[tag]) for tag in ("null", "alternative")])
-    payload = {
-        "alpha": float(alpha),
-        "tested_exposure": outcome["exposure"],
-        "replicates": alt.replicates,
-        "rates": outcome["rates"],
-        "seed": seed,
-    }
-    write_json(os.path.join(out_dir, "summary.json"), payload)
-    return [payload]
+    cells, exposure, rates = type1_power(null, alt, seed, estimators, alpha=alpha, threads=threads)
+    return cells, {"alpha": float(alpha), "tested_exposure": exposure, "rates": rates}
 
 
-def _run_pca_kind(config, args, out_dir, estimators, seed):
+def _run_pca(config, out_dir, seed):
+    """Write a pca scenario's ``pc1_explained_variance.csv`` and
+    ``summary.json``; pca has no estimators, so no replicate cells."""
     correlations = config.get("correlations")
     if not isinstance(correlations, list):
         raise ScenarioError("pca scenarios need 'correlations', a list of numbers")
@@ -246,7 +243,6 @@ def _run_pca_kind(config, args, out_dir, estimators, seed):
         rows,
     )
     write_json(os.path.join(out_dir, "summary.json"), {"cells": rows, "seed": seed})
-    return rows
 
 
 _KIND_RUNNERS = {
@@ -254,7 +250,6 @@ _KIND_RUNNERS = {
     "pleiotropy": _run_pleiotropy_kind,
     "two_sample": _run_two_sample_kind,
     "type1_power": _run_type1_power_kind,
-    "pca": _run_pca_kind,
 }
 
 
@@ -269,7 +264,12 @@ def cmd_simulate(args):
         config = _with_replicates(kind, config, args)
         out_dir = args.out or _default_out()
         os.makedirs(out_dir, exist_ok=True)
-        cells = _KIND_RUNNERS[kind](config, args, out_dir, estimators, seed)
+        if kind == "pca":
+            _run_pca(config, out_dir, seed)
+            print(f"wrote {out_dir}")
+            return EXIT_OK
+        cells, extra = _KIND_RUNNERS[kind](config, estimators, seed, args.threads)
+        summaries = _write_cells(out_dir, seed, cells, extra)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -278,17 +278,14 @@ def cmd_simulate(args):
         return EXIT_NUMERICAL
 
     worst = 0.0
-    for cell in cells:
-        for est, stats_block in cell.get("estimators", {}).items():
+    for cell in summaries:
+        for est, stats_block in cell["estimators"].items():
             worst = max(worst, stats_block["failure_rate"])
             bias = ", ".join(f"{b:+.4f}" for b in stats_block["bias"])
-            label = cell.get("labels", {})
             print(
-                f"{est} {label}: bias [{bias}] "
+                f"{est} {cell['labels']}: bias [{bias}] "
                 f"failure rate {stats_block['failure_rate']:.3f}"
             )
-    if kind in ("type1_power", "pca"):
-        print(f"wrote {out_dir}")
     if worst > args.max_failure_rate:
         print(
             f"failure rate {worst:.3f} exceeds cap {args.max_failure_rate}",

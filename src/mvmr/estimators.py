@@ -412,11 +412,12 @@ class EstimateResult:
     refusals: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentifiabilityReport:
     """The fields are arrays over the replicates, except ``n_exposures`` and
     ``n_instruments``, which every replicate shares.  The report a refusal
-    carries is its replicate's, with Python scalar fields."""
+    carries is its replicate's, with Python scalar fields.  Reports compare
+    by identity: a generated ``==`` cannot compare the array fields."""
 
     det_normalized_gram: float
     rank_EX: int

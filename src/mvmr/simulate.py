@@ -880,10 +880,11 @@ class ReplicateSummary:
             "estimators": {},
         }
         for est in self.estimator_names:
+            mean = self.mean(est)
             out["estimators"][est] = {
-                "mean": [float(v) for v in self.mean(est)],
+                "mean": [float(v) for v in mean],
                 "sd": [float(v) for v in self.sd(est)],
-                "bias": [float(v) for v in self.bias(est)],
+                "bias": [float(v) for v in mean - np.asarray(self.scenario.true_effects)],
                 "failure_rate": self.failure_rate(est),
             }
         if self.conditional_f is not None:
@@ -1033,7 +1034,10 @@ def type1_power(null_scenario, alt_scenario, seed, estimators, alpha=0.05, threa
     ``seed``, the alternative ones with ``seed + 7919``.  Type-1 error is
     the fraction of null replicates with p < alpha, power the same fraction
     under the alternative; replicates whose estimator failed (no p-value)
-    are left out of both.
+    are left out of both.  Returns ``(cells, exposure, rates)``: the
+    ``(labels, summary)`` cells, labelled ``{"scenario": "null" |
+    "alternative"}``, the tested exposure's index and ``{estimator:
+    {"type1": rate, "power": rate}}``.
     """
     pairs = zip(null_scenario.true_effects, alt_scenario.true_effects)
     candidates = [k for k, (c0, c1) in enumerate(pairs) if c0 == 0.0 and c1 != 0.0]
@@ -1059,12 +1063,8 @@ def type1_power(null_scenario, alt_scenario, seed, estimators, alpha=0.05, threa
         }
         for est in estimators
     }
-    return {
-        "exposure": exposure,
-        "rates": rates,
-        "null": null_summary,
-        "alternative": alt_summary,
-    }
+    cells = [({"scenario": "null"}, null_summary), ({"scenario": "alternative"}, alt_summary)]
+    return cells, exposure, rates
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,31 @@ class TestSimulateCommand:
             failed_here = sum(c == str(cell["labels"]["correlation"]) for c, _ in failed)
             assert cell["estimators"]["gmm"]["failure_rate"] == failed_here / 8
 
+    def test_type1_power_failures_capped_as_every_kind(self, tmp_path, capsys):
+        """A type1_power run writes one summary cell per scenario, prints one
+        line per estimator per cell and exits 4 when a cell's failure rate
+        exceeds the cap; here two near-perfectly linked instruments fail
+        7 of the 12 null replicates."""
+        scenario = tmp_path / "type1.json"
+        scenario.write_text(json.dumps({
+            "kind": "type1_power", "true_effects": [0.2], "null_effects": [0.0], "n_samples": 200,
+            "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998},
+            "effects": {"low": 0.2, "high": 0.4}, "replicates": 12, "estimators": ["ls", "gmm"],
+        }))
+        for cap, expected in (("0", 4), ("1", 0)):
+            out = tmp_path / f"cap{cap}"
+            argv = ["simulate", "--scenario", str(scenario), "--seed", "11", "--max-failure-rate", cap, "--out", str(out)]
+            assert cli.main(argv) == expected
+            captured = capsys.readouterr()
+            lines = captured.out.splitlines()
+            assert [line.split(" {")[0] for line in lines] == ["ls", "gmm", "ls", "gmm"]
+            assert ("failure rate 0.583 exceeds cap 0.0" in captured.err) == (cap == "0")
+            summary = json.loads((out / "summary.json").read_text())
+            assert [cell["labels"] for cell in summary["cells"]] == [{"scenario": "null"}, {"scenario": "alternative"}]
+            null = summary["cells"][0]["estimators"]
+            assert null["ls"]["failure_rate"] == null["gmm"]["failure_rate"] == 7 / 12
+            assert {"alpha", "tested_exposure", "rates", "seed"} < set(summary)
+
     # a 3-SNP Markov scenario with two exposures; each edit below once ended
     # in a traceback, ran on a wrong reading of the file, or ran every
     # replicate before failing
@@ -367,6 +392,8 @@ class TestSimulateCommand:
             ({"kind": "type1_power", "null_effects": [0.0, 0.6], "alpha": "x"}, "alpha must be a number in (0, 1], not 'x'"),
             ({"kind": "pca", "correlations": ["x"]}, "correlation must lie strictly inside (-1, 1), got 'x'"),
             ({"kind": "pca", "correlations": [0.5], "pca_repetitions": "x"}, "'pca_repetitions' must be a positive integer"),
+            ({"kind": "two_sample", "n_outcome": None}, "two_sample scenario key 'n_outcome' must hold sample sizes, not null"),
+            ({"kind": "two_sample", "n_outcome": [1000, None]}, "two_sample scenario key 'n_outcome' must hold sample sizes, not null"),
         ],
     )
     def test_scenario_scalars_checked_when_built(self, tmp_path, capsys, edit, message):

@@ -256,13 +256,21 @@ class TestSharedFactorisation:
     @pytest.mark.parametrize("method", METHODS)
     def test_derived_statistics_get_fresh_caches(self, method):
         stats = overidentified_statistics()
-        est.estimate(stats, method)  # fill the cache of the source statistics
-        got = stats.drop_exposures([1])
-        direct = est.SummaryStatistics(stats.sigma_EX[..., [0, 2]], stats.sigma_EY, stats.sigma_EE, n_outcome=stats.n_outcome)
-        a, b = est.estimate(got, method), est.estimate(direct, method)
-        assert np.array_equal(a.effects, b.effects)
-        assert np.array_equal(a.standard_errors, b.standard_errors)
-        assert got.diagnostics == direct.diagnostics
+        stacked = est.SummaryStatistics(  # two designs: the statistics and a rescaled copy
+            np.concatenate([stats.sigma_EX, 0.5 * stats.sigma_EX]),
+            np.concatenate([stats.sigma_EY, -stats.sigma_EY]),
+            np.concatenate([stats.sigma_EE, stats.sigma_EE]),
+            n_outcome=stats.n_outcome,
+        )
+        for source in (stats, stacked):
+            est.estimate(source, method)  # fill the cache of the source statistics
+            got = source.drop_exposures([1])
+            direct = est.SummaryStatistics(source.sigma_EX[..., [0, 2]], source.sigma_EY, source.sigma_EE, n_outcome=source.n_outcome)
+            a, b = est.estimate(got, method), est.estimate(direct, method)
+            assert np.array_equal(a.effects, b.effects)
+            assert np.array_equal(a.standard_errors, b.standard_errors)
+            for name in (f.name for f in dataclasses.fields(est.IdentifiabilityReport)):
+                assert np.array_equal(getattr(got.diagnostics, name), getattr(direct.diagnostics, name)), name
         # statistics built from permuted arrays start with their own cache
         order = [3, 0, 4, 1, 2]
         permuted = single_design(

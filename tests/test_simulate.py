@@ -1000,9 +1000,12 @@ class TestType1Power:
             effects=sim.EffectSizes(matrix=((0.5,),)),
         )
         null, alt = (replace(scenario, true_effects=effects, replicates=30) for effects in ((0.0,), (0.27,)))
-        out = sim.type1_power(null, alt, alpha=1.0, seed=2, estimators=("ls",))
-        assert out["rates"]["ls"]["type1"] == 1.0
-        assert out["rates"]["ls"]["power"] == 1.0
+        cells, exposure, rates = sim.type1_power(null, alt, alpha=1.0, seed=2, estimators=("ls",))
+        assert [labels for labels, _ in cells] == [{"scenario": "null"}, {"scenario": "alternative"}]
+        assert [summary.seed for _, summary in cells] == [2, 2 + 7919]
+        assert exposure == 0
+        assert rates["ls"]["type1"] == 1.0
+        assert rates["ls"]["power"] == 1.0
 
     @staticmethod
     def _s9_scenarios(replicates):
@@ -1021,9 +1024,9 @@ class TestType1Power:
         )
         monkeypatch.setitem(sim.ESTIMATORS, "ls", every_other_replicate_fails)
         null, alt = self._s9_scenarios(20)
-        out = sim.type1_power(null, alt, alpha=1.0, seed=3, estimators=("ls",))
-        assert len(out["null"].failures["ls"]) == 10
-        assert out["rates"]["ls"] == {"type1": 1.0, "power": 1.0}
+        ((_, null_summary), _), _, rates = sim.type1_power(null, alt, alpha=1.0, seed=3, estimators=("ls",))
+        assert len(null_summary.failures["ls"]) == 10
+        assert rates["ls"] == {"type1": 1.0, "power": 1.0}
 
     def test_all_failed_rates_are_nan_without_warning(self, monkeypatch):
         always_fails = refuse_replicates(sim.ESTIMATORS["ls"], every_replicate, lambda stats, i: MvmrError("forced failure"))
@@ -1031,9 +1034,9 @@ class TestType1Power:
         null, alt = self._s9_scenarios(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = sim.type1_power(null, alt, alpha=0.05, seed=3, estimators=("ls",))
-        assert np.isnan(out["rates"]["ls"]["type1"])
-        assert np.isnan(out["rates"]["ls"]["power"])
+            _, _, rates = sim.type1_power(null, alt, alpha=0.05, seed=3, estimators=("ls",))
+        assert np.isnan(rates["ls"]["type1"])
+        assert np.isnan(rates["ls"]["power"])
 
     def test_null_scenario_validated(self):
         scenario = sim.SimulationScenario(

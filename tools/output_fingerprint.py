@@ -10,7 +10,10 @@ Runs, in this interpreter:
 * the same command on ``near_perfect_ld`` (``FAILING_SCENARIOS``): two
   Gaussian instruments at correlation 0.999999999998, whose sample LD
   condition number straddles ``LD_CONDITION_LIMIT``, so that ls, gmm and
-  twmr each fail on some replicates (7 of 12) and not on others;
+  twmr each fail on some replicates (7 of 12) and not on others, and on
+  ``type1_near_perfect_ld``, the same design as a ``type1_power``
+  scenario, whose null and alternative cells write their failure rates
+  as every other replicate kind's cells do;
 * the same command with ``--threads 3`` on the scenarios in
   ``THREAD_SCENARIOS``, whose files must hash as their ``--threads 1``
   counterparts do;
@@ -99,6 +102,7 @@ LD_SCENARIOS = {  # name -> scenario file written and simulated as the bundled o
 }
 FAILING_SCENARIOS = {  # name -> scenario file whose cells fail on some replicates only
     "near_perfect_ld": {"kind": "replicates", "true_effects": [0.2], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998}, "effects": {"low": 0.2, "high": 0.4}},
+    "type1_near_perfect_ld": {"kind": "type1_power", "true_effects": [0.2], "null_effects": [0.0], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998}, "effects": {"low": 0.2, "high": 0.4}, "replicates": 12, "estimators": ["ls", "gmm"]},
 }
 THREAD_SCENARIOS = ("fig2_pleiotropy", "s3_conditional_f_strong", "near_perfect_ld")  # simulated again with --threads 3
 GRAPH_SEEDS = (1, 2)  # seeds of the generated diagrams
