@@ -45,7 +45,9 @@ import math
 import numbers
 import os
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +64,7 @@ OUTCOME_SCALE_NOTE = "effects are per unit of the outcome association scale (log
 EQTL_FDR = 0.05
 
 
-@dataclass(frozen=True)
-class EqtlRecord:
+class EqtlRecord(NamedTuple):
     snp: str
     chrom: str
     pos: int
@@ -75,8 +76,7 @@ class EqtlRecord:
     fdr: float
 
 
-@dataclass(frozen=True)
-class GwasRecord:
+class GwasRecord(NamedTuple):
     snp: str
     chrom: str
     pos: int
@@ -167,22 +167,6 @@ class PipelineConfig:
 # Parsing
 
 
-def _parse_row(parts, schema, path, lineno):
-    if len(parts) != len(schema):
-        raise SummaryFormatError(
-            f"expected {len(schema)} columns, found {len(parts)}", path, lineno
-        )
-    out = []
-    for (name, conv), raw in zip(schema, parts):
-        try:
-            out.append(conv(raw))
-        except ValueError:
-            raise SummaryFormatError(
-                f"cannot parse column {name!r} from {raw!r}", path, lineno
-            ) from None
-    return out
-
-
 def _finite(raw):
     value = float(raw)
     if not math.isfinite(value):
@@ -228,7 +212,11 @@ def _text_reader(read):
 @_text_reader
 def _read_tsv(path, header, schema, builder):
     """Rows of a plain tab-separated file, one physical line per record: a
-    ``"`` is data, not a quote, so every error names its true line."""
+    ``"`` is data, not a quote, so every error names its true line.
+
+    ``builder`` takes a row's fields as arguments and returns its record,
+    raising ``ValueError`` for a row it refuses; :func:`_row_error` then
+    names the fault against ``schema``."""
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
@@ -243,24 +231,41 @@ def _read_tsv(path, header, schema, builder):
             for lineno, parts in enumerate(reader, start=2):
                 if not parts or (len(parts) == 1 and not parts[0].strip()):
                     continue
-                rows.append(builder(_parse_row(parts, schema, path, lineno), path, lineno))
+                try:
+                    rows.append(builder(*parts))
+                except (TypeError, ValueError) as exc:  # TypeError: a wrong field count
+                    raise _row_error(parts, schema, exc, path, lineno) from None
         except csv.Error as exc:  # a field longer than csv.field_size_limit()
             raise SummaryFormatError(str(exc), path, reader.line_num) from None
     return rows
 
 
-def _build_eqtl(values, path, lineno):
-    record = EqtlRecord(*values)
-    if not 0.0 <= record.fdr <= 1.0:
-        raise SummaryFormatError(f"fdr {record.fdr} outside [0, 1]", path, lineno)
-    return record
+def _row_error(parts, schema, exc, path, lineno):
+    """The error of a row its builder refused with ``exc``: a wrong column
+    count, else the first column that does not convert, else the builder's
+    own range check."""
+    if len(parts) != len(schema):
+        return SummaryFormatError(f"expected {len(schema)} columns, found {len(parts)}", path, lineno)
+    for (name, conv), raw in zip(schema, parts):
+        try:
+            conv(raw)
+        except ValueError:
+            return SummaryFormatError(f"cannot parse column {name!r} from {raw!r}", path, lineno)
+    return SummaryFormatError(str(exc), path, lineno)
 
 
-def _build_gwas(values, path, lineno):
-    record = GwasRecord(*values)
-    if not 0.0 < record.pval <= 1.0:
-        raise SummaryFormatError(f"p-value {record.pval} outside (0, 1]", path, lineno)
-    return record
+def _build_eqtl(snp, chrom, pos, gene, tissue, beta, se, maf, fdr):
+    fdr = float(fdr)
+    if not 0.0 <= fdr <= 1.0:
+        raise ValueError(f"fdr {fdr} outside [0, 1]")
+    return EqtlRecord(snp, chrom, int(pos), gene, tissue, _finite(beta), _finite(se), _finite(maf), fdr)
+
+
+def _build_gwas(snp, chrom, pos, beta, se, pval, n):
+    pval = float(pval)
+    if not 0.0 < pval <= 1.0:
+        raise ValueError(f"p-value {pval} outside (0, 1]")
+    return GwasRecord(snp, chrom, int(pos), _finite(beta), _finite(se), pval, int(n))
 
 
 @_text_reader
@@ -290,9 +295,11 @@ def _read_ld(path):
         or matrix.min() < -1.0 - 1e-8
     ):
         raise _ld_body_error(path, header_line, snps)
-    if np.max(np.abs(matrix - matrix.T)) > 1e-8:
-        raise SummaryFormatError("LD matrix not symmetric within 1e-8", path)
-    return LdData(snps, (matrix + matrix.T) / 2.0)
+    if not np.array_equal(matrix, matrix.T):  # an exactly symmetric matrix is its own average
+        if np.max(np.abs(matrix - matrix.T)) > 1e-8:
+            raise SummaryFormatError("LD matrix not symmetric within 1e-8", path)
+        matrix = (matrix + matrix.T) / 2.0
+    return LdData(snps, matrix)
 
 
 def _ld_body_error(path, header_line, snps):
@@ -381,9 +388,11 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
     visited in order of GWAS p-value (ties by chromosome then position);
     each lead collects every listed SNP within the radius that has nonzero
     LD with it, the collection is removed from the list, and the procedure
-    repeats.  Within a locus, SNPs in effectively perfect LD with the lead
-    are removed first, then near-duplicates at the pruning threshold are
-    dropped keeping the smaller GWAS p-value (tie: smaller position).
+    repeats.  A lead's window is found by bisection in its chromosome's
+    positions, not by a scan of the list.  Within a locus, SNPs in
+    effectively perfect LD with the lead are removed first, then
+    near-duplicates at the pruning threshold are dropped keeping the
+    smaller GWAS p-value (tie: smaller position).
     Each locus carries the significant rows of its instruments.
     """
     rows_by_snp = {}  # significant rows, grouped by SNP in table order
@@ -401,20 +410,25 @@ def build_loci(eqtls, gwas_by_snp, ld, config=PipelineConfig()):
             continue
         candidates.append((gw.pval, rows[0].chrom, rows[0].pos, snp))
     candidates.sort()
+    windows = {}  # chrom -> (positions, candidate indices), in position order
+    for pos, i in sorted((entry[2], i) for i, entry in enumerate(candidates)):
+        positions, indices = windows.setdefault(candidates[i][1], ([], []))
+        positions.append(pos)
+        indices.append(i)
 
     loci = []
-    remaining = candidates
-    while remaining:
-        _, chrom, pos, lead = remaining[0]
-        collected = [
-            entry
-            for entry in remaining
-            if entry[1] == chrom
-            and abs(entry[2] - pos) <= config.radius
-            and (entry[3] == lead or abs(ld.r(lead, entry[3])) > config.nonzero_ld)
-        ]
-        taken = {e[3] for e in collected}
-        remaining = [e for e in remaining if e[3] not in taken]
+    taken = [False] * len(candidates)
+    for i, (_, chrom, pos, lead) in enumerate(candidates):
+        if taken[i]:
+            continue
+        positions, indices = windows[chrom]
+        window = indices[bisect_left(positions, pos - config.radius) : bisect_right(positions, pos + config.radius)]
+        members = sorted(
+            j for j in window if not taken[j] and (j == i or abs(ld.r(lead, candidates[j][3])) > config.nonzero_ld)
+        )
+        for j in members:
+            taken[j] = True
+        collected = [candidates[j] for j in members]
 
         pruned = []
         kept = []
@@ -519,7 +533,7 @@ def _analyze_stack(designs, results, gwas_by_snp, ld, config):
                 [sigma_EX for *_, sigma_EX in designs],
                 [[gwas_by_snp[s].beta for s in snps] for *_, snps, _ in designs],
                 [ld.submatrix(snps) for *_, snps, _ in designs],
-                n_outcome=np.array([[int(np.median([gwas_by_snp[s].n for s in snps]))] for *_, snps, _ in designs]),
+                n_outcome=np.array([[_median_n(snps, gwas_by_snp)] for *_, snps, _ in designs]),
             )
         except MvmrError as exc:
             results[designs.pop(exc.replicate)[0]] = [], {"error": str(exc)}, "failed"
@@ -546,6 +560,14 @@ def _analyze_stack(designs, results, gwas_by_snp, ld, config):
                 for (gene, tissue), effect, se, p, flag in zip(exposures, *rows)
             ]
             results[i] = calls, diagnostics, "ok" if diagnostics["verdict"] == "pass" else "warn"
+
+
+def _median_n(snps, gwas_by_snp):
+    """``int(np.median(...))`` of the GWAS sample sizes of ``snps``, the
+    middle pair averaged in floats as ``np.median`` averages it."""
+    ns = sorted(gwas_by_snp[s].n for s in snps)
+    mid = len(ns) // 2
+    return int(float(ns[mid]) if len(ns) % 2 else (float(ns[mid - 1]) + float(ns[mid])) / 2)
 
 
 def _exposures(locus, tissue):

@@ -1,13 +1,15 @@
-"""Random model generators, reference samplers and single-design helpers
-shared across the test modules."""
+"""Random model generators, reference samplers, reference readers and
+writers, and single-design helpers shared across the test modules."""
 
+import csv
+import math
 import os
 
 import numpy as np
 
-from mvmr import graph
+from mvmr import graph, loci
 from mvmr import simulate as sim
-from mvmr.errors import GraphStructureError, StandardizationError
+from mvmr.errors import GraphStructureError, StandardizationError, SummaryFormatError
 from mvmr.estimators import EstimateResult, SummaryStatistics, _ndtr, one_design
 from mvmr.simulate import _conditional_allele_probs
 
@@ -262,3 +264,76 @@ def export_locus_files(stats, out_dir, gene_names):
             fh.write(" ".join(repr(float(v)) for v in sigma_EE[i]) + "\n")
 
     return eqtl_path, gwas_path, ld_path
+
+
+def reference_finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None:
+    ``json.dumps`` of this, sorted, indented by 2 and strict, is the text
+    ``jsonio.dumps`` must write."""
+    if isinstance(value, dict):
+        return {k: reference_finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+# The summary-table reader as it was before rows were converted by direct
+# unpacking: one generic conversion loop over the schema per row, then a
+# builder that range-checks the record.  ``loci._read_tsv`` must return the
+# same records, or raise the same error, on every input.
+
+
+def _reference_parse_row(parts, schema, path, lineno):
+    if len(parts) != len(schema):
+        raise SummaryFormatError(
+            f"expected {len(schema)} columns, found {len(parts)}", path, lineno
+        )
+    out = []
+    for (name, conv), raw in zip(schema, parts):
+        try:
+            out.append(conv(raw))
+        except ValueError:
+            raise SummaryFormatError(
+                f"cannot parse column {name!r} from {raw!r}", path, lineno
+            ) from None
+    return out
+
+
+@loci._text_reader
+def reference_read_tsv(path, header, schema, builder):
+    """Rows of a plain tab-separated file, one physical line per record: a
+    ``"`` is data, not a quote, so every error names its true line."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise SummaryFormatError("empty file, header required", path, 1)
+            if [c.strip() for c in first] != header:
+                raise SummaryFormatError(
+                    f"bad header {first!r}, expected {header!r}", path, 1
+                )
+            for lineno, parts in enumerate(reader, start=2):
+                if not parts or (len(parts) == 1 and not parts[0].strip()):
+                    continue
+                rows.append(builder(_reference_parse_row(parts, schema, path, lineno), path, lineno))
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise SummaryFormatError(str(exc), path, reader.line_num) from None
+    return rows
+
+
+def reference_build_eqtl(values, path, lineno):
+    record = loci.EqtlRecord(*values)
+    if not 0.0 <= record.fdr <= 1.0:
+        raise SummaryFormatError(f"fdr {record.fdr} outside [0, 1]", path, lineno)
+    return record
+
+
+def reference_build_gwas(values, path, lineno):
+    record = loci.GwasRecord(*values)
+    if not 0.0 < record.pval <= 1.0:
+        raise SummaryFormatError(f"p-value {record.pval} outside (0, 1]", path, lineno)
+    return record

@@ -466,7 +466,7 @@ class TestAnalyzeLocus:
         locus = [l for l in built if l.chrom == "19"][0]
         liv = [r for r in locus.eqtls if r.tissue == "LIV"]
         extra = tuple(
-            dataclasses.replace(r, gene=gene, beta=0.5 * r.beta)
+            r._replace(gene=gene, beta=0.5 * r.beta)
             for gene, r in (("GENE_X", liv[0]), ("GENE_Y", liv[-1]))
         )
         crowded = dataclasses.replace(

@@ -2,7 +2,9 @@
 
 Whatever text (or bytes) an eQTL, GWAS or LD file holds, reading it either
 returns a result or raises ``SummaryFormatError``, which the command line
-reports with exit code 2; no other exception escapes.
+reports with exit code 2; no other exception escapes.  The eQTL and GWAS
+readers return the records of ``helpers.reference_read_tsv``, or raise its
+error with the same message and line.
 """
 
 import importlib.resources as resources
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from mvmr import loci
 from mvmr.errors import SummaryFormatError
+
+from helpers import reference_build_eqtl, reference_build_gwas, reference_read_tsv
 
 FIXTURES = resources.files("mvmr").joinpath("data", "fixtures")
 EQTL_HEADER = [name for name, _ in loci._EQTL_SCHEMA]
@@ -35,13 +39,34 @@ NUMBERS = st.one_of(
 TOKENS = st.one_of(NUMBERS, st.text(max_size=6))
 
 
-def _table(header, width):
-    """Tab-separated text under ``header``: rows of about ``width`` tokens."""
-    row = st.one_of(st.lists(TOKENS, min_size=width, max_size=width), st.lists(TOKENS, max_size=width + 2))
+def _table(header, width, row=None):
+    """Tab-separated text under ``header``: rows of about ``width`` tokens,
+    or rows drawn from ``row``."""
+    if row is None:
+        row = st.one_of(st.lists(TOKENS, min_size=width, max_size=width), st.lists(TOKENS, max_size=width + 2))
     newline = st.sampled_from(["\n", "\r\n", "\r"])
     return st.tuples(st.lists(row, max_size=8), newline).map(
         lambda drawn: drawn[1].join(["\t".join(header)] + ["\t".join(r) for r in drawn[0]]) + drawn[1]
     )
+
+
+EDGES = st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0", "1", "2", "-1", "1.5"])
+
+
+def _record_row(schema):
+    """Rows whose fields mostly convert under ``schema``: about one field in
+    ten is a non-finite or out-of-range number instead, and one in ten any
+    token."""
+    def field(conv):
+        if conv is int:
+            good = st.integers(-(10**12), 10**12).map(str)
+        elif conv is str:
+            good = st.text(st.characters(blacklist_characters="\t\r\n"), max_size=6)
+        else:
+            good = st.floats(0.0, 1.0).map(repr)
+        return st.integers(0, 9).flatmap(lambda k: (TOKENS, EDGES)[k] if k < 2 else good)
+
+    return st.tuples(*(field(conv) for _, conv in schema))
 
 
 @st.composite
@@ -123,3 +148,34 @@ def test_read_gwas_tsv(data):
 )
 def test_load_summaries(eqtl, gwas, ld):
     _returns_or_format_error(loci.load_summaries, eqtl, gwas, ld)
+
+
+def _read_or_error(read, data):
+    """``(reprs, None)`` of the records ``read(path)`` returns for a file
+    holding ``data``, or ``(None, (message, line))`` of the
+    ``SummaryFormatError`` it raised.  A record's ``repr`` tells 5 from 5.0
+    and 0.0 from -0.0."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "table.tsv", data)
+        try:
+            return [repr(record) for record in read(path)], None
+        except SummaryFormatError as exc:
+            return None, (str(exc).replace(path, "<path>"), exc.line)
+
+
+def _same_as_reference(header, schema, builder, reference_builder, data):
+    new = _read_or_error(lambda path: loci._read_tsv(path, header, schema, builder), data)
+    old = _read_or_error(lambda path: reference_read_tsv(path, header, schema, reference_builder), data)
+    assert new == old
+
+
+@PROPERTY
+@given(st.one_of(_contents(_table(EQTL_HEADER, 9)), _table(EQTL_HEADER, 9, _record_row(loci._EQTL_SCHEMA)).map(str.encode)))
+def test_eqtl_rows_as_the_reference_reader_reads_them(data):
+    _same_as_reference(EQTL_HEADER, loci._EQTL_SCHEMA, loci._build_eqtl, reference_build_eqtl, data)
+
+
+@PROPERTY
+@given(st.one_of(_contents(_table(GWAS_HEADER, 7)), _table(GWAS_HEADER, 7, _record_row(loci._GWAS_SCHEMA)).map(str.encode)))
+def test_gwas_rows_as_the_reference_reader_reads_them(data):
+    _same_as_reference(GWAS_HEADER, loci._GWAS_SCHEMA, loci._build_gwas, reference_build_gwas, data)

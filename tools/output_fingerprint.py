@@ -27,6 +27,10 @@ Runs, in this interpreter:
 * ``mvmr loci --estimator ls`` on the fixture trio with ``FDR_ROWS``
   added to the eQTL table: rows at FDR 0.05 and 0.2, which the
   ``fdr < EQTL_FDR`` rule (0.05) leaves out;
+* ``mvmr loci --estimator ls`` on the fixture trio with the gene id
+  ``ESCAPED_GENE[0]`` renamed to ``ESCAPED_GENE[1]``, which holds a
+  non-ASCII character and a ``"``, so that the JSON and CSV escaping of
+  the reports is pinned;
 * ``mvmr loci --estimator ls`` on the fixture trio with the LD entry
   ``INDEFINITE_LD`` changed so that one tissue's LD block is indefinite:
   that tissue reads ``failed`` and the run exits 0;
@@ -109,6 +113,7 @@ GRAPH_SEEDS = (1, 2)  # seeds of the generated diagrams
 GRAPH_DIAGRAMS = 240
 PLEIOTROPY_EDGE = ("E1", "Y", 0.05)  # added to every PLEIOTROPY_EVERY-th diagram, from the first
 PLEIOTROPY_EVERY = 4
+ESCAPED_GENE = ("CTSH", 'CTSH"\u00e9')  # a fixture gene id, and the id it is renamed to
 INDEFINITE_LD = ("rs600", "rs603", "-0.9")  # r(rs600, rs603) in the fixture LD; the MAM block of chr6:12891000 turns indefinite
 _LD3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 _EX3 = [[0.3, 0.1], [0.15, 0.25], [0.2, 0.05]]
@@ -208,6 +213,14 @@ def _commands(package_dir, out_root):
     out = os.path.join(out_root, "loci", "fdr", "ls")
     argv = ["loci", "--eqtl", eqtl, "--gwas", os.path.join(fixtures, "gwas.tsv"), "--ld", os.path.join(fixtures, "ld.txt"), "--estimator", "ls", "--out", out]
     yield "loci fixtures+fdr_rows --estimator ls", argv, out
+    eqtl = os.path.join(out_root, "inputs", "escaped", "eqtl.tsv")
+    os.makedirs(os.path.dirname(eqtl))
+    old, new = ESCAPED_GENE
+    with open(os.path.join(fixtures, "eqtl.tsv"), encoding="utf-8") as src, open(eqtl, "w", encoding="utf-8") as dst:
+        dst.write(src.read().replace(f"\t{old}\t", f"\t{new}\t"))
+    out = os.path.join(out_root, "loci", "escaped", "ls")
+    argv = ["loci", "--eqtl", eqtl, "--gwas", os.path.join(fixtures, "gwas.tsv"), "--ld", os.path.join(fixtures, "ld.txt"), "--estimator", "ls", "--out", out]
+    yield "loci fixtures+escaped_gene --estimator ls", argv, out
     with open(os.path.join(fixtures, "ld.txt"), encoding="utf-8") as fh:
         rows = [line.split(" ") for line in fh.read().splitlines()]
     a, b, value = INDEFINITE_LD
