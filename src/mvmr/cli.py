@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -42,7 +41,6 @@ from .estimators import (
     SummaryStatistics,
     estimate,
     one_design,
-    _report_at,
 )
 from .jsonio import dumps, write_json
 from .loci import PipelineConfig, run_pipeline
@@ -90,6 +88,11 @@ def _parse_estimators(text):
 
 def _is_names(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_failure_rate(rate):
+    if not 0.0 <= rate <= 1.0:  # NaN fails too
+        raise ScenarioError(f"--max-failure-rate must be a finite number in [0, 1], not {rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +257,8 @@ _KIND_RUNNERS = {
 
 
 def cmd_simulate(args):
-    if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails too
-        print(f"error: --max-failure-rate must be a finite number in [0, 1], not {args.max_failure_rate}", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _check_failure_rate(args.max_failure_rate)
         kind, config = load_scenario_file(args.scenario)
         seed = _seed_for(config, args)
         estimators = _estimators_for(config, args)
@@ -329,6 +330,9 @@ def _stats_optional(payload, key, valid, expected):
 
 
 def _stats_from_json(path):
+    """The statistics of the file at ``path`` and the labels of their
+    exposures: its ``exposure_names``, else X1, X2, ....  Its
+    ``n_exposure`` and ``instrument_names`` are checked, then unused."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -355,16 +359,18 @@ def _stats_from_json(path):
         one_design(payload["sigma_EX"]),
         one_design(payload["sigma_EY"], vector=True),
         one_design(payload["sigma_EE"]),
-        **sizes,
-        exposure_names=None if names["exposure_names"] is None else tuple(names["exposure_names"]),
+        n_outcome=sizes["n_outcome"],
     )
     for key, count, what in (("exposure_names", stats.n_exposures, "exposures"), ("instrument_names", stats.n_instruments, "instruments")):
         if names[key] is not None and len(names[key]) != count:
             raise ScenarioError(f"statistics key {key!r} has {len(names[key])} entries for {count} {what}")
-    return stats
+    return stats, names["exposure_names"] or [f"X{k + 1}" for k in range(stats.n_exposures)]
 
 
 def _stats_from_diagram(path, instruments, exposures, outcome):
+    """The population statistics of the diagram at ``path`` and the
+    instrumental-set check of the first square subset of ``instruments``
+    that passes it (else of the last tried)."""
     with open(path, encoding="utf-8") as fh:
         diagram, sem = graph.parse_diagram_text(fh.read())
     sigma = graph.implied_covariance(sem)
@@ -377,15 +383,9 @@ def _stats_from_diagram(path, instruments, exposures, outcome):
         one_design(corr[np.ix_(iE, iX)]),
         one_design(corr[iE, iY], vector=True),
         one_design(corr[np.ix_(iE, iE)]),
-        exposure_names=tuple(exposures),
     )
     try:
-        if len(instruments) == len(exposures):
-            check = graph.check_instrumental_set(diagram, instruments, exposures, outcome)
-        else:
-            _, check = graph.find_instrumental_subset(
-                diagram, instruments, exposures, outcome
-            )
+        _, check = graph.find_instrumental_subset(diagram, instruments, exposures, outcome)
     except (PathEnumerationError, CombinatorialLimitError) as exc:
         # the estimators read only the implied covariance, so they still run
         return stats, {"satisfied": None, "failed_condition": None, "detail": f"not checked: {exc}"}
@@ -397,7 +397,7 @@ def cmd_estimate(args):
         estimators = _parse_estimators(args.estimators)
         check = None
         if args.stats:
-            stats = _stats_from_json(args.stats)
+            stats, exposures = _stats_from_json(args.stats)
         elif args.diagram:
             if not (args.instruments and args.exposures and args.outcome):
                 print(
@@ -405,11 +405,9 @@ def cmd_estimate(args):
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
+            exposures = [s for s in args.exposures.split(",") if s]
             stats, check = _stats_from_diagram(
-                args.diagram,
-                [s for s in args.instruments.split(",") if s],
-                [s for s in args.exposures.split(",") if s],
-                args.outcome,
+                args.diagram, [s for s in args.instruments.split(",") if s], exposures, args.outcome
             )
         else:
             print("error: provide --stats or --diagram", file=sys.stderr)
@@ -419,11 +417,7 @@ def cmd_estimate(args):
         return EXIT_USAGE
 
     # the statistics are the one-design stack: row 0 is the design
-    payload = {
-        "diagnostics": dataclasses.asdict(_report_at(stats.diagnostics, 0)),
-        "estimates": {},
-        "exposures": list(stats.exposure_names or (f"X{k+1}" for k in range(stats.n_exposures))),
-    }
+    payload = {"diagnostics": stats.diagnostics.rows()[0], "estimates": {}, "exposures": exposures}
     if check is not None:
         payload["instrumental_set"] = check
     code = EXIT_OK
@@ -508,10 +502,8 @@ def bundled_scenarios():
 def cmd_figures(args):
     # the run's own settings are checked before any scenario is copied, so
     # that a refused run leaves no output behind
-    if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails too
-        print(f"error: --max-failure-rate must be a finite number in [0, 1], not {args.max_failure_rate}", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _check_failure_rate(args.max_failure_rate)
         if args.seed is not None:
             check_seed(args.seed)
         if args.replicates is not None:

@@ -32,13 +32,11 @@ class CombinatorialLimitError(MvmrError, RuntimeError):
 
 
 class UnderdeterminedError(MvmrError, ValueError):
-    """Instrument-exposure covariance matrix is rank deficient: the causal
-    effects are not identifiable from these inputs.  The rank/determinant
-    diagnostics carried by the exception describe the failure."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """Instrument-exposure covariance matrix is rank deficient, or its
+    weighted moment matrix singular: the causal effects are not
+    identifiable from these inputs.  The message names the fault, and the
+    rank when it falls short; the design's determinant/rank report is its
+    row of ``SummaryStatistics.diagnostics.rows()``."""
 
 
 class IllConditionedLdError(MvmrError, ValueError):

@@ -33,8 +33,10 @@ run once for the stack; numpy's stacked ``solve``, ``inv``, ``eigvalsh``,
 design's numbers are bitwise those of the design alone.  A single design
 is the one-design stack (:func:`one_design`).  Construction refuses a
 stack with the refusal of its lowest refused design.  An estimator
-records each refused design's refusal in ``EstimateResult.refusals`` and
-leaves its rows NaN.
+records each refused design's refusal, an error whose message names the
+fault, in ``EstimateResult.refusals`` and leaves its rows NaN.  The
+identifiability report ``SummaryStatistics.diagnostics`` is stacked too;
+:meth:`IdentifiabilityReport.rows` reads it one design at a time.
 """
 
 from __future__ import annotations
@@ -189,9 +191,7 @@ class SummaryStatistics:
     sigma_EX: np.ndarray
     sigma_EY: np.ndarray
     sigma_EE: np.ndarray
-    n_exposure: int | None = None
     n_outcome: int | None = None
-    exposure_names: tuple | None = None
 
     def __post_init__(self):
         sigma_EX = _floats(self.sigma_EX, "sigma_EX")
@@ -272,13 +272,12 @@ class SummaryStatistics:
         replicate's ``M`` and ``M^-1`` are the identity."""
         ld_inverse, refusals = self._ld
         W = _T(self.sigma_EX) @ ld_inverse
-        report = self.diagnostics
         refusals = {**_rank_refusals(self), **refusals}  # an LD refusal comes first
         M = _without(W @ self.sigma_EX, refusals)
         M_inv, _ = _per_matrix(np.linalg.inv, M)
         singular = ~np.isfinite(M_inv).all(axis=(-2, -1))  # a failed inverse reads NaN; or singular at float precision
         refusals = _refusals(
-            [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
+            [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular"))],
             refusals,
         )
         M, M_inv = _without(M, refusals), _without(M_inv, refusals)
@@ -287,14 +286,7 @@ class SummaryStatistics:
 
     def drop_exposures(self, indices):
         keep = [k for k in range(self.n_exposures) if k not in set(indices)]
-        return SummaryStatistics(
-            self.sigma_EX[..., keep],
-            self.sigma_EY,
-            self.sigma_EE,
-            self.n_exposure,
-            self.n_outcome,
-            tuple(self.exposure_names[k] for k in keep) if self.exposure_names else None,
-        )
+        return SummaryStatistics(self.sigma_EX[..., keep], self.sigma_EY, self.sigma_EE, n_outcome=self.n_outcome)
 
 
 def centred_cross(genotypes, exposures, outcome):
@@ -373,14 +365,13 @@ class IndividualData:
     def summary_statistics(self, outcome=None, ld=None):
         """``Sigma_EX`` of this cohort, ``Sigma_EY`` of the ``outcome`` cohort
         (same instruments) and ``Sigma_EE = ld``; both default to this
-        cohort, and the sample sizes are the two cohorts' counts."""
+        cohort, and ``n_outcome`` is the outcome cohort's count."""
         outcome = self if outcome is None else outcome
         L = self.n_instruments
         return SummaryStatistics(
             sigma_EX=self.corr[..., :L, L:-1],
             sigma_EY=outcome.corr[..., :L, -1],
             sigma_EE=self.ld if ld is None else ld,
-            n_exposure=self.n_observations,
             n_outcome=outcome.n_observations,
         )
 
@@ -415,9 +406,9 @@ class EstimateResult:
 @dataclass(frozen=True, eq=False)
 class IdentifiabilityReport:
     """The fields are arrays over the replicates, except ``n_exposures`` and
-    ``n_instruments``, which every replicate shares.  The report a refusal
-    carries is its replicate's, with Python scalar fields.  Reports compare
-    by identity: a generated ``==`` cannot compare the array fields."""
+    ``n_instruments``, which every replicate shares; :meth:`rows` reads
+    them per replicate.  Reports compare by identity: a generated ``==``
+    cannot compare the array fields."""
 
     det_normalized_gram: float
     rank_EX: int
@@ -427,13 +418,13 @@ class IdentifiabilityReport:
     condition_EE: float  # max|lambda| / min|lambda| over the eigenvalues of Sigma_EE
     verdict: str  # "pass" | "warn" | "fail"
 
-
-def _report_at(report, replicate):
-    """Replicate ``replicate``'s report, with Python scalar fields."""
-    return IdentifiabilityReport(**{
-        name: _at(value, replicate) if isinstance(value, np.ndarray) else value
-        for name, value in vars(report).items()
-    })
+    def rows(self):
+        """One dict of the fields, as Python scalars, per replicate."""
+        columns = {
+            name: value.tolist() if isinstance(value, np.ndarray) else [value] * len(self.rank_EX)
+            for name, value in vars(self).items()
+        }
+        return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 def identifiability_diagnostics(stats):
@@ -484,8 +475,7 @@ def _rank_refusals(stats):
             "instrument-exposure covariance matrix is rank deficient "
             f"(rank {_at(report.rank_EX, i)} < {K} exposures): causal "
             "effects are not identifiable; inspect the determinant/rank "
-            "diagnostics",
-            diagnostics=_report_at(report, i),
+            "diagnostics"
         )
 
     return _refusals([(deficient, refusal)])
@@ -508,11 +498,7 @@ def ls_estimate(stats):
     # S.T @ S kernel, whose last bits differ: LS outputs are fixed bit for bit
     St = _T(S).copy()
     effects, singular = _per_matrix(np.linalg.solve, _without(St @ S, refusals), St @ stats.sigma_EY[..., None])
-    report = stats.diagnostics
-    refusals = _refusals(
-        [(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular", diagnostics=_report_at(report, i)))],
-        refusals,
-    )
+    refusals = _refusals([(singular, lambda i: UnderdeterminedError("weighted moment matrix is singular"))], refusals)
     return _estimated(effects[..., 0], refusals)
 
 

@@ -4,15 +4,15 @@ Ingests eQTL associations, GWAS outcome statistics and an LD matrix;
 groups genome-wide significant eQTL SNPs into loci around lead SNPs;
 prunes near-duplicate instruments; and runs multivariable MR to classify
 candidate causal genes by effect-size threshold and multiple-testing flag.
-Every locus analysis is MVMR on a list of (gene, tissue) exposures: the
-per-tissue analysis takes the genes of one tissue, the multi-tissue one
-any distinct gene-tissue pairs.  :func:`run_pipeline` analyses the loci in
-one serial pass, in (chromosome, position) order; it takes no thread
-count.  It estimates every (locus, tissue) design of a run in one
-:class:`SummaryStatistics` stack per (L, K) shape, instruments by
-exposures, and each design's results are bitwise those of the design
-alone, the one-design stack that a single analysis
-(:func:`analyze_locus`, :func:`multi_tissue_analysis`) estimates.
+Every locus analysis is MVMR of one tissue: its exposures are the
+(gene, tissue) pairs of that tissue's genes.  :func:`run_pipeline`
+analyses the loci in one serial pass, in (chromosome, position) order; it
+takes no thread count.  It estimates every (locus, tissue) design of a
+run in one :class:`SummaryStatistics` stack per (L, K) shape, instruments
+by exposures, and each design's results are bitwise those of the design
+alone, the one-design stack that :func:`analyze_locus` estimates.  Each
+design's diagnostics are its row of the stack's report,
+``IdentifiabilityReport.rows()``.
 
 An eQTL row is a significant instrument-gene association when its FDR is
 below ``EQTL_FDR`` (0.05).  Only :func:`build_loci` applies that rule: each
@@ -486,8 +486,8 @@ def verify_closure(locus):
 
 def _analyze(analyses, gwas_by_snp, ld, config):
     """``(calls, diagnostics, verdict)`` of each ``(locus, exposures)`` of
-    ``analyses``, in order: MVMR of the locus on ``exposures``, a list of
-    distinct (gene, tissue) pairs.
+    ``analyses``, in order: MVMR of the locus on ``exposures``, the
+    (gene, tissue) pairs of one tissue's genes.
 
     The instruments are the member SNPs, in order, that carry a
     significant row (``locus.eqtls``) of at least one exposure; an
@@ -539,14 +539,10 @@ def _analyze_stack(designs, results, gwas_by_snp, ld, config):
             results[designs.pop(exc.replicate)[0]] = [], {"error": str(exc)}, "failed"
     if stats is None:
         return
-    columns = {
-        name: value.tolist() if isinstance(value, np.ndarray) else [value] * len(designs)
-        for name, value in vars(stats.diagnostics).items()
-    }
+    reports = stats.diagnostics.rows()
     result = estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni)
     estimates = zip(*(a.tolist() for a in (result.effects, result.standard_errors, result.p_values, result.bonferroni_significant)))
-    for r, ((i, locus, exposures, _, _), values, rows) in enumerate(zip(designs, zip(*columns.values()), estimates)):
-        diagnostics = dict(zip(columns, values))
+    for r, ((i, locus, exposures, _, _), diagnostics, estimated) in enumerate(zip(designs, reports, estimates)):
         refusal = result.refusals.get(r)
         if diagnostics["rank_EX"] < len(exposures) or diagnostics["verdict"] == "fail":
             results[i] = [], diagnostics, "non_identifiable"
@@ -557,7 +553,7 @@ def _analyze_stack(designs, results, gwas_by_snp, ld, config):
             calls = [
                 # bool(): a numpy threshold would make the comparison a numpy bool
                 CausalGeneCall(locus.locus_id, gene, tissue, effect, se, p, bool(abs(effect) >= config.causal_threshold), flag)
-                for (gene, tissue), effect, se, p, flag in zip(exposures, *rows)
+                for (gene, tissue), effect, se, p, flag in zip(exposures, *estimated)
             ]
             results[i] = calls, diagnostics, "ok" if diagnostics["verdict"] == "pass" else "warn"
 
@@ -587,17 +583,6 @@ def analyze_locus(locus, tissue, gwas_by_snp, ld, config=PipelineConfig(), estim
     if estimated is not None:
         return estimated
     return _analyze([(locus, _exposures(locus, tissue))], gwas_by_snp, ld, config)[0]
-
-
-def multi_tissue_analysis(locus, pairs, gwas_by_snp, ld, config=PipelineConfig()):
-    """MVMR with gene-tissue pairs, a sequence of distinct (gene, tissue),
-    as exposures, estimated as a one-design stack.  Returns ``(calls,
-    diagnostics, verdict)``; a repeated pair raises ``ValueError``."""
-    exposures = [tuple(p) for p in pairs]
-    for k, pair in enumerate(exposures):
-        if pair in exposures[:k]:
-            raise ValueError(f"duplicate (gene, tissue) pair {pair}")
-    return _analyze([(locus, exposures)], gwas_by_snp, ld, config)[0]
 
 
 # ---------------------------------------------------------------------------

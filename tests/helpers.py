@@ -135,7 +135,6 @@ def population_statistics(diagram, sem, instruments, exposures, outcome, n_outco
         sigma[iE, iY],
         sigma[np.ix_(iE, iE)],
         n_outcome=n_outcome,
-        exposure_names=tuple(exposures),
     )
 
 
@@ -218,9 +217,9 @@ def export_locus_files(stats, out_dir, gene_names):
     Produces the three files consumed by the locus pipeline so that
     simulated data can complete the full analysis round trip.  SNP i is
     named ``rs{900000 + i}`` and placed on chromosome 1 at 1,000,000 +
-    5,000 i bp; every eQTL is in tissue ``SIM``, and the GWAS sample size
-    is ``stats.n_outcome`` (10,000 when unset).  Returns the (eqtl, gwas,
-    ld) paths.
+    5,000 i bp; every eQTL is in tissue ``SIM``, and the GWAS sample size,
+    which also sets every standard error, is ``stats.n_outcome`` (10,000
+    when unset).  Returns the (eqtl, gwas, ld) paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     sigma_EX, sigma_EY, sigma_EE = stats.sigma_EX[0], stats.sigma_EY[0], stats.sigma_EE[0]
@@ -230,7 +229,6 @@ def export_locus_files(stats, out_dir, gene_names):
     if len(genes) != K:
         raise ValueError("need one gene name per exposure")
     n_out = stats.n_outcome or 10000
-    n_exp = stats.n_exposure or n_out
 
     eqtl_path = os.path.join(out_dir, "eqtl.tsv")
     gwas_path = os.path.join(out_dir, "gwas.tsv")
@@ -242,7 +240,7 @@ def export_locus_files(stats, out_dir, gene_names):
             pos = 1_000_000 + i * 5_000
             for k, gene in enumerate(genes):
                 beta = float(sigma_EX[i, k])
-                se = max(1.0 / float(np.sqrt(n_exp)), 1e-6)
+                se = max(1.0 / float(np.sqrt(n_out)), 1e-6)
                 fh.write(
                     f"{snp}\t1\t{pos}\t{gene}\tSIM\t{beta!r}\t{se!r}\t0.3\t0.001\n"
                 )

@@ -6,6 +6,7 @@ import importlib.resources as resources
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from mvmr import estimators as est
 from mvmr import graph
 from mvmr import loci
 from mvmr import simulate as sim
+from mvmr.errors import UnderdeterminedError
 from helpers import (
     design,
     export_locus_files,
@@ -354,4 +356,35 @@ def test_criterion_11_pipeline_round_trip(tmp_path):
         ok,
         f"round-trip |effect - truth| {np.round(gaps, 4)} < 3 sd {np.round(limits, 4)}; "
         f"byte-identical across runs: {byte_identical}",
+    )
+
+
+def test_criterion_12_missing_variant_refused():
+    """A graph whose last instrument lost its edges, so that only LD links
+    it, fails the instrumental-set check at condition 1 or 3, and ls, gmm
+    and twmr each refuse its population design as rank deficient (200
+    graphs per K = 1..3, one stack per K)."""
+    rng = np.random.default_rng(1)
+    failed = Counter()  # (K, failed condition) -> graphs
+    deficient = refused = 0
+    for K in (1, 2, 3):
+        designs = []
+        for _ in range(200):
+            diagram, sem, instruments, exposures, outcome, _ = random_mvmr_graph(rng, n_exposures=K, sabotage="missing_variant")
+            failed[K, graph.check_instrumental_set(diagram, instruments, exposures, outcome).failed_condition] += 1
+            designs.append(population_statistics(diagram, sem, instruments, exposures, outcome))
+        stats = est.SummaryStatistics(
+            *(np.concatenate([getattr(d, name) for d in designs]) for name in ("sigma_EX", "sigma_EY", "sigma_EE"))
+        )
+        deficient += sum(row["rank_EX"] < K for row in stats.diagnostics.rows())
+        for method in ("ls", "gmm", "twmr"):
+            refusals = est.estimate(stats, method).refusals
+            refused += sum(isinstance(refusals.get(i), UnderdeterminedError) for i in range(len(designs)))
+    ok = all(condition in (1, 3) for _, condition in failed) and deficient == 600 and refused == 1800
+    report(
+        12,
+        ok,
+        "failed condition by (K, condition): "
+        + ", ".join(f"{key}: {n}" for key, n in sorted(failed.items(), key=str))
+        + f"; rank < K in {deficient}/600 designs; {refused}/1800 estimates refused as underdetermined",
     )

@@ -103,9 +103,8 @@ def single_analysis(locus, exposures, gwas, ld, config):
             ld.submatrix(snps),
             n_outcome=int(np.median([gwas[s].n for s in snps])),
         )
-        report = estimators._report_at(stats.diagnostics, 0)
-        diagnostics = dataclasses.asdict(report)
-        if report.rank_EX < len(exposures) or report.verdict == "fail":
+        diagnostics = stats.diagnostics.rows()[0]
+        if diagnostics["rank_EX"] < len(exposures) or diagnostics["verdict"] == "fail":
             return [], diagnostics, "non_identifiable"
         result = design(estimators.estimate(stats, config.estimator, bonferroni_threshold=config.bonferroni))
     except UnderdeterminedError as exc:
@@ -119,7 +118,7 @@ def single_analysis(locus, exposures, gwas, ld, config):
         )
         for k, (gene, tissue) in enumerate(exposures)
     ]
-    return calls, diagnostics, "ok" if report.verdict == "pass" else "warn"
+    return calls, diagnostics, "ok" if diagnostics["verdict"] == "pass" else "warn"
 
 
 def full_table_rows(locus, eqtls):
@@ -481,6 +480,11 @@ class TestAnalyzeLocus:
             "non_identifiable",
         )
 
+    def test_tissue_without_genes_is_no_data(self, built, loaded):
+        _, gwas, ld, _ = loaded
+        assert "SIM" not in built[0].genes_by_tissue
+        assert loci.analyze_locus(built[0], "SIM", gwas, ld) == ([], {}, "no_data")
+
     def test_causal_boundary_is_inclusive(self, built, loaded):
         _, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "15"][0]
@@ -490,51 +494,6 @@ class TestAnalyzeLocus:
             config = loci.PipelineConfig(causal_threshold=threshold)
             calls, _, _ = loci.analyze_locus(locus, "AOR", gwas, ld, config)
             assert {c.gene: c.causal for c in calls}["CTSH"] is causal
-
-
-class TestMultiTissue:
-    PAIRS = [("CARM1", "SKLM"), ("RGL3", "LIV"), ("CARM1", "SF"), ("SMARCA4", "LIV")]
-
-    def test_gene_tissue_pairs(self, built, loaded):
-        eqtls, gwas, ld, _ = loaded
-        locus = [l for l in built if l.chrom == "19"][0]
-        calls, _, verdict = loci.multi_tissue_analysis(locus, self.PAIRS, gwas, ld)
-        assert verdict == "ok"
-        results = {(c.gene, c.tissue): c for c in calls}
-        assert results[("CARM1", "SKLM")].effect == pytest.approx(0.18, abs=1e-6)
-        assert results[("RGL3", "LIV")].effect == pytest.approx(-0.19, abs=1e-6)
-        assert results[("CARM1", "SF")].effect == pytest.approx(-0.02, abs=1e-6)
-        assert results[("SMARCA4", "LIV")].effect == pytest.approx(-0.01, abs=1e-6)
-        assert [ (c.gene, c.tissue) for c in calls if c.causal ] == [
-            ("CARM1", "SKLM"),
-            ("RGL3", "LIV"),
-        ]
-
-    def test_pair_count_exceeding_instruments(self, built, loaded):
-        eqtls, gwas, ld, _ = loaded
-        locus = [l for l in built if l.chrom == "19"][0]
-        too_many = self.PAIRS + [("GENE_X", "LIV")]
-        calls, _, verdict = loci.multi_tissue_analysis(locus, too_many, gwas, ld)
-        assert verdict == "non_identifiable"
-
-    def test_repeated_pair_refused(self, built, loaded):
-        _, gwas, ld, _ = loaded
-        locus = [l for l in built if l.locus_id == "chr15:79135000"][0]
-        with pytest.raises(ValueError, match=r"duplicate \(gene, tissue\) pair \('ADAMTS7', 'AOR'\)"):
-            loci.multi_tissue_analysis(locus, [("ADAMTS7", "AOR")] * 2, gwas, ld)
-
-    def test_no_pairs_is_no_data(self, built, loaded):
-        _, gwas, ld, _ = loaded
-        assert loci.multi_tissue_analysis(built[0], [], gwas, ld) == ([], {}, "no_data")
-
-    def test_single_tissue_reduction(self, built, loaded):
-        _, gwas, ld, _ = loaded
-        for locus in built:
-            for tissue in locus.tissues():
-                pairs = [(g, tissue) for g in locus.genes_by_tissue[tissue]]
-                assert loci.analyze_locus(locus, tissue, gwas, ld) == loci.multi_tissue_analysis(
-                    locus, pairs, gwas, ld
-                ), (locus.locus_id, tissue)
 
 
 class TestPipelineConfig:

@@ -560,7 +560,7 @@ class TestGenerateDataset:
             n_outcome=900,
         )
         data = single_dataset(scenario, 4)
-        assert data.statistics.n_exposure == 400
+        assert data.individual.n_observations == 400
         assert data.statistics.n_outcome == 900
 
     # one-sample with the sample and the reference LD, two-sample with each
@@ -605,9 +605,7 @@ class TestGenerateDataset:
         exposure = cohort_statistics(scenario.n_samples)
         if scenario.n_outcome is None:
             sigma_EE = reference if scenario.ld_choice == "reference" else exposure.sigma_EE
-            return est.SummaryStatistics(
-                exposure.sigma_EX, exposure.sigma_EY, sigma_EE, scenario.n_samples, scenario.n_samples
-            )
+            return est.SummaryStatistics(exposure.sigma_EX, exposure.sigma_EY, sigma_EE, n_outcome=scenario.n_samples)
         outcome = cohort_statistics(scenario.n_outcome)
         if scenario.ld_choice == "reference":
             sigma_EE = reference
@@ -615,9 +613,7 @@ class TestGenerateDataset:
             sigma_EE = outcome.sigma_EE
         else:
             sigma_EE = exposure.sigma_EE
-        return est.SummaryStatistics(
-            exposure.sigma_EX, outcome.sigma_EY, sigma_EE, scenario.n_samples, scenario.n_outcome
-        )
+        return est.SummaryStatistics(exposure.sigma_EX, outcome.sigma_EY, sigma_EE, n_outcome=scenario.n_outcome)
 
     @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
     def test_one_summary_statistics_per_dataset(self, case, monkeypatch):
@@ -640,7 +636,7 @@ class TestGenerateDataset:
         want = self._statistics_assembled_per_cohort(scenario, 21)
         for name in ("sigma_EX", "sigma_EY", "sigma_EE"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert (got.n_exposure, got.n_outcome) == (want.n_exposure, want.n_outcome)
+        assert got.n_outcome == want.n_outcome
 
     def test_ld_sources_differ(self):
         """The five cases do not collapse onto one LD matrix."""

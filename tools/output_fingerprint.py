@@ -40,7 +40,10 @@ Runs, in this interpreter:
   exits 4, a rank-deficient design that exits 3, a positive definite LD
   matrix of condition number 9.0e5 that exits 0, an LD matrix made
   indefinite by rounding that exits 4 and a full-rank design whose
-  weighted moment matrix is singular at float precision, which exits 3);
+  weighted moment matrix is singular at float precision, which exits 3,
+  and an over-identified file that also sets ``n_exposure``,
+  ``instrument_names`` and ``exposure_names`` other than the default
+  X1, X2 labels);
 * ``mvmr estimate --diagram --estimators ls,gmm,twmr`` on the diagram
   files in ``DIAGRAMS``: the three locus diagrams of
   ``demos/01_identification.py`` (one gene, two genes with variants in
@@ -144,6 +147,10 @@ ESTIMATE_STATS = {  # name -> ``mvmr estimate --stats`` payload
     "rounding_indefinite_ld": {"sigma_EX": [[0.3, 0.1], [0.1, 0.3], [0.2236, 0.2236]], "sigma_EY": [0.1, 0.12, 0.15], "sigma_EE": [[1.0, 0.6, _R_ROUNDED], [0.6, 1.0, _R_ROUNDED], [_R_ROUNDED, _R_ROUNDED, 1.0]], "n_outcome": 10000},
     # full rank, but the weighted moment matrix S^T S underflows to zero
     "singular_moment_matrix": {"sigma_EX": [[1e-170, 0.0], [0.0, 1e-170]], "sigma_EY": [0.1, 0.2], "sigma_EE": [[1.0, 0.0], [0.0, 1.0]], "n_outcome": 100},
+    "named_exposures": {
+        "sigma_EX": _EX3, "sigma_EY": [0.1, 0.17, 0.06], "sigma_EE": _LD3, "n_exposure": 30000, "n_outcome": 50000,
+        "exposure_names": ["LPA", "PLG"], "instrument_names": ["rs10455872", "rs3798220", "rs4252120"],
+    },
 }
 
 
