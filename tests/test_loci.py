@@ -485,6 +485,36 @@ class TestAnalyzeLocus:
         assert "SIM" not in built[0].genes_by_tissue
         assert loci.analyze_locus(built[0], "SIM", gwas, ld) == ([], {}, "no_data")
 
+    def test_every_fixture_tissue_reads_as_its_own_design(self, built, loaded):
+        _, gwas, ld, _ = loaded
+        config = loci.PipelineConfig()
+        for locus in built:
+            for tissue in locus.tissues():
+                exposures = [(g, tissue) for g in locus.genes_by_tissue[tissue]]
+                result = loci.analyze_locus(locus, tissue, gwas, ld, config)
+                assert result == single_analysis(locus, exposures, gwas, ld, config), (locus.locus_id, tissue)
+                assert result[2] == "ok", (locus.locus_id, tissue)
+
+    def test_multi_tissue_locus_reads_tissue_by_tissue(self, built, loaded):
+        _, gwas, ld, _ = loaded
+        locus = [l for l in built if l.chrom == "19"][0]
+        causal = {}
+        for tissue in locus.tissues():
+            calls, _, verdict = loci.analyze_locus(locus, tissue, gwas, ld)
+            assert verdict == "ok"
+            causal.update({(c.gene, c.tissue): c.causal for c in calls})
+        assert causal == {
+            ("RGL3", "LIV"): True,
+            ("SMARCA4", "LIV"): False,
+            ("CARM1", "SF"): False,
+            ("CARM1", "SKLM"): True,
+        }
+        # the fixture's ground truth is the joint design of all four pairs
+        pairs = [("CARM1", "SKLM"), ("RGL3", "LIV"), ("CARM1", "SF"), ("SMARCA4", "LIV")]
+        joint, _, verdict = single_analysis(locus, pairs, gwas, ld, loci.PipelineConfig())
+        assert verdict == "ok"
+        assert [c.effect for c in joint] == pytest.approx([0.18, -0.19, -0.02, -0.01], abs=1e-6)
+
     def test_causal_boundary_is_inclusive(self, built, loaded):
         _, gwas, ld, _ = loaded
         locus = [l for l in built if l.chrom == "15"][0]
