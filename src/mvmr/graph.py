@@ -14,14 +14,20 @@ coefficients); both routes are implemented here and cross-checked in the
 test suite.  The path search never steps through a collider, so it only
 ever walks unblocked paths, and it memoises them per endpoint pair on the
 immutable diagram, so the instrumental-set search and the path sums share
-one enumeration.  The module also provides the graphical instrumental-set
-check that underpins identification of direct effects in multivariable MR
-with correlated instruments; it reads both its path condition and its
-d-separation condition off that one enumeration and memoises on the
-diagram every other fact it takes from the diagram alone; each SEM solves
-for its implied covariance once.  Both objects are immutable, so no memo
-goes stale.  Unconditional d-separation for any diagram, above the path
-cap ``MAX_PATH_NODES`` too, is a separate ancestral-set test.
+one enumeration.
+
+The module also provides the graphical instrumental-set check that
+underpins identification of direct effects in multivariable MR with
+correlated instruments.  Each question is answered once per diagram: the
+diagram memoises every fact it gives alone (paths, screens, descendants,
+pairwise path compatibility, and for d-separation the parent map of each
+removed-edge set and each node's ancestry in it).  A subset search reads
+each candidate's facts once, skips the subsets those facts already fail
+on conditions 1 or 2, and runs the one pruned witness search of
+condition 3 only on the rest.  Each SEM solves for its implied covariance
+and its distance from unit variances once.  Both objects are immutable,
+so no memo goes stale.  Unconditional d-separation for any diagram, above
+the path cap ``MAX_PATH_NODES`` too, is a separate ancestral-set test.
 """
 
 from __future__ import annotations
@@ -138,9 +144,12 @@ class CausalDiagram:
     def _memo(self):
         """Facts computed once per diagram: ``("paths", a, b)`` the unblocked
         paths from a to b, ``("descendants", y)`` those of y, ``("screen",
-        e, y)`` :func:`_screen` of e for y, and ``("pair", id(p), id(q))``
+        e, y)`` :func:`_screen` of e for y, ``("pair", id(p), id(q))``
         :func:`_pair_ok` of paths p and q (the "paths" entries keep every
-        path alive, so the ids stay valid)."""
+        path alive, so the ids stay valid), and for :func:`d_separated`
+        ``("parents", removed)`` the parent map once the frozen edge set
+        ``removed`` goes and ``("ancestry", removed, n)`` the ancestors of
+        n in it (a set naming an edge the diagram lacks is never stored)."""
         return {}
 
     def index(self, node):
@@ -211,7 +220,8 @@ class SemParameters:
     nonzero entry at ``[i, j]``.  ``error_cov`` is the symmetric matrix of
     error (co)variances; off-diagonal entries correspond to bidirected
     edges.  Both are read-only copies and cannot be rebound, so the implied
-    covariance matrix is computed once per object.
+    covariance matrix, and its largest distance from unit variances, are
+    computed once per object.
     """
 
     def __init__(self, coefficients, error_cov):
@@ -259,6 +269,11 @@ class SemParameters:
             ) from None
         sigma = B @ self.error_cov @ B.T
         return (sigma + sigma.T) / 2.0
+
+    @cached_property
+    def _unit_variance_gap(self):
+        """max |var - 1| over the implied variances."""
+        return np.max(np.abs(np.diag(self._implied) - 1.0))
 
 
 def sem_from_values(diagram, coefficients, error_cov=None, error_var=None):
@@ -449,11 +464,10 @@ def wright_covariance(diagram, sem, a, b):
     """
     diagram.index(a)
     diagram.index(b)
-    variances = np.diag(sem._implied)
-    if np.max(np.abs(variances - 1.0)) > 1e-8:
+    gap = sem._unit_variance_gap
+    if gap > 1e-8:
         raise StandardizationError(
-            "path sums require unit implied variances; "
-            f"max |var - 1| = {np.max(np.abs(variances - 1.0)):.3e}"
+            f"path sums require unit implied variances; max |var - 1| = {gap:.3e}"
         )
     if a == b:
         return 1.0
@@ -473,28 +487,43 @@ def d_separated(diagram, a, b, removed_edges=()):
     Two nodes are d-separated when no unblocked path connects them, which
     for an empty conditioning set is equivalent to sharing no ancestor in
     the graph where each bidirected edge is replaced by a latent common
-    parent.
+    parent.  The parent map of each removed-edge set and each ancestry in
+    it are memoised on the diagram.
     """
     diagram.index(a)
     diagram.index(b)
-    removed = set(removed_edges)
-    extra = removed - set(diagram.directed_edges)
-    if extra:
-        raise GraphStructureError(f"removed edges not in diagram: {sorted(extra)}")
+    removed = frozenset(removed_edges)
+    memo = diagram._memo
+    parents = memo.get(("parents", removed))
+    if parents is None:
+        extra = removed - diagram._directed_set
+        if extra:
+            raise GraphStructureError(f"removed edges not in diagram: {sorted(extra)}")
+        parents = memo[("parents", removed)] = _parents(diagram, removed)
     if a == b:
         return False
+    return _ancestry(memo, parents, removed, a).isdisjoint(_ancestry(memo, parents, removed, b))
 
-    parents = {n: set() for n in diagram.nodes}
+
+def _parents(diagram, removed):
+    """node -> parents once the edges ``removed`` go, each bidirected edge
+    replaced by a latent common parent."""
+    parents = {n: [] for n in diagram.nodes}
     for s, t in diagram.directed_edges:
         if (s, t) not in removed:
-            parents[t].add(s)
+            parents[t].append(s)
     for k, (u, v) in enumerate(diagram.bidirected_edges):
         latent = ("__latent__", k)
-        parents[latent] = set()
-        parents[u].add(latent)
-        parents[v].add(latent)
+        parents[latent] = ()
+        parents[u].append(latent)
+        parents[v].append(latent)
+    return parents
 
-    def ancestry(node):
+
+def _ancestry(memo, parents, removed, node):
+    key = ("ancestry", removed, node)
+    seen = memo.get(key)
+    if seen is None:
         seen = {node}
         stack = [node]
         while stack:
@@ -502,9 +531,8 @@ def d_separated(diagram, a, b, removed_edges=()):
                 if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
-        return seen
-
-    return not (ancestry(a) & ancestry(b))
+        seen = memo[key] = frozenset(seen)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -588,29 +616,17 @@ def _screen(diagram, instrument, outcome):
     return groups
 
 
-def check_instrumental_set(diagram, instruments, exposures, outcome):
-    """Check the graphical instrumental-set condition.
+def _descendants(diagram, node):
+    """Memoised frozenset of ``diagram.descendants(node)``."""
+    key = ("descendants", node)
+    found = diagram._memo.get(key)
+    if found is None:
+        found = diagram._memo[key] = frozenset(diagram.descendants(node))
+    return found
 
-    Searches for an ordering of the instruments together with one unblocked
-    path per instrument, each ending in a distinct exposure -> outcome edge,
-    such that
 
-    1. every instrument is a non-descendant of the outcome and owns such a
-       path,
-    2. every instrument is d-separated from the outcome once all
-       exposure -> outcome edges are removed, and
-    3. later instruments do not appear on earlier paths, and whenever two
-       chosen paths share a variable V, the earlier path's tail (from V to
-       the outcome) and the later path's head (up to V) both point at V.
-
-    Returns an :class:`InstrumentalSetResult` carrying the witness pairs on
-    success and the first violated condition otherwise.  Each instrument's
-    paths, sorted for conditions 1 and 2, and each pairwise test of
-    condition 3 are memoised on the immutable diagram, so a search over the
-    subsets of one candidate list classifies every instrument once.
-    """
-    instruments = list(instruments)
-    exposures = list(exposures)
+def _validate(diagram, instruments, exposures, outcome):
+    """Refuse a malformed question to :func:`check_instrumental_set`."""
     diagram.index(outcome)
     for node in itertools.chain(instruments, exposures):
         diagram.index(node)
@@ -634,26 +650,46 @@ def check_instrumental_set(diagram, instruments, exposures, outcome):
             f"(at most {MAX_SET_SIZE} instruments)"
         )
 
+
+def check_instrumental_set(diagram, instruments, exposures, outcome):
+    """Check the graphical instrumental-set condition.
+
+    Searches for an ordering of the instruments together with one unblocked
+    path per instrument, each ending in a distinct exposure -> outcome edge,
+    such that
+
+    1. every instrument is a non-descendant of the outcome and owns such a
+       path,
+    2. every instrument is d-separated from the outcome once all
+       exposure -> outcome edges are removed, and
+    3. later instruments do not appear on earlier paths, and whenever two
+       chosen paths share a variable V, the earlier path's tail (from V to
+       the outcome) and the later path's head (up to V) both point at V.
+
+    Returns an :class:`InstrumentalSetResult` carrying the witness pairs on
+    success and the first violated condition otherwise.  Each instrument's
+    paths, sorted for conditions 1 and 2, and each pairwise test of
+    condition 3 are memoised on the immutable diagram, so every question
+    about one diagram classifies each instrument and tests each path pair
+    once.
+    """
+    instruments = list(instruments)
+    exposures = list(exposures)
+    _validate(diagram, instruments, exposures, outcome)
+
     # Condition 1: non-descendance plus existence of a compatible path
     # assignment (instrument -> exposure edge) in the bipartite sense.
-    memo = diagram._memo
-    outcome_descendants = memo.get(("descendants", outcome))
-    if outcome_descendants is None:
-        outcome_descendants = frozenset(diagram.descendants(outcome))
-        memo[("descendants", outcome)] = outcome_descendants
-    candidate_paths = {}  # instrument -> its _screen
+    outcome_descendants = _descendants(diagram, outcome)
+    screens = []
     for e in instruments:
         if e in outcome_descendants:
             return InstrumentalSetResult(
                 False, 1, None, f"instrument {e!r} is a descendant of {outcome!r}"
             )
-        candidate_paths[e] = _screen(diagram, e, outcome)
+        screens.append(_screen(diagram, e, outcome))
 
-    usable = [
-        {j for j, x in enumerate(exposures) if x in candidate_paths[e]}
-        for e in instruments
-    ]
-    if not _perfect_matching_exists(usable, K):
+    usable = [{j for j, x in enumerate(exposures) if x in screen} for screen in screens]
+    if not _perfect_matching_exists(usable, len(exposures)):
         return InstrumentalSetResult(
             False,
             1,
@@ -666,7 +702,8 @@ def check_instrumental_set(diagram, instruments, exposures, outcome):
     # removed edge can only be the last edge of a path to the outcome, so an
     # instrument stays d-connected exactly when one of its unblocked paths
     # does not end in an exposure edge.
-    connected = [e for e in instruments if not candidate_paths[e].keys() <= set(exposures)]
+    wanted = set(exposures)
+    connected = [e for e, screen in zip(instruments, screens) if not screen.keys() <= wanted]
     if connected:
         return InstrumentalSetResult(
             False,
@@ -676,41 +713,7 @@ def check_instrumental_set(diagram, instruments, exposures, outcome):
             "removing all exposure edges",
         )
 
-    # Condition 3: ordered witness search with pairwise path compatibility.
-    # dead: sets of chosen paths with no completion (their order is immaterial).
-    dead = set()
-
-    def compatible(earlier, path):
-        key = ("pair", id(earlier), id(path))
-        ok = memo.get(key)
-        if ok is None:
-            ok = memo[key] = _pair_ok(earlier, path)
-        return ok
-
-    def search(remaining_instruments, remaining_exposures, chosen):
-        if not remaining_instruments:
-            return list(chosen)
-        state = frozenset(id(path) for _, path in chosen)
-        if state in dead:
-            return None
-        for e in remaining_instruments:
-            for x in remaining_exposures:
-                for path in candidate_paths[e].get(x, ()):
-                    if not all(compatible(earlier, path) for _, earlier in chosen):
-                        continue
-                    chosen.append((e, path))
-                    found = search(
-                        [i for i in remaining_instruments if i != e],
-                        [j for j in remaining_exposures if j != x],
-                        chosen,
-                    )
-                    if found is not None:
-                        return found
-                    chosen.pop()
-        dead.add(state)
-        return None
-
-    witness = search(list(instruments), list(exposures), [])
+    witness = _witness(diagram._memo, instruments, exposures, screens)
     if witness is None:
         return InstrumentalSetResult(
             False,
@@ -719,23 +722,157 @@ def check_instrumental_set(diagram, instruments, exposures, outcome):
             "no instrument ordering and path choice satisfies the pairwise "
             "common-variable rule",
         )
-    return InstrumentalSetResult(True, None, tuple(witness), "instrumental set")
+    return InstrumentalSetResult(True, None, witness, "instrumental set")
+
+
+def _witness(memo, instruments, exposures, screens):
+    """Condition 3: the first ordered witness ``((instrument, path), ...)``,
+    or ``None``.
+
+    A depth-first search over the flattened (instrument, exposure, path)
+    list in that order; each step takes the first item left that is
+    compatible with every path chosen so far, so the witness is the one a
+    plain search over every ordering finds first.  Sets of items are int
+    bitmasks.  Pruning cuts only branches without a witness: a chosen set
+    already found dead (the order of its paths is immaterial), or one that
+    leaves some remaining instrument no allowed path.
+    """
+    items = [
+        (i, j, path)
+        for i, screen in enumerate(screens)
+        for j, x in enumerate(exposures)
+        for path in screen.get(x, ())
+    ]
+    own = [0] * len(instruments)  # instrument -> its items
+    taken = [0] * len(exposures)  # exposure -> its items
+    for t, (i, j, _) in enumerate(items):
+        own[i] |= 1 << t
+        taken[j] |= 1 << t
+    # item c -> the items tested as later paths after it, and those that passed
+    tested = [own[i] | taken[j] for i, j, _ in items]
+    later = [0] * len(items)
+    dead = set()
+    chosen = []
+
+    def compatible_after(c, allowed):
+        untested = allowed & ~tested[c]
+        if untested:
+            earlier = items[c][2]
+            tested[c] |= untested
+            while untested:
+                bit = untested & -untested
+                untested ^= bit
+                path = items[bit.bit_length() - 1][2]
+                key = ("pair", id(earlier), id(path))
+                ok = memo.get(key)
+                if ok is None:
+                    ok = memo[key] = _pair_ok(earlier, path)
+                if ok:
+                    later[c] |= bit
+        return allowed & later[c]
+
+    def search(state, allowed, left):
+        if left == 0:
+            return True
+        if state in dead:
+            return False
+        # a used instrument has no allowed item left, so fewer instruments
+        # with one than instruments to place means one of these is starved
+        if sum(1 for mask in own if allowed & mask) == left:
+            rest = allowed
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = bit.bit_length() - 1
+                chosen.append(c)
+                if search(state | bit, compatible_after(c, allowed), left - 1):
+                    return True
+                chosen.pop()
+        dead.add(state)
+        return False
+
+    if not search(0, (1 << len(items)) - 1, len(instruments)):
+        return None
+    return tuple((instruments[items[c][0]], items[c][2]) for c in chosen)
+
+
+def _is_node(diagram, node):
+    try:
+        return node in diagram._position
+    except TypeError:  # unhashable
+        return False
 
 
 def find_instrumental_subset(diagram, candidates, exposures, outcome):
     """First square subset of ``candidates`` forming an instrumental set.
 
-    Returns ``(subset, result)``; ``subset`` is ``None`` when no subset of
-    size ``len(exposures)`` qualifies, in which case ``result`` is the
-    verdict for the last subset tried.
+    Returns ``(subset, result)``: ``subset`` is the first qualifying
+    combination in ``itertools.combinations`` order, with its
+    :func:`check_instrumental_set` result.  When none qualifies, ``subset``
+    is ``None`` and ``result`` the verdict of the last combination, from
+    one exact check (``None`` if there are fewer candidates than
+    exposures).  A combination that the check refuses raises where the
+    search reaches it.
+
+    Each candidate's facts are read once: whether it descends from the
+    outcome, and from its screen the exposures it reaches and whether it
+    stays d-connected once the exposure edges go.  A combination these
+    facts already fail on conditions 1 or 2 is skipped, so the full check
+    and its witness search run only on the rest; when some exposure is
+    reached by no candidate that passes alone, none is tried.
     """
-    K = len(list(exposures))
-    last = None
+    candidates, exposures = list(candidates), list(exposures)
+    K = len(exposures)
+    if len(candidates) < K:
+        return None, None
+    last = candidates[len(candidates) - K:]
+    _validate(diagram, candidates[:K], exposures, outcome)  # the question's own faults
+    # a list of distinct nodes other than the outcome and the exposures
+    # makes every combination well formed; else each one is validated
+    plain = (
+        all(_is_node(diagram, e) for e in candidates)
+        and len(set(candidates)) == len(candidates)
+        and outcome not in candidates
+        and set(candidates).isdisjoint(exposures)
+    )
+    outcome_descendants = _descendants(diagram, outcome)
+    position = {x: j for j, x in enumerate(exposures)}
+    reaches = {}
+
+    def reach(e):
+        """The exposure positions e has unblocked paths through, or None if
+        e fails alone: it descends from the outcome (condition 1) or one of
+        its paths ends in another edge (condition 2)."""
+        if e not in reaches:
+            if e in outcome_descendants:
+                reaches[e] = None
+            else:  # raises over the path cap, as the check does
+                screen = _screen(diagram, e, outcome)
+                reaches[e] = {position[x] for x in screen} if screen.keys() <= position.keys() else None
+        return reaches[e]
+
+    def passes(subset):
+        """Whether the facts leave conditions 1 and 2 open; read in the
+        check's order, so that over the path cap they raise where it does."""
+        usable = []
+        for e in subset:
+            if reach(e) is None:
+                return False
+            usable.append(reach(e))
+        return _perfect_matching_exists(usable, K)
+
+    if plain and diagram.n_nodes <= MAX_PATH_NODES:  # no fact can raise
+        candidates = [e for e in candidates if reach(e) is not None]
+        if len(set().union(*map(reach, candidates))) < K:  # an exposure none of them reaches
+            candidates = []
     for subset in itertools.combinations(candidates, K):
-        last = check_instrumental_set(diagram, subset, exposures, outcome)
-        if last.satisfied:
-            return list(subset), last
-    return None, last
+        if not plain:
+            _validate(diagram, subset, exposures, outcome)
+        if passes(subset):
+            result = check_instrumental_set(diagram, subset, exposures, outcome)
+            if result.satisfied:
+                return list(subset), result
+    return None, check_instrumental_set(diagram, last, exposures, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 import collections
+import functools
 import importlib.util
 import itertools
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvmr import graph
 from mvmr.errors import (
     CombinatorialLimitError,
     GraphStructureError,
+    MvmrError,
     PathEnumerationError,
     StandardizationError,
     UnknownNodeError,
@@ -203,6 +207,21 @@ class TestSemCache:
         assert kinds["ok"] >= 600 and len(kinds) == 3  # both error kinds reached
 
 
+    def test_wright_refusal_repeats_and_the_sem_stays_immutable(self):
+        diagram = graph.CausalDiagram(["E", "X"], [("E", "X")])
+        sem = graph.sem_from_values(diagram, {("E", "X"): 0.5})  # var(X) = 1.25
+        refusal = (StandardizationError, "path sums require unit implied variances; max |var - 1| = 2.500e-01")
+        assert [outcome_of(graph.wright_covariance, diagram, sem, "E", "X") for _ in range(3)] == [refusal] * 3
+        below = graph.sem_from_values(diagram, {("E", "X"): 0.5}, error_var={"X": 0.5})  # var(X) = 0.75
+        assert [outcome_of(graph.wright_covariance, diagram, below, "X", "E") for _ in range(2)] == [refusal] * 2
+        for name in ("coefficients", "error_cov", "_implied", "_unit_variance_gap"):
+            with pytest.raises(AttributeError, match="SemParameters is immutable"):
+                setattr(sem, name, None)
+        assert outcome_of(graph.wright_covariance, diagram, sem, "E", "X") == refusal
+        standardized = graph.calibrate_unit_variances(diagram, {("E", "X"): 0.5})
+        assert [graph.wright_covariance(diagram, standardized, "E", "X") for _ in range(2)] == [0.5, 0.5]
+
+
 class TestWrightCovariance:
     def test_disconnected_nodes_zero(self):
         diagram = graph.CausalDiagram(["A", "B"], [])
@@ -363,6 +382,30 @@ class TestDSeparation:
         with pytest.raises(GraphStructureError):
             graph.d_separated(diagram, "A", "B", [("B", "A")])
 
+    def test_memoised_verdicts_equal_a_fresh_diagrams(self):
+        # one diagram answers every query from its memos, each in two
+        # orders of its removed edges; a set with an edge the diagram lacks
+        # must be refused every time, and a == b is never separated
+        rng = np.random.default_rng(3003)
+        kinds = collections.Counter()
+        for _ in range(40):
+            diagram = random_mixed_diagram(rng)
+            edges = list(diagram.directed_edges)
+            lacking = [(t, s) for s, t in edges]
+            queries = []
+            for _ in range(25):
+                a, b = (str(n) for n in rng.choice(diagram.nodes, size=2))
+                removed = [edges[k] for k in rng.choice(len(edges), size=int(rng.integers(0, len(edges) + 1)), replace=False)]
+                if rng.random() < 0.2:
+                    removed.append(lacking[int(rng.integers(len(lacking)))])
+                queries += [(a, b, removed), (a, b, removed[::-1])]
+            for a, b, removed in queries * 2:
+                fresh = graph.CausalDiagram(diagram.nodes, diagram.directed_edges, diagram.bidirected_edges)
+                expected = outcome_of(graph.d_separated, fresh, a, b, removed)
+                assert outcome_of(graph.d_separated, diagram, a, b, removed) == expected
+                kinds["same node" if a == b else expected[0] if expected[0] != "ok" else expected[1]] += 1
+        assert min(kinds[k] for k in ("same node", GraphStructureError, True, False)) >= 100, kinds
+
     def test_separation_implies_zero_covariance(self):
         rng = np.random.default_rng(7)
         checked = 0
@@ -377,9 +420,24 @@ class TestDSeparation:
 
 
 def reference_check(diagram, instruments, exposures, outcome):
-    """The instrumental-set check without memos: every fact is recomputed
-    for the subset at hand and condition 3 tries every ordering afresh."""
+    """The instrumental-set check without memos: a malformed question is
+    refused as the check refuses it, every fact is recomputed for the
+    subset at hand and condition 3 tries every ordering afresh."""
     instruments, exposures = list(instruments), list(exposures)
+    for node in [outcome, *instruments, *exposures]:
+        diagram.index(node)
+    if outcome in instruments or outcome in exposures:
+        raise ValueError("outcome cannot appear among instruments or exposures")
+    if len(set(instruments)) != len(instruments):
+        raise ValueError("duplicate instruments")
+    if len(set(exposures)) != len(exposures):
+        raise ValueError("duplicate exposures")
+    if set(instruments) & set(exposures):
+        raise ValueError("instruments and exposures must be disjoint")
+    if len(instruments) != len(exposures):
+        raise ValueError("need exactly one instrument per exposure; pre-select a square subset (see find_instrumental_subset)")
+    if len(exposures) > graph.MAX_SET_SIZE:
+        raise CombinatorialLimitError(f"instrumental-set search over {len(exposures)}! orderings not supported (at most {graph.MAX_SET_SIZE} instruments)")
     descendants = diagram.descendants(outcome)
     exposure_edges = {x for x in exposures if diagram.has_directed(x, outcome)}
     candidate_paths, connected = {}, set()
@@ -442,6 +500,65 @@ def verdict(result):
     return result.satisfied, result.failed_condition, result.witness, result.detail
 
 
+def search_outcome(find, diagram, candidates, exposures, outcome):
+    """``(subset, verdict)`` of a subset search, or ``(exception type, message)``."""
+    try:
+        subset, result = find(diagram, candidates, exposures, outcome)
+    except (MvmrError, ValueError) as exc:
+        return type(exc), str(exc)
+    return subset, None if result is None else verdict(result)
+
+
+@functools.cache
+def locus_diagrams():
+    return make_diagrams(1, 24)
+
+
+@st.composite
+def subset_questions(draw):
+    """A diagram with the candidate list, exposures and outcome of one
+    subset search, some of them malformed."""
+    shape = draw(st.sampled_from(["mixed"] * 4 + ["locus"] * 4 + ["tagging"] * 2 + ["over_cap", "wide"]))
+    if shape == "wide":  # more exposures than MAX_SET_SIZE
+        K = graph.MAX_SET_SIZE + 1
+        es, xs = [f"E{i}" for i in range(K + 1)], [f"X{i}" for i in range(K)]
+        diagram = graph.CausalDiagram(es + xs + ["Y"], [(e, x) for e, x in zip(es, xs)] + [(x, "Y") for x in xs], list(zip(es, es[1:])))
+        return diagram, draw(st.lists(st.sampled_from(es), min_size=K - 1, max_size=K + 1, unique=True)), xs, "Y"
+    if shape == "locus":  # a benchmark diagram, with a direct E1 -> Y edge at times
+        d = draw(st.sampled_from(locus_diagrams()))
+        pleiotropy = [("E1", "Y")] if draw(st.booleans()) else []
+        diagram = graph.CausalDiagram(d["nodes"], [(s, t) for s, t, _ in d["edges"]] + pleiotropy, [(a, b) for a, b, _ in d["bicov"]])
+    elif shape == "tagging":  # E1 on every exposure, the other variants in LD with it and at times on one
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        K = int(rng.integers(2, 4))
+        es, xs = [f"E{i + 1}" for i in range(K + int(rng.integers(0, 3)))], [f"X{k + 1}" for k in range(K)]
+        directed = [("E1", x) for x in xs] + [(x, "Y") for x in xs] + [(e, str(rng.choice(xs))) for e in es[1:] if rng.random() < 0.4]
+        diagram = graph.CausalDiagram(es + xs + ["Y"], directed, [("E1", e) for e in es[1:]])
+    else:  # a random diagram with one or two more variants, each in LD with one variant and at times on an exposure
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        diagram = random_mixed_diagram(rng)
+        extra = [f"F{i}" for i in range(int(rng.integers(1, 3)))]
+        es = [n for n in diagram.nodes if n.startswith("E")]
+        xs = [n for n in diagram.nodes if n.startswith("X")]
+        directed = [(f, str(rng.choice(xs))) for f in extra if rng.random() < 0.3]
+        bidirected = {(str(rng.choice(es)), f) for f in extra}
+        diagram = graph.CausalDiagram(diagram.nodes + tuple(extra), diagram.directed_edges + tuple(directed), sorted(set(diagram.bidirected_edges) | bidirected))
+    if shape == "over_cap":  # descendants of Y beyond MAX_PATH_NODES: Y -> N0 -> N1 -> ...
+        filler = [f"N{i}" for i in range(graph.MAX_PATH_NODES + 1 - diagram.n_nodes)]
+        chain = tuple(zip(["Y", *filler], filler))
+        diagram = graph.CausalDiagram(diagram.nodes + tuple(filler), diagram.directed_edges + chain, diagram.bidirected_edges)
+    nodes = list(diagram.nodes)
+    outcome = draw(st.sampled_from(["Y"] * 3 * len(nodes) + nodes + ["unknown"]))
+    xs = draw(st.permutations([n for n in nodes if n.startswith("X")]))
+    exposures = xs[: len(xs) - draw(st.integers(0, len(xs)))]
+    pool = draw(st.permutations([n for n in nodes if n != outcome and n not in exposures]))
+    candidates = pool[: len(pool) - draw(st.integers(0, len(pool) - len(exposures) + 1))]  # at times one too few
+    for names, fault in ((exposures, ["Y", "unknown", *exposures]), (candidates, ["unknown", outcome, *exposures, *candidates])):
+        if fault and draw(st.integers(0, 4)) == 0:  # an unknown node, the outcome, an exposure or a duplicate
+            names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(fault)))
+    return diagram, candidates, exposures, outcome
+
+
 class TestInstrumentalSet:
     def test_memoised_screen_gives_the_reference_verdicts(self):
         # several outcomes and exposure sets per diagram, so most checks read
@@ -473,6 +590,20 @@ class TestInstrumentalSet:
                     assert verdict(graph.check_instrumental_set(fresh, instruments, exposures, outcome)) == expected
                     conditions[expected[1]] += 1
         assert min(conditions[c] for c in (None, 1, 2, 3)) >= 20, conditions
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(subset_questions())
+    def test_subset_search_gives_the_reference_answer(self, question):
+        # the candidates' facts, the skipped combinations and the pruned
+        # search change no subset, verdict, exception or message; asked
+        # twice, so that the second answer reads the memos of the first
+        diagram, candidates, exposures, outcome = question
+        fresh = graph.CausalDiagram(diagram.nodes, diagram.directed_edges, diagram.bidirected_edges)
+        expected = search_outcome(reference_find, fresh, candidates, exposures, outcome)
+        for _ in range(2):
+            assert search_outcome(graph.find_instrumental_subset, diagram, candidates, exposures, outcome) == expected
+        if len(candidates) < len(exposures):
+            assert expected == (None, None)
 
     def test_descendant_instrument_fails_condition_one_above_the_path_cap(self):
         filler = [f"N{i}" for i in range(20)]

@@ -57,7 +57,9 @@ Runs, in this interpreter:
   ``perfbench/inputs.make_diagrams(seed, 240)`` for each seed in
   ``GRAPH_SEEDS``, which writes per diagram the ``find_instrumental_subset``
   result, the ``check_instrumental_set`` verdict (satisfied flag, failed
-  condition, detail and witness) for every square instrument subset, and
+  condition, detail and witness) for every square instrument subset,
+  ``d_separated(instrument, outcome)`` for every instrument, with and
+  without the exposure -> outcome edges removed, and
   ``repr(wright_covariance)`` for every ordered pair of distinct nodes;
 * the same identification run over every fourth of those diagrams with the
   direct edge ``PLEIOTROPY_EDGE`` (instrument -> outcome) added, so that
@@ -283,6 +285,9 @@ def _identify(argv):
             fh.write(f"{d['name']} subset {found!r}\n")
             for subset in itertools.combinations(d["instruments"], len(exposures)):
                 fh.write(f"check {list(subset)} {graph.check_instrumental_set(diagram, subset, exposures, outcome)!r}\n")
+            removed = [(x, outcome) for x in exposures]
+            for e in d["instruments"]:
+                fh.write(f"d_separated {e} {graph.d_separated(diagram, e, outcome)!r} {graph.d_separated(diagram, e, outcome, removed)!r}\n")
             for a, b in itertools.permutations(d["nodes"], 2):
                 fh.write(f"wright {a} {b} {graph.wright_covariance(diagram, sem, a, b)!r}\n")
     return 0
