@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -566,7 +567,6 @@ def build_parser():
     sim.add_argument("--out", default=None, help="output directory (default $MVMR_OUTPUT_DIR or ./mvmr_out)")
     sim.add_argument("--estimators", default=None, help="comma list from: ls, gmm, twmr (default: the scenario's 'estimators', else ls,gmm)")
     sim.add_argument("--max-failure-rate", type=float, default=0.2, help="exit 4 when any cell's replicate failure rate exceeds this")
-    sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate causal effects from summary statistics or a diagram file")
     est.add_argument("--stats", default=None, help="summary statistics JSON (sigma_EX, sigma_EY, sigma_EE, n_outcome...)")
@@ -576,7 +576,6 @@ def build_parser():
     est.add_argument("--outcome", default=None, help="outcome node (diagram mode)")
     est.add_argument("--estimators", default="ls,gmm", help="comma list from: ls, gmm, twmr")
     est.add_argument("--out", default=None, help="also write the JSON result, with its error on exit 3 or 4, to this file")
-    est.set_defaults(func=cmd_estimate)
 
     loc = sub.add_parser("loci", help="run the locus pipeline on eQTL/GWAS/LD summary files")
     loc.add_argument("--eqtl", required=True, help="eQTL TSV (snp chrom pos gene tissue beta se maf fdr)")
@@ -592,7 +591,6 @@ def build_parser():
     loc.add_argument("--causal-threshold", type=float, default=0.1, help="|effect| at or above this is called causal")
     loc.add_argument("--bonferroni", type=float, default=3e-4, help="p-value threshold for the multiple-testing flag")
     loc.add_argument("--estimator", default="ls", choices=sorted(ESTIMATORS), help="estimator for locus analyses")
-    loc.set_defaults(func=cmd_loci)
 
     fig = sub.add_parser("figures", help="batch-run every bundled scenario (figure-ready CSV per scenario)")
     fig.add_argument("--out", default=None, help="output root (default $MVMR_OUTPUT_DIR or ./mvmr_out)")
@@ -602,15 +600,27 @@ def build_parser():
     fig.add_argument("--estimators", default=None, help="comma list from: ls, gmm, twmr (default: each scenario's 'estimators', else ls,gmm)")
     fig.add_argument("--only", default=None, help="comma list of scenario names to run")
     fig.add_argument("--max-failure-rate", type=float, default=0.2)
-    fig.set_defaults(func=cmd_figures)
 
     return parser
 
 
+# subcommand -> the function that runs it; main looks the function up here on
+# every call, so rebinding an entry takes effect although the parser is built
+# once
+COMMANDS = {"simulate": cmd_simulate, "estimate": cmd_estimate, "loci": cmd_loci, "figures": cmd_figures}
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser ``main`` reads, built on first use and then reused: each
+    ``parse_args`` call starts from a fresh namespace and the parser's own
+    defaults, so no call sees another's arguments."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -39,12 +39,14 @@ making results bit-identical regardless of the degree of parallelism.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -411,7 +413,9 @@ def _causal_layout(causal_rows, n_instruments, n_exposures):
     return rows, _read_only(mask), shared_rows
 
 
-DRAW_BATCH = 256  # candidate effect matrices drawn and screened together
+# candidate effect matrices drawn and screened together; an unconstrained
+# spec reads only candidate 0 and skips the stream past the rest
+DRAW_BATCH = 256
 MAX_DRAWS = 2_000_000  # candidates drawn before the design constraints are refused
 
 
@@ -462,7 +466,21 @@ class EffectSizes:
             object.__setattr__(self, "matrix", tuple(map(tuple, matrix)))
 
     def realize(self, rng, scenario):
-        """One effect matrix for ``scenario``'s instruments and exposures."""
+        """One effect matrix for ``scenario``'s instruments and exposures.
+
+        A constrained spec (a determinant band on a square causal block, or
+        a Gram or strength screen) draws batches of ``DRAW_BATCH`` candidates
+        and returns the first that passes.  An unconstrained spec accepts
+        candidate 0 of the first batch, so it draws that candidate alone and
+        moves ``rng`` with PCG64's O(1) ``bit_generator.advance`` past the
+        draws of the other candidates: the returned matrix and every later
+        draw of ``rng`` are those of the whole batch, bit for bit.  A
+        magnitude takes one 64-bit step; a random sign is one 32-bit half
+        (``integers(0, 2)`` never rejects), two halves to a step, and
+        ``advance`` drops a buffered half.  So ``rng`` must be a PCG64
+        Generator holding no buffered half, as a fresh stream such as the
+        replicate stream ``_draw`` passes is.
+        """
         n_instruments, n_exposures = scenario.n_instruments_total, scenario.n_exposures
         if self.matrix is not None:
             A = np.asarray(self.matrix, dtype=float)
@@ -477,6 +495,16 @@ class EffectSizes:
         needs_screen = (
             self.design_gram_min is not None or self.design_strength_min is not None
         )
+        banded = square and (self.det_min is not None or self.det_max is not None)
+        if not (banded or needs_screen):
+            size = n_instruments * n_exposures
+            A = rng.uniform(self.low, self.high, size=(1, n_instruments, n_exposures))[0]
+            rng.bit_generator.advance((DRAW_BATCH - 1) * size)
+            if self.signs == "random":
+                A *= 2.0 * rng.integers(0, 2, size=A.shape) - 1.0
+                rng.bit_generator.advance(DRAW_BATCH * size // 2 - (size + 1) // 2)
+            A *= mask
+            return A
         if needs_screen:
             sds = scenario.instrument_sds
             cov_E = scenario.reference_ld * np.outer(sds, sds)
@@ -489,7 +517,7 @@ class EffectSizes:
                 A_full *= 2.0 * rng.integers(0, 2, size=A_full.shape) - 1.0
             A_full *= mask[None, :, :]
             ok = np.ones(DRAW_BATCH, dtype=bool)
-            if square and (self.det_min is not None or self.det_max is not None):
+            if banded:
                 det = np.linalg.det(A_full[:, shared_rows, :])
                 if self.det_min is not None:
                     ok &= det > self.det_min
@@ -794,13 +822,14 @@ def generate_dataset(scenario, seed, threads=1):
 # Replicate harness
 
 
-def _nan_reduce(reduce, values, axis, **kwargs):
-    """``reduce`` (np.nanmean, np.nanstd or np.nanmedian) along ``axis``,
-    giving NaN without numpy's RuntimeWarning where a slice holds too few
-    non-NaN values, as when every replicate of a cell failed."""
+@contextlib.contextmanager
+def _nan_quiet():
+    """Silence numpy's RuntimeWarning where a NaN-aware reduction (np.nanmean,
+    np.nanstd, np.nanmedian) meets a slice with too few non-NaN values, as
+    when every replicate of a cell failed; the reduction gives NaN."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return reduce(values, axis=axis, **kwargs)
+        yield
 
 
 # the columns of a replicates.csv row after its label columns, in the order
@@ -855,10 +884,12 @@ class ReplicateSummary:
                 self._messages[est][index] = str(exc)
 
     def mean(self, estimator):
-        return _nan_reduce(np.nanmean, self.estimates[estimator], axis=0)
+        with _nan_quiet():
+            return np.nanmean(self.estimates[estimator], axis=0)
 
     def sd(self, estimator):
-        return _nan_reduce(np.nanstd, self.estimates[estimator], axis=0, ddof=1)
+        with _nan_quiet():
+            return np.nanstd(self.estimates[estimator], axis=0, ddof=1)
 
     def bias(self, estimator):
         return self.mean(estimator) - np.asarray(self.scenario.true_effects)
@@ -872,6 +903,10 @@ class ReplicateSummary:
         return [f"X{k + 1}" for k in range(len(self.scenario.true_effects))]
 
     def summary_dict(self):
+        """Per-estimator mean, sd, bias and failure rate over the replicates
+        (NaN where too few succeeded), and with ``conditional_f`` its median
+        per exposure."""
+        true_effects = np.asarray(self.scenario.true_effects)
         out = {
             "scenario": self.scenario.name,
             "seed": self.seed,
@@ -879,18 +914,17 @@ class ReplicateSummary:
             "true_effects": list(self.scenario.true_effects),
             "estimators": {},
         }
-        for est in self.estimator_names:
-            mean = self.mean(est)
-            out["estimators"][est] = {
-                "mean": [float(v) for v in mean],
-                "sd": [float(v) for v in self.sd(est)],
-                "bias": [float(v) for v in mean - np.asarray(self.scenario.true_effects)],
-                "failure_rate": self.failure_rate(est),
-            }
-        if self.conditional_f is not None:
-            out["median_conditional_f"] = [
-                float(v) for v in _nan_reduce(np.nanmedian, self.conditional_f, axis=1)
-            ]
+        with _nan_quiet():
+            for est in self.estimator_names:
+                mean = np.nanmean(self.estimates[est], axis=0)
+                out["estimators"][est] = {
+                    "mean": mean.tolist(),
+                    "sd": np.nanstd(self.estimates[est], axis=0, ddof=1).tolist(),
+                    "bias": (mean - true_effects).tolist(),
+                    "failure_rate": self.failure_rate(est),
+                }
+            if self.conditional_f is not None:
+                out["median_conditional_f"] = np.nanmedian(self.conditional_f, axis=1).tolist()
         return out
 
     def iter_rows(self, lead):
@@ -1054,7 +1088,8 @@ def type1_power(null_scenario, alt_scenario, seed, estimators, alpha=0.05, threa
         """Share of the replicates with a finite p-value that reject."""
         p = summary.p_values[est][:, [exposure]]
         rejected = np.where(np.isfinite(p), p < alpha, np.nan)
-        return float(_nan_reduce(np.nanmean, rejected, axis=0)[0])
+        with _nan_quiet():
+            return float(np.nanmean(rejected, axis=0)[0])
 
     rates = {
         est: {
@@ -1116,16 +1151,40 @@ def _check_keys(mapping, allowed, context):
         raise ScenarioError(f"unknown {context} keys: {sorted(unknown)}")
 
 
-def load_fixture(name):
-    """Load a bundled locus fixture (LD matrix, MAFs, names) by name."""
+def _frozen(value):
+    """``value`` parsed from JSON, with every list a tuple and every object
+    a read-only mapping."""
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    if isinstance(value, dict):
+        return MappingProxyType({key: _frozen(item) for key, item in value.items()})
+    return value
+
+
+@lru_cache(maxsize=None)
+def _bundled_fixtures():
+    """Bundled fixture name -> its parsed content, read once per process."""
     import importlib.resources as resources
     import json
 
     fixtures = resources.files("mvmr").joinpath("data", "fixtures")
-    names = {entry.name[: -len(".json")] for entry in fixtures.iterdir() if entry.name.endswith(".json")}
-    if not isinstance(name, str) or name not in names:
+    return _frozen({
+        entry.name[: -len(".json")]: json.loads(entry.read_text(encoding="utf-8"))
+        for entry in fixtures.iterdir()
+        if entry.name.endswith(".json")
+    })
+
+
+def load_fixture(name):
+    """A bundled locus fixture (LD matrix, MAFs, names) by name.
+
+    The fixtures are read and parsed once per process and handed out
+    read-only, every JSON object a ``MappingProxyType`` and every list a
+    tuple, so that no caller can change what the next one reads."""
+    fixtures = _bundled_fixtures()
+    if not isinstance(name, str) or name not in fixtures:
         raise ScenarioError(f"no bundled fixture named {name!r}")
-    return json.loads(fixtures.joinpath(f"{name}.json").read_text(encoding="utf-8"))
+    return fixtures[name]
 
 
 # genotype mode -> the keys it reads, one of which it needs

@@ -299,7 +299,7 @@ def test_criterion_10_pc1_variance_law():
 def test_criterion_11_pipeline_round_trip(tmp_path):
     """Simulated summary files run through the locus pipeline recover the
     scenario truth within 3 Monte-Carlo sd; reports are byte-identical
-    across repeated runs and thread counts."""
+    across repeated runs."""
     fixture = sim.load_fixture("slc22a3_lpa_plg")
     A = np.zeros((8, 3))
     A[(0, 1, 2), 0] = (0.28, 0.22, 0.17)

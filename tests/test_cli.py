@@ -1008,3 +1008,51 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in ("--prune-r2", "--causal-threshold", "--bonferroni", "--gwas-p"):
             assert flag in text
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process: every call must run as
+    it would on a freshly built parser, taking no argument or default from
+    an earlier call."""
+
+    CALLS = [
+        ["simulate", "--scenario", "scenario.json", "--seed", "3", "--replicates", "2", "--estimators", "ls", "--out", "seeded"],
+        ["simulate", "--scenario", "scenario.json", "--out", "file_seed"],  # the file's seed, replicates and estimators
+        ["estimate", "--stats", "stats.json", "--estimators", "ls,twmr", "--out", "estimate.json"],
+        ["loci", "--eqtl", str(FIXTURES / "eqtl.tsv"), "--gwas", str(FIXTURES / "gwas.tsv"), "--ld", str(FIXTURES / "ld.txt"), "--out", "loci"],
+        ["simulate", "--seed", "3"],  # no --scenario: a usage error
+        ["simulate", "--scenario", "scenario.json", "--replicates", "3", "--max-failure-rate", "1", "--out", "again"],
+    ]
+
+    @staticmethod
+    def fresh_main(argv):
+        args = cli.build_parser().parse_args(argv)
+        return cli.COMMANDS[args.command](args)
+
+    def run_calls(self, main, work, capsys, monkeypatch):
+        payload = json.loads(SCENARIOS.joinpath("fig2_corr_desk.json").read_text(encoding="utf-8"))
+        payload.update(seed=5, replicates=2, estimators=["gmm"])
+        work.mkdir()
+        (work / "scenario.json").write_text(json.dumps(payload))
+        stats = {"sigma_EX": [[0.3, 0.1], [0.15, 0.25]], "sigma_EY": [0.12, 0.18], "sigma_EE": [[1.0, 0.6], [0.6, 1.0]], "n_outcome": 20000}
+        (work / "stats.json").write_text(json.dumps(stats))
+        monkeypatch.chdir(work)
+        results = []
+        for argv in self.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        files = {str(path.relative_to(work)): path.read_bytes() for path in sorted(work.rglob("*")) if path.is_file()}
+        return results, files
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        reused = self.run_calls(cli.main, tmp_path / "reused", capsys, monkeypatch)
+        fresh = self.run_calls(self.fresh_main, tmp_path / "fresh", capsys, monkeypatch)
+        assert cli._parser() is cli._parser()
+        assert [code for code, _, _ in reused[0]] == [0, 0, 0, 0, 2, 0]
+        assert reused == fresh
+        seeds = [json.loads(reused[1][f"{out}/summary.json"])["seed"] for out in ("seeded", "file_seed", "again")]
+        assert seeds == [3, 5, 5]

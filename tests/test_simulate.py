@@ -474,6 +474,38 @@ class TestSurvivorScreen:
         )
         self.assert_same_draws(scenario, range(100, 160))
 
+    @pytest.mark.parametrize("signs", ["positive", "random"])
+    @pytest.mark.parametrize(
+        "n_instruments, causal_instruments",
+        [
+            (5, None),  # L*K = 15, every instrument causal
+            (5, (0, 2, 4)),  # a square shared block without a determinant band
+            (5, ((0, 1), (2, 3), (4,))),
+            (4, None),  # L*K = 12
+            (4, (0, 1, 3)),
+            (4, ((0, 1), (1, 2), (3,))),
+        ],
+    )
+    def test_unconstrained_spec_skips_the_batch_exactly(self, signs, n_instruments, causal_instruments):
+        """An unconstrained spec draws candidate 0 alone and advances past
+        the rest of the batch.  The next integers(0, 2) after the skip
+        catches a 32-bit half lost or kept by it when L*K is odd."""
+        spec = sim.EffectSizes(low=0.1, high=0.3, signs=signs)
+        scenario = sim.SimulationScenario(
+            true_effects=(0.1, 0.2, 0.3),
+            n_samples=100,
+            genotypes=sim.GenotypeModel((0.3,) * n_instruments, (0.2,) * (n_instruments - 1)),
+            effects=spec,
+            causal_instruments=causal_instruments,
+        )
+        for seed in range(200):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            A_new = spec.realize(rng_new, scenario)
+            A_old = realize_scoring_every_draw(spec, rng_old, scenario)
+            assert np.array_equal(A_new, A_old) and np.array_equal(np.signbit(A_new), np.signbit(A_old)), seed
+            assert rng_new.random() == rng_old.random(), seed
+            assert rng_new.integers(0, 2) == rng_old.integers(0, 2), seed
+
 
 class TestGenerateDataset:
     def test_standardized_columns_and_stats(self):
@@ -1083,6 +1115,38 @@ class TestScenarioFiles:
             }
         )
         assert scenario.n_instruments_total == 8
+
+    @pytest.mark.parametrize("mode", ["markov", "gaussian"])
+    def test_fixture_cannot_be_changed_by_a_caller(self, mode):
+        config = {
+            "true_effects": [0.208, -0.294],
+            "n_samples": 100,
+            "genotypes": {"mode": mode, "fixture": "mras_esyt3"},
+            "effects": {"low": 0.1, "high": 0.3},
+            "causal_instruments": [[0, 1], [3, 4]],
+        }
+        before = sim.scenario_from_dict(config)
+        fixture = sim.load_fixture("mras_esyt3")
+        with pytest.raises(TypeError):
+            fixture["ld"] = [[1.0]]
+        with pytest.raises(TypeError):
+            del fixture["mafs"]
+        with pytest.raises(TypeError):
+            fixture["ld"][0][1] = 0.0
+        with pytest.raises(AttributeError):
+            fixture["mafs"].append(0.5)
+        copy = dict(fixture)
+        copy["ld"] = [[1.0]]
+        assert sim.load_fixture("mras_esyt3") is fixture
+        assert sim.scenario_from_dict(config) == before
+        raw = json.loads(resources.files("mvmr").joinpath("data", "fixtures", "mras_esyt3.json").read_text())
+        assert fixture["ld"] == tuple(map(tuple, raw["ld"])) and fixture["mafs"] == tuple(raw["mafs"])
+
+    @pytest.mark.parametrize("name", ["no_such_locus", "mras_esyt3.json", 3, ["mras_esyt3"]])
+    def test_unknown_fixture_refused(self, name):
+        with pytest.raises(ScenarioError) as info:
+            sim.load_fixture(name)
+        assert str(info.value) == f"no bundled fixture named {name!r}"
 
     def test_bundled_scenarios_parse(self):
         import importlib.resources as resources

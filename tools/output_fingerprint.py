@@ -7,6 +7,11 @@ Runs, in this interpreter:
   Gaussian two-sample scenarios in ``LD_SCENARIOS``, which estimate with
   the outcome cohort's LD and with the reference LD on an instrument
   subset (no bundled scenario takes either path);
+* the same command on ``markov_random_signs`` (``SIGN_SCENARIOS``): a
+  Markov scenario of 5 instruments and 3 exposures, every instrument
+  causal, with random-signed effects and no design constraint, whose
+  effect-matrix draw takes a 32-bit half per sign and an odd number of
+  them (no bundled scenario takes that path);
 * the same command on ``near_perfect_ld`` (``FAILING_SCENARIOS``): two
   Gaussian instruments at correlation 0.999999999998, whose sample LD
   condition number straddles ``LD_CONDITION_LIMIT``, so that ls, gmm and
@@ -109,6 +114,9 @@ LD_SCENARIOS = {  # name -> scenario file written and simulated as the bundled o
     "ld_outcome": {**_TWO_SAMPLE, "ld_choice": "outcome"},
     "ld_reference": {**_TWO_SAMPLE, "ld_choice": "reference", "instrument_subset": [0, 1, 3, 4]},
 }
+SIGN_SCENARIOS = {  # name -> scenario file whose effect matrices carry an odd count of random signs
+    "markov_random_signs": {"kind": "replicates", "true_effects": [0.2, -0.1, 0.3], "n_samples": 400, "genotypes": {"mode": "markov", "mafs": [0.3, 0.25, 0.35, 0.3, 0.2], "successive_r": [0.5, 0.3, 0.6, 0.4]}, "effects": {"low": 0.1, "high": 0.3, "signs": "random"}},
+}
 FAILING_SCENARIOS = {  # name -> scenario file whose cells fail on some replicates only
     "near_perfect_ld": {"kind": "replicates", "true_effects": [0.2], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998}, "effects": {"low": 0.2, "high": 0.4}},
     "type1_near_perfect_ld": {"kind": "type1_power", "true_effects": [0.2], "null_effects": [0.0], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998}, "effects": {"low": 0.2, "high": 0.4}, "replicates": 12, "estimators": ["ls", "gmm"]},
@@ -183,7 +191,7 @@ def _commands(package_dir, out_root):
             yield f"simulate {name} {' '.join(SIMULATE_ARGS)}", argv, out
     os.makedirs(os.path.join(out_root, "inputs", "scenarios"))
     written = {}
-    for name, payload in {**LD_SCENARIOS, **FAILING_SCENARIOS}.items():
+    for name, payload in {**LD_SCENARIOS, **SIGN_SCENARIOS, **FAILING_SCENARIOS}.items():
         written[name] = scenario = os.path.join(out_root, "inputs", "scenarios", f"{name}.json")
         with open(scenario, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
