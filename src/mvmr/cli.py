@@ -15,13 +15,16 @@ records a locus tissue it cannot estimate as that tissue's verdict, and
 ``estimate --diagram`` reports an instrumental-set check it cannot run
 (too many nodes or instruments) as not checked and still estimates.
 
-``simulate`` takes its master seed from ``--seed``, else from the
-scenario file's ``seed`` key; its estimators from ``--estimators``, else
-from the file's ``estimators`` list, else ls and gmm; and its replicate
-count from ``--replicates``, else from the file's ``replicates`` key (a
-pca scenario's ``pca_repetitions``).  A file value must be valid even when
-its flag overrides it.  The default output directory is taken from
-the MVMR_OUTPUT_DIR environment variable when set, else ``./mvmr_out``.
+Each kind of ``simulate`` scenario file, and each genotype mode, accepts
+only its own keys (the tables ``SCENARIO_KINDS`` and ``GENOTYPE_MODES`` in
+``mvmr/simulate.py``); any other key exits 2.  ``simulate`` takes its
+master seed from ``--seed``, else from the file's ``seed`` key; its
+estimators from ``--estimators``, else from the file's ``estimators``
+list, else ls and gmm; and its replicate count from ``--replicates``, else
+from the file's ``replicates`` key (a pca file's ``pca_repetitions``).  A
+file value must be valid even when its flag overrides it.  The default
+output directory is taken from the MVMR_OUTPUT_DIR environment variable
+when set, else ``./mvmr_out``.
 """
 
 from __future__ import annotations
@@ -47,15 +50,16 @@ from .jsonio import dumps, write_json
 from .loci import PipelineConfig, run_pipeline
 from .simulate import (
     REPLICATE_FIELDS,
+    _is_count,
+    _is_names,
     check_replicates,
     check_seed,
     empirical_pc1_share,
-    expand_scenario_config,
     load_scenario_file,
+    parse_estimators,
     pc1_explained_variance,
     pleiotropy_experiment,
     run_replicates,
-    scenario_from_dict,
     two_sample_experiment,
     type1_power,
 )
@@ -77,20 +81,6 @@ def _write_rows(path, fieldnames, rows):
         writer.writerows(rows)
 
 
-def _parse_estimators(text):
-    names = [n.strip() for n in text.split(",") if n.strip()]
-    if not names:
-        raise ScenarioError("need at least one estimator")
-    for n in names:
-        if n not in ESTIMATORS:
-            raise ScenarioError(f"unknown estimator {n!r}; choose from {sorted(ESTIMATORS)}")
-    return tuple(names)
-
-
-def _is_names(value):
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _check_failure_rate(rate):
     if not 0.0 <= rate <= 1.0:  # NaN fails too
         raise ScenarioError(f"--max-failure-rate must be a finite number in [0, 1], not {rate}")
@@ -98,57 +88,6 @@ def _check_failure_rate(rate):
 
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def _seed_for(config, args):
-    """The master seed: ``--seed``, else the scenario file's ``seed`` key,
-    which is not a scenario field and is read only here.  A file ``seed``
-    must be a non-negative integer even when ``--seed`` overrides it."""
-    file_seed = config.get("seed")
-    if file_seed is not None:
-        check_seed(file_seed)
-    seed = file_seed if args.seed is None else check_seed(args.seed)
-    if seed is None:
-        raise ScenarioError(
-            "a seed is required: pass --seed or set 'seed' in the scenario file"
-        )
-    return seed
-
-
-def _estimators_for(config, args):
-    """``--estimators``, else the scenario file's ``estimators`` list, else
-    ls and gmm.  A file list must name known estimators even when
-    ``--estimators`` overrides it."""
-    listed = config.get("estimators")
-    if listed is not None and not _is_names(listed):
-        raise ScenarioError(
-            f"scenario key 'estimators' must be a list of estimator names, not {json.dumps(listed)}"
-        )
-    from_file = _parse_estimators(",".join(("ls", "gmm") if listed is None else listed))
-    return from_file if args.estimators is None else _parse_estimators(args.estimators)
-
-
-def _pca_count(config, key):
-    """A pca scenario's ``key`` (default 2000), a positive integer."""
-    value = config.get(key, 2000)
-    if not _is_count(value):
-        raise ScenarioError(f"pca scenario key {key!r} must be a positive integer, not {json.dumps(value)}")
-    return value
-
-
-def _with_replicates(kind, config, args):
-    """``config`` with ``--replicates`` as its replicate count, a pca
-    scenario's ``pca_repetitions``.  The file's count is checked first, as
-    a file ``seed`` is under ``--seed``; the scenario, or the pca runner,
-    checks the flag's."""
-    if args.replicates is None:
-        return config
-    if kind == "pca":
-        _pca_count(config, "pca_repetitions")
-        return {**config, "pca_repetitions": args.replicates}
-    if "replicates" in config:
-        check_replicates(config["replicates"])
-    return {**config, "replicates": args.replicates}
 
 
 def _write_cells(out_dir, seed, cells, extra):
@@ -167,78 +106,46 @@ def _write_cells(out_dir, seed, cells, extra):
     return summaries
 
 
-# A replicate kind's runner returns its (labels, summary) cells and the keys
-# it adds to summary.json, and does no I/O.
+# A replicate kind's runner takes what load_scenario_file parsed and returns
+# its (labels, summary) cells and the keys it adds to summary.json; no I/O.
 
 
-def _run_replicates_kind(config, estimators, seed, threads):
-    collect_f = config.get("conditional_f", False)
-    if not isinstance(collect_f, bool):
-        raise ScenarioError(f"scenario key 'conditional_f' must be true or false, not {json.dumps(collect_f)}")
-    cells = [
-        (labels, run_replicates(scenario, seed + index, estimators, threads=threads, collect_conditional_f=collect_f))
-        for index, (labels, scenario) in enumerate(expand_scenario_config(config))
-    ]
-    return cells, {}
+def _run_replicates_kind(cells, collect_conditional_f, estimators, seed, threads):
+    return [
+        (labels, run_replicates(scenario, seed + index, estimators, threads=threads, collect_conditional_f=collect_conditional_f))
+        for index, (labels, scenario) in enumerate(cells)
+    ], {}
 
 
-def _run_pleiotropy_kind(config, estimators, seed, threads):
-    return pleiotropy_experiment(scenario_from_dict(config), seed, estimators, threads=threads), {}
+def _run_pleiotropy_kind(scenario, estimators, seed, threads):
+    return pleiotropy_experiment(scenario, seed, estimators, threads=threads), {}
 
 
-def _run_two_sample_kind(config, estimators, seed, threads):
-    missing = [key for key in ("n_samples", "n_outcome") if key not in config]
-    if missing:
-        raise ScenarioError(f"two_sample scenarios need {missing}")
-    n_exposure_grid, n_outcome_grid = (
-        value if isinstance(value, (list, tuple)) else [value]
-        for value in (config["n_samples"], config["n_outcome"])
-    )
-    # every cell sets both sizes, so a null one (a null n_outcome would run
-    # the one-sample design) is refused here; an empty grid, which has no
-    # size to build the template from, is refused by two_sample_experiment
-    for key, grid in (("n_samples", n_exposure_grid), ("n_outcome", n_outcome_grid)):
-        if None in grid:
-            raise ScenarioError(f"two_sample scenario key {key!r} must hold sample sizes, not null")
-    template = None
-    if n_exposure_grid:
-        template = scenario_from_dict({**config, "n_samples": n_exposure_grid[0], "n_outcome": None})
-    cells = two_sample_experiment(template, n_exposure_grid, n_outcome_grid, seed, estimators, threads=threads)
-    return cells, {}
+def _run_two_sample_kind(scenario, n_exposure_grid, n_outcome_grid, estimators, seed, threads):
+    return two_sample_experiment(scenario, n_exposure_grid, n_outcome_grid, seed, estimators, threads=threads), {}
 
 
-def _run_type1_power_kind(config, estimators, seed, threads):
-    null_effects = config.get("null_effects")
-    if null_effects is None:
-        raise ScenarioError("type1_power scenarios need 'null_effects'")
-    alt = scenario_from_dict(config)
-    null = scenario_from_dict({**config, "true_effects": null_effects})
-    alpha = config.get("alpha", 0.05)
-    cells, exposure, rates = type1_power(null, alt, seed, estimators, alpha=alpha, threads=threads)
+def _run_type1_power_kind(scenario, null_scenario, alpha, estimators, seed, threads):
+    cells, exposure, rates = type1_power(null_scenario, scenario, seed, estimators, alpha=alpha, threads=threads)
     return cells, {"alpha": float(alpha), "tested_exposure": exposure, "rates": rates}
 
 
-def _run_pca(config, out_dir, seed):
+def _run_pca(out_dir, seed, correlations, n_samples=2000, pca_repetitions=2000):
     """Write a pca scenario's ``pc1_explained_variance.csv`` and
     ``summary.json``; pca has no estimators, so no replicate cells."""
-    correlations = config.get("correlations")
-    if not isinstance(correlations, list):
-        raise ScenarioError("pca scenarios need 'correlations', a list of numbers")
-    repetitions = _pca_count(config, "pca_repetitions")
-    n = _pca_count(config, "n_samples")
     rows = []
     for i, r in enumerate(correlations):
         expected = pc1_explained_variance(r)
         observed = empirical_pc1_share(
-            float(r), n=n, repetitions=repetitions, seed=seed + i
+            float(r), n=n_samples, repetitions=pca_repetitions, seed=seed + i
         )
         rows.append(
             {
                 "correlation": float(r),
                 "expected_share": expected,
                 "empirical_share": observed,
-                "n": n,
-                "repetitions": repetitions,
+                "n": n_samples,
+                "repetitions": pca_repetitions,
             }
         )
     _write_rows(
@@ -260,17 +167,19 @@ _KIND_RUNNERS = {
 def cmd_simulate(args):
     try:
         _check_failure_rate(args.max_failure_rate)
-        kind, config = load_scenario_file(args.scenario)
-        seed = _seed_for(config, args)
-        estimators = _estimators_for(config, args)
-        config = _with_replicates(kind, config, args)
+        # the file's seed and estimators are checked even where a flag overrides them
+        kind, file_seed, file_estimators, inputs = load_scenario_file(args.scenario, args.replicates)
+        seed = file_seed if args.seed is None else check_seed(args.seed)
+        if seed is None:
+            raise ScenarioError("a seed is required: pass --seed or set 'seed' in the scenario file")
+        estimators = parse_estimators(args.estimators) if args.estimators is not None else file_estimators or ("ls", "gmm")
         out_dir = args.out or _default_out()
         os.makedirs(out_dir, exist_ok=True)
         if kind == "pca":
-            _run_pca(config, out_dir, seed)
+            _run_pca(out_dir, seed, **inputs)
             print(f"wrote {out_dir}")
             return EXIT_OK
-        cells, extra = _KIND_RUNNERS[kind](config, estimators, seed, args.threads)
+        cells, extra = _KIND_RUNNERS[kind](**inputs, estimators=estimators, seed=seed, threads=args.threads)
         summaries = _write_cells(out_dir, seed, cells, extra)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -303,10 +212,6 @@ def cmd_simulate(args):
 
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "an array"}
 _STATS_REQUIRED = ("sigma_EX", "sigma_EY", "sigma_EE")
-
-
-def _is_count(value):
-    return type(value) is int and value > 0  # a JSON integer, not a boolean
 
 
 def _non_numbers(value):
@@ -395,7 +300,7 @@ def _stats_from_diagram(path, instruments, exposures, outcome):
 
 def cmd_estimate(args):
     try:
-        estimators = _parse_estimators(args.estimators)
+        estimators = parse_estimators(args.estimators)
         check = None
         if args.stats:
             stats, exposures = _stats_from_json(args.stats)
@@ -503,6 +408,7 @@ def bundled_scenarios():
 def cmd_figures(args):
     # the run's own settings are checked before any scenario is copied, so
     # that a refused run leaves no output behind
+    scenarios = bundled_scenarios()
     try:
         _check_failure_rate(args.max_failure_rate)
         if args.seed is not None:
@@ -510,16 +416,18 @@ def cmd_figures(args):
         if args.replicates is not None:
             check_replicates(args.replicates)
         if args.estimators is not None:
-            _parse_estimators(args.estimators)
+            parse_estimators(args.estimators)
+        if args.only:
+            only = {n.strip() for n in args.only.split(",")}
+            unknown = sorted(only - {name for name, _ in scenarios})
+            if unknown:
+                raise ScenarioError(f"--only names no bundled scenario: {', '.join(map(repr, unknown))}")
+            scenarios = [(name, entry) for name, entry in scenarios if name in only]
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    only = {n.strip() for n in args.only.split(",")} if args.only else None
     out_root = args.out or _default_out()
-    ran = []
-    for name, entry in bundled_scenarios():
-        if only is not None and name not in only:
-            continue
+    for name, entry in scenarios:
         out_dir = os.path.join(out_root, name)
         os.makedirs(out_dir, exist_ok=True)
         scenario_path = os.path.join(out_dir, "scenario.json")
@@ -538,11 +446,7 @@ def cmd_figures(args):
         code = cmd_simulate(sub_args)
         if code != EXIT_OK:
             return code
-        ran.append(name)
-    if only is not None and not ran:
-        print(f"error: no bundled scenario matches {sorted(only)}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"completed {len(ran)} scenario(s) -> {out_root}")
+    print(f"completed {len(scenarios)} scenario(s) -> {out_root}")
     return EXIT_OK
 
 
@@ -560,7 +464,10 @@ def build_parser():
     sim = sub.add_parser(
         "simulate", help="run a scenario file and write replicate CSV + summary JSON"
     )
-    sim.add_argument("--scenario", required=True, help="scenario JSON file")
+    sim.add_argument(
+        "--scenario", required=True,
+        help="scenario JSON file; each kind accepts only its own keys (SCENARIO_KINDS and GENOTYPE_MODES in mvmr/simulate.py)",
+    )
     sim.add_argument("--seed", type=int, default=None, help="master RNG seed (required unless the scenario file carries one)")
     sim.add_argument("--replicates", type=int, default=None, help="override the scenario's replicate count (a pca scenario's pca_repetitions)")
     sim.add_argument("--threads", type=int, default=1, help="worker threads; results are identical for any value")
@@ -596,10 +503,10 @@ def build_parser():
     fig.add_argument("--out", default=None, help="output root (default $MVMR_OUTPUT_DIR or ./mvmr_out)")
     fig.add_argument("--seed", type=int, default=None, help="master seed applied to every scenario")
     fig.add_argument("--replicates", type=int, default=None, help="override every scenario's replicate count, and pca_repetitions (quick runs)")
-    fig.add_argument("--threads", type=int, default=1)
+    fig.add_argument("--threads", type=int, default=1, help="worker threads per scenario; results are identical for any value")
     fig.add_argument("--estimators", default=None, help="comma list from: ls, gmm, twmr (default: each scenario's 'estimators', else ls,gmm)")
-    fig.add_argument("--only", default=None, help="comma list of scenario names to run")
-    fig.add_argument("--max-failure-rate", type=float, default=0.2)
+    fig.add_argument("--only", default=None, help="comma list of scenario names to run; a name no bundled scenario has exits 2")
+    fig.add_argument("--max-failure-rate", type=float, default=0.2, help="exit 4 when any cell of a scenario exceeds this replicate failure rate")
 
     return parser
 

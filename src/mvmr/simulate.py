@@ -44,7 +44,7 @@ import math
 import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -331,11 +331,13 @@ def empirical_pc1_share(r, n=2000, repetitions=2000, seed=0):
 
 
 def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _finite(value):
     """``value`` as a float if it is a finite real number (not a boolean), else None."""
+    if type(value) is float:
+        return value if math.isfinite(value) else None
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
     try:
@@ -372,11 +374,12 @@ def check_seed(seed):
 
 
 def check_replicates(n):
-    """Refuse ``n`` unless it is a replicate count, an integer of at least 1."""
+    """``n`` when it is a replicate count, an integer of at least 1."""
     if not _is_int(n):
         raise ScenarioError(f"replicates must be an integer, not {n!r}")
     if n < 1:
         raise ScenarioError("need at least one replicate")
+    return n
 
 
 def _causal_layout(causal_rows, n_instruments, n_exposures):
@@ -1105,50 +1108,58 @@ def type1_power(null_scenario, alt_scenario, seed, estimators, alpha=0.05, threa
 # ---------------------------------------------------------------------------
 # Scenario files (declarative JSON)
 
-_EFFECT_KEYS = {
-    "matrix",
-    "low",
-    "high",
-    "signs",
-    "det_min",
-    "det_max",
-    "design_gram_min",
-    "design_strength_min",
-}
-_GENOTYPE_KEYS = {"mode", "mafs", "successive_r", "correlation", "maf", "ld", "fixture"}
-_SCENARIO_KEYS = {
-    "name",
-    "kind",
-    "n_samples",
-    "true_effects",
-    "effects",
-    "genotypes",
-    "causal_instruments",
-    "noise_variance",
-    "hidden_exposures",
-    "hidden_effect_grid",
-    "instrument_subset",
-    "ld_prune_r2",
-    "n_outcome",
-    "ld_choice",
-    "ld_wishart_df",
-    "replicates",
-    "seed",
-    "exposure_names",
-    "estimators",
-    "conditional_f",
-    "alpha",
-    "null_effects",
-    "correlations",
-    "pca_repetitions",
-}
-SCENARIO_KINDS = ("replicates", "pleiotropy", "two_sample", "type1_power", "pca")
+
+def _json(value):
+    import json
+
+    return json.dumps(value)
 
 
-def _check_keys(mapping, allowed, context):
-    unknown = set(mapping) - allowed
+def _is_count(value):
+    return type(value) is int and value > 0  # a JSON integer, not a boolean
+
+
+def _is_names(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def parse_estimators(text):
+    """The estimators of a comma list: at least one, each a known name."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise ScenarioError("need at least one estimator")
+    for n in names:
+        if n not in ESTIMATORS:
+            raise ScenarioError(f"unknown estimator {n!r}; choose from {sorted(ESTIMATORS)}")
+    return tuple(names)
+
+
+def _checked(ok, message):
+    """A parser that refuses a value ``ok`` rejects with ``message``, formatted with it and its JSON."""
+    def parse(value):
+        if not ok(value):
+            raise ScenarioError(message.format(value, _json(value)))
+        return value
+
+    return parse
+
+
+def _estimator_list(value):
+    if not _is_names(value):
+        raise ScenarioError(f"scenario key 'estimators' must be a list of estimator names, not {_json(value)}")
+    return parse_estimators(",".join(value))
+
+
+_EFFECT_KEYS = {f.name for f in fields(EffectSizes)}
+
+
+def _effects(value):
+    if not isinstance(value, dict):
+        raise ScenarioError("scenario 'effects' must be an object")
+    unknown = sorted(set(value) - _EFFECT_KEYS)
     if unknown:
-        raise ScenarioError(f"unknown {context} keys: {sorted(unknown)}")
+        raise ScenarioError(f"unknown effects keys: {unknown}")
+    return EffectSizes(**value)
 
 
 def _frozen(value):
@@ -1187,135 +1198,216 @@ def load_fixture(name):
     return fixtures[name]
 
 
-# genotype mode -> the keys it reads, one of which it needs
-_GENOTYPE_NEEDS = {
-    "pair": ("correlation",),
-    "gaussian_pair": ("correlation",),
-    "markov": ("mafs", "fixture"),
-    "gaussian": ("ld", "fixture"),
+@lru_cache(maxsize=None)
+def _fixture_model(fixture):
+    """The Markov model of a bundled fixture, built once per process and
+    shared, as the model is immutable."""
+    fixture = load_fixture(fixture)
+    return GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"]), None
+
+
+def _gaussian_pair(correlation):
+    r = _finite(correlation)
+    if r is None:
+        raise ScenarioError(f"gaussian_pair correlation must be a number, not {correlation!r}")
+    return None, ((1.0, r), (r, 1.0))
+
+
+# genotype mode -> its tables, each (keys, build): a genotypes object holds
+# the first key of exactly one table, no key but "mode" and that table's,
+# and build(**keys) gives the scenario's (genotypes, ld_matrix)
+GENOTYPE_MODES = {
+    "pair": [(("correlation", "maf"), lambda correlation, maf=0.3: (GenotypeModel.pair(correlation, maf), None))],
+    "gaussian_pair": [(("correlation",), _gaussian_pair)],
+    "markov": [
+        (("mafs", "successive_r"), lambda mafs, successive_r=(): (GenotypeModel(mafs, successive_r), None)),
+        (("fixture",), _fixture_model),
+    ],
+    "gaussian": [(("ld",), lambda ld: (None, ld)), (("fixture",), lambda fixture: (None, load_fixture(fixture)["ld"]))],
 }
 
 
-def _genotypes_from_config(cfg):
-    _check_keys(cfg, _GENOTYPE_KEYS, "genotype")
-    mode = cfg.get("mode", "markov")
-    needs = _GENOTYPE_NEEDS.get(mode) if isinstance(mode, str) else None
-    if needs is None:
-        raise ScenarioError(f"unknown genotype mode {mode!r}")
-    if not any(key in cfg for key in needs):
-        raise ScenarioError(f"{mode} genotypes need {' or '.join(map(repr, needs))}")
-    fixture = load_fixture(cfg["fixture"]) if "fixture" in cfg else None
-    if mode == "pair":
-        return {"genotypes": GenotypeModel.pair(cfg["correlation"], cfg.get("maf", 0.3))}
-    if mode == "gaussian_pair":
-        r = _finite(cfg["correlation"])
-        if r is None:
-            raise ScenarioError(f"gaussian_pair correlation must be a number, not {cfg['correlation']!r}")
-        return {"ld_matrix": ((1.0, r), (r, 1.0))}
-    if mode == "markov":
-        if fixture is not None:
-            return {
-                "genotypes": GenotypeModel.from_ld_matrix(fixture["ld"], fixture["mafs"])
-            }
-        return {"genotypes": GenotypeModel(cfg["mafs"], cfg.get("successive_r", ()))}
-    return {"ld_matrix": fixture["ld"] if fixture is not None else cfg["ld"]}
-
-
-def scenario_from_dict(config):
-    """Build a :class:`SimulationScenario` from a declarative mapping.
-
-    Unknown keys are hard errors.  Grid-valued fields are not expanded
-    here; see :func:`expand_scenario_config`.  The runner keys, ``seed``
-    among them, are not scenario fields: the command line reads them.
-    """
-    _check_keys(config, _SCENARIO_KEYS, "scenario")
-    cfg = dict(config)
-    for runner_key in ("kind", "seed", "estimators", "conditional_f", "alpha", "null_effects", "correlations", "pca_repetitions"):
-        cfg.pop(runner_key, None)
-
-    effects_cfg = cfg.pop("effects", {})
-    if not isinstance(effects_cfg, dict):
-        raise ScenarioError("scenario 'effects' must be an object")
-    _check_keys(effects_cfg, _EFFECT_KEYS, "effects")
-    effects = EffectSizes(**effects_cfg)
-
-    geno_cfg = cfg.pop("genotypes", None)
-    if not isinstance(geno_cfg, dict):
+def _genotypes(value):
+    if not isinstance(value, dict):
         raise ScenarioError("scenario needs a 'genotypes' object")
-    geno_fields = _genotypes_from_config(dict(geno_cfg))
-    missing = [key for key in ("true_effects", "n_samples") if key not in cfg]
-    if missing:
-        raise ScenarioError(f"scenario lacks required keys: {missing}")
+    mode = value.get("mode", "markov")
+    tables = GENOTYPE_MODES.get(mode) if isinstance(mode, str) else None
+    if tables is None:
+        raise ScenarioError(f"unknown genotype mode {mode!r}")
+    chosen = [(keys, build) for keys, build in tables if keys[0] in value]
+    if len(chosen) != 1:
+        needs = " or ".join(repr(keys[0]) for keys, _ in tables)
+        raise ScenarioError(f"{mode} genotypes need {needs}" + (", not both" if chosen else ""))
+    [(keys, build)] = chosen
+    unknown = sorted(set(value) - {"mode", *keys})
+    if unknown:
+        raise ScenarioError(f"unknown keys for {mode} genotypes given by {keys[0]!r}: {unknown}")
+    if "fixture" in value:
+        load_fixture(value["fixture"])  # refuses a name no fixture has before a cache hashes it
+    return build(**{key: value[key] for key in keys if key in value})
 
-    prune_r2 = cfg.pop("ld_prune_r2", None)
-    scenario = SimulationScenario(effects=effects, **geno_fields, **cfg)
-    if prune_r2 is not None:
-        if _finite(prune_r2) is None:
-            raise ScenarioError(f"ld_prune_r2 must be a number, not {prune_r2!r}")
-        subset = select_by_ld_threshold(scenario.reference_ld, float(prune_r2))
+
+_SCENARIO_FIELDS = {f.name for f in fields(SimulationScenario)} - {"genotypes", "ld_matrix"}  # set by name in a file
+
+
+def _scenario(parsed):
+    """The :class:`SimulationScenario` of a file's parsed keys."""
+    genotypes, ld_matrix = parsed["genotypes"]
+    kwargs = {key: value for key, value in parsed.items() if key in _SCENARIO_FIELDS}
+    scenario = SimulationScenario(genotypes=genotypes, ld_matrix=ld_matrix, **kwargs)
+    if parsed.get("ld_prune_r2") is not None:
+        subset = select_by_ld_threshold(scenario.reference_ld, float(parsed["ld_prune_r2"]))
         scenario = replace(scenario, instrument_subset=tuple(subset))
     return scenario
 
 
-def expand_scenario_config(config):
-    """Expand grid-valued scenario fields into labelled cells.
-
-    ``correlation`` (pair mode), ``n_samples``, ``n_outcome``,
-    ``ld_prune_r2`` and ``hidden_effect_grid`` may be lists; the Cartesian
-    product of list-valued fields yields one ``(labels, scenario)`` pair
-    per cell.  ``hidden_effect_grid`` stays on the scenario (consumed by
-    the pleiotropy experiment).
-    """
-    import itertools as it
-
-    config = dict(config)
-    grids = []
-    geno = config.get("genotypes", {})
-    if isinstance(geno, dict) and isinstance(geno.get("correlation"), (list, tuple)):
-        grids.append(("correlation", list(geno["correlation"])))
-    for key in ("n_samples", "n_outcome", "ld_prune_r2"):
-        if isinstance(config.get(key), (list, tuple)):
-            grids.append((key, list(config[key])))
-    for key, values in grids:
-        if not values:
-            raise ScenarioError(f"scenario grids must be nonempty: {key!r} is []")
-
-    if not grids:
-        return [({}, scenario_from_dict(config))]
+def _replicate_cells(parsed, grids):
+    """One ``(labels, scenario)`` cell per combination of the grids' values."""
+    import itertools
 
     cells = []
-    for values in it.product(*(v for _, v in grids)):
-        cell_cfg = dict(config)
-        labels = {}
-        for (key, _), value in zip(grids, values):
-            labels[key] = value
-            if key == "correlation":
-                cell_cfg["genotypes"] = {**geno, "correlation": value}
-            else:
-                cell_cfg[key] = value
-        base = cell_cfg.get("name", "scenario")
-        suffix = ",".join(f"{k}={v}" for k, v in labels.items())
-        cell_cfg["name"] = f"{base}[{suffix}]"
-        cells.append((labels, scenario_from_dict(cell_cfg)))
-    return cells
+    for combination in itertools.product(*(values for _, values in grids.values())):
+        labels = {label: raw for (label, _), (raw, _) in zip(grids.values(), combination)}
+        cell = {**parsed, **{key: value for key, (_, value) in zip(grids, combination)}}
+        if labels:
+            suffix = ",".join(f"{k}={v}" for k, v in labels.items())
+            cell["name"] = f"{parsed.get('name', 'scenario')}[{suffix}]"
+        cells.append((labels, _scenario(cell)))
+    return {"cells": cells, "collect_conditional_f": parsed.get("conditional_f", False)}
 
 
-def load_scenario_file(path):
-    """Parse a scenario JSON file into ``(kind, config dict)``."""
+def _two_sample_inputs(parsed, grids):
+    sizes = [[v for _, v in grids[key][1]] if key in grids else [parsed[key]] for key in ("n_samples", "n_outcome")]
+    template = _scenario({**parsed, "n_samples": sizes[0][0], "n_outcome": sizes[1][0]})
+    return {"scenario": template, "n_exposure_grid": sizes[0], "n_outcome_grid": sizes[1]}
+
+
+def _type1_power_inputs(parsed, grids):
+    null = {**parsed, "true_effects": parsed["null_effects"]}
+    return {"scenario": _scenario(parsed), "null_scenario": _scenario(null), "alpha": parsed.get("alpha", 0.05)}
+
+
+# the keys that may hold a grid, in expansion order ("correlation" is the genotypes object's)
+GRID_KEYS = ("correlation", "n_samples", "n_outcome", "ld_prune_r2")
+_REQUIRED = ("true_effects", "n_samples", "genotypes")
+
+
+@dataclass(frozen=True)
+class ScenarioKind:
+    """The table of one kind of scenario file: ``keys`` maps every key the
+    file may hold to its parser (None: as written, for the scenario or the
+    runner to check), of which it must hold the ``required``.  ``grids``
+    are the ``GRID_KEYS`` a list may fill, ``count`` the key --replicates
+    replaces, and ``inputs(parsed, grids)`` the runner's arguments."""
+
+    keys: dict
+    inputs: object
+    required: tuple = _REQUIRED
+    grids: tuple = ()
+    count: str = "replicates"
+
+
+_SIMULATED = {  # the keys of every kind that simulates a scenario
+    **dict.fromkeys(("kind", "name", "true_effects", "n_samples", "n_outcome", "causal_instruments", "noise_variance")),
+    **dict.fromkeys(("instrument_subset", "ld_choice", "ld_wishart_df", "exposure_names")),
+    "seed": check_seed,
+    "estimators": _estimator_list,
+    "replicates": check_replicates,
+    "genotypes": _genotypes,
+    "effects": _effects,
+    "ld_prune_r2": _checked(lambda v: v is None or _finite(v) is not None, "ld_prune_r2 must be a number, not {0!r}"),
+}
+_SIZES = {  # every two_sample cell sets both sizes: a null one would run the one-sample design
+    key: _checked(lambda v: v is not None, f"two_sample scenario key {key!r} must hold sample sizes, not null") for key in ("n_samples", "n_outcome")
+}
+_PCA = {  # the runner's pc1_explained_variance refuses a correlation outside (-1, 1)
+    "kind": None,
+    "seed": check_seed,
+    "correlations": _checked(lambda v: isinstance(v, list), "pca scenarios need 'correlations', a list of numbers"),
+    **{key: _checked(_is_count, f"pca scenario key {key!r} must be a positive integer, not {{1}}") for key in ("n_samples", "pca_repetitions")},
+}
+SCENARIO_KINDS = {
+    "replicates": ScenarioKind(
+        {**_SIMULATED, "conditional_f": _checked(lambda v: isinstance(v, bool), "scenario key 'conditional_f' must be true or false, not {1}")},
+        _replicate_cells,
+        grids=GRID_KEYS,
+    ),
+    "pleiotropy": ScenarioKind(
+        {**_SIMULATED, "hidden_exposures": None, "hidden_effect_grid": None},
+        lambda parsed, grids: {"scenario": _scenario(parsed)},
+        (*_REQUIRED, "hidden_exposures", "hidden_effect_grid"),
+    ),
+    "two_sample": ScenarioKind({**_SIMULATED, **_SIZES}, _two_sample_inputs, (*_REQUIRED, "n_outcome"), ("n_samples", "n_outcome")),
+    "type1_power": ScenarioKind({**_SIMULATED, "null_effects": None, "alpha": None}, _type1_power_inputs, (*_REQUIRED, "null_effects")),
+    "pca": ScenarioKind(_PCA, lambda parsed, grids: parsed, ("correlations",), count="pca_repetitions"),
+}
+
+
+def expand_scenario_config(config, replicates=None):
+    """Check a scenario file's mapping against its kind's table and parse it,
+    refusing, by key and kind, a key outside the table, a missing required
+    key, a list for a grid key the kind does not expand and an empty grid.
+    ``replicates`` replaces the file's replicate count once that is checked.
+    Returns ``(kind, seed, estimators, inputs)``: the file's seed and
+    estimators (None if unset) and the kind runner's keyword arguments."""
+    kind = config.get("kind", "replicates")
+    spec = SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ScenarioError(f"unknown scenario kind {kind!r}")
+    unknown = [key for key in config if key not in spec.keys]
+    if unknown:
+        raise ScenarioError(f"unknown {kind} scenario keys: {sorted(unknown)}")
+    missing = [key for key in spec.required if key not in config]
+    if missing:
+        raise ScenarioError(f"{kind} scenario lacks required keys: {missing}")
+
+    def parse(key, value):
+        return value if spec.keys[key] is None else spec.keys[key](value)
+
+    grids = {}  # file key -> (grid key, [(value as written, parsed), ...])
+    for key in GRID_KEYS:
+        owner = "genotypes" if key == "correlation" else key
+        holder = config.get(owner) if owner != key else config
+        listed = holder.get(key) if isinstance(holder, dict) else None
+        if isinstance(listed, (list, tuple)):
+            if key not in spec.grids:
+                raise ScenarioError(f"{kind} scenario key {key!r} may not be a grid: {_json(listed)}")
+            if not listed:
+                raise ScenarioError(f"{kind} scenario grids must be nonempty: {key!r} is []")
+            options = listed if owner == key else [{**holder, key: value} for value in listed]
+            grids[owner] = (key, [(value, parse(owner, option)) for value, option in zip(listed, options)])
+    parsed = {key: parse(key, value) for key, value in config.items() if key not in grids}
+    if replicates is not None:
+        parsed[spec.count] = parse(spec.count, replicates)
+    parsed.pop("kind", None)
+    return kind, parsed.pop("seed", None), parsed.pop("estimators", None), spec.inputs(parsed, grids)
+
+
+def scenario_from_dict(config):
+    """The one scenario of a scenario file's mapping, read by
+    :func:`expand_scenario_config`: a replicates mapping's one cell, or the
+    scenario a pleiotropy, two_sample or type1_power runner takes."""
+    kind, _, _, inputs = expand_scenario_config(config)
+    cells = inputs.get("cells", [({}, inputs.get("scenario"))])
+    if len(cells) != 1 or cells[0][1] is None:
+        raise ScenarioError(f"this {kind} scenario does not describe exactly one scenario")
+    return cells[0][1]
+
+
+def load_scenario_file(path, replicates=None):
+    """Read the scenario file at ``path``, which must be UTF-8 JSON text
+    holding one object, and parse it as :func:`expand_scenario_config` does."""
     import json
 
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid scenario JSON in {path}: {exc}") from None
-        except RecursionError:
-            raise ScenarioError(f"scenario file {path} is nested too deeply to parse") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid scenario JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"scenario file {path} is nested too deeply to parse") from None
     if not isinstance(config, dict):
         raise ScenarioError(f"scenario file {path} must hold a JSON object")
-    _check_keys(config, _SCENARIO_KEYS, "scenario")
-    kind = config.get("kind", "replicates")
-    if kind not in SCENARIO_KINDS:
-        raise ScenarioError(f"unknown scenario kind {kind!r}")
-    return kind, config
-
+    return expand_scenario_config(config, replicates)

@@ -93,12 +93,12 @@ def test_criterion_03_correlated_instruments_desk_scale():
     """Two correlated instruments, N=2000, 1000 replicates: unbiased at
     correlations 0.1 and 0.9, variance ratio within [1, 3]."""
     start = time.monotonic()
-    config = scenario_config("fig2_corr_desk")
+    _, _, _, inputs = sim.expand_scenario_config(scenario_config("fig2_corr_desk"))
     cells = {
         labels["correlation"]: sim.run_replicates(
             replace(scenario, replicates=1000), seed=42 + i, estimators=("ls",)
         )
-        for i, (labels, scenario) in enumerate(sim.expand_scenario_config(config))
+        for i, (labels, scenario) in enumerate(inputs["cells"])
     }
     elapsed = time.monotonic() - start
     bias_low = np.abs(cells[0.1].bias("ls"))
@@ -208,10 +208,8 @@ def test_criterion_08_two_sample_convergence():
     """Two-sample bias at (4000, 140000) is at least 4x smaller than at
     (300, 10000) for the two-gene aorta fixture (200 replicates)."""
     start = time.monotonic()
-    cfg = dict(scenario_config("fig3_two_sample"))
-    cfg.pop("n_samples")
-    cfg.pop("n_outcome")
-    scenario = replace(sim.scenario_from_dict({**cfg, "n_samples": 300}), replicates=200)
+    cfg = {**scenario_config("fig3_two_sample"), "n_samples": 300, "n_outcome": 10000}
+    scenario = replace(sim.scenario_from_dict(cfg), replicates=200)
     assert scenario.true_effects == (0.208, -0.294)
     [(_, small)] = sim.two_sample_experiment(scenario, [300], [10000], seed=808, estimators=("ls",))
     [(_, large)] = sim.two_sample_experiment(scenario, [4000], [140000], seed=808, estimators=("ls",))

@@ -241,13 +241,62 @@ class TestSimulateCommand:
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["n_samples", "n_outcome"])
-    @pytest.mark.parametrize("value, message", [(None, "two_sample scenarios need"), ([], "two-sample grids must be nonempty")])
+    @pytest.mark.parametrize("value, message", [(None, "two_sample scenario lacks required keys"), ([], "two_sample scenario grids must be nonempty")])
     def test_two_sample_scenario_grids(self, tmp_path, capsys, key, value, message):
         scenario = write_scenario(tmp_path, "fig3_two_sample.json", **{key: value})
         code = cli.main(["simulate", "--scenario", scenario, "--seed", "1", "--replicates", "2", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("fig2_strong.json", {"alpha": 0.1}, "unknown replicates scenario keys: ['alpha']"),
+            ("fig2_strong.json", {"null_effects": [0.0, 0.6]}, "unknown replicates scenario keys: ['null_effects']"),
+            ("fig2_strong.json", {"hidden_effect_grid": [0.1], "pca_repetitions": 5}, "unknown replicates scenario keys: ['hidden_effect_grid', 'pca_repetitions']"),
+            ("s9_type1_power.json", {"conditional_f": True}, "unknown type1_power scenario keys: ['conditional_f']"),
+            ("fig2_pleiotropy.json", {"conditional_f": True}, "unknown pleiotropy scenario keys: ['conditional_f']"),
+            ("fig3_two_sample.json", {"hidden_exposures": [0], "alpha": "x"}, "unknown two_sample scenario keys: ['alpha', 'hidden_exposures']"),
+            ("s8_pca.json", {"replicates": 0, "ld_choice": "nope"}, "unknown pca scenario keys: ['ld_choice', 'replicates']"),
+            ("s8_pca.json", {"estimators": ["ls"]}, "unknown pca scenario keys: ['estimators']"),
+            ("fig2_pleiotropy.json", {"n_samples": [500, 1000]}, "pleiotropy scenario key 'n_samples' may not be a grid: [500, 1000]"),
+            ("fig3_two_sample.json", {"ld_prune_r2": [0.5]}, "two_sample scenario key 'ld_prune_r2' may not be a grid: [0.5]"),
+            ("s9_type1_power.json", {"genotypes": {"mode": "pair", "correlation": [0.1, 0.5]}}, "type1_power scenario key 'correlation' may not be a grid"),
+            ("s8_pca.json", {"correlations": None}, "pca scenario lacks required keys: ['correlations']"),
+            ("s9_type1_power.json", {"null_effects": None}, "type1_power scenario lacks required keys: ['null_effects']"),
+            ("fig2_pleiotropy.json", {"hidden_exposures": None}, "pleiotropy scenario lacks required keys: ['hidden_exposures']"),
+            (
+                "fig3_ls_vs_gmm.json",
+                {"genotypes": {"mode": "markov", "fixture": "slc22a3_lpa_plg", "mafs": [0.3], "successive_r": [9]}},
+                "markov genotypes need 'mafs' or 'fixture', not both",
+            ),
+            (
+                "fig2_strong.json",
+                {"genotypes": {"mode": "pair", "correlation": 0.5, "mafs": [0.3, 0.3], "ld": "junk"}},
+                "unknown keys for pair genotypes given by 'correlation': ['ld', 'mafs']",
+            ),
+            ("fig3_ld_perturb.json", {"genotypes": {"mode": "gaussian", "fixture": "mras_esyt3", "successive_r": []}}, "unknown keys for gaussian genotypes given by 'fixture': ['successive_r']"),
+        ],
+    )
+    def test_key_outside_its_table_exit_2(self, tmp_path, capsys, name, edit, message):
+        """A key of another kind or genotype mode, a list for a key that may
+        not be a grid there and a missing required key are each refused
+        before anything is written."""
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--scenario", write_scenario(tmp_path, name, **edit), "--seed", "1", "--replicates", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_scenario_file_not_utf8_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "latin1.json"
+        scenario.write_bytes(SCENARIOS.joinpath("s8_pca.json").read_bytes().replace(b'"pca"', b'"pca\xff"'))
+        code = cli.main(["simulate", "--scenario", str(scenario), "--seed", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: scenario file {scenario} is not UTF-8 text (invalid start byte)\n"
 
     def test_deeply_nested_scenario_exit_2(self, tmp_path, capsys):
         scenario = tmp_path / "nested.json"
@@ -287,7 +336,7 @@ class TestSimulateCommand:
         message = "'pca_repetitions' must be a positive integer" if name == "s8_pca.json" else "need at least one replicate"
         assert code == 2
         assert err.startswith("error: ") and message in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_replicate_rows_read_nan(self, tmp_path, monkeypatch):
         """A replicate whose estimator failed writes ``nan`` for its
@@ -350,6 +399,8 @@ class TestSimulateCommand:
         "effects": {"low": 0.1, "high": 0.3},
         "seed": 1,
     }
+    # what makes MARKOV_3SNP a pleiotropy file, for the keys only that kind reads
+    PLEIOTROPY = {"kind": "pleiotropy", "hidden_exposures": [0], "hidden_effect_grid": [0.0]}
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -366,8 +417,8 @@ class TestSimulateCommand:
             ({"causal_instruments": [[0, 1], [2, 5]]}, "causal_instruments[1] entries must lie in [0, 3)"),
             ({"causal_instruments": [[0, 1], 2]}, "causal_instruments must be a list of integer indices"),
             ({"causal_instruments": [[0, 1]]}, "need one causal-instrument list per exposure"),
-            ({"hidden_exposures": [2]}, "hidden_exposures entries must lie in [0, 2), got [2]"),
-            ({"hidden_exposures": [[0]]}, "hidden_exposures must be a list of integer indices"),
+            ({**PLEIOTROPY, "hidden_exposures": [2]}, "hidden_exposures entries must lie in [0, 2), got [2]"),
+            ({**PLEIOTROPY, "hidden_exposures": [[0]]}, "hidden_exposures must be a list of integer indices"),
         ],
     )
     def test_scenario_indices_checked_when_built(self, tmp_path, capsys, edit, message):
@@ -385,13 +436,11 @@ class TestSimulateCommand:
             ({"effects": [0.1]}, "scenario 'effects' must be an object"),
             ({"true_effects": [float("nan"), 0.1]}, "true_effects must be a list of numbers, not [nan, 0.1]"),
             ({"exposure_names": ["A"]}, "exposure_names must be a list of 2 strings, one per exposure"),
-            ({"hidden_effect_grid": ["a"]}, "hidden_effect_grid must be a list of numbers"),
+            ({**PLEIOTROPY, "hidden_effect_grid": ["a"]}, "hidden_effect_grid must be a list of numbers"),
             ({"ld_prune_r2": "x"}, "ld_prune_r2 must be a number, not 'x'"),
             ({"genotypes": {"mode": ["markov"]}}, "unknown genotype mode ['markov']"),
             ({"genotypes": {"fixture": "../scenarios/fig2_corr"}}, "no bundled fixture named '../scenarios/fig2_corr'"),
             ({"kind": "type1_power", "null_effects": [0.0, 0.6], "alpha": "x"}, "alpha must be a number in (0, 1], not 'x'"),
-            ({"kind": "pca", "correlations": ["x"]}, "correlation must lie strictly inside (-1, 1), got 'x'"),
-            ({"kind": "pca", "correlations": [0.5], "pca_repetitions": "x"}, "'pca_repetitions' must be a positive integer"),
             ({"kind": "two_sample", "n_outcome": None}, "two_sample scenario key 'n_outcome' must hold sample sizes, not null"),
             ({"kind": "two_sample", "n_outcome": [1000, None]}, "two_sample scenario key 'n_outcome' must hold sample sizes, not null"),
         ],
@@ -399,9 +448,19 @@ class TestSimulateCommand:
     def test_scenario_scalars_checked_when_built(self, tmp_path, capsys, edit, message):
         self.assert_refused(tmp_path, capsys, edit, message)
 
-    def assert_refused(self, tmp_path, capsys, edit, message):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"correlations": ["x"]}, "correlation must lie strictly inside (-1, 1), got 'x'"),
+            ({"correlations": [0.5], "pca_repetitions": "x"}, "'pca_repetitions' must be a positive integer"),
+        ],
+    )
+    def test_pca_scalars_checked_when_read(self, tmp_path, capsys, edit, message):
+        self.assert_refused(tmp_path, capsys, edit, message, base={"kind": "pca", "seed": 1})
+
+    def assert_refused(self, tmp_path, capsys, edit, message, base=MARKOV_3SNP):
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps({**self.MARKOV_3SNP, **edit}))
+        scenario.write_text(json.dumps({**base, **edit}))
         code = cli.main(["simulate", "--scenario", str(scenario), "--replicates", "2", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
@@ -989,6 +1048,15 @@ class TestFiguresCommand:
             ["figures", "--only", "nope", "--seed", "1", "--out", str(tmp_path / "f")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("only, named", [("fig2_weak,nope", "'nope'"), ("zz, fig2_weak ,nope", "'nope', 'zz'"), (" , ", "''")])
+    def test_every_unknown_only_name_refused_before_output(self, tmp_path, capsys, only, named):
+        out = tmp_path / "f"
+        code = cli.main(["figures", "--only", only, "--seed", "1", "--replicates", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: --only names no bundled scenario: {named}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_output_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MVMR_OUTPUT_DIR", str(tmp_path / "envout"))

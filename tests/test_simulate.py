@@ -16,7 +16,7 @@ from helpers import design, every_replicate, reference_markov_cross, refuse_repl
 
 def bundled_cell(name, n_samples):
     text = resources.files("mvmr").joinpath("data", "scenarios", f"{name}.json").read_text(encoding="utf-8")
-    for labels, scenario in sim.expand_scenario_config(json.loads(text)):
+    for labels, scenario in sim.expand_scenario_config(json.loads(text))[3]["cells"]:
         if scenario.n_samples == n_samples:
             return scenario
     raise LookupError(f"{name} has no cell with n_samples={n_samples}")
@@ -460,7 +460,7 @@ class TestSurvivorScreen:
         config = json.loads(
             resources.files("mvmr").joinpath("data", "scenarios", "fig2_corr_desk.json").read_text()
         )
-        for _, scenario in sim.expand_scenario_config(config):
+        for _, scenario in sim.expand_scenario_config(config)[3]["cells"]:
             self.assert_same_draws(scenario, range(50))
 
     def test_gram_only_on_locus_ld(self):
@@ -1038,13 +1038,8 @@ class TestType1Power:
     @staticmethod
     def _s9_scenarios(replicates):
         path = resources.files("mvmr").joinpath("data", "scenarios", "s9_type1_power.json")
-        config = json.loads(path.read_text(encoding="utf-8"))
-        config.pop("alpha")
-        null_effects = config.pop("null_effects")
-        return (
-            replace(sim.scenario_from_dict({**config, "true_effects": null_effects}), replicates=replicates),
-            replace(sim.scenario_from_dict(config), replicates=replicates),
-        )
+        _, _, _, inputs = sim.expand_scenario_config(json.loads(path.read_text(encoding="utf-8")), replicates)
+        return inputs["null_scenario"], inputs["scenario"]
 
     def test_failed_replicates_left_out_of_rates(self, monkeypatch):
         every_other_replicate_fails = refuse_replicates(
@@ -1087,13 +1082,13 @@ class TestScenarioFiles:
             "genotypes": {"mode": "pair", "correlation": [0.1, 0.9], "maf": 0.3},
             "replicates": 5,
         }
-        cells = sim.expand_scenario_config(cfg)
+        cells = sim.expand_scenario_config(cfg)[3]["cells"]
         assert len(cells) == 4
         labels = [l for l, _ in cells]
         assert {"correlation", "n_samples"} == set(labels[0])
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown scenario keys"):
+        with pytest.raises(ScenarioError, match=r"unknown replicates scenario keys: \['not_a_key'\]"):
             sim.scenario_from_dict(
                 {
                     "true_effects": [0.3],
@@ -1149,18 +1144,21 @@ class TestScenarioFiles:
         assert str(info.value) == f"no bundled fixture named {name!r}"
 
     def test_bundled_scenarios_parse(self):
-        import importlib.resources as resources
-
+        """Every bundled file of every kind parses through the one reader."""
         root = resources.files("mvmr").joinpath("data", "scenarios")
         names = [e.name for e in root.iterdir() if e.name.endswith(".json")]
         assert len(names) >= 12
+        kinds = set()
         for name in names:
-            payload = json.loads(root.joinpath(name).read_text(encoding="utf-8"))
-            kind = payload.get("kind", "replicates")
-            assert kind in sim.SCENARIO_KINDS
+            kind, seed, estimators, inputs = sim.load_scenario_file(root.joinpath(name))
+            kinds.add(kind)
+            assert seed is None
+            assert (estimators is None) == (kind == "pca")
             if kind == "replicates":
-                cells = sim.expand_scenario_config(payload)
-                assert cells
+                assert inputs["cells"]
+            elif kind != "pca":
+                assert isinstance(inputs["scenario"], sim.SimulationScenario)
+        assert kinds == set(sim.SCENARIO_KINDS)
 
     def test_ld_prune_key(self):
         scenario = sim.scenario_from_dict(

@@ -22,6 +22,12 @@ Runs, in this interpreter:
 * the same command with ``--threads 3`` on the scenarios in
   ``THREAD_SCENARIOS``, whose files must hash as their ``--threads 1``
   counterparts do;
+* the same command on each file of ``REFUSED_SCENARIOS``: one per scenario
+  kind with a key of another kind, one per genotype mode with a key of
+  another mode, and one that is not UTF-8 text.  Each is refused before
+  anything is written, so its line is ``exit <code>  refused <name>:
+  <first stderr line>``, with the run's directory written as ``<out>``,
+  and no file line follows;
 * ``mvmr loci --estimator E`` for E in ls, gmm and twmr on the bundled
   eQTL/GWAS/LD fixture trio, and again on a 60-block input written by
   this checkout's ``perfbench/inputs.write_loci_inputs(dir, 5, 60)``
@@ -121,6 +127,19 @@ FAILING_SCENARIOS = {  # name -> scenario file whose cells fail on some replicat
     "near_perfect_ld": {"kind": "replicates", "true_effects": [0.2], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998}, "effects": {"low": 0.2, "high": 0.4}},
     "type1_near_perfect_ld": {"kind": "type1_power", "true_effects": [0.2], "null_effects": [0.0], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.999999999998}, "effects": {"low": 0.2, "high": 0.4}, "replicates": 12, "estimators": ["ls", "gmm"]},
 }
+_SMALL = {"true_effects": [0.2, 0.6], "n_samples": 200, "genotypes": {"mode": "gaussian_pair", "correlation": 0.5}, "effects": {"low": 0.1, "high": 0.3}}
+REFUSED_SCENARIOS = {  # name -> a scenario file holding a key outside its kind's or genotype mode's table, or bytes that are not UTF-8
+    "replicates+alpha": {**_SMALL, "kind": "replicates", "alpha": 0.05},
+    "pleiotropy+conditional_f": {**_SMALL, "kind": "pleiotropy", "hidden_exposures": [0], "hidden_effect_grid": [0.1], "conditional_f": True},
+    "two_sample+hidden_exposures": {**_SMALL, "kind": "two_sample", "n_outcome": 300, "hidden_exposures": [0]},
+    "type1_power+conditional_f": {**_SMALL, "kind": "type1_power", "null_effects": [0.0, 0.6], "conditional_f": True},
+    "pca+ld_choice": {"kind": "pca", "correlations": [0.3], "n_samples": 50, "ld_choice": "reference"},
+    "pair+ld": {**_SMALL, "genotypes": {"mode": "pair", "correlation": 0.5, "ld": [[1.0, 0.2], [0.2, 1.0]]}},
+    "gaussian_pair+maf": {**_SMALL, "genotypes": {"mode": "gaussian_pair", "correlation": 0.5, "maf": 0.2}},
+    "markov+correlation": {**_SMALL, "genotypes": {"mode": "markov", "mafs": [0.3, 0.3], "successive_r": [0.5], "correlation": 0.2}},
+    "gaussian+mafs": {**_SMALL, "genotypes": {"mode": "gaussian", "ld": [[1.0, 0.5], [0.5, 1.0]], "mafs": [0.3, 0.3]}},
+    "not_utf8": b'{"kind": "pca\xff", "correlations": [0.3], "n_samples": 50}',
+}
 THREAD_SCENARIOS = ("fig2_pleiotropy", "s3_conditional_f_strong", "near_perfect_ld")  # simulated again with --threads 3
 GRAPH_SEEDS = (1, 2)  # seeds of the generated diagrams
 GRAPH_DIAGRAMS = 240
@@ -169,16 +188,29 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _run(main, argv):
+def _run(main, argv, err=None):
+    """The exit code of ``main(argv)``; what it writes to stderr goes to
+    ``err`` when given, else it is discarded with its stdout."""
     sink = io.StringIO()
     try:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err or sink):
             return main(argv)
     except SystemExit as exc:
         return exc.code
-    except Exception:  # the traceback goes to stderr, the fingerprint reads exit 1
-        traceback.print_exc()
+    except Exception:  # the traceback goes to err or stderr, the fingerprint reads exit 1
+        traceback.print_exc(file=err)
         return 1
+
+
+def _refused(out_root):
+    """``(label, argv)`` for every file of ``REFUSED_SCENARIOS``."""
+    os.makedirs(os.path.join(out_root, "inputs", "refused"))
+    for name, payload in REFUSED_SCENARIOS.items():
+        scenario = os.path.join(out_root, "inputs", "refused", f"{name}.json")
+        with open(scenario, "wb") as fh:
+            fh.write(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+        out = os.path.join(out_root, "simulate", "refused", name)
+        yield f"refused {name}", ["simulate", "--scenario", scenario, *SIMULATE_ARGS, "--out", out]
 
 
 def _commands(package_dir, out_root):
@@ -322,6 +354,11 @@ def fingerprint(out_root):
         lines.append(f"exit {_run(mvmr.cli.main, argv)}  {label}")
         for path in _written(out):
             lines.append(f"{_sha256(path)}  {os.path.relpath(path, out_root)}")
+    for label, argv in _refused(out_root):
+        err = io.StringIO()
+        code = _run(mvmr.cli.main, argv, err)
+        first = (err.getvalue().splitlines() or [""])[0]
+        lines.append(f"exit {code}  {label}: {first.replace(out_root, '<out>')}")
     for seed in GRAPH_SEEDS:
         out = os.path.join(out_root, "graph", f"diagrams{seed}.txt")
         lines.append(f"exit {_run(_identify, [seed, out, False])}  identify make_diagrams({seed}, {GRAPH_DIAGRAMS})")
